@@ -1,17 +1,15 @@
-"""Pipeline perf smoke: 512^3 functional matmul, all three backends.
+"""Pipeline perf smoke: 512^3 functional matmul, sequential vs compiled.
 
 Times the full functional sweep (1024 blocks of 256 threads) of the
-``tiled_unrolled`` kernel under the reference ``SequentialExecutor``,
-the block-vectorized ``BatchedExecutor`` and the AOT
-``CompiledExecutor`` using the observability layer's span tracer (no
-hand-rolled ``perf_counter`` pairs), checks all three device results
-are bit-identical, and writes ``BENCH_pipeline.json`` at the repo
-root with the per-stage pipeline breakdown (plan/execute/collect/
+``tiled_unrolled`` kernel under the reference ``SequentialExecutor``
+and the AOT ``CompiledExecutor`` using the observability layer's span
+tracer (no hand-rolled ``perf_counter`` pairs), checks both device
+results are bit-identical, and writes ``BENCH_pipeline.json`` at the
+repo root with the per-stage pipeline breakdown (plan/execute/collect/
 finalize) of each backend plus the profiler-overhead measurement.
-CI gates on batched >= 5x over sequential and on the compiled backend
-clearing >= 20x over sequential and >= 3x over batched; the <5%
-profiler-overhead gate runs in the dedicated ``obs-profile`` CI job
-(``profile_report --overhead-gate``).
+CI gates on the compiled backend clearing >= 20x over sequential; the
+<5% profiler-overhead gate runs in the dedicated ``obs-profile`` CI
+job (``profile_report --overhead-gate``).
 
 Run as ``PYTHONPATH=src python benchmarks/perf_smoke.py``.
 
@@ -40,8 +38,7 @@ import numpy as np
 
 from repro.arch.device import DEFAULT_DEVICE
 from repro.arch.registry import device_by_name
-from repro.cuda import (BatchedExecutor, CompiledExecutor, Device,
-                        SequentialExecutor, launch)
+from repro.cuda import CompiledExecutor, Device, SequentialExecutor, launch
 from repro.apps.matmul import MatMul, build_kernel
 from repro.bench.profile_report import measure_overhead
 from repro.obs import SpanTracer, use_tracer
@@ -49,9 +46,7 @@ from repro.obs.history import run_provenance
 
 N = 512
 TILE = 16
-SPEEDUP_FLOOR = 5.0
 COMPILED_VS_SEQ_FLOOR = 20.0
-COMPILED_VS_BATCHED_FLOOR = 3.0
 
 #: --aot gates
 FUSED_SPEEDUP_FLOOR = 1.3          # on at least one time-sliced app
@@ -76,18 +71,13 @@ def main() -> int:
     with use_tracer(tracer):
         seq_wall, seq_stages, seq_c = _one(
             tracer, SequentialExecutor(), "launch.sequential", a, b)
-        bat_wall, bat_stages, bat_c = _one(
-            tracer, BatchedExecutor(), "launch.batched", a, b)
         # warm compile once so the timed run measures execution, not
         # the one-off AST lowering (cached per kernel function)
         _one(tracer, CompiledExecutor(), "launch.compiled_warm", a, b)
         comp_wall, comp_stages, comp_c = _one(
             tracer, CompiledExecutor(), "launch.compiled", a, b)
-    identical = bool(np.array_equal(seq_c, bat_c)
-                     and np.array_equal(seq_c, comp_c))
-    speedup = seq_wall / bat_wall if bat_wall > 0 else 0.0
+    identical = bool(np.array_equal(seq_c, comp_c))
     comp_vs_seq = seq_wall / comp_wall if comp_wall > 0 else 0.0
-    comp_vs_bat = bat_wall / comp_wall if comp_wall > 0 else 0.0
     overhead = measure_overhead()
 
     def round_stages(s):
@@ -98,17 +88,11 @@ def main() -> int:
         "device": DEFAULT_DEVICE.name,
         **run_provenance(),
         "sequential_seconds": round(seq_wall, 3),
-        "batched_seconds": round(bat_wall, 3),
         "compiled_seconds": round(comp_wall, 3),
         "sequential_stage_seconds": round_stages(seq_stages),
-        "batched_stage_seconds": round_stages(bat_stages),
         "compiled_stage_seconds": round_stages(comp_stages),
-        "speedup": round(speedup, 2),
-        "speedup_floor": SPEEDUP_FLOOR,
         "compiled_speedup_vs_sequential": round(comp_vs_seq, 2),
         "compiled_vs_sequential_floor": COMPILED_VS_SEQ_FLOOR,
-        "compiled_speedup_vs_batched": round(comp_vs_bat, 2),
-        "compiled_vs_batched_floor": COMPILED_VS_BATCHED_FLOOR,
         "bit_identical": identical,
         "checksum": float(np.abs(comp_c).sum()),
         "profiler_overhead": overhead,
@@ -121,22 +105,13 @@ def main() -> int:
     if not identical:
         print("FAIL: backend results differ bitwise", file=sys.stderr)
         return 1
-    if speedup < SPEEDUP_FLOOR:
-        print(f"FAIL: batched speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x "
-              f"floor", file=sys.stderr)
-        return 1
     if comp_vs_seq < COMPILED_VS_SEQ_FLOOR:
         print(f"FAIL: compiled speedup {comp_vs_seq:.2f}x < "
               f"{COMPILED_VS_SEQ_FLOOR}x floor vs sequential",
               file=sys.stderr)
         return 1
-    if comp_vs_bat < COMPILED_VS_BATCHED_FLOOR:
-        print(f"FAIL: compiled speedup {comp_vs_bat:.2f}x < "
-              f"{COMPILED_VS_BATCHED_FLOOR}x floor vs batched",
-              file=sys.stderr)
-        return 1
-    print(f"OK: batched {speedup:.2f}x, compiled {comp_vs_seq:.2f}x over "
-          f"sequential ({comp_vs_bat:.2f}x over batched), bit-identical")
+    print(f"OK: compiled {comp_vs_seq:.2f}x over sequential, "
+          f"bit-identical")
     return 0
 
 

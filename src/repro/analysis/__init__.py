@@ -5,7 +5,8 @@ lane vectors for thread identities, opaque symbolic values for data —
 and checks the recorded event stream against the paper's optimization
 rules: barrier safety (Section 5.1), global-memory coalescing
 (Sections 3.2/4.1), shared-memory bank conflicts (Section 5.1),
-register/shared occupancy (Section 4.2) and batched-execution safety.
+register/shared occupancy (Section 4.2) and grid-compiler widening
+safety.
 
 Entry points:
 

@@ -127,7 +127,7 @@ class AllocEvent:
 
 @dataclass
 class HazardEvent:
-    """A construct that breaks :class:`BatchedExecutor` assumptions."""
+    """A construct that breaks the grid compiler's widening assumptions."""
 
     line: int
     kind: str      # scalar-coerce | scalar-range | python-if-coord |
@@ -265,7 +265,7 @@ class LintContext:
         self.bz = SymVal.concrete(bz, "int", frozenset({BLOCK_COORD}))
         self.block_linear = SymVal.concrete(
             grid.linear(bx, by, bz), "int", frozenset({BLOCK_COORD}))
-        #: widens to the whole batch under BatchedExecutor — tainted
+        #: widens to the whole grid segment when compiled — tainted
         self.nthreads = SymVal.concrete(T, "int", frozenset({NTHREADS}))
 
         # (active-lane superset, exactly known?, divergent?)
@@ -484,7 +484,7 @@ class LintContext:
             self._recorder.hazard(
                 "nthreads-index",
                 f"ctx.nthreads feeds the index of {name!r} (widens under "
-                f"batched execution; use ctx.threads_per_block)")
+                f"compiled execution; use ctx.threads_per_block)")
         self._recorder.emit(MemEvent(
             line=self._line(), op=op, space=space, array=name,
             index=index_sym, itemsize=itemsize, size=size,
@@ -610,7 +610,7 @@ class LintContext:
             self._recorder.hazard(
                 "nthreads-shared-shape",
                 f"shared array {name!r} sized by ctx.nthreads (widens "
-                f"under batched execution)")
+                f"under compiled execution)")
         np_dtype = np.dtype(_np_dtype(dtype))
         arr = LintShared(name, tuple(dims), np_dtype, self._smem_words,
                          self._recorder)
@@ -705,7 +705,7 @@ class NpCaster:
                 self._recorder.hazard(
                     "scalar-coerce",
                     f"np.{self.np_type.__name__}() on a scalar derived "
-                    f"from the {which} (becomes a vector under batched "
+                    f"from the {which} (becomes a vector under compiled "
                     f"execution)")
             return value.astype(self.np_type)
         return self.np_type(value)
@@ -965,7 +965,7 @@ class KernelInterp:
                         recorder.hazard(
                             "scalar-range",
                             f"Python loop bound derived from {which} "
-                            f"(breaks batched execution)")
+                            f"(breaks compiled execution)")
                     out.append(int(a))
                 else:
                     out.append(a)
@@ -978,7 +978,7 @@ class KernelInterp:
                     recorder.hazard(
                         "scalar-coerce",
                         "int() on a scalar derived from block-varying "
-                        "state (breaks batched execution)")
+                        "state (breaks compiled execution)")
                 return int(value)
             return int(value)
 
@@ -1161,7 +1161,7 @@ class KernelInterp:
             self.recorder.hazard(
                 "python-if-coord",
                 "Python branch on a value derived from block coordinates "
-                "(control flow diverges across batched blocks)")
+                "(control flow diverges across compiled blocks)")
         base = dict(scope.vars)
         self.ctx.push_unknown_branch()
         try:

@@ -41,14 +41,22 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
-#: ctx methods whose result is per-thread regardless of arguments
-VARYING_CALLS = frozenset({
-    "global_tid", "global_tid_x", "global_tid_y",
-    "ld_global", "ld_shared", "ld_const", "ld_tex", "atom_global_add",
-})
+from ..cuda.context import CTX_ATTRS, CTX_OPS
+from .divergence import SEED_UNIFORMITY, Uniformity
 
-#: ctx attributes that are per-thread lane vectors
-VARYING_ATTRS = frozenset({"tx", "ty", "tz", "tid"})
+#: ctx methods whose result is per-thread regardless of arguments:
+#: thread identities, loads from every memory space, global atomics
+VARYING_CALLS = frozenset(
+    op for op, meta in CTX_OPS.items()
+    if meta.category in ("identity", "global_atomic")
+    or meta.category.endswith("_ld"))
+
+#: ctx attributes that are per-thread lane vectors: the thread-varying
+#: identity seeds (``mask`` is the active-lane predicate, not a value
+#: a kernel keeps in a register)
+VARYING_ATTRS = frozenset(
+    name for name, u in SEED_UNIFORMITY.items()
+    if u is Uniformity.VARYING and name in CTX_ATTRS and name != "mask")
 
 #: np constructors that build per-thread accumulator arrays
 ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})

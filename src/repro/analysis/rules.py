@@ -20,13 +20,14 @@ The rules mirror the paper's optimization checklist:
   (serialized broadcast).
 * **R4 resources** — occupancy from register/shared pressure, cliff
   and low-occupancy advisories (Section 4.2).
-* **R5 batch safety** — constructs that break the
-  ``BatchedExecutor``'s all-blocks-at-once widening, cross-checked
-  against the kernel's declared ``batchable`` flag.
+* **R5 batch safety** — constructs that break the grid compiler's
+  all-blocks-at-once widening, cross-checked against the kernel's
+  declared ``batchable`` flag (which gates compilation).
 * **R6 compilability** — whether the grid compiler
   (:mod:`repro.compile`) can lower the kernel to a whole-grid
   program; failures are INFO findings naming the construct so the
-  ``compiled`` executor's per-kernel fallback is visible in reports.
+  ``compiled`` executor's fallback to the sequential reference
+  backend is visible in reports.
 * **R7 launch dataflow** — cross-launch def-use chains over the
   application's recorded launch sequence (fusion legality).
 * **R8 divergence** — the uniformity/divergence dataflow over the
@@ -114,11 +115,11 @@ RULES: Tuple[RuleInfo, ...] = (
              "occupancy from register/shared pressure, cliffs and "
              "low-occupancy advisories"),
     RuleInfo("R5", "batch safety", ("batch-safety",), "info-high",
-             "constructs that break BatchedExecutor widening, checked "
+             "constructs that break grid-compiler widening, checked "
              "against the kernel's declared batchable flag"),
     RuleInfo("R6", "compilability", ("compile",), "info",
              "whether the grid compiler can lower the kernel; failures "
-             "name the construct behind the interpreter fallback"),
+             "name the construct behind the sequential fallback"),
     RuleInfo("R7", "launch dataflow", ("launch-dataflow",), "info",
              "cross-launch global def-use chains: fusable-private vs "
              "loop-carried intermediates (fusion legality)"),
@@ -522,7 +523,7 @@ def rule_batch_safety(hazards: List[HazardEvent], kernel: str,
         findings.append(Finding(
             "batch-safety", Severity.MEDIUM, kernel,
             "declared batchable=False but no construct that breaks "
-            "batched execution was found — flag may be stale"))
+            "grid-compiler widening was found — flag may be stale"))
     elif not declared and hazards:
         labels = ", ".join(_HAZARD_LABELS.get(k, k) for k in kinds)
         findings.append(Finding(
@@ -547,14 +548,14 @@ def _compile_status_safe(kernel) -> Tuple[bool, str]:
 def rule_compilability(kernel, name: str) -> List[Finding]:
     """INFO when the grid compiler cannot lower the kernel — the
     ``compiled`` executor (and ``executor="auto"``) will fall back to
-    the batched interpreter for it.  Silent on success."""
+    the sequential reference backend for it.  Silent on success."""
     ok, reason = _compile_status_safe(kernel)
     if ok:
         return []
     return [Finding(
         "compile", Severity.INFO, name,
         f"not grid-compilable ({reason}); the compiled executor falls "
-        f"back to the batched interpreter")]
+        f"back to the sequential reference backend")]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ things cannot be concrete and are carried symbolically by
 * **taints** — provenance markers that power the batch-safety rule:
   ``block-coord`` for values derived from ``ctx.bx/by/bz`` and
   ``nthreads`` for values derived from ``ctx.nthreads`` (which widens
-  under :class:`~repro.cuda.executors.BatchedExecutor`).
+  under :class:`~repro.cuda.executors.CompiledExecutor`).
 
 Classifiers at the bottom turn index vectors into coalescing / bank-
 conflict verdicts by *reusing the dynamic model* in

@@ -74,9 +74,13 @@ GOLDEN_RTOL = 0.10
 
 @dataclass
 class Check:
-    """One static-vs-dynamic agreement check."""
+    """One static-vs-dynamic agreement check.
 
-    kernel: str
+    ``subject`` names what was checked: a kernel, ``app/kernel``, a
+    broken-catalogue entry or an application.
+    """
+
+    subject: str
     check: str                # what was compared
     static: object            # the analyzer's verdict
     dynamic: object           # the simulator's measurement
@@ -84,11 +88,11 @@ class Check:
 
     def format(self) -> str:
         mark = "ok  " if self.ok else "FAIL"
-        return (f"[{mark}] {self.kernel}: {self.check}: "
+        return (f"[{mark}] {self.subject}: {self.check}: "
                 f"static={self.static} dynamic={self.dynamic}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"kernel": self.kernel, "check": self.check,
+        return {"subject": self.subject, "check": self.check,
                 "static": self.static, "dynamic": self.dynamic,
                 "ok": self.ok}
 

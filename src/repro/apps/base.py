@@ -190,8 +190,9 @@ class Application(abc.ABC):
     verify_atol: float = 1e-5
     #: execution backend for this app's launches — anything accepted by
     #: :func:`repro.cuda.executors.resolve_executor`.  ``"auto"`` picks
-    #: the block-batched backend for functional sweeps of batchable
-    #: kernels and the reference sequential backend otherwise.
+    #: the compiled backend for functional sweeps of batchable kernels
+    #: the grid compiler lowers, and the reference sequential backend
+    #: otherwise.
     executor: object = "auto"
 
     def __init__(self, spec: DeviceSpec = DEFAULT_DEVICE) -> None:

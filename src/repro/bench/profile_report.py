@@ -193,7 +193,7 @@ def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
 
     import numpy as np
     from ..apps.matmul import MatMul, build_kernel
-    from ..cuda import BatchedExecutor, Device, launch
+    from ..cuda import CompiledExecutor, Device, launch
 
     repeats = max(5, repeats)
     tile = 16
@@ -207,7 +207,7 @@ def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
         d_c = dev.alloc((n, n), np.float32, "C")
         t0 = perf_counter()
         launch(kern, (n // tile, n // tile), (tile, tile),
-               (d_a, d_b, d_c, n), device=dev, executor=BatchedExecutor())
+               (d_a, d_b, d_c, n), device=dev, executor=CompiledExecutor())
         return perf_counter() - t0
 
     one_launch()    # warm-up: NumPy allocators, import costs
@@ -223,7 +223,7 @@ def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
     raw_pct = 100.0 * (enabled - disabled) / disabled \
         if disabled > 0 else 0.0
     return {
-        "workload": f"matmul {n}^3 functional, tiled_unrolled, batched",
+        "workload": f"matmul {n}^3 functional, tiled_unrolled, compiled",
         "repeats": repeats,
         "disabled_seconds": round(disabled, 4),
         "profiled_seconds": round(enabled, 4),
@@ -243,8 +243,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("app", help="application name (e.g. matmul, lbm)")
     parser.add_argument("--scale", choices=("test", "full"), default="test")
     parser.add_argument("--executor", default=None,
-                        help="executor backend (sequential/batched/"
-                             "compiled/process/auto)")
+                        help="executor backend (sequential/compiled/"
+                             "sanitized/auto)")
     parser.add_argument("--json", action="store_true",
                         help="emit the structured records as JSON")
     parser.add_argument("--chrome-trace", metavar="PATH", default=None,

@@ -26,7 +26,7 @@ into an ordinary Python function over :class:`repro.compile.runtime.GridRT`:
 
 Anything outside the supported construct set raises
 :class:`CompileError` with the reason; the compiled executor then
-falls back to the batched interpreter for that kernel.
+falls back to the sequential reference backend for that kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import builtins
 import inspect
 import textwrap
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

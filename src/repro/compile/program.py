@@ -49,9 +49,8 @@ def compile_kernel(kernel: Kernel) -> CompiledProgram:
 
     Raises :class:`CompileError` for kernels outside the supported
     construct set, and for kernels declared ``batchable=False`` —
-    whole-grid execution reorders lanes exactly the way the batched
-    interpreter does, so the batchable contract is the correctness
-    gate for compilation too.
+    whole-grid execution runs every block's lanes at once, so the
+    batchable contract is the correctness gate for compilation.
     """
     if not kernel.batchable:
         raise CompileError(

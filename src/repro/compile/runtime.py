@@ -17,8 +17,8 @@ Axes representation
     instead of ``blocks * threads`` lanes, and the first genuinely
     mixed operation (typically the FMA of an inner loop) fuses the
     broadcast into a single NumPy pass.  The C-order ravel of the
-    lane shape is exactly the block-major lane order of the
-    sequential and batched backends, which is what makes fancy-index
+    lane shape is exactly the block-major order in which the
+    sequential backend runs threads, which is what makes fancy-index
     scatters (last-writer-wins) and ``np.add.at`` atomics bit-compatible.
 
 Numeric mirroring
@@ -46,7 +46,7 @@ __all__ = ["GridPrelude", "GridRT", "LaneCount", "NP_SHIM",
 
 class LaneCount(int):
     """``ctx.nthreads`` after lowering: an ``int`` (total lanes of the
-    segment, matching the batched backend's widened ``nthreads``) that
+    segment, not one block's thread count) that
     the NumPy shim can recognize when a kernel allocates per-thread
     vectors with ``np.zeros(ctx.nthreads, ...)``."""
 

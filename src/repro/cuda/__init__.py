@@ -33,10 +33,8 @@ from .context import BlockContext
 from .launch import Kernel, LaunchResult, kernel, launch
 from .plan import LaunchPlan
 from .executors import (
-    BatchedExecutor,
     CompiledExecutor,
     Executor,
-    ProcessPoolExecutor,
     SequentialExecutor,
     choose_executor,
     resolve_executor,
@@ -61,9 +59,7 @@ __all__ = [
     "LaunchPlan",
     "Executor",
     "SequentialExecutor",
-    "BatchedExecutor",
     "CompiledExecutor",
-    "ProcessPoolExecutor",
     "choose_executor",
     "resolve_executor",
 ]

@@ -176,9 +176,9 @@ class BlockContext:
         self.tz = tid // (block.x * block.y)
         self.nthreads = T
         #: threads of ONE block — equals ``nthreads`` here, but stays
-        #: per-block under batched execution, where ``nthreads`` widens
-        #: to all lanes of the batch; index math that means "block
-        #: size" must use this, not ``nthreads``
+        #: per-block under compiled whole-grid execution, where
+        #: ``nthreads`` widens to all lanes of the segment; index math
+        #: that means "block size" must use this, not ``nthreads``
         self.threads_per_block = T
         self.nwarps = -(-T // spec.warp_size)
 

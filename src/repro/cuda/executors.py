@@ -9,37 +9,22 @@ and reports per-block results to a
     in linear order — exactly the semantics of the original monolithic
     ``launch()`` loop.
 
-``BatchedExecutor``
-    Vectorizes the *untraced functional sweep* across many homogeneous
-    blocks at once by widening the per-thread NumPy vectors of the DSL
-    from ``(threads,)`` to ``(blocks * threads,)`` lanes.  Traced
-    blocks still run one-by-one (bit-identical traces); untraced
-    blocks between them are flushed in linear order, so device-array
-    write order — and therefore every functional result — matches the
-    sequential backend bit for bit.  Requires ``Kernel.batchable``
-    (no Python-level control flow on scalar block coordinates, no
-    cross-block data dependences within one launch); non-batchable
-    kernels silently fall back to sequential execution.
-
 ``CompiledExecutor``
     Runs the whole untraced functional sweep as one AOT-compiled
     NumPy program per kernel (see :mod:`repro.compile`): the kernel's
     AST is lowered once so thread loops become array axes and every
     block of a launch executes as slices of a single
     ``(blocks, tz, ty, tx)`` vector program.  Bit-identical to the
-    sequential backend for batchable kernels; unsupported kernels
-    fall back per kernel to the batched interpreter.
+    sequential backend for batchable kernels; kernels the compiler
+    refuses fall back to the sequential reference backend.
 
-``ProcessPoolExecutor``
-    Opt-in: shards untraced functional block ranges across forked
-    worker processes and merges their device-array writes back through
-    a write log.  Requires the CUDA inter-block independence guarantee
-    (a block must not read global data written by another block of the
-    same launch) and a platform with ``fork``.
+``SanitizedExecutor``
+    The sequential walk through ``cuda-memcheck``-style sanitizing
+    contexts (see :mod:`repro.san`).
 
 Use :func:`resolve_executor` (or ``launch(..., executor=...)``) to go
-from ``None`` / ``"sequential"`` / ``"batched"`` / ``"compiled"`` /
-``"process"`` / ``"auto"`` / an instance to a backend.
+from ``None`` / ``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
+``"auto"`` / an instance to a backend.
 """
 
 from __future__ import annotations
@@ -48,17 +33,14 @@ import contextlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..obs.profiler import active_profiler
-from ..obs.registry import MetricsRegistry, get_registry, use_registry
+from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..trace.collector import TraceCollector, TRACE, MEMO, PLAIN
-from .context import BlockContext
 from .launch import LaunchResult
-from .memory import CudaModelError, DeviceArray, SharedArray
+from .memory import CudaModelError
 
 
 def _execute_single(plan, collector: TraceCollector, linear: int,
@@ -211,167 +193,6 @@ class SanitizedExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Batched (block-vectorized) execution
-# ----------------------------------------------------------------------
-
-class _BatchedSharedArray(SharedArray):
-    """Shared scratchpad widened to one copy per batched block.
-
-    ``size``/``shape`` keep the *per-block* geometry (so kernel-side
-    bounds checks and the 16 KB meter see one block's footprint) while
-    ``data`` holds ``nblocks`` consecutive copies.
-    """
-
-    def __init__(self, name, shape, dtype, word_offset, nblocks) -> None:
-        super().__init__(name, shape, dtype, word_offset)
-        self.nblocks = nblocks
-        self._per_block_size = int(np.prod(shape))
-        self.data = np.zeros(self._per_block_size * nblocks, dtype=dtype)
-        #: per-lane offset of each block's copy, filled by shared_alloc
-        self.lane_offset: Optional[np.ndarray] = None
-
-    @property
-    def size(self) -> int:
-        return self._per_block_size
-
-
-class BatchedBlockContext(BlockContext):
-    """A :class:`BlockContext` spanning many homogeneous blocks.
-
-    Per-thread vectors widen from ``(threads,)`` to
-    ``(blocks * threads,)`` lanes ordered block-major, so elementwise
-    DSL arithmetic produces bit-identical per-lane values and fancy-
-    indexed global stores preserve the sequential last-writer order.
-    Only valid untraced (``trace is None``): instruction accounting,
-    coalescing and bank-conflict models always observe single blocks.
-    """
-
-    def __init__(self, plan, linears: Sequence[int]) -> None:
-        lin = np.asarray(linears, dtype=np.int64)
-        block = plan.block
-        super().__init__(plan.spec, plan.grid, block, (0, 0, 0),
-                         trace=None, caches=None, stream=None,
-                         kernel_name=plan.kernel.name)
-        nblocks = int(lin.shape[0])
-        T = block.size
-        reps = np.repeat(lin, T)
-        gx, gy = plan.grid.x, plan.grid.y
-        self.bx = reps % gx
-        self.by = (reps // gx) % gy
-        self.bz = reps // (gx * gy)
-        tid = np.tile(np.arange(T, dtype=np.int64), nblocks)
-        self.tid = tid
-        self.tx = tid % block.x
-        self.ty = (tid // block.x) % block.y
-        self.tz = tid // (block.x * block.y)
-        self.nthreads = nblocks * T
-        self.threads_per_block = T
-        self._nblocks = nblocks
-        self._block_linear_rep = reps
-        self._slot = np.repeat(np.arange(nblocks, dtype=np.int64), T)
-        self._mask_stack = [np.ones(nblocks * T, dtype=bool)]
-
-    @property
-    def block_linear(self) -> np.ndarray:
-        return self._block_linear_rep
-
-    # -- shared memory: one copy per block, per-lane slot offsets ------
-    def shared_alloc(self, shape, dtype=np.float32,
-                     name: str = "smem") -> SharedArray:
-        arr = _BatchedSharedArray(name, tuple(np.atleast_1d(shape)),
-                                  np.dtype(dtype), self._smem_words,
-                                  self._nblocks)
-        arr.lane_offset = self._slot * arr.size
-        self._smem_words += max(1, arr.itemsize // 4) * arr.size
-        if self.smem_bytes > self.spec.shared_mem_per_sm:
-            raise CudaModelError(
-                f"shared memory overflow: block requests {self.smem_bytes} B "
-                f"> {self.spec.shared_mem_per_sm} B per SM")
-        self.shared_arrays.append(arr)
-        return arr
-
-    def ld_shared(self, sh: SharedArray, index) -> np.ndarray:
-        idx = self._flat_index(index)
-        safe = np.clip(idx, 0, sh.size - 1)
-        if len(self._mask_stack) > 1:
-            safe = np.where(self.mask, safe, 0)
-        return sh.data[safe + sh.lane_offset]
-
-    def st_shared(self, sh: SharedArray, index, value) -> None:
-        idx = self._flat_index(index)
-        vals = self._bc(value, sh.data.dtype)
-        if len(self._mask_stack) == 1:
-            if idx.size and (idx.min() < 0 or idx.max() >= sh.size):
-                raise CudaModelError(
-                    f"shared store out of bounds on {sh.name!r}")
-            sh.data[idx + sh.lane_offset] = vals
-            return
-        mask = self.mask
-        act = idx[mask]
-        if act.size and (act.min() < 0 or act.max() >= sh.size):
-            raise CudaModelError(f"shared store out of bounds on {sh.name!r}")
-        sh.data[(idx + sh.lane_offset)[mask]] = vals[mask]
-
-
-class BatchedExecutor(Executor):
-    """Vectorize the untraced functional sweep across blocks.
-
-    ``max_lanes`` bounds one batch's vector width (``blocks * threads``
-    lanes) to keep temporary arrays cache-friendly.
-    """
-
-    name = "batched"
-
-    def __init__(self, max_lanes: int = 1 << 16) -> None:
-        if max_lanes < 1:
-            raise ValueError("max_lanes must be positive")
-        self.max_lanes = max_lanes
-
-    def _run(self, plan, collector: TraceCollector) -> int:
-        if not plan.kernel.batchable:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("executor.batch_fallbacks",
-                                 kernel=plan.kernel.name).inc()
-            return SequentialExecutor()._run(plan, collector)
-        batch_blocks = max(1, self.max_lanes // plan.block.size)
-        executed = 0
-        pending: List[int] = []
-        registry = get_registry()
-
-        def flush() -> None:
-            nonlocal executed
-            if not pending:
-                return
-            if len(pending) == 1:
-                _execute_single(plan, collector, pending[0], PLAIN)
-            else:
-                ctx = BatchedBlockContext(plan, pending)
-                plan.kernel.fn(ctx, *plan.args)
-            if registry.enabled:
-                registry.histogram("executor.batch_blocks",
-                                   kernel=plan.kernel.name).observe(
-                                       len(pending))
-            executed += len(pending)
-            pending.clear()
-
-        for linear in plan.block_ids():
-            mode = collector.classify(linear)
-            if mode == TRACE:
-                flush()     # keep global block order intact
-                _execute_single(plan, collector, linear, TRACE)
-                executed += 1
-            else:
-                if mode == MEMO and not plan.functional:
-                    continue
-                pending.append(linear)
-                if len(pending) >= batch_blocks:
-                    flush()
-        flush()
-        return executed
-
-
-# ----------------------------------------------------------------------
 # Compiled (whole-grid AOT) execution
 # ----------------------------------------------------------------------
 
@@ -382,60 +203,43 @@ class CompiledExecutor(Executor):
     once — thread loops become array axes, ``__syncthreads()`` becomes
     a compile-time program-point split, divergent branches become
     masked stores — and every untraced functional block then executes
-    as slices of one ``(blocks, tz, ty, tx)`` NumPy program.  Lane
-    order equals the batched executor's block-major order, so results
-    are bit-identical to the sequential backend for every
-    ``batchable`` kernel; kernels the compiler cannot lower (or
-    declared ``batchable=False``) fall back per kernel to the batched
-    interpreter, recorded on the ``executor.compile_fallbacks``
-    counter.
+    as slices of one ``(blocks, tz, ty, tx)`` NumPy program.  Lanes
+    are ordered block-major, the sequential backend's block order, so
+    results are bit-identical to it for every ``batchable`` kernel.
 
-    Traced blocks are handled per ``trace_source``:
-
-    ``"blocks"`` (default)
-        The grid splits into contiguous compiled segments around each
-        traced block, which runs through a scalar
-        :class:`BlockContext` at its ordered position — traces *and*
-        outputs stay bit-identical to sequential execution.
-
-    ``"census"``
-        Traced blocks also run compiled; their traces are synthesized
-        from the static :class:`~repro.analysis.census.KernelCensus`
-        of the launch geometry (one mean block trace merged per traced
-        block).  Fastest, but trace counters are the analyzer's
-        approximation and no instruction stream is recorded, so
-        stream-recording launches fall back to ``"blocks"``.
+    Traced blocks split the grid into contiguous compiled segments and
+    run through a scalar :class:`BlockContext` at their ordered
+    position, so traces *and* outputs match sequential execution.
+    Kernels the compiler refuses (or declared ``batchable=False``)
+    fall back to the sequential reference backend; each refusal bumps
+    the ``executor.compile_fallbacks`` counter with the
+    :class:`~repro.compile.CompileError` text as its ``reason`` label.
+    Perf-only launches (``functional=False``) only run traced blocks,
+    so they go straight to the sequential walk without compiling.
     """
 
     name = "compiled"
 
-    def __init__(self, max_lanes: int = 1 << 20,
-                 trace_source: str = "blocks") -> None:
+    def __init__(self, max_lanes: int = 1 << 20) -> None:
         if max_lanes < 1:
             raise ValueError("max_lanes must be positive")
-        if trace_source not in ("blocks", "census"):
-            raise ValueError(
-                f"trace_source must be 'blocks' or 'census', "
-                f"got {trace_source!r}")
         self.max_lanes = max_lanes
-        self.trace_source = trace_source
 
     def _run(self, plan, collector: TraceCollector) -> int:
         from ..compile import (CompileError, GridRT, get_program,
                                prelude_for)
         from ..compile.program import plan_context
+        if not plan.functional:
+            return SequentialExecutor()._run(plan, collector)
         registry = get_registry()
-        program = None
-        if plan.functional:
-            try:
-                program = get_program(plan.kernel, plan_context(plan))
-            except CompileError:
-                pass
-        if program is None:
+        try:
+            program = get_program(plan.kernel, plan_context(plan))
+        except CompileError as exc:
             if registry.enabled:
                 registry.counter("executor.compile_fallbacks",
-                                 kernel=plan.kernel.name).inc()
-            return BatchedExecutor()._run(plan, collector)
+                                 kernel=plan.kernel.name,
+                                 reason=str(exc)).inc()
+            return SequentialExecutor()._run(plan, collector)
 
         prelude = prelude_for(plan.grid, plan.block)
         chunk_blocks = max(1, self.max_lanes // plan.block.size)
@@ -454,12 +258,6 @@ class CompiledExecutor(Executor):
                 registry.histogram("executor.compiled_blocks",
                                    kernel=plan.kernel.name).observe(
                                        stop - start)
-
-        if plan.traced and self.trace_source == "census" \
-                and not plan.record_stream \
-                and self._merge_census(plan, collector):
-            run_range(0, plan.grid.size)
-            return executed
 
         # Only the traced sample needs per-block classification; every
         # other block is PLAIN by definition and runs inside a compiled
@@ -480,176 +278,6 @@ class CompiledExecutor(Executor):
         collector.dispositions[PLAIN] += plan.grid.size - len(plan.traced)
         return executed
 
-    def _merge_census(self, plan, collector: TraceCollector) -> bool:
-        """Synthesize traced-block counters from the static census;
-        returns False (caller falls back to exact per-block tracing)
-        when the analyzer cannot handle the kernel."""
-        from ..analysis.census import census_target
-        from ..analysis.targets import LintArray, LintTarget
-        try:
-            args = tuple(
-                LintArray(a.name, getattr(a, "space", "global"),
-                          a.size, str(a.data.dtype))
-                if isinstance(a, DeviceArray) else a
-                for a in plan.args)
-            grid, block = plan.grid, plan.block
-            target = LintTarget(
-                kernel=plan.kernel, grid=(grid.x, grid.y, grid.z),
-                block=(block.x, block.y, block.z), args=args,
-                note="census-trace")
-            census = census_target(target, plan.spec)
-        except Exception:
-            return False
-        block_trace = census.block_trace
-        block_trace.blocks_traced = 1
-        for _linear in plan.traced:
-            collector.merged.merge(block_trace)
-            collector.dispositions[TRACE] += 1
-        collector.smem_bytes = max(collector.smem_bytes,
-                                   census.smem_bytes)
-        return True
-
-
-# ----------------------------------------------------------------------
-# Process-pool execution
-# ----------------------------------------------------------------------
-
-#: plan handed to forked workers through copy-on-write memory (fork
-#: start method only — closures inside Kernel objects do not pickle)
-_WORKER_PLAN = None
-
-
-class _WriteLogContext(BlockContext):
-    """Records every global write so a worker's effects can be
-    replayed, in block order, on the parent's device arrays."""
-
-    def __init__(self, plan, linear: int, log: list) -> None:
-        super().__init__(plan.spec, plan.grid, plan.block,
-                         plan.grid.unlinear(linear), trace=None,
-                         caches=None, stream=None,
-                         kernel_name=plan.kernel.name)
-        self._log = log
-
-    def st_global(self, arr, index, value) -> None:
-        super().st_global(arr, index, value)
-        idx = self._flat_index(index)
-        mask = self.mask
-        vals = self._bc(value, arr.data.dtype)
-        self._log.append(("st", arr.name, idx[mask].copy(),
-                          vals[mask].copy()))
-
-    def atom_global_add(self, arr, index, value) -> None:
-        super().atom_global_add(arr, index, value)
-        idx = self._flat_index(index)
-        mask = self.mask
-        vals = self._bc(value, arr.data.dtype)
-        self._log.append(("add", arr.name, idx[mask].copy(),
-                          vals[mask].copy()))
-
-
-def _pool_run_span(linears: List[int]) -> Tuple[list, Optional[list]]:
-    """Run one span of blocks in a forked worker.
-
-    Metrics recorded inside the worker land in a *fresh* registry (the
-    inherited copy-on-write one already holds the parent's pre-fork
-    values, which must not be double-counted) and travel back as a
-    snapshot for the parent to merge — the cross-process fan-in path.
-    """
-    plan = _WORKER_PLAN
-    log: list = []
-    worker_registry = MetricsRegistry(enabled=get_registry().enabled)
-    with use_registry(worker_registry):
-        if worker_registry.enabled:
-            import os
-            worker_registry.counter("executor.worker_blocks",
-                                    kernel=plan.kernel.name,
-                                    worker=os.getpid()).inc(len(linears))
-        for linear in linears:
-            ctx = _WriteLogContext(plan, linear, log)
-            plan.kernel.fn(ctx, *plan.args)
-    snapshot = worker_registry.snapshot() if worker_registry.enabled else None
-    return log, snapshot
-
-
-class ProcessPoolExecutor(Executor):
-    """Shard untraced functional blocks across forked workers (opt-in).
-
-    Traced blocks run in-process first (bit-identical traces); the
-    remaining blocks are split into contiguous spans whose write logs
-    are applied back in span order.  Correct only under CUDA's
-    inter-block independence guarantee: a block must not read global
-    data written by another block of the same launch.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 2,
-                 chunk_blocks: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.workers = workers
-        self.chunk_blocks = chunk_blocks
-
-    def _run(self, plan, collector: TraceCollector) -> int:
-        import multiprocessing as mp
-        try:
-            mp_ctx = mp.get_context("fork")
-        except ValueError as exc:
-            raise CudaModelError(
-                "ProcessPoolExecutor needs the 'fork' start method; use "
-                "the sequential or batched backend on this platform"
-            ) from exc
-
-        executed = 0
-        plain: List[int] = []
-        for linear in plan.block_ids():
-            mode = collector.classify(linear)
-            if mode == TRACE:
-                _execute_single(plan, collector, linear, TRACE)
-                executed += 1
-            elif mode == MEMO and not plan.functional:
-                continue
-            else:
-                plain.append(linear)
-        if not plain:
-            return executed
-        if len(plain) <= self.workers:      # not worth forking for
-            for linear in plain:
-                _execute_single(plan, collector, linear, PLAIN)
-            return executed + len(plain)
-
-        chunk = self.chunk_blocks or max(
-            1, -(-len(plain) // (self.workers * 4)))
-        spans = [plain[i:i + chunk] for i in range(0, len(plain), chunk)]
-
-        from concurrent.futures import ProcessPoolExecutor as _FuturesPool
-        global _WORKER_PLAN
-        _WORKER_PLAN = plan
-        registry = get_registry()
-        try:
-            with _FuturesPool(max_workers=self.workers,
-                              mp_context=mp_ctx) as pool:
-                for log, snapshot in pool.map(_pool_run_span, spans):
-                    self._apply_write_log(plan, log)
-                    if snapshot:
-                        registry.merge_snapshot(snapshot)
-        finally:
-            _WORKER_PLAN = None
-        return executed + len(plain)
-
-    @staticmethod
-    def _apply_write_log(plan, log: list) -> None:
-        arrays = dict(plan.device.arrays)
-        for arg in plan.args:
-            if isinstance(arg, DeviceArray):
-                arrays[arg.name] = arg
-        for kind, name, idx, vals in log:
-            arr = arrays[name]
-            if kind == "st":
-                arr.data[idx] = vals
-            else:
-                np.add.at(arr.data, idx, vals)
-
 
 # ----------------------------------------------------------------------
 # Resolution / selection policy
@@ -658,22 +286,18 @@ class ProcessPoolExecutor(Executor):
 EXECUTORS = {
     "sequential": SequentialExecutor,
     "sanitized": SanitizedExecutor,
-    "batched": BatchedExecutor,
     "compiled": CompiledExecutor,
-    "process": ProcessPoolExecutor,
 }
 
 #: grids with fewer untraced blocks than this go straight to the
 #: sequential backend under ``"auto"`` — below the width at which
-#: batching/compilation amortizes its per-launch bookkeeping.
-#: (Kept as a module constant for backward compatibility; the live
-#: value is :class:`ExecutorPolicy.min_vector_blocks`.)
+#: compilation amortizes its per-launch bookkeeping.
 MIN_VECTOR_BLOCKS = 4
 
 
 @dataclass(frozen=True)
 class ExecutorPolicy:
-    """Every auto-policy knob in one place, env-overridable.
+    """Every module-fusion knob in one place, env-overridable.
 
     The defaults reproduce the historical behaviour; processes that
     need different thresholds set the environment variables below (CI
@@ -683,7 +307,6 @@ class ExecutorPolicy:
     ==========================  =================================
     field                       environment variable
     ==========================  =================================
-    ``min_vector_blocks``       ``REPRO_MIN_VECTOR_BLOCKS``
     ``min_fuse_steps``          ``REPRO_MIN_FUSE_STEPS``
     ``module_trace_replay``     ``REPRO_MODULE_TRACE_REPLAY`` (0/1)
     artifact cache directory    ``REPRO_AOT_CACHE`` (see
@@ -691,8 +314,6 @@ class ExecutorPolicy:
     ==========================  =================================
     """
 
-    #: untraced-block floor below which ``"auto"`` stays sequential
-    min_vector_blocks: int = MIN_VECTOR_BLOCKS
     #: minimum run of compilable launches worth fusing into a module
     #: group (a "fused group" of one launch is just a launch)
     min_fuse_steps: int = 2
@@ -722,8 +343,6 @@ class ExecutorPolicy:
             return raw.strip().lower() not in ("0", "false", "no", "")
 
         return cls(
-            min_vector_blocks=_int("REPRO_MIN_VECTOR_BLOCKS",
-                                   MIN_VECTOR_BLOCKS),
             min_fuse_steps=_int("REPRO_MIN_FUSE_STEPS", 2),
             module_trace_replay=_bool("REPRO_MODULE_TRACE_REPLAY", True),
         )
@@ -760,27 +379,20 @@ def use_policy(policy: ExecutorPolicy):
         set_policy(previous)
 
 
-def choose_executor(plan,
-                    policy: Optional[ExecutorPolicy] = None) -> Executor:
-    """The ``"auto"`` policy, fastest-first:
-
-    1. tiny grids (fewer untraced blocks than the vectorization floor)
-       run sequentially — nothing to amortize;
-    2. batchable kernels the grid compiler has (or can build) a
-       program for run compiled — including programs loaded from the
-       on-disk artifact cache when one is active;
-    3. batchable kernels it cannot lower run batched;
-    4. everything else runs on the reference backend.
+def choose_executor(plan) -> Executor:
+    """The ``"auto"`` policy: functional sweeps of batchable kernels
+    the grid compiler has (or can build, or loads from the on-disk
+    artifact cache) a program for run compiled when at least
+    :data:`MIN_VECTOR_BLOCKS` blocks are untraced; everything else
+    runs on the sequential reference backend.
     """
     from ..compile import compile_status
     from ..compile.program import plan_context
-    policy = policy or get_policy()
     untraced = plan.num_blocks - len(plan.traced)
     if plan.functional and plan.kernel.batchable \
-            and untraced >= policy.min_vector_blocks:
-        if compile_status(plan.kernel, plan_context(plan))[0]:
-            return CompiledExecutor()
-        return BatchedExecutor()
+            and untraced >= MIN_VECTOR_BLOCKS \
+            and compile_status(plan.kernel, plan_context(plan))[0]:
+        return CompiledExecutor()
     return SequentialExecutor()
 
 

@@ -14,7 +14,7 @@ registers, ...).
 :func:`launch` is a thin facade over the staged execution pipeline::
 
     plan     = LaunchPlan.build(...)   # validation + trace sample (cuda.plan)
-    executor = resolve_executor(...)   # sequential/batched/process (cuda.executors)
+    executor = resolve_executor(...)   # sequential/compiled (cuda.executors)
     result   = executor.execute(plan)  # traces via TraceCollector (trace.collector)
 
 and returns a :class:`LaunchResult` carrying the scaled
@@ -184,7 +184,8 @@ def launch(
         the event-driven warp simulator (:mod:`repro.sim.warpsim`).
     executor:
         Execution backend: ``None`` (reference sequential), a name
-        (``"sequential"`` / ``"batched"`` / ``"process"`` / ``"auto"``),
+        (``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
+        ``"auto"``),
         an :class:`~repro.cuda.executors.Executor` class or instance.
     memoize:
         Reuse traces across sampled blocks of the same equivalence

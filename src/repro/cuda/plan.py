@@ -13,12 +13,11 @@ it is now three explicit layers:
 :mod:`repro.cuda.executors`
     Pluggable backends that walk the plan's blocks: the reference
     ``SequentialExecutor`` (one :class:`BlockContext` per block, the
-    original semantics), the ``BatchedExecutor`` (vectorizes the
-    untraced functional sweep across many homogeneous blocks at once),
-    the ``CompiledExecutor`` (runs a whole-grid NumPy program lowered
-    AOT from the kernel's AST by :mod:`repro.compile`) and the opt-in
-    ``ProcessPoolExecutor`` (shards block ranges across forked
-    workers).
+    original semantics), the ``CompiledExecutor`` (runs a whole-grid
+    NumPy program lowered AOT from the kernel's AST by
+    :mod:`repro.compile`, falling back to the sequential backend for
+    kernels the compiler refuses) and the ``SanitizedExecutor`` (the
+    sequential walk under ``cuda-memcheck``-style checking).
 
 :class:`repro.trace.collector.TraceCollector`
     Owns trace merging, sample-to-grid scaling, stream recording and

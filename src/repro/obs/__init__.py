@@ -6,8 +6,7 @@ serialization, the Table 3 bottleneck verdict.  This package gives the
 reproduction's own pipeline the same treatment:
 
 * :mod:`repro.obs.registry` — process-wide but injectable
-  :class:`MetricsRegistry` of labeled counters/gauges/histograms, with
-  snapshot/merge fan-in for :class:`ProcessPoolExecutor` workers;
+  :class:`MetricsRegistry` of labeled counters/gauges/histograms;
 * :mod:`repro.obs.spans` — nested wall-clock span tracing exporting
   Chrome ``chrome://tracing`` JSON and a plain-text tree;
 * :mod:`repro.obs.profiler` — the :class:`LaunchProfiler`, capturing

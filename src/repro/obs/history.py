@@ -74,9 +74,8 @@ def manifest_from_pipeline(payload: Dict[str, object]
     m = _base_manifest(payload, "pipeline")
     m["device"] = payload.get("device", "unknown")
     metrics: Dict[str, float] = {}
-    for key in ("sequential_seconds", "batched_seconds", "compiled_seconds",
-                "speedup", "compiled_speedup_vs_sequential",
-                "compiled_speedup_vs_batched"):
+    for key in ("sequential_seconds", "compiled_seconds",
+                "compiled_speedup_vs_sequential"):
         if key in payload:
             metrics[f"pipeline.{key}"] = float(payload[key])
     overhead = payload.get("profiler_overhead", {})

@@ -195,8 +195,8 @@ class LaunchRecord:
         """Synthesize a record from a static
         :class:`~repro.analysis.census.KernelCensus` — no execution.
 
-        This is how launches that never ran (or ran compiled with
-        ``trace_source="census"``) still surface nvprof-style counters:
+        This is how launches that never ran still surface nvprof-style
+        counters:
         the census's grid-extrapolated trace fills the same fields a
         dynamic trace would, with the executor marked ``"census"`` and
         all stage timings zero.

@@ -14,11 +14,7 @@ Design points:
   so instrumented hot paths pay a single attribute check.
 * **Injectable.**  The ambient registry is process-global state, but
   :func:`set_registry` / :func:`use_registry` swap it (tests, nested
-  profilers, worker processes).
-* **Mergeable.**  :meth:`MetricsRegistry.snapshot` produces a plain
-  picklable structure and :meth:`MetricsRegistry.merge_snapshot` folds
-  it back in — the fan-in path for metrics recorded inside forked
-  :class:`~repro.cuda.executors.ProcessPoolExecutor` workers.
+  profilers).
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def _merge_value(self, value: float) -> None:
-        self.value += value
-
 
 class Gauge:
     """Last-written value (queue depth, bytes resident, overhead %)."""
@@ -78,16 +71,13 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def _merge_value(self, value: float) -> None:
-        self.value = value
-
 
 class Histogram:
     """Streaming distribution summary (count/sum/min/max).
 
     Launch wall times and per-stage durations do not need full bucket
     vectors to answer the questions the bench layer asks; a compact
-    moment summary merges exactly and pickles small.
+    moment summary is enough.
     """
 
     kind = "histogram"
@@ -121,14 +111,6 @@ class Histogram:
                 "max": self.max if self.count else 0.0,
                 "mean": self.mean}
 
-    def _merge_value(self, value: Dict[str, float]) -> None:
-        if not value["count"]:
-            return
-        self.count += int(value["count"])
-        self.sum += value["sum"]
-        self.min = min(self.min, value["min"])
-        self.max = max(self.max, value["max"])
-
 
 class _NullMetric:
     """Shared do-nothing metric handed out by a disabled registry."""
@@ -147,8 +129,6 @@ class _NullMetric:
 
 
 NULL_METRIC = _NullMetric()
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -210,30 +190,6 @@ class MetricsRegistry:
             label_str = ",".join(f"{k}={v}" for k, v in labels) or "-"
             out.setdefault(name, {})[label_str] = metric.value
         return out
-
-    # ------------------------------------------------------------------
-    # Fan-in
-    # ------------------------------------------------------------------
-    def snapshot(self) -> list:
-        """Picklable dump: ``[(name, labels, kind, value), ...]``."""
-        return [(name, labels, m.kind, m.value)
-                for (name, labels), m in self._metrics.items()]
-
-    def merge_snapshot(self, snapshot: list) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a forked worker) in."""
-        if not self.enabled:
-            return
-        for name, labels, kind, value in snapshot:
-            key = (name, labels)
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = _KINDS[kind](name, labels)
-                self._metrics[key] = metric
-            metric._merge_value(value)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's metrics into this one."""
-        self.merge_snapshot(other.snapshot())
 
     def reset(self) -> None:
         self._metrics.clear()

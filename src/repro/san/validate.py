@@ -25,14 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.findings import Severity
 from ..analysis.lint import lint_app
 from ..analysis.rules import classify_dataflow, launch_dataflow
+from ..analysis.validate import Check
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from .broken import BROKEN
 from .state import SanState
@@ -50,27 +50,6 @@ DATAFLOW_APPS = ("lbm", "fdtd", "mri-fhd")
 #: applications for the bit-identity sweep (one global-only, one
 #: shared-tiled, one multi-launch)
 IDENTITY_APPS = ("saxpy", "matmul", "lbm")
-
-
-@dataclass
-class Check:
-    """One static-vs-dynamic agreement check."""
-
-    subject: str
-    check: str
-    static: object
-    dynamic: object
-    ok: bool
-
-    def format(self) -> str:
-        mark = "ok  " if self.ok else "FAIL"
-        return (f"[{mark}] {self.subject}: {self.check}: "
-                f"static={self.static} dynamic={self.dynamic}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"subject": self.subject, "check": self.check,
-                "static": self.static, "dynamic": self.dynamic,
-                "ok": self.ok}
 
 
 def _static_verdict(app_name: str, spec: DeviceSpec) -> bool:

@@ -377,5 +377,5 @@ def test_divergence_checks_agree_on_clean_app_and_broken():
     assert checks
     bad = [c.format() for c in checks if not c.ok]
     assert not bad, "\n".join(bad)
-    subjects = {c.kernel for c in checks}
+    subjects = {c.subject for c in checks}
     assert any(s.startswith("broken/") for s in subjects)

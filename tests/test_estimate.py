@@ -164,6 +164,17 @@ class TestLiveness:
         est = estimate_registers(abs)          # no source available
         assert est.fallback
 
+    def test_varying_sets_derive_from_the_ctx_tables(self):
+        # derived from CTX_OPS categories and the divergence seeds; a
+        # new entry in either table must not silently move the
+        # register estimates
+        from repro.analysis.liveness import VARYING_ATTRS, VARYING_CALLS
+        assert VARYING_CALLS == {
+            "global_tid", "global_tid_x", "global_tid_y",
+            "ld_global", "ld_shared", "ld_const", "ld_tex",
+            "atom_global_add"}
+        assert VARYING_ATTRS == {"tx", "ty", "tz", "tid"}
+
 
 # ----------------------------------------------------------------------
 # Golden PerfEstimate values (lint-target geometry, n=64)
@@ -347,8 +358,7 @@ class TestAutotunerPruning:
         assert pruned.pruned
         assert len(pruned.evaluations) + len(pruned.pruned) == \
             len(tuner.space())
-        names = {name for name, _labels, _kind, _value
-                 in registry.snapshot()}
+        names = registry.to_dict()
         assert "autotuner.pruned" in names
         assert "autotuner.evaluated" in names
 

@@ -4,8 +4,8 @@ The pipeline's core contract is that every backend is *observationally
 identical* to the reference ``SequentialExecutor``: same device-array
 bits, same scaled trace statistics, same block accounting.  The
 property tests here drive random grid/block shapes, every registered
-application and random matmul tile sizes through the backends
-(sequential, batched, AOT-compiled) and compare everything exactly.
+application and random matmul tile sizes through the sequential and
+AOT-compiled backends and compare everything exactly.
 """
 
 import numpy as np
@@ -17,12 +17,10 @@ from repro.apps.matmul import MatMul
 from repro.apps.registry import ALL_APPS
 from repro.apps.saxpy import Saxpy
 from repro.cuda import (
-    BatchedExecutor,
     CompiledExecutor,
     CudaModelError,
     Device,
     LaunchPlan,
-    ProcessPoolExecutor,
     SequentialExecutor,
     choose_executor,
     kernel,
@@ -34,7 +32,7 @@ from repro.cuda import (
 @kernel("coords_writer", regs_per_thread=6)
 def coords_writer(ctx, out, width):
     """Writes a value derived from every coordinate a kernel can see —
-    any widening mistake in the batched context shows up as a bit
+    any widening mistake in the compiled grid program shows up as a bit
     difference somewhere in ``out``."""
     i = ctx.global_tid()
     v = (ctx.bx * 1.0 + ctx.by * 0.5 + ctx.tx * 0.25 + ctx.ty * 0.125
@@ -48,7 +46,7 @@ def coords_writer(ctx, out, width):
 @kernel("smem_reverser", regs_per_thread=8)
 def smem_reverser(ctx, out):
     """Round-trips values through shared memory with a per-block
-    permutation — exercises the batched per-block smem slots."""
+    permutation — exercises the compiled per-block smem slots."""
     tpb = ctx.threads_per_block
     sh = ctx.shared_alloc(tpb, np.float32, "stage")
     ctx.st_shared(sh, ctx.tid, (ctx.block_linear + ctx.tid).astype(np.float32))
@@ -57,11 +55,10 @@ def smem_reverser(ctx, out):
     ctx.st_global(out, ctx.global_tid(), ctx.ld_shared(sh, rev))
 
 
-def _run_pair(kern, grid, block, make_args, executors=None, **kwargs):
-    """Run the same launch under several backends; return all sides."""
+def _run_pair(kern, grid, block, make_args, **kwargs):
+    """Run the same launch sequentially and compiled; return both sides."""
     sides = []
-    for ex in executors or (SequentialExecutor(), BatchedExecutor(),
-                            CompiledExecutor()):
+    for ex in (SequentialExecutor(), CompiledExecutor()):
         dev = Device()
         args, arrays = make_args(dev)
         res = launch(kern, grid, block, args, device=dev, executor=ex,
@@ -88,7 +85,7 @@ def _assert_identical(sides):
 @settings(max_examples=25, deadline=None)
 @given(gx=st.integers(1, 8), gy=st.integers(1, 6),
        bx=st.integers(1, 32), by=st.integers(1, 4))
-def test_batched_identical_across_shapes(gx, gy, bx, by):
+def test_compiled_identical_across_shapes(gx, gy, bx, by):
     width = gx * gy * bx * by  # full coverage, no tail
 
     def make(dev):
@@ -100,7 +97,7 @@ def test_batched_identical_across_shapes(gx, gy, bx, by):
 
 @settings(max_examples=15, deadline=None)
 @given(nblocks=st.integers(1, 24), tpb=st.sampled_from([8, 32, 64]))
-def test_batched_shared_memory_identical(nblocks, tpb):
+def test_compiled_shared_memory_identical(nblocks, tpb):
     def make(dev):
         out = dev.alloc(nblocks * tpb, np.float32, "out")
         return (out,), [out]
@@ -118,10 +115,9 @@ def _app_outputs(app, workload, executor):
     return run
 
 
-def _assert_app_identical(app_cls, workload,
-                          executors=("sequential", "batched", "compiled")):
+def _assert_app_identical(app_cls, workload):
     runs = [_app_outputs(app_cls(), dict(workload), ex)
-            for ex in executors]
+            for ex in ("sequential", "compiled")]
     for other in runs[1:]:
         assert set(runs[0].outputs) == set(other.outputs)
         for key in runs[0].outputs:
@@ -143,14 +139,14 @@ def test_matmul_identical_across_backends(k, tile, variant):
 
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(64, 2048), iters=st.integers(1, 3))
-def test_saxpy_identical_under_batched(n, iters):
+def test_saxpy_identical_under_compiled(n, iters):
     _assert_app_identical(Saxpy, {"n": n, "a": 2.5, "iterations": iters})
 
 
 @settings(max_examples=6, deadline=None)
 @given(nx=st.sampled_from([32, 64]), ny=st.sampled_from([8, 16]),
        layout=st.sampled_from(["aos", "soa", "texture"]))
-def test_lbm_identical_under_batched(nx, ny, layout):
+def test_lbm_identical_under_compiled(nx, ny, layout):
     _assert_app_identical(
         Lbm, {"nx": nx, "ny": ny, "steps": 2, "total_steps": 2,
               "layout": layout})
@@ -161,11 +157,10 @@ def test_every_app_identical_under_compiled(name):
     """The full-suite bit-identity sweep: every registered application's
     test workload must produce byte-identical outputs under the
     compiled executor (whether the kernel compiles or falls back to
-    the batched interpreter)."""
+    the sequential reference backend)."""
     app = ALL_APPS[name]()
     workload = app.default_workload("test")
-    _assert_app_identical(ALL_APPS[name], workload,
-                          executors=("sequential", "compiled"))
+    _assert_app_identical(ALL_APPS[name], workload)
 
 
 @pytest.mark.parametrize("name", list(ALL_APPS))
@@ -232,43 +227,19 @@ def test_memoized_trace_matches_unmemoized_for_uniform_kernel():
 
 
 # ----------------------------------------------------------------------
-# Process-pool backend
-# ----------------------------------------------------------------------
-
-def test_process_pool_matches_sequential():
-    try:
-        import multiprocessing as mp
-        mp.get_context("fork")
-    except ValueError:
-        pytest.skip("fork start method unavailable")
-
-    def make(dev):
-        out = dev.alloc(12 * 32, np.float32, "out")
-        return (out, 12 * 32), [out]
-
-    sides = []
-    for ex in (SequentialExecutor(), ProcessPoolExecutor(workers=2)):
-        dev = Device()
-        args, arrays = make(dev)
-        res = launch(coords_writer, (12,), (32,), args, device=dev,
-                     executor=ex)
-        sides.append((res, [a.to_host().copy() for a in arrays]))
-    _assert_identical(sides)
-
-
-# ----------------------------------------------------------------------
 # Resolution / selection policy
 # ----------------------------------------------------------------------
 
 def test_resolve_executor_accepts_all_spellings():
     assert isinstance(resolve_executor(None), SequentialExecutor)
-    assert isinstance(resolve_executor("batched"), BatchedExecutor)
     assert isinstance(resolve_executor("compiled"), CompiledExecutor)
-    assert isinstance(resolve_executor(BatchedExecutor), BatchedExecutor)
+    assert isinstance(resolve_executor(CompiledExecutor), CompiledExecutor)
     inst = SequentialExecutor()
     assert resolve_executor(inst) is inst
-    with pytest.raises(CudaModelError, match="unknown executor"):
-        resolve_executor("vectorized")
+    for gone in ("vectorized", "batched", "process"):
+        with pytest.raises(CudaModelError,
+                           match="unknown executor.*'compiled'"):
+            resolve_executor(gone)
 
 
 def test_auto_policy_prefers_compiled_for_functional_sweeps():
@@ -292,11 +263,10 @@ def test_auto_policy_tiny_grids_stay_sequential():
     assert isinstance(choose_executor(plan), SequentialExecutor)
 
 
-def test_unsupported_construct_falls_back_to_batched():
-    """A kernel the lowerer refuses (data-dependent Python while loop
-    over a lane value would need scalar control flow) must still run
-    under executor="compiled" via the batched-interpreter fallback and
-    match the reference bits."""
+def test_unsupported_construct_falls_back_to_sequential():
+    """A kernel the lowerer refuses (a generator expression is a nested
+    scope it will not touch) must still run under executor="compiled"
+    via the sequential fallback and match the reference bits."""
 
     @kernel("generator_probe", regs_per_thread=4)
     def probe(ctx, out):
@@ -314,9 +284,7 @@ def test_unsupported_construct_falls_back_to_batched():
         out = dev.alloc(6 * 32, np.float32, "out")
         return (out,), [out]
 
-    _assert_identical(_run_pair(
-        probe, (6,), (32,), make,
-        executors=(SequentialExecutor(), CompiledExecutor())))
+    _assert_identical(_run_pair(probe, (6,), (32,), make))
 
 
 def test_non_batchable_kernel_falls_back_to_sequential():
@@ -332,7 +300,7 @@ def test_non_batchable_kernel_falls_back_to_sequential():
     dev = Device()
     out = dev.alloc(8 * 32, np.float32, "out")
     res = launch(probe, (8,), (32,), (out, 8 * 32), device=dev,
-                 executor=BatchedExecutor())
+                 executor=CompiledExecutor())
     dev2 = Device()
     out2 = dev2.alloc(8 * 32, np.float32, "out")
     launch(coords_writer, (8,), (32,), (out2, 8 * 32), device=dev2)

@@ -39,8 +39,8 @@ PIPELINE_PAYLOAD = {
     "git_sha": "abc123def4567890abc123def4567890abc123de",
     "timestamp": "2026-08-08T00:00:00+00:00",
     "sequential_seconds": 20.0,
-    "batched_seconds": 2.0,
-    "speedup": 10.0,
+    "compiled_seconds": 0.5,
+    "compiled_speedup_vs_sequential": 40.0,
     "profiler_overhead": {"overhead_pct": 1.2},
 }
 
@@ -64,7 +64,8 @@ def test_pipeline_manifest_records_wallclock_metrics():
     m = manifest_from_pipeline(PIPELINE_PAYLOAD)
     assert m["source"] == "pipeline"
     assert m["device"] == "GeForce 8800 GTX"
-    assert m["metrics"]["pipeline.speedup"] == pytest.approx(10.0)
+    assert m["metrics"]["pipeline.compiled_speedup_vs_sequential"] \
+        == pytest.approx(40.0)
     assert m["metrics"]["pipeline.profiler_overhead_pct"] \
         == pytest.approx(1.2)
 

@@ -181,19 +181,17 @@ def test_apps_without_schedule_fall_back_to_plain_run():
 
 def test_policy_from_env_overrides():
     policy = ExecutorPolicy.from_env({
-        "REPRO_MIN_VECTOR_BLOCKS": "7",
         "REPRO_MIN_FUSE_STEPS": "5",
         "REPRO_MODULE_TRACE_REPLAY": "0",
     })
-    assert policy.min_vector_blocks == 7
     assert policy.min_fuse_steps == 5
     assert policy.module_trace_replay is False
     assert ExecutorPolicy.from_env({}) == ExecutorPolicy()
 
 
 def test_policy_from_env_rejects_garbage():
-    with pytest.raises(CudaModelError, match="REPRO_MIN_VECTOR_BLOCKS"):
-        ExecutorPolicy.from_env({"REPRO_MIN_VECTOR_BLOCKS": "many"})
+    with pytest.raises(CudaModelError, match="REPRO_MIN_FUSE_STEPS"):
+        ExecutorPolicy.from_env({"REPRO_MIN_FUSE_STEPS": "many"})
 
 
 def test_use_policy_scopes_the_global():
