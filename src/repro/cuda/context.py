@@ -188,9 +188,13 @@ class BlockContext:
         #: simulator (populated when the launch records streams)
         self.stream = stream
         self._mask_stack: List[np.ndarray] = [np.ones(T, dtype=bool)]
-        #: lazily-computed per-warp lane counts of the base mask (the
-        #: reference for divergence-serialization accounting)
-        self._base_lane_counts: Optional[np.ndarray] = None
+        #: per-warp lane counts of the base mask (the reference for
+        #: divergence-serialization accounting)
+        self._base_lane_counts = self._warp_lane_counts(self._mask_stack[0])
+        #: ``(active warps, partial warps, active lanes)`` of each
+        #: ``_mask_stack`` level, computed once when the level is pushed
+        self._level_counts: List[Tuple[int, int, int]] = [
+            self._mask_counts(self._mask_stack[0])]
         self._smem_words = 0
         self.shared_arrays: List[SharedArray] = []
 
@@ -229,13 +233,6 @@ class BlockContext:
     def mask(self) -> np.ndarray:
         return self._mask_stack[-1]
 
-    def _active_warps(self, mask: np.ndarray) -> int:
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        if pad:
-            mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-        return int(mask.reshape(-1, ws).any(axis=1).sum())
-
     def _warp_lane_counts(self, mask: np.ndarray) -> np.ndarray:
         """Active-lane count per warp (warp-size padded)."""
         ws = self.spec.warp_size
@@ -244,16 +241,15 @@ class BlockContext:
             mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
         return mask.reshape(-1, ws).sum(axis=1)
 
-    def _partial_warps(self, mask: np.ndarray) -> int:
-        """Warps issuing under ``mask`` with fewer active lanes than
-        the block's base mask gives them — the lanes a divergent
-        branch idled (pure block-geometry padding is excluded)."""
-        if self._base_lane_counts is None:
-            self._base_lane_counts = self._warp_lane_counts(
-                self._mask_stack[0])
+    def _mask_counts(self, mask: np.ndarray) -> Tuple[int, int, int]:
+        """``(active warps, partial warps, active lanes)`` under
+        ``mask``.  A partial warp issues with fewer active lanes than
+        the block's base mask gives it — the lanes a divergent branch
+        idled (pure block-geometry padding is excluded)."""
         counts = self._warp_lane_counts(mask)
-        return int(((counts > 0)
-                    & (counts < self._base_lane_counts)).sum())
+        issuing = counts > 0
+        partial = issuing & (counts < self._base_lane_counts)
+        return int(issuing.sum()), int(partial.sum()), int(counts.sum())
 
     def _divergent_warps(self, parent: np.ndarray,
                          cond: np.ndarray) -> int:
@@ -264,21 +260,16 @@ class BlockContext:
         return int(((taken > 0) & (skipped > 0)).sum())
 
     def _emit(self, cls: InstrClass, count: int = 1,
-              mask: Optional[np.ndarray] = None,
               mem: Optional[Tuple[float, float]] = None,
               divergent_warps: int = 0) -> None:
         if self.trace is None or count == 0:
             return
-        m = self.mask if mask is None else mask
-        warps = self._active_warps(m)
+        warps, partial, lanes = self._level_counts[-1]
         if warps == 0:
             return
-        partial = 0
-        if len(self._mask_stack) > 1:
-            partial = self._partial_warps(m)
-            if partial:
-                self.trace.record_divergent_issue(partial * count)
-        self.trace.record_instr(cls, warps * count, int(m.sum()) * count)
+        if partial:
+            self.trace.record_divergent_issue(partial * count)
+        self.trace.record_instr(cls, warps * count, lanes * count)
         if self.stream is not None:
             from ..sim.warpsim import StreamEvent
             txn_w, bytes_w = mem if mem else (0.0, 0.0)
@@ -301,17 +292,20 @@ class BlockContext:
         divergent = 0
         if self.trace is not None:
             parent = self.mask
-            warps = self._active_warps(parent)
+            warps = self._level_counts[-1][0]
             if warps:
                 divergent = self._divergent_warps(parent, cond)
                 self.trace.record_branch(warps, divergent)
         self._emit(InstrClass.SETP)
         self._emit(InstrClass.BRANCH, divergent_warps=divergent)
-        self._mask_stack.append(self.mask & cond)
+        mask = self.mask & cond
+        self._mask_stack.append(mask)
+        self._level_counts.append(self._mask_counts(mask))
         try:
             yield
         finally:
             self._mask_stack.pop()
+            self._level_counts.pop()
 
     def merge(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
         """Predicated write-back for register values inside a
@@ -607,7 +601,7 @@ class BlockContext:
         self.trace.record_global_access(arr.name, wa, txn, bus, useful, coal,
                                         kind=kind,
                                         request_bus_bytes=request_bus)
-        warps = max(self._active_warps(mask), 1)
+        warps = max(self._level_counts[-1][0], 1)
         return (txn / warps, bus / warps)
 
     # ------------------------------------------------------------------

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import DEFAULT_DEVICE
+from repro.arch.device import geforce_8800_gtx, gtx_480
+from repro.sim import memsys
 from repro.sim.memsys import (
     DirectMappedCache,
     bank_conflict_degree,
     block_bank_conflicts,
     coalesce_block_access,
     coalesce_half_warp,
+    coalesce_period,
 )
 
 HW = DEFAULT_DEVICE.half_warp
@@ -219,6 +222,139 @@ class TestBankConflicts:
 def test_property_conflict_degree_bounds(words):
     degree = bank_conflict_degree(np.array(words, dtype=np.int64), ALL)
     assert 1 <= degree <= HW
+
+
+# ----------------------------------------------------------------------
+# Verdict memo: memoized classification equals the direct one
+# ----------------------------------------------------------------------
+
+#: strict-segment / 16-bank half-warp groups, and cached-line / 32-bank
+#: full-warp groups with 128 B lines
+MEMO_SPECS = {"g80": geforce_8800_gtx(), "fermi": gtx_480()}
+
+
+def _fresh_memo():
+    memsys._verdicts.clear()
+    memsys._verdict_bytes = 0
+
+
+@st.composite
+def lane_patterns(draw, scale):
+    """(values, active): a strided or scattered block-wide pattern with
+    a full or partial mask and garbage in the inactive lanes."""
+    n = draw(st.integers(1, 96))
+    base = draw(st.integers(0, 10 ** 4)) * draw(st.sampled_from([1, 128]))
+    if draw(st.booleans()):
+        stride = draw(st.sampled_from([0, 1, 2, 3, 16, 17, 33]))
+        values = base + np.arange(n, dtype=np.int64) * stride * scale
+    else:
+        values = base + np.array(draw(st.lists(
+            st.integers(0, 4096), min_size=n, max_size=n)),
+            dtype=np.int64) * scale
+    if draw(st.booleans()):
+        active = np.ones(n, bool)
+    else:
+        active = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)), dtype=bool)
+        junk = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                      min_size=n, max_size=n)), np.int64)
+        values = np.where(active, values, junk)
+    return values, active
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_name=st.sampled_from(sorted(MEMO_SPECS)),
+       itemsize=st.sampled_from([4, 8, 16]),
+       data=st.data())
+def test_property_coalesce_memo_equals_direct(spec_name, itemsize, data):
+    spec = MEMO_SPECS[spec_name]
+    addr, active = data.draw(lane_patterns(itemsize))
+    period = coalesce_period(itemsize, spec)
+    assert period > 0
+    _fresh_memo()
+    direct = memsys._coalesce_block_direct(addr, active, itemsize, spec)
+    assert coalesce_block_access(addr, active, itemsize, spec) == direct
+    assert coalesce_block_access(addr, active, itemsize, spec) == direct
+    # a copy moved by a multiple of the period reuses the verdict
+    entries = len(memsys._verdicts)
+    moved = addr + data.draw(st.integers(-50, 50)) * period
+    assert coalesce_block_access(moved, active, itemsize, spec) == direct
+    assert memsys._coalesce_block_direct(moved, active, itemsize,
+                                         spec) == direct
+    assert len(memsys._verdicts) == entries
+    # any other shift is classified afresh and still matches
+    shifted = addr + data.draw(st.sampled_from(
+        [1, itemsize, 16, 32, 64, period // 2, period + itemsize]))
+    assert (coalesce_block_access(shifted, active, itemsize, spec)
+            == memsys._coalesce_block_direct(shifted, active, itemsize, spec))
+
+
+def test_coalesce_period_per_rule():
+    g80, fermi = MEMO_SPECS["g80"], MEMO_SPECS["fermi"]
+    # strict-segment: the 16-lane segment (it is a multiple of 32 B)
+    assert [coalesce_period(it, g80) for it in (4, 8, 16)] == [64, 128, 256]
+    # cached-line: the 128 B line, whatever the item size
+    assert [coalesce_period(it, fermi) for it in (4, 8, 16)] == [128] * 3
+    # half a period off is a different verdict, never a memo hit
+    _fresh_memo()
+    addr = np.arange(64, dtype=np.int64) * 4
+    on = np.ones(64, bool)
+    for spec in (g80, fermi):
+        half = coalesce_period(4, spec) // 2
+        aligned = coalesce_block_access(addr, on, 4, spec)
+        off = coalesce_block_access(addr + half, on, 4, spec)
+        assert off == memsys._coalesce_block_direct(addr + half, on, 4, spec)
+        assert off != aligned
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
+def test_property_bank_memo_equals_direct(spec_name, data):
+    spec = MEMO_SPECS[spec_name]
+    words, active = data.draw(lane_patterns(1))
+    _fresh_memo()
+    direct = memsys._bank_conflicts_direct(words, active, spec)
+    assert block_bank_conflicts(words, active, spec) == direct
+    assert block_bank_conflicts(words, active, spec) == direct
+    # any uniform shift renames banks only: a hit with the same verdict
+    entries = len(memsys._verdicts)
+    moved = words + data.draw(st.integers(-10 ** 4, 10 ** 4))
+    assert block_bank_conflicts(moved, active, spec) == direct
+    assert memsys._bank_conflicts_direct(moved, active, spec) == direct
+    assert len(memsys._verdicts) == entries
+
+
+def test_memo_key_separates_specs_and_itemsizes():
+    _fresh_memo()
+    addr = np.arange(32, dtype=np.int64) * 4
+    on = np.ones(32, bool)
+    verdicts = {(name, it): coalesce_block_access(addr, on, it, spec)
+                for name, spec in MEMO_SPECS.items() for it in (4, 8)}
+    for (name, it), got in verdicts.items():
+        assert got == memsys._coalesce_block_direct(
+            addr, on, it, MEMO_SPECS[name])
+    assert len(memsys._verdicts) == 4
+
+
+def test_memo_budget_clears_and_is_never_exceeded(monkeypatch):
+    limit = 4096
+    monkeypatch.setattr(memsys, "VERDICT_MEMO_BYTES", limit)
+    _fresh_memo()
+    on = np.ones(64, bool)
+    cleared = False
+    for k in range(200):
+        words = np.arange(64, dtype=np.int64) * (k + 1)
+        before = len(memsys._verdicts)
+        assert (block_bank_conflicts(words, on)
+                == memsys._bank_conflicts_direct(words, on, DEFAULT_DEVICE))
+        cleared |= len(memsys._verdicts) < before
+        assert 0 < memsys._verdict_bytes <= limit
+    assert cleared
+    # an entry larger than the whole budget is classified, not stored
+    _fresh_memo()
+    wide = np.arange(4096, dtype=np.int64)
+    block_bank_conflicts(wide, np.ones(4096, bool))
+    assert not memsys._verdicts and memsys._verdict_bytes == 0
 
 
 class TestDirectMappedCache:
