@@ -236,8 +236,7 @@ class Application(abc.ABC):
         return None
 
     def run_module(self, workload: Optional[Dict[str, object]] = None,
-                   device: Optional[Device] = None,
-                   policy=None) -> AppRun:
+                   device: Optional[Device] = None) -> AppRun:
         """Execute through the whole-application AOT module layer
         (:mod:`repro.compile.module`): capture the declared launch
         sequence, fuse what the R7 dataflow allows, replay traces for
@@ -251,7 +250,7 @@ class Application(abc.ABC):
         if schedule is None:
             return self.run(wl, device=device, functional=True)
         from ..compile.module import CompiledModule
-        module = CompiledModule(schedule, policy=policy)
+        module = CompiledModule(schedule)
         launches = module.execute()
         outputs = schedule.outputs() if schedule.outputs else {}
         run = self._finish(wl, launches, schedule.device, outputs,

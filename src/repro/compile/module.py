@@ -16,19 +16,17 @@ unit instead:
   kernels break groups (those launches transparently fall back to the
   ordinary per-launch path).
 
-* Inside a fused group the first occurrence of each distinct launch
-  configuration (:meth:`~repro.cuda.plan.LaunchPlan.module_key`) runs
-  through the full :class:`~repro.cuda.executors.CompiledExecutor`
-  path — exact traced sample blocks, bit-identical outputs.  Every
-  repeat executes the compiled program directly and **replays** the
-  recorded trace: the dominant per-launch cost (two scalar traced
-  blocks with per-operation accounting) is paid once per
-  configuration, not once per launch.  Replay is sound for the same
-  reason trace memoization (``memoize=True``) is: a launch
-  configuration fixes the kernel's address and control streams, which
-  for the suite's kernels are data-independent.  Set
-  ``ExecutorPolicy.module_trace_replay=False`` (or
-  ``REPRO_MODULE_TRACE_REPLAY=0``) to re-trace every launch.
+* Every launch of a fused group runs through the module's one
+  :class:`~repro.cuda.executors.CompiledExecutor`, whose launch trace
+  cache (:mod:`repro.trace.collector`) is keyed by
+  :meth:`~repro.cuda.plan.LaunchPlan.module_key`.  The first
+  occurrence of each launch configuration traces its sample blocks;
+  every repeat runs the compiled program over the whole grid and
+  **replays** the recorded trace, so the dominant per-launch cost (two
+  scalar traced blocks with per-operation accounting) is paid once per
+  configuration, not once per launch.  Replay is sound because a
+  launch configuration fixes the kernel's address and control
+  streams, which for the suite's kernels are data-independent.
 
 * Compiled programs come through the artifact-cache-aware
   :func:`repro.compile.get_program`, so a warm on-disk cache
@@ -46,19 +44,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..cuda.executors import (CompiledExecutor, ExecutorPolicy,
-                              get_policy)
+from ..cuda.executors import CompiledExecutor
 from ..cuda.launch import LaunchResult
-from ..obs.profiler import active_profiler
 from ..obs.registry import get_registry
 from .fuse import FusionPlan, fuse_schedule
-from .program import get_program, plan_context
-from .runtime import GridRT, prelude_for
+# re-exported: benchmarks/suite/layers.py patches the name here
+from .program import get_program  # noqa: F401
 
 __all__ = ["CompiledModule", "HostStep", "ModuleSchedule"]
 
@@ -94,20 +89,6 @@ class ModuleSchedule:
     #: iterative solvers: executed steps stand for this many
     time_steps_scale: float = 1.0
 
-    def plans(self) -> List[object]:
-        return [s for s in self.steps if not isinstance(s, HostStep)]
-
-
-@dataclass
-class _Replay:
-    """Recorded accounting of one launch configuration."""
-
-    trace: object                      # KernelTrace (finalized, scaled)
-    smem_bytes: int
-    blocks_traced: int
-    dispositions: Dict[str, int]
-    memo_hits: int
-
 
 class CompiledModule:
     """Executable form of one :class:`ModuleSchedule` (see module
@@ -117,15 +98,13 @@ class CompiledModule:
     ambient metrics registry as ``module.*`` counters when enabled.
     """
 
-    def __init__(self, schedule: ModuleSchedule,
-                 policy: Optional[ExecutorPolicy] = None) -> None:
+    def __init__(self, schedule: ModuleSchedule) -> None:
         self.schedule = schedule
-        self.policy = policy or get_policy()
         self.fusion: FusionPlan = fuse_schedule(
-            schedule, spec=schedule.device.spec, policy=self.policy)
+            schedule, spec=schedule.device.spec)
         self.stats: Counter = Counter()
-        self._replays: Dict[Tuple, _Replay] = {}
         self._executor = CompiledExecutor()
+        self._executor.traces = {}
         self._fused_steps = frozenset(
             i for g in self.fusion.groups if g.fused for i in g.steps)
 
@@ -161,70 +140,12 @@ class CompiledModule:
         self.stats["fallback_launches"] += 1
         return plan.execute("auto")
 
-    def _replay_eligible(self, plan) -> bool:
-        return (self.policy.module_trace_replay
-                and plan.trace_enabled
-                and not plan.record_stream
-                and not plan.memoize)
-
     def _run_fused(self, plan) -> LaunchResult:
-        key = plan.module_key()
-        if self._replay_eligible(plan):
-            replay = self._replays.get(key)
-            if replay is not None:
-                return self._run_replay(plan, replay)
+        """A fused-group launch: traced on its configuration's first
+        occurrence, replayed from the executor's trace cache after."""
         result = self._executor.execute(plan)
-        self.stats["fused_launches"] += 1
-        if self._replay_eligible(plan) and result.executor == "compiled":
-            self._replays[key] = _Replay(
-                trace=result.trace.scaled(1.0),
-                smem_bytes=result.smem_bytes_per_block,
-                blocks_traced=result.blocks_traced,
-                dispositions=dict(result.block_dispositions),
-                memo_hits=result.memo_hits)
-        return result
-
-    def _run_replay(self, plan, replay: _Replay) -> LaunchResult:
-        """Execute the compiled program over the full grid and attach
-        the configuration's recorded accounting — no plan re-tracing,
-        no collector."""
-        program = get_program(plan.kernel, plan_context(plan))
-        prelude = prelude_for(plan.grid, plan.block)
-        t0 = perf_counter()
-        chunk = max(1, self._executor.max_lanes // plan.block.size)
-        start, total = 0, plan.grid.size
-        while start < total:
-            stop = min(total, start + chunk)
-            rt = GridRT(prelude, start, stop, plan.spec, plan.kernel.name)
-            program.entry(rt, *plan.args)
-            start = stop
-        t1 = perf_counter()
-        result = LaunchResult(
-            kernel=plan.kernel,
-            grid=plan.grid,
-            block=plan.block,
-            trace=replay.trace.scaled(1.0),
-            smem_bytes_per_block=replay.smem_bytes,
-            device=plan.device,
-            blocks_executed=total,
-            blocks_traced=replay.blocks_traced,
-            stream=None,
-            executor="module",
-            memo_hits=replay.memo_hits,
-            block_dispositions=dict(replay.dispositions),
-            stage_seconds={
-                "plan": plan.build_seconds,
-                "execute": t1 - t0,
-                "collect": 0.0,
-                "finalize": 0.0,
-            },
-        )
-        self.stats["trace_replays"] += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("launch.count", kernel=plan.kernel.name,
-                             executor="module").inc()
-        profiler = active_profiler()
-        if profiler is not None:
-            profiler.on_launch(result)
+        if result.memo_hits:
+            self.stats["trace_replays"] += 1
+        else:
+            self.stats["fused_launches"] += 1
         return result

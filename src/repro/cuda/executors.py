@@ -29,11 +29,9 @@ from ``None`` / ``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
 
 from __future__ import annotations
 
-import contextlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import Dict, Optional
 
 from ..obs.profiler import active_profiler
 from ..obs.registry import get_registry
@@ -66,15 +64,20 @@ class Executor(ABC):
     :class:`~repro.obs.profiler.LaunchProfiler` (if any).  With
     observability disabled this adds three ``perf_counter`` calls per
     *launch* — blocks pay nothing.
+
+    ``traces`` is the launch trace cache handed to every collector
+    (see :mod:`repro.trace.collector`); ``None`` traces every launch.
     """
 
     name = "executor"
+    traces: Optional[Dict] = None
 
     def execute(self, plan) -> LaunchResult:
         profiler = active_profiler()
         registry = get_registry()
         collector = TraceCollector(
-            plan, timed=profiler is not None or registry.enabled)
+            plan, timed=profiler is not None or registry.enabled,
+            traces=self.traces)
         t0 = perf_counter()
         with span(f"executor.{self.name}", kernel=plan.kernel.name,
                   grid=plan.grid, block=plan.block):
@@ -196,6 +199,10 @@ class SanitizedExecutor(Executor):
 # Compiled (whole-grid AOT) execution
 # ----------------------------------------------------------------------
 
+#: thread lanes per compiled-program call; larger sweeps run in chunks
+MAX_LANES = 1 << 20
+
+
 class CompiledExecutor(Executor):
     """Run an AOT-compiled whole-grid NumPy program per kernel.
 
@@ -220,11 +227,6 @@ class CompiledExecutor(Executor):
 
     name = "compiled"
 
-    def __init__(self, max_lanes: int = 1 << 20) -> None:
-        if max_lanes < 1:
-            raise ValueError("max_lanes must be positive")
-        self.max_lanes = max_lanes
-
     def _run(self, plan, collector: TraceCollector) -> int:
         from ..compile import (CompileError, GridRT, get_program,
                                prelude_for)
@@ -242,7 +244,7 @@ class CompiledExecutor(Executor):
             return SequentialExecutor()._run(plan, collector)
 
         prelude = prelude_for(plan.grid, plan.block)
-        chunk_blocks = max(1, self.max_lanes // plan.block.size)
+        chunk_blocks = max(1, MAX_LANES // plan.block.size)
         executed = 0
 
         def run_range(start: int, stop: int) -> None:
@@ -272,8 +274,8 @@ class CompiledExecutor(Executor):
                 executed += 1
                 seg_start = linear + 1
             # MEMO blocks stay in the compiled segment: the launch is
-            # functional, so they still execute (their trace was merged
-            # from the cache by classify()).
+            # functional, so they still execute (their trace comes from
+            # the collector's launch trace cache).
         run_range(seg_start, plan.grid.size)
         collector.dispositions[PLAIN] += plan.grid.size - len(plan.traced)
         return executed
@@ -293,90 +295,6 @@ EXECUTORS = {
 #: sequential backend under ``"auto"`` — below the width at which
 #: compilation amortizes its per-launch bookkeeping.
 MIN_VECTOR_BLOCKS = 4
-
-
-@dataclass(frozen=True)
-class ExecutorPolicy:
-    """Every module-fusion knob in one place, env-overridable.
-
-    The defaults reproduce the historical behaviour; processes that
-    need different thresholds set the environment variables below (CI
-    does, tests do) or install a policy with :func:`set_policy` /
-    :func:`use_policy`.
-
-    ==========================  =================================
-    field                       environment variable
-    ==========================  =================================
-    ``min_fuse_steps``          ``REPRO_MIN_FUSE_STEPS``
-    ``module_trace_replay``     ``REPRO_MODULE_TRACE_REPLAY`` (0/1)
-    artifact cache directory    ``REPRO_AOT_CACHE`` (see
-                                :mod:`repro.compile.artifact`)
-    ==========================  =================================
-    """
-
-    #: minimum run of compilable launches worth fusing into a module
-    #: group (a "fused group" of one launch is just a launch)
-    min_fuse_steps: int = 2
-    #: replay recorded traces for repeated launch configs inside a
-    #: fused module group instead of re-tracing sample blocks
-    module_trace_replay: bool = True
-
-    @classmethod
-    def from_env(cls, env=None) -> "ExecutorPolicy":
-        import os
-        env = os.environ if env is None else env
-
-        def _int(key: str, default: int) -> int:
-            raw = env.get(key)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise CudaModelError(
-                    f"{key}={raw!r} is not an integer") from None
-
-        def _bool(key: str, default: bool) -> bool:
-            raw = env.get(key)
-            if raw is None:
-                return default
-            return raw.strip().lower() not in ("0", "false", "no", "")
-
-        return cls(
-            min_fuse_steps=_int("REPRO_MIN_FUSE_STEPS", 2),
-            module_trace_replay=_bool("REPRO_MODULE_TRACE_REPLAY", True),
-        )
-
-
-_POLICY: Optional[ExecutorPolicy] = None
-
-
-def get_policy() -> ExecutorPolicy:
-    """The process-wide :class:`ExecutorPolicy` (env-derived once)."""
-    global _POLICY
-    if _POLICY is None:
-        _POLICY = ExecutorPolicy.from_env()
-    return _POLICY
-
-
-def set_policy(policy: Optional[ExecutorPolicy]
-               ) -> Optional[ExecutorPolicy]:
-    """Install a policy (``None`` re-derives from the environment on
-    next use); returns the previous one."""
-    global _POLICY
-    previous = _POLICY
-    _POLICY = policy
-    return previous
-
-
-@contextlib.contextmanager
-def use_policy(policy: ExecutorPolicy):
-    """Scoped :func:`set_policy` (tests)."""
-    previous = set_policy(policy)
-    try:
-        yield policy
-    finally:
-        set_policy(previous)
 
 
 def choose_executor(plan) -> Executor:

@@ -91,7 +91,7 @@ class LaunchResult:
     stream: Optional[list] = None
     #: name of the executor backend that ran the launch
     executor: str = ""
-    #: traced-sample blocks satisfied from the memoization cache
+    #: traced-sample blocks satisfied from the launch trace cache
     memo_hits: int = 0
     #: block counts by disposition ("trace" / "memo" / "plain")
     block_dispositions: Dict[str, int] = field(default_factory=dict)
@@ -162,7 +162,6 @@ def launch(
     trace: bool = True,
     record_stream: bool = False,
     executor=None,
-    memoize: bool = False,
     sanitize: bool = False,
 ) -> LaunchResult:
     """Execute ``kern`` over ``grid`` x ``block`` threads.
@@ -176,7 +175,9 @@ def launch(
         nothing and is rejected with :class:`CudaModelError`.
     trace_blocks:
         Number of blocks to execute with tracing enabled; the trace is
-        scaled by ``grid.size / traced``.
+        scaled by ``grid.size / traced``.  Every ``launch()`` traces
+        its own sample; replaying a configuration's recorded trace is
+        the AOT module's job (:mod:`repro.compile.module`).
     trace:
         Disable to run purely functionally (fast path for tests).
     record_stream:
@@ -187,9 +188,6 @@ def launch(
         (``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
         ``"auto"``),
         an :class:`~repro.cuda.executors.Executor` class or instance.
-    memoize:
-        Reuse traces across sampled blocks of the same equivalence
-        class (see :mod:`repro.trace.collector`).  Opt-in.
     sanitize:
         Run under the :class:`~repro.cuda.executors.SanitizedExecutor`
         (memcheck/racecheck/synccheck/initcheck); the result's ``san``
@@ -200,8 +198,7 @@ def launch(
     from .plan import LaunchPlan
     plan = LaunchPlan.build(
         kern, grid, block, args=args, device=device, functional=functional,
-        trace_blocks=trace_blocks, trace=trace, record_stream=record_stream,
-        memoize=memoize)
+        trace_blocks=trace_blocks, trace=trace, record_stream=record_stream)
     if sanitize:
         from .executors import SanitizedExecutor
         if not isinstance(executor, SanitizedExecutor):

@@ -21,8 +21,7 @@ it is now three explicit layers:
 
 :class:`repro.trace.collector.TraceCollector`
     Owns trace merging, sample-to-grid scaling, stream recording and
-    the trace memoization cache keyed on ``(kernel, block shape, block
-    equivalence class)``.
+    the launch trace cache keyed on :meth:`LaunchPlan.module_key`.
 
 ``launch()`` in :mod:`repro.cuda.launch` is a thin facade over
 ``LaunchPlan.build(...).execute(...)``.
@@ -96,20 +95,6 @@ def sample_blocks(grid: Dim3, n: int) -> Sequence[int]:
     return [int(i) for i in idx]
 
 
-#: per-axis position classes for the block equivalence relation
-_LO, _MID, _HI, _ONLY = "lo", "mid", "hi", "only"
-
-
-def _axis_class(coord: int, dim: int) -> str:
-    if dim == 1:
-        return _ONLY
-    if coord == 0:
-        return _LO
-    if coord == dim - 1:
-        return _HI
-    return _MID
-
-
 @dataclass
 class LaunchPlan:
     """Everything one kernel launch needs, decided up front.
@@ -129,9 +114,6 @@ class LaunchPlan:
     trace_enabled: bool = True
     trace_blocks: int = 4
     record_stream: bool = False
-    #: reuse traces across blocks of the same equivalence class
-    #: (opt-in: collapses per-class cache statistics onto one block)
-    memoize: bool = False
     traced: Tuple[int, ...] = ()
     #: "const"/"tex" read-only caches, plus a "global" CacheHierarchy
     #: on devices whose global loads are cached (Fermi and later)
@@ -157,7 +139,6 @@ class LaunchPlan:
         trace_blocks: int = 4,
         trace: bool = True,
         record_stream: bool = False,
-        memoize: bool = False,
     ) -> "LaunchPlan":
         t0 = perf_counter()
         with span("plan.build", kernel=kern.name):
@@ -183,8 +164,8 @@ class LaunchPlan:
             plan = cls(kernel=kern, grid=grid, block=block, args=args,
                        device=device, functional=functional,
                        trace_enabled=trace, trace_blocks=trace_blocks,
-                       record_stream=record_stream, memoize=memoize,
-                       traced=traced, caches=caches)
+                       record_stream=record_stream, traced=traced,
+                       caches=caches)
         plan.build_seconds = perf_counter() - t0
         for sink in list(_PLAN_OBSERVERS):
             sink(plan)
@@ -229,30 +210,20 @@ class LaunchPlan:
         return (self.kernel.name, self.block, tuple(parts))
 
     def module_key(self) -> Tuple:
-        """Full launch-*configuration* identity for the AOT module
-        layer (:mod:`repro.compile.module`): :meth:`arg_signature`
-        plus the grid, the bound array names and every switch that
-        changes what executing the plan observes.  Two plans with
-        equal keys run the same kernel over the same geometry against
-        the same-named device arrays — the precondition for replaying
-        a recorded trace instead of re-tracing sample blocks."""
+        """Full launch-*configuration* identity, the key of the launch
+        trace cache (:mod:`repro.trace.collector`): the kernel object
+        itself (two kernels may share a name), :meth:`arg_signature`,
+        the grid, the bound array names and every switch that changes
+        what executing the plan observes.  Two plans with equal keys
+        run the same kernel over the same geometry against the
+        same-named device arrays — the precondition for replaying a
+        recorded trace instead of re-tracing sample blocks."""
         from .memory import DeviceArray
         names = tuple(a.name if isinstance(a, DeviceArray) else None
                       for a in self.args)
-        return (self.arg_signature(), self.grid, names,
+        return (self.kernel, self.arg_signature(), self.grid, names,
                 self.trace_enabled, self.trace_blocks,
-                self.functional, self.record_stream, self.memoize)
-
-    def equivalence_class(self, linear: int) -> Tuple:
-        """Memoization key of one block: kernel identity, block shape
-        and the block's grid-boundary signature.  Interior blocks of a
-        regular grid share one class and (under ``memoize=True``)
-        trace once."""
-        cx, cy, cz = self.grid.unlinear(linear)
-        return (self.kernel.name, self.block,
-                (_axis_class(cx, self.grid.x),
-                 _axis_class(cy, self.grid.y),
-                 _axis_class(cz, self.grid.z)))
+                self.functional, self.record_stream)
 
     # ------------------------------------------------------------------
     # Execution

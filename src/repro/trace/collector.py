@@ -6,20 +6,21 @@ tracking the shared-memory high-water mark, capturing the recorded
 instruction stream of the first traced block, and finally scaling the
 sampled trace to the full grid.
 
-It also owns the **trace memoization cache**.  The paper's methodology
-reasons from the PTX of *one* block and scales; for regular grids the
-interior blocks are architecturally identical, so with ``memoize=True``
-on the plan the collector traces one block per *equivalence class*
-(``(kernel, block shape, grid-boundary signature)`` — see
-:meth:`repro.cuda.plan.LaunchPlan.equivalence_class`) and reuses that
-trace for every other sampled block of the class.  This is opt-in
-because the read-only cache statistics are stateful across traced
-blocks: memoization replays the first block's cold-cache misses for
-the whole class instead of observing warm-cache hits.
+It also owns the **launch trace cache**.  The paper's methodology
+reasons from the PTX of *one* block and scales, so a launch
+configuration only needs tracing once.  An executor that carries a
+``traces`` dict (the AOT module's, see :mod:`repro.compile.module`)
+hands it to each collector, keyed by
+:meth:`repro.cuda.plan.LaunchPlan.module_key`.  The first launch of a
+configuration traces its sample and records the scaled trace; every
+repeat classifies its sampled blocks ``MEMO`` (they still execute,
+untraced, when the launch is functional) and returns a copy of the
+recorded trace.  Launches that record an instruction stream or trace
+no blocks bypass the cache.
 
 The collector is deliberately executor-agnostic: backends call
 :meth:`classify` / :meth:`begin_block` / :meth:`finish_block` and never
-touch the merge/scale/memo machinery directly.
+touch the merge/scale/cache machinery directly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class TraceCollector:
     pipeline's "collect" stage; untimed collectors pay nothing.
     """
 
-    def __init__(self, plan, timed: bool = False) -> None:
+    def __init__(self, plan, timed: bool = False,
+                 traces: Optional[Dict[Tuple, Tuple[KernelTrace, int]]] = None
+                 ) -> None:
         self.plan = plan
         self.merged = KernelTrace()
         self.smem_bytes = plan.kernel.static_smem_bytes
@@ -57,7 +60,13 @@ class TraceCollector:
         self.collect_seconds = 0.0
         self._timed = timed
         self._registry = get_registry()
-        self._memo: Dict[Tuple, Tuple[KernelTrace, int]] = {}
+        if not plan.traced or plan.record_stream:
+            traces = None
+        #: launch trace cache, its key for this plan, and the recorded
+        #: (trace, smem bytes) when the key was already present
+        self._traces = traces
+        self._key = plan.module_key() if traces is not None else None
+        self._hit = traces.get(self._key) if traces is not None else None
 
     # ------------------------------------------------------------------
     # Per-block protocol (called by executors)
@@ -68,9 +77,9 @@ class TraceCollector:
 
     def classify(self, linear: int) -> str:
         """Disposition of one block: ``TRACE`` (execute with tracing),
-        ``MEMO`` (trace satisfied from the memo cache — merged as a
-        side effect; execute untraced iff the launch is functional) or
-        ``PLAIN`` (untraced functional block)."""
+        ``MEMO`` (trace satisfied from the launch trace cache; execute
+        untraced iff the launch is functional) or ``PLAIN`` (untraced
+        functional block)."""
         if self._timed:
             t0 = perf_counter()
             mode = self._classify(linear)
@@ -83,18 +92,13 @@ class TraceCollector:
     def _classify(self, linear: int) -> str:
         if linear not in self.plan.traced_set:
             return PLAIN
-        if self.plan.memoize and not self.wants_stream(linear):
-            hit = self._memo.get(self.plan.equivalence_class(linear))
-            if hit is not None:
-                trace, smem = hit
-                self.merged.merge(trace)
-                self.smem_bytes = max(self.smem_bytes, smem)
-                self.memo_hits += 1
-                if self._registry.enabled:
-                    self._registry.counter(
-                        "collector.memo_hits",
-                        kernel=self.plan.kernel.name).inc()
-                return MEMO
+        if self._hit is not None:
+            self.memo_hits += 1
+            if self._registry.enabled:
+                self._registry.counter(
+                    "collector.memo_hits",
+                    kernel=self.plan.kernel.name).inc()
+            return MEMO
         return TRACE
 
     def begin_block(self, linear: int) -> Tuple[KernelTrace, Optional[list]]:
@@ -106,18 +110,15 @@ class TraceCollector:
         """Fold one traced block's context back into the launch trace."""
         if self._timed:
             t0 = perf_counter()
-            self._finish_block(linear, ctx)
+            self._finish_block(ctx)
             self.collect_seconds += perf_counter() - t0
         else:
-            self._finish_block(linear, ctx)
+            self._finish_block(ctx)
 
-    def _finish_block(self, linear: int, ctx) -> None:
+    def _finish_block(self, ctx) -> None:
         ctx.trace.blocks_traced = 1
         ctx.trace.threads_traced = self.plan.block.size
         block_smem = ctx.smem_bytes + self.plan.kernel.static_smem_bytes
-        if self.plan.memoize:
-            self._memo.setdefault(self.plan.equivalence_class(linear),
-                                  (ctx.trace, block_smem))
         self.merged.merge(ctx.trace)
         self.smem_bytes = max(self.smem_bytes, block_smem)
         if ctx.stream is not None:
@@ -128,10 +129,16 @@ class TraceCollector:
     # ------------------------------------------------------------------
     def finalize(self) -> KernelTrace:
         """Scale the sampled trace to the full grid (the paper's
-        per-block-PTX extrapolation)."""
+        per-block-PTX extrapolation), or return the cached trace of the
+        launch configuration; a first trace is recorded in the cache."""
+        if self._hit is not None:
+            trace, self.smem_bytes = self._hit
+            return trace.scaled(1.0)
         merged = self.merged
         if merged.blocks_traced:
             scale = self.plan.grid.size / merged.blocks_traced
             merged = merged.scaled(scale)
             merged.blocks_traced = len(self.plan.traced)
+        if self._traces is not None:
+            self._traces[self._key] = (merged.scaled(1.0), self.smem_bytes)
         return merged

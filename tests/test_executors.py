@@ -1,11 +1,13 @@
-"""Executor backends: bit-identity, memoization and the plan facade.
+"""Executor backends: bit-identity and the plan facade.
 
 The pipeline's core contract is that every backend is *observationally
 identical* to the reference ``SequentialExecutor``: same device-array
 bits, same scaled trace statistics, same block accounting.  The
 property tests here drive random grid/block shapes, every registered
 application and random matmul tile sizes through the sequential and
-AOT-compiled backends and compare everything exactly.
+AOT-compiled backends and compare everything exactly; the module sweep
+does the same per launch, on two device generations, for the trace
+replay of :meth:`Application.run_module`.
 """
 
 import numpy as np
@@ -27,6 +29,8 @@ from repro.cuda import (
     launch,
     resolve_executor,
 )
+
+from .test_golden_traces import DEVICES, trace_counters
 
 
 @kernel("coords_writer", regs_per_thread=6)
@@ -163,20 +167,32 @@ def test_every_app_identical_under_compiled(name):
     _assert_app_identical(ALL_APPS[name], workload)
 
 
+def _launch_counters(launch):
+    return (trace_counters(launch.trace), launch.smem_bytes_per_block,
+            launch.blocks_traced)
+
+
 @pytest.mark.parametrize("name", list(ALL_APPS))
 def test_every_app_identical_under_module(name):
     """The same sweep through the whole-application AOT module path
-    (:meth:`Application.run_module`): fused execution, trace replay and
-    per-launch fallback must all stay observationally identical to the
-    sequential reference — apps without a declared schedule fall back
-    to the ordinary functional run."""
-    workload = ALL_APPS[name]().default_workload("test")
-    ref = _app_outputs(ALL_APPS[name](), dict(workload), "sequential")
-    mod = ALL_APPS[name]().run_module(dict(workload))
-    assert set(ref.outputs) == set(mod.outputs)
-    for key in ref.outputs:
-        np.testing.assert_array_equal(ref.outputs[key], mod.outputs[key])
-    assert ref.merged_trace.summary() == mod.merged_trace.summary()
+    (:meth:`Application.run_module`) on the G80 and on Fermi: fused
+    execution, trace replay and per-launch fallback must all stay
+    observationally identical to the sequential reference, launch by
+    launch, in every trace counter the golden traces pin — apps
+    without a declared schedule fall back to the ordinary functional
+    run."""
+    app_cls = ALL_APPS[name]
+    for make_spec in DEVICES.values():
+        workload = app_cls(make_spec()).default_workload("test")
+        ref = _app_outputs(app_cls(make_spec()), dict(workload),
+                           "sequential")
+        mod = app_cls(make_spec()).run_module(dict(workload))
+        assert set(ref.outputs) == set(mod.outputs)
+        for key in ref.outputs:
+            np.testing.assert_array_equal(ref.outputs[key],
+                                          mod.outputs[key])
+        assert [_launch_counters(l) for l in ref.launches] == \
+            [_launch_counters(l) for l in mod.launches]
 
 
 # ----------------------------------------------------------------------
@@ -189,41 +205,6 @@ def test_no_work_launch_rejected():
     with pytest.raises(CudaModelError, match="zero blocks"):
         launch(coords_writer, (2,), (32,), (out, 64), device=dev,
                functional=False, trace=False)
-
-
-# ----------------------------------------------------------------------
-# Trace memoization
-# ----------------------------------------------------------------------
-
-def test_memoization_reuses_interior_blocks():
-    dev = Device()
-    out = dev.alloc(32 * 64, np.float32, "out")
-    plan = LaunchPlan.build(coords_writer, (32,), (64,),
-                            (out, 32 * 64), device=dev,
-                            functional=False, trace_blocks=8, memoize=True)
-    # 8 sampled blocks of a 1-D grid: one lo, one hi, six interior —
-    # the six interior blocks share one equivalence class
-    classes = {plan.equivalence_class(b) for b in plan.traced}
-    assert len(classes) == 3
-    result = plan.execute("sequential")
-    assert result.blocks_traced == 8
-    assert result.blocks_executed == 3      # one run per class
-
-
-def test_memoized_trace_matches_unmemoized_for_uniform_kernel():
-    def one(memoize):
-        dev = Device()
-        out = dev.alloc(16 * 32, np.float32, "out")
-        res = launch(coords_writer, (16,), (32,), (out, 16 * 32),
-                     device=dev, functional=True, trace_blocks=4,
-                     memoize=memoize)
-        return res, out.to_host().copy()
-
-    (r0, o0), (r1, o1) = one(False), one(True)
-    np.testing.assert_array_equal(o0, o1)
-    # coords_writer touches no caches, so replayed interior blocks
-    # contribute exactly the statistics they would have traced
-    assert r0.trace.summary() == r1.trace.summary()
 
 
 # ----------------------------------------------------------------------

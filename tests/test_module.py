@@ -1,11 +1,14 @@
-"""Whole-application AOT modules: fusion legality, trace replay, the
-on-disk artifact cache and the executor policy knobs.
+"""Whole-application AOT modules: fusion legality, trace replay and
+the on-disk artifact cache.
 
 The module layer's contract mirrors the executors': running an app
 through :meth:`Application.run_module` must be *observationally
 identical* to the sequential per-launch path — same output bits, same
 merged trace statistics — whatever mix of fused execution, trace
-replay and per-launch fallback the fusion plan picked.
+replay and per-launch fallback the fusion plan picked.  Replay is the
+launch trace cache of the module's compiled executor; the per-launch,
+two-device identity sweep lives in ``tests/test_executors.py``
+(``test_every_app_identical_under_module``).
 """
 
 import json
@@ -23,7 +26,9 @@ from repro.apps.mri_q import MriQ
 from repro.apps.registry import ALL_APPS
 from repro.compile import (
     ArtifactCache,
+    CompiledModule,
     HostStep,
+    ModuleSchedule,
     clear_program_cache,
     fuse_schedule,
     get_program,
@@ -31,8 +36,7 @@ from repro.compile import (
     plan_context,
     use_artifact_cache,
 )
-from repro.cuda import CudaModelError, Device, LaunchPlan, kernel
-from repro.cuda.executors import ExecutorPolicy, get_policy, use_policy
+from repro.cuda import Device, LaunchPlan, kernel
 from repro.obs.registry import MetricsRegistry, use_registry
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -109,14 +113,13 @@ def test_groups_below_threshold_are_refused():
     app = Fdtd()
     wl = {"nx": 32, "ny": 32, "steps": 1, "total_steps": 1}  # 2 launches
     schedule = app.module_schedule(wl)
-    fusion = fuse_schedule(
-        schedule, policy=ExecutorPolicy(min_fuse_steps=3))
+    # two launches reach MIN_FUSE_STEPS and fuse...
+    assert [g.fused for g in fuse_schedule(schedule).groups] == [True]
+    # ...one alone is below it
+    schedule.steps = schedule.steps[:1]
+    fusion = fuse_schedule(schedule)
     assert [g.fused for g in fusion.groups] == [False]
-    assert "below the fusion threshold (3)" in fusion.groups[0].reason
-    # and with the threshold lowered the same schedule fuses
-    fusion = fuse_schedule(
-        schedule, policy=ExecutorPolicy(min_fuse_steps=2))
-    assert [g.fused for g in fusion.groups] == [True]
+    assert "below the fusion threshold (2)" in fusion.groups[0].reason
 
 
 # ----------------------------------------------------------------------
@@ -141,21 +144,67 @@ def test_fdtd_module_replays_repeated_configurations():
     assert module.stats["fused_launches"] == 2
     assert module.stats["trace_replays"] == 2 * int(wl["steps"]) - 2
     assert module.stats["fuse_applied"] == 2 * int(wl["steps"]) - 1
-    replayed = [l for l in mod.launches if l.executor == "module"]
+    # every fused launch runs on the compiled executor; a replay is one
+    # whose whole traced sample came from the launch trace cache
+    assert {l.executor for l in mod.launches} == {"compiled"}
+    replayed = [l for l in mod.launches if l.memo_hits]
     assert len(replayed) == module.stats["trace_replays"]
+    assert all(l.memo_hits == l.blocks_traced for l in replayed)
     # replayed launches carry the recorded configuration's accounting
-    traced = [l for l in mod.launches if l.executor == "compiled"]
+    traced = [l for l in mod.launches if not l.memo_hits]
     assert {l.trace.summary()["flops"] for l in replayed} <= \
         {l.trace.summary()["flops"] for l in traced}
 
 
-def test_replay_disabled_by_policy_retraces_every_launch():
-    wl = Fdtd().default_workload("test")
-    with use_policy(ExecutorPolicy(module_trace_replay=False)):
-        mod = Fdtd().run_module(dict(wl))
-    assert mod.module.stats["trace_replays"] == 0
-    assert mod.module.stats["fused_launches"] == 2 * int(wl["steps"])
-    _assert_runs_identical(_sequential_run(Fdtd, wl), mod)
+def test_lbm_replay_keeps_shared_memory_high_water_mark():
+    """LBM stages its cells in dynamically allocated shared memory; a
+    replayed launch traces no block, so its shared-memory footprint
+    must come from the recorded configuration."""
+    wl = {"nx": 32, "ny": 16, "steps": 4, "total_steps": 4,
+          "layout": "soa"}                 # ping-pong: launches 3, 4 replay
+    ref = _sequential_run(Lbm, wl)
+    mod = Lbm().run_module(dict(wl))
+    assert mod.module.stats["trace_replays"] == 2
+    assert ref.smem_per_block > 0
+    assert [l.smem_bytes_per_block for l in mod.launches] == \
+        [l.smem_bytes_per_block for l in ref.launches]
+    _assert_runs_identical(ref, mod)
+
+
+@kernel("dup", regs_per_thread=4)
+def dup_store(ctx, out):
+    i = ctx.global_tid()
+    ctx.st_global(out, i, (i * 0).astype(np.float32))
+
+
+@kernel("dup", regs_per_thread=4)
+def dup_fma(ctx, out):
+    i = ctx.global_tid()
+    ctx.st_global(out, i, ctx.fma(i.astype(np.float32), np.float32(2.0),
+                                  np.float32(1.0)))
+
+
+def test_replay_key_tells_same_named_kernels_apart():
+    """Two different kernels sharing a name and a signature are two
+    launch configurations: the second must trace, not replay the
+    first's trace."""
+    def steps(dev, out):
+        return [LaunchPlan.build(k, (8,), (64,), (out,), device=dev)
+                for k in (dup_store, dup_fma)]
+
+    dev = Device()
+    out = dev.alloc(8 * 64, np.float32, "out")
+    sequential = [plan.execute("sequential").trace.flops
+                  for plan in steps(dev, out)]
+    dev = Device()
+    out = dev.alloc(8 * 64, np.float32, "out")
+    module = CompiledModule(ModuleSchedule(app="dup", device=dev,
+                                           steps=steps(dev, out)))
+    assert [g.fused for g in module.fusion.groups] == [True]
+    results = module.execute()
+    assert sequential == [0.0, 1024.0]
+    assert [r.trace.flops for r in results] == sequential
+    assert module.stats["trace_replays"] == 0
 
 
 def test_module_counters_reach_the_registry():
@@ -173,32 +222,6 @@ def test_apps_without_schedule_fall_back_to_plain_run():
     mod = app.run_module(dict(wl))
     assert mod.module is None
     _assert_runs_identical(_sequential_run(ALL_APPS["saxpy"], wl), mod)
-
-
-# ----------------------------------------------------------------------
-# Executor policy knobs
-# ----------------------------------------------------------------------
-
-def test_policy_from_env_overrides():
-    policy = ExecutorPolicy.from_env({
-        "REPRO_MIN_FUSE_STEPS": "5",
-        "REPRO_MODULE_TRACE_REPLAY": "0",
-    })
-    assert policy.min_fuse_steps == 5
-    assert policy.module_trace_replay is False
-    assert ExecutorPolicy.from_env({}) == ExecutorPolicy()
-
-
-def test_policy_from_env_rejects_garbage():
-    with pytest.raises(CudaModelError, match="REPRO_MIN_FUSE_STEPS"):
-        ExecutorPolicy.from_env({"REPRO_MIN_FUSE_STEPS": "many"})
-
-
-def test_use_policy_scopes_the_global():
-    base = get_policy()
-    with use_policy(ExecutorPolicy(min_fuse_steps=9)):
-        assert get_policy().min_fuse_steps == 9
-    assert get_policy() == base
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.apps.fdtd import Fdtd
 from repro.apps.matmul import MatMul
-from repro.cuda import Device, LaunchPlan, kernel, launch
+from repro.cuda import Device, kernel, launch
 from repro.obs import (
     LaunchProfiler,
     MetricsRegistry,
@@ -163,20 +164,25 @@ def test_profiler_record_matches_launch_accounting():
 
 
 def test_profiler_surfaces_memo_hits():
-    dev = Device()
-    out = dev.alloc(32 * 64, np.float32, "out")
-    plan = LaunchPlan.build(obs_writer, (32,), (64,), (out, 32 * 64),
-                            device=dev, functional=False, trace_blocks=8,
-                            memoize=True)
+    """Module trace replays are launch trace cache hits: each replayed
+    launch's whole traced sample is a memo hit, visible in its profile
+    record, the collector counter and the compiled launch count."""
     with LaunchProfiler() as prof:
-        result = plan.execute("sequential")
-    rec = prof.records[0]
-    assert result.memo_hits > 0
-    assert rec.memo_hits == result.memo_hits
-    assert rec.dispositions["memo"] == result.memo_hits
-    assert rec.blocks_executed == result.blocks_executed \
-        == result.blocks_traced - result.memo_hits
-    assert prof.registry.total("collector.memo_hits") == result.memo_hits
+        run = Fdtd().run_module()
+    replays = run.module.stats["trace_replays"]
+    replayed = [rec for rec in prof.records if rec.memo_hits]
+    assert replays == len(replayed) == 4
+    for rec in replayed:
+        assert rec.executor == "compiled"
+        assert rec.memo_hits == rec.blocks_traced \
+            == rec.dispositions["memo"]
+    assert prof.registry.total("collector.memo_hits") == \
+        sum(rec.blocks_traced for rec in replayed)
+    compiled = sum(prof.registry.value("launch.count", kernel=k,
+                                       executor="compiled")
+                   for k in {rec.kernel for rec in prof.records})
+    assert compiled == prof.registry.total("launch.count") \
+        == len(run.launches)
 
 
 def test_launch_result_summary_digest():
