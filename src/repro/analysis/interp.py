@@ -35,9 +35,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..cuda.context import CTX_OPS
+from ..cuda.context import (
+    CTX_OPS,
+    divergent_warps,
+    mask_counts,
+    warp_lane_counts,
+)
 from ..cuda.dim3 import Dim3, as_dim3
-from ..sim.memsys import block_bank_conflicts, coalesce_block_access
+from ..sim.memsys import (
+    block_bank_conflicts,
+    coalesce_block_access,
+    constant_broadcast_passes,
+)
 from ..trace.instr import InstrClass
 from ..trace.trace import KernelTrace
 from .symbolic import (
@@ -271,6 +280,13 @@ class LintContext:
         # (active-lane superset, exactly known?, divergent?)
         self._mask_stack: List[Tuple[np.ndarray, bool, bool]] = [
             (np.ones(T, dtype=bool), True, False)]
+        base = self._mask_stack[0][0]
+        self._base_lane_counts = warp_lane_counts(base, spec.warp_size)
+        #: census ``(active warps, partial warps, active lanes)`` of each
+        #: ``_mask_stack`` level, computed once when the level is pushed
+        #: (as BlockContext does)
+        self._level_counts: List[Tuple[int, int, int]] = [
+            mask_counts(base, self._base_lane_counts, spec.warp_size)]
         #: current barrier interval (bumped by every __syncthreads())
         self._sync_interval = 0
         self._smem_words = 0
@@ -307,23 +323,28 @@ class LintContext:
         value = sym.concrete_value()
         if value is None:
             # unknown condition: active set is some subset of parent
-            self._mask_stack.append((parent, False, True))
+            self.push_unknown_branch()
             return
         m = parent & np.broadcast_to(
             np.asarray(value, dtype=bool), parent.shape)
         divergent = parent_div or not bool(m.all())
         self._mask_stack.append((m, parent_exact, divergent))
+        self._level_counts.append(mask_counts(
+            m, self._base_lane_counts, self.spec.warp_size))
 
     def _pop_mask(self) -> None:
         self._mask_stack.pop()
+        self._level_counts.pop()
 
     def push_unknown_branch(self) -> None:
-        """Divergence frame for a data-dependent Python ``if``."""
+        """Divergence frame for a data-dependent Python ``if``: the
+        parent's lanes, no longer exactly known."""
         parent, _exact, _div = self._mask_stack[-1]
         self._mask_stack.append((parent, False, True))
+        self._level_counts.append(self._level_counts[-1])
 
     def pop_unknown_branch(self) -> None:
-        self._mask_stack.pop()
+        self._pop_mask()
 
     def _mask_state(self) -> Tuple[np.ndarray, bool, bool]:
         return self._mask_stack[-1]
@@ -337,23 +358,13 @@ class LintContext:
         return self._recorder.current_line
 
     # -- census (static instruction/byte accounting) --------------------
-    def _census_lane_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Active-lane count per warp (mask padded to warp_size)."""
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        m = np.concatenate([mask, np.zeros(pad, dtype=bool)]) if pad \
-            else mask
-        return m.reshape(-1, ws).sum(axis=1)
-
     def _census_branch(self, cond) -> None:
         """Mirror of BlockContext.masked's branch bookkeeping: count the
         warps whose parent-active lanes disagree on ``cond``.  An
         unknown *thread-varying* condition (a data-dependent per-lane
         predicate) is charged pessimistically as all-warps-divergent;
         an unknown scalar is uniform — every lane agrees."""
-        parent = self._mask_state()[0]
-        counts = self._census_lane_counts(parent)
-        warps = int((counts > 0).sum())
+        warps = self._level_counts[-1][0]
         if warps == 0:
             return
         sym = as_sym(cond)
@@ -361,11 +372,11 @@ class LintContext:
         if value is None:
             divergent = warps if is_varying(sym) else 0
         else:
-            cvec = parent & np.broadcast_to(
-                np.asarray(value, dtype=bool), parent.shape)
-            taken = self._census_lane_counts(cvec)
-            skipped = self._census_lane_counts(parent & ~cvec)
-            divergent = int(((taken > 0) & (skipped > 0)).sum())
+            parent = self._mask_state()[0]
+            divergent = divergent_warps(
+                parent, np.broadcast_to(np.asarray(value, dtype=bool),
+                                        parent.shape),
+                self.spec.warp_size)
         self.census.record_branch(warps, divergent)
 
     def _census_emit(self, cls: InstrClass, count: int = 1) -> None:
@@ -375,18 +386,12 @@ class LintContext:
         issue slot — counted toward the serialized-divergence total."""
         if count == 0:
             return
-        mask = self._mask_state()[0]
-        counts = self._census_lane_counts(mask)
-        warps = int((counts > 0).sum())
+        warps, partial, lanes = self._level_counts[-1]
         if warps == 0:
             return
-        if len(self._mask_stack) > 1:
-            base = self._census_lane_counts(self._mask_stack[0][0])
-            partial = int(((counts > 0) & (counts < base)).sum())
-            if partial:
-                self.census.record_divergent_issue(partial * count)
-        self.census.record_instr(cls, warps * count,
-                                 int(mask.sum()) * count)
+        if partial:
+            self.census.record_divergent_issue(partial * count)
+        self.census.record_instr(cls, warps * count, lanes * count)
 
     def _census_global(self, name: str, index_sym: SymVal, itemsize: int,
                        mask: np.ndarray, kind: str = "ld") -> None:
@@ -441,26 +446,13 @@ class LintContext:
         value = index_sym.concrete_value()
         if value is None:
             return
-        nthreads = mask.shape[0]
         words = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                (nthreads,))
-        group = self.spec.coalesce_group
-        group_share = group / self.spec.warp_size
-        pad = (-nthreads) % group
-        w = np.concatenate([words, np.zeros(pad, np.int64)]) if pad \
-            else words
-        m = np.concatenate([mask, np.zeros(pad, bool)]) if pad else mask
-        rows_w = w.reshape(-1, group)
-        rows_m = m.reshape(-1, group)
-        extra = 0.0
-        for r in range(rows_w.shape[0]):
-            if not rows_m[r].any():
-                continue
-            distinct = len(np.unique(rows_w[r][rows_m[r]]))
-            extra += (distinct - 1) * (
-                self.spec.timing.issue_cycles_per_warp_inst * group_share)
-        if extra:
-            self.census.record_shared_conflict(extra)
+                                mask.shape)
+        passes = constant_broadcast_passes(words, mask, self.spec)
+        if passes:
+            group_share = self.spec.coalesce_group / self.spec.warp_size
+            self.census.record_shared_conflict(passes * (
+                self.spec.timing.issue_cycles_per_warp_inst * group_share))
 
     def _record_access(self, op: str, space: str, array, index) -> None:
         mask, exact, divergent = self._mask_state()

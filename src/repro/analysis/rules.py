@@ -721,7 +721,8 @@ def analyze_launch_sequence(plans: List[object], app: str = "",
     cache: Dict[Tuple, LaunchAccess] = {}
     for i, plan in enumerate(plans):
         names = tuple(getattr(a, "name", None) for a in plan.args)
-        key = plan.arg_signature() + (plan.grid, names)
+        # the kernel object, not just its name: two kernels may share one
+        key = (plan.kernel, plan.arg_signature(), plan.grid, names)
         access = cache.get(key)
         if access is None:
             access = cache[key] = _plan_access(plan, spec)

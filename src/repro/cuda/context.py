@@ -46,6 +46,7 @@ from ..sim.memsys import (
     DirectMappedCache,
     block_bank_conflicts,
     coalesce_block_access,
+    constant_broadcast_passes,
 )
 from .dim3 import Dim3
 from .memory import (
@@ -146,6 +147,40 @@ CTX_ATTRS: Tuple[str, ...] = (
 )
 
 
+# ----------------------------------------------------------------------
+# Warp accounting under a divergence mask (shared with the analyzer's
+# LintContext, so the census counts warps exactly as execution does)
+# ----------------------------------------------------------------------
+
+def warp_lane_counts(mask: np.ndarray, warp_size: int) -> np.ndarray:
+    """Active-lane count per warp (the mask padded to whole warps)."""
+    pad = (-mask.shape[0]) % warp_size
+    if pad:
+        mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
+    return mask.reshape(-1, warp_size).sum(axis=1)
+
+
+def mask_counts(mask: np.ndarray, base_lane_counts: np.ndarray,
+                warp_size: int) -> Tuple[int, int, int]:
+    """``(active warps, partial warps, active lanes)`` under ``mask``.
+    A partial warp issues with fewer active lanes than the block's base
+    mask gives it (``base_lane_counts``) — the lanes a divergent branch
+    idled (pure block-geometry padding is excluded)."""
+    counts = warp_lane_counts(mask, warp_size)
+    issuing = counts > 0
+    partial = issuing & (counts < base_lane_counts)
+    return int(issuing.sum()), int(partial.sum()), int(counts.sum())
+
+
+def divergent_warps(parent: np.ndarray, cond: np.ndarray,
+                    warp_size: int) -> int:
+    """Warps whose ``parent``-active lanes disagree on ``cond`` — those
+    warps execute both sides of the branch serially."""
+    taken = warp_lane_counts(parent & cond, warp_size)
+    skipped = warp_lane_counts(parent & ~cond, warp_size)
+    return int(((taken > 0) & (skipped > 0)).sum())
+
+
 class BlockContext:
     """Execution context of one thread block (see module docstring)."""
 
@@ -190,11 +225,13 @@ class BlockContext:
         self._mask_stack: List[np.ndarray] = [np.ones(T, dtype=bool)]
         #: per-warp lane counts of the base mask (the reference for
         #: divergence-serialization accounting)
-        self._base_lane_counts = self._warp_lane_counts(self._mask_stack[0])
+        self._base_lane_counts = warp_lane_counts(self._mask_stack[0],
+                                                  spec.warp_size)
         #: ``(active warps, partial warps, active lanes)`` of each
         #: ``_mask_stack`` level, computed once when the level is pushed
         self._level_counts: List[Tuple[int, int, int]] = [
-            self._mask_counts(self._mask_stack[0])]
+            mask_counts(self._mask_stack[0], self._base_lane_counts,
+                        spec.warp_size)]
         self._smem_words = 0
         self.shared_arrays: List[SharedArray] = []
 
@@ -233,32 +270,6 @@ class BlockContext:
     def mask(self) -> np.ndarray:
         return self._mask_stack[-1]
 
-    def _warp_lane_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Active-lane count per warp (warp-size padded)."""
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        if pad:
-            mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-        return mask.reshape(-1, ws).sum(axis=1)
-
-    def _mask_counts(self, mask: np.ndarray) -> Tuple[int, int, int]:
-        """``(active warps, partial warps, active lanes)`` under
-        ``mask``.  A partial warp issues with fewer active lanes than
-        the block's base mask gives it — the lanes a divergent branch
-        idled (pure block-geometry padding is excluded)."""
-        counts = self._warp_lane_counts(mask)
-        issuing = counts > 0
-        partial = issuing & (counts < self._base_lane_counts)
-        return int(issuing.sum()), int(partial.sum()), int(counts.sum())
-
-    def _divergent_warps(self, parent: np.ndarray,
-                         cond: np.ndarray) -> int:
-        """Warps whose ``parent``-active lanes disagree on ``cond`` —
-        those warps execute both sides of the branch serially."""
-        taken = self._warp_lane_counts(parent & cond)
-        skipped = self._warp_lane_counts(parent & ~cond)
-        return int(((taken > 0) & (skipped > 0)).sum())
-
     def _emit(self, cls: InstrClass, count: int = 1,
               mem: Optional[Tuple[float, float]] = None,
               divergent_warps: int = 0) -> None:
@@ -294,13 +305,15 @@ class BlockContext:
             parent = self.mask
             warps = self._level_counts[-1][0]
             if warps:
-                divergent = self._divergent_warps(parent, cond)
+                divergent = divergent_warps(parent, cond,
+                                            self.spec.warp_size)
                 self.trace.record_branch(warps, divergent)
         self._emit(InstrClass.SETP)
         self._emit(InstrClass.BRANCH, divergent_warps=divergent)
         mask = self.mask & cond
         self._mask_stack.append(mask)
-        self._level_counts.append(self._mask_counts(mask))
+        self._level_counts.append(mask_counts(
+            mask, self._base_lane_counts, self.spec.warp_size))
         try:
             yield
         finally:
@@ -614,28 +627,14 @@ class BlockContext:
         arr.check_bounds(idx, mask)
         self._emit(cls)
         if self.trace is not None and space == "const":
-            # The constant cache broadcasts ONE word per cycle to each
-            # coalescing group (a half-warp on the G80, a warp on
-            # later devices); threads reading different addresses
-            # serialize (Section 5.2's "care must be taken").
-            group = self.spec.coalesce_group
-            group_share = group / self.spec.warp_size
-            pad = (-idx.shape[0]) % group
-            words = np.concatenate([idx, np.zeros(pad, np.int64)]) \
-                if pad else idx
-            m = np.concatenate([mask, np.zeros(pad, bool)]) if pad else mask
-            rows_w = words.reshape(-1, group)
-            rows_m = m.reshape(-1, group)
-            uniform = ((rows_w == rows_w[:, :1]) | ~rows_m).all(axis=1)
-            extra = 0.0
-            for r in np.nonzero(~uniform)[0]:
-                if rows_m[r].any():
-                    distinct = len(np.unique(rows_w[r][rows_m[r]]))
-                    extra += (distinct - 1) * (
-                        self.spec.timing.issue_cycles_per_warp_inst
-                        * group_share)
-            if extra:
-                self.trace.record_shared_conflict(extra)
+            passes = constant_broadcast_passes(idx, mask, self.spec)
+            if passes:
+                # each extra broadcast pass costs one coalescing
+                # group's share of the warp issue time
+                group_share = self.spec.coalesce_group / self.spec.warp_size
+                self.trace.record_shared_conflict(passes * (
+                    self.spec.timing.issue_cycles_per_warp_inst
+                    * group_share))
         if self.trace is not None:
             cache = self.caches.get(space)
             if cache is not None:

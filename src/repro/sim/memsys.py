@@ -356,6 +356,42 @@ def _bank_conflicts_direct(
 
 
 # ----------------------------------------------------------------------
+# Constant-cache broadcast
+# ----------------------------------------------------------------------
+
+def constant_broadcast_passes(
+    words: np.ndarray,
+    active: np.ndarray,
+    spec: DeviceSpec = DEFAULT_DEVICE,
+) -> int:
+    """Extra serialization passes of one block-wide constant-cache read.
+
+    The constant cache broadcasts one word per cycle to each coalescing
+    group (a half-warp on CUDA 1.x, a warp on later devices); threads
+    of a group reading different words serialize (the paper's Section
+    5.2 "care must be taken").  Returns, summed over the groups with an
+    active lane, the number of distinct words the active lanes read
+    minus one.
+    """
+    hot = words[active]
+    if hot.size == 0 or (hot == hot[0]).all():
+        return 0
+    group = spec.coalesce_group
+    pad = (-words.shape[0]) % group
+    if pad:
+        words = np.concatenate([words, np.zeros(pad, dtype=words.dtype)])
+        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
+    W = words.reshape(-1, group)
+    M = active.reshape(-1, group)
+    # an inactive lane takes a word its group's active lanes already
+    # read, so it adds no distinct word; an all-inactive group becomes
+    # one repeated word and adds nothing either
+    fill = np.where(M, W, W.max()).min(axis=1, keepdims=True)
+    rows = np.sort(np.where(M, W, fill), axis=1)
+    return int((rows[:, 1:] != rows[:, :-1]).sum())
+
+
+# ----------------------------------------------------------------------
 # Verdict memo (coalescing and bank conflicts)
 # ----------------------------------------------------------------------
 
@@ -438,9 +474,13 @@ class DirectMappedCache:
         Duplicate lines within one access are counted once (warp-level
         broadcast), matching constant-cache behaviour.
         """
-        if not active.any():
+        lines = addresses[active] // self.line_bytes
+        if lines.size == 0:
             return 0, 0
-        lines = np.unique(addresses[active] // self.line_bytes)
+        if (lines == lines[0]).all():      # one line: nothing to sort
+            lines = lines[:1]
+        else:
+            lines = np.unique(lines)
         hits, misses, _ = self.probe_lines(lines)
         return hits, misses
 

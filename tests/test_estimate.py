@@ -3,8 +3,9 @@
 Covers the contracts of the PR's static cost model:
 
 * the static instruction census agrees with the dynamic
-  ``LaunchProfiler`` trace counters on three apps (matmul, saxpy, cp)
-  when every block is traced — same accounting rules, no execution;
+  ``LaunchProfiler`` trace counters on five apps (matmul, saxpy, cp,
+  mri-q, rpes) when every block is traced — same accounting rules,
+  no execution;
 * liveness reproduces the paper's register anecdotes exactly
   (tiled 10, +unroll 9, +prefetch 11) and never exceeds the declared
   counts on any shipped kernel;
@@ -60,13 +61,15 @@ def _matmul_target(variant: str):
 
 
 # ----------------------------------------------------------------------
-# Census vs dynamic trace counters (3 apps, every block traced)
+# Census vs dynamic trace counters (5 apps, every block traced)
 # ----------------------------------------------------------------------
 
 # (app, workload tracing every block, lint-target note, whether DRAM
-# traffic is statically exact — cp stages atoms through constant
+# traffic is statically exact — cp, mri-q and rpes read constant
 # memory, and the census assumes const caches are resident while the
-# simulator charges cold misses, so only issue-side counters compare)
+# simulator charges cold misses, so only issue-side counters compare;
+# cp and mri-q broadcast one word per read, rpes's per-thread index
+# ``shell * 4 + word`` serializes the constant broadcast)
 CENSUS_CASES = [
     ("matmul", {"n": 64, "variant": "naive", "tile": 16,
                 "trace_blocks": 16}, "naive", True),
@@ -76,6 +79,9 @@ CENSUS_CASES = [
                "trace_blocks": 16}, "", True),
     ("cp", {"width": 32, "height": 32, "natoms": 64, "spacing": 0.1,
             "trace_blocks": 4}, None, False),
+    ("mri-q", {"nvoxels": 512, "nsamples": 96, "trace_blocks": 2}, None,
+     False),
+    ("rpes", {"batches": 1, "trace_blocks": 256}, None, False),
 ]
 
 

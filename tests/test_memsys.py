@@ -14,6 +14,7 @@ from repro.sim.memsys import (
     coalesce_block_access,
     coalesce_half_warp,
     coalesce_period,
+    constant_broadcast_passes,
 )
 
 HW = DEFAULT_DEVICE.half_warp
@@ -357,6 +358,84 @@ def test_memo_budget_clears_and_is_never_exceeded(monkeypatch):
     assert not memsys._verdicts and memsys._verdict_bytes == 0
 
 
+# ----------------------------------------------------------------------
+# Constant broadcast: the sort-based classifier equals the group loop
+# ----------------------------------------------------------------------
+
+def _broadcast_passes_reference(words, active, spec):
+    """Per-group ``np.unique`` loop: distinct words among the active
+    lanes of each coalescing group, minus one."""
+    group = spec.coalesce_group
+    passes = 0
+    for start in range(0, len(words), group):
+        hot = words[start:start + group][active[start:start + group]]
+        if hot.size:
+            passes += len(np.unique(hot)) - 1
+    return passes
+
+
+@st.composite
+def constant_patterns(draw, group):
+    """(words, active): uniform, strided or random word indices over a
+    lane count that need not be a multiple of ``group``, under a full,
+    random or group-wise (whole groups inactive) mask."""
+    n = draw(st.integers(1, 4 * group + group // 2))
+    kind = draw(st.sampled_from(["uniform", "strided", "random"]))
+    if kind == "uniform":
+        words = np.full(n, draw(st.integers(0, 4095)), dtype=np.int64)
+    elif kind == "strided":
+        stride = draw(st.sampled_from([1, 2, 4, 17]))
+        words = (draw(st.integers(0, 64))
+                 + np.arange(n, dtype=np.int64) // draw(
+                     st.sampled_from([1, 4, group])) * stride)
+    else:
+        words = np.array(draw(st.lists(st.integers(0, 40), min_size=n,
+                                       max_size=n)), dtype=np.int64)
+    masking = draw(st.sampled_from(["all", "random", "groups"]))
+    if masking == "all":
+        active = np.ones(n, bool)
+    elif masking == "random":
+        active = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)), dtype=bool)
+    else:
+        on = draw(st.lists(st.booleans(), min_size=-(-n // group),
+                           max_size=-(-n // group)))
+        active = np.repeat(np.array(on, dtype=bool), group)[:n]
+    return words, active
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
+def test_property_broadcast_passes_equal_group_loop(spec_name, data):
+    spec = MEMO_SPECS[spec_name]
+    words, active = data.draw(constant_patterns(spec.coalesce_group))
+    assert constant_broadcast_passes(words, active, spec) == \
+        _broadcast_passes_reference(words, active, spec)
+
+
+@pytest.mark.parametrize("spec_name", sorted(MEMO_SPECS))
+def test_broadcast_passes_cases(spec_name):
+    spec = MEMO_SPECS[spec_name]
+    group = spec.coalesce_group
+    n = 3 * group + 5                       # a ragged last group
+    lanes = np.arange(n, dtype=np.int64)
+    on = np.ones(n, bool)
+    # one word for the whole block broadcasts: no extra pass
+    assert constant_broadcast_passes(np.full(n, 7), on, spec) == 0
+    # lane-distinct words: group - 1 passes per full group, 4 in the tail
+    assert constant_broadcast_passes(lanes, on, spec) == 3 * (group - 1) + 4
+    # inactive lanes add no word; an all-inactive group adds nothing
+    active = lanes >= group
+    assert constant_broadcast_passes(np.where(active, 3, lanes), active,
+                                     spec) == 0
+    assert constant_broadcast_passes(lanes, np.zeros(n, bool), spec) == 0
+    # one word per group (uniform within, distinct across) is free
+    assert constant_broadcast_passes(lanes // group, on, spec) == 0
+    for words, active in ((lanes % 5, on), (lanes, lanes % 3 == 0)):
+        assert constant_broadcast_passes(words, active, spec) == \
+            _broadcast_passes_reference(words, active, spec)
+
+
 class TestDirectMappedCache:
     def test_first_access_misses_then_hits(self):
         c = DirectMappedCache(1024)
@@ -395,3 +474,33 @@ class TestDirectMappedCache:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             DirectMappedCache(100, line_bytes=32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_one_line_fast_path_equals_unique_path(data):
+    """``access`` skips ``np.unique`` when every active address falls in
+    one line; probing the ``np.unique`` lines directly must give the
+    same (hits, misses) on every call and leave the same tags."""
+    fast = DirectMappedCache(256, line_bytes=32)     # 8 lines: evictions
+    slow = DirectMappedCache(256, line_bytes=32)
+    for _ in range(data.draw(st.integers(1, 30))):
+        n = data.draw(st.integers(1, 48))
+        if data.draw(st.booleans()):                 # one line
+            line = data.draw(st.integers(0, 40))
+            addr = line * 32 + np.array(data.draw(st.lists(
+                st.integers(0, 31), min_size=n, max_size=n)), np.int64)
+        else:                                        # many lines
+            addr = np.array(data.draw(st.lists(
+                st.integers(0, 40 * 32), min_size=n, max_size=n)), np.int64)
+        active = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        got = fast.access(addr, active)
+        if active.any():
+            hits, misses, _ = slow.probe_lines(
+                np.unique(addr[active] // slow.line_bytes))
+        else:
+            hits, misses = 0, 0
+        assert got == (hits, misses)
+        np.testing.assert_array_equal(fast.tags, slow.tags)
+    assert (fast.hits, fast.misses) == (slow.hits, slow.misses)

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.findings import Severity
-from repro.analysis.rules import classify_dataflow, launch_dataflow
+from repro.analysis.rules import (
+    analyze_launch_sequence,
+    classify_dataflow,
+    launch_dataflow,
+)
 from repro.apps.registry import get_app
 from repro.arch.device import DEFAULT_DEVICE
-from repro.cuda import Device, launch
+from repro.cuda import Device, LaunchPlan, kernel, launch
 from repro.cuda.executors import SanitizedExecutor
 from repro.san import SAN_RULES, SanState
 from repro.san import check as san_check
@@ -153,6 +157,35 @@ class TestLaunchDataflow:
         observed = classify_dataflow(state.launch_accesses())
         assert observed["f_b"].classification == "fusable-private"
         assert observed["f_a"].classification == "live-out"
+
+    def test_same_named_kernels_keep_their_own_footprints(self):
+        """Two kernels sharing a name, signature, grid and array names
+        are still two footprints: ``consume`` reads what ``produce``
+        wrote."""
+        dev = Device()
+        a = dev.alloc(8 * 64, np.float32, "A")
+        b = dev.alloc(8 * 64, np.float32, "B")
+        plans = [LaunchPlan.build(k, (8,), (64,), (a, b), device=dev)
+                 for k in (step_produce, step_consume)]
+        flow = analyze_launch_sequence(plans)
+        alone = analyze_launch_sequence(plans[1:])
+        assert [(la.reads, la.writes) for la in flow.launches] == \
+            [(("B",), ("A",)), (("A",), ("B",))]
+        assert flow.launches[1].reads == alone.launches[0].reads
+        assert flow.arrays["A"].classification == "fusable-private"
+        assert flow.arrays["B"].classification == "live-out"
+
+
+@kernel("step", regs_per_thread=4)
+def step_produce(ctx, a, b):
+    i = ctx.global_tid()
+    ctx.st_global(a, i, ctx.ld_global(b, i))
+
+
+@kernel("step", regs_per_thread=4)
+def step_consume(ctx, a, b):
+    i = ctx.global_tid()
+    ctx.st_global(b, i, ctx.ld_global(a, i))
 
 
 class TestWarpsimSynccheck:
