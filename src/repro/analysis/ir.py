@@ -562,16 +562,18 @@ class KernelIR:
 # Entry point
 # ----------------------------------------------------------------------
 
-_IR_CACHE: Dict[int, KernelIR] = {}
+#: ``id(fn) -> (fn, ir)``; holding ``fn`` keeps its id from being
+#: reused by another function while the entry lives
+_IR_CACHE: Dict[int, Tuple[Callable, KernelIR]] = {}
 
 
 def lower_kernel(fn: Callable) -> KernelIR:
     """Lower a kernel function (or :class:`~repro.cuda.launch.Kernel`)
     into its :class:`KernelIR`; memoized per function object."""
     raw = getattr(fn, "fn", fn)
-    cached = _IR_CACHE.get(id(raw))
-    if cached is not None:
-        return cached
+    hit = _IR_CACHE.get(id(raw))
+    if hit is not None and hit[0] is raw:
+        return hit[1]
     fdef, offset = kernel_source(raw)
     args = fdef.args
     params = tuple(a.arg for a in args.args)
@@ -585,5 +587,5 @@ def lower_kernel(fn: Callable) -> KernelIR:
                   0, exit_index, offset, params, ctx_name)
     if len(_IR_CACHE) > 256:
         _IR_CACHE.clear()
-    _IR_CACHE[id(raw)] = ir
+    _IR_CACHE[id(raw)] = (raw, ir)
     return ir

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..sim.memsys import bank_conflict_degree, coalesce_half_warp
+from ..sim.memsys import bank_conflict_degrees, coalesce_groups, group_rows
 
 #: taint labels
 BLOCK_COORD = "block-coord"
@@ -469,50 +469,34 @@ def classify_global(index: SymLike, mask: Optional[np.ndarray],
     value = sym.concrete_value()
     if value is None:
         return "data-dependent", None
-    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                            (nthreads,)).copy()
+    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64), (nthreads,))
     active = np.ones(nthreads, dtype=bool) if mask is None \
         else np.asarray(mask, dtype=bool)
-
-    group = spec.coalesce_group
-    pad = (-nthreads) % group
-    if pad:
-        lanes = np.concatenate([lanes, np.zeros(pad, dtype=np.int64)])
-        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
-    addr_rows = (lanes * itemsize).reshape(-1, group)
-    act_rows = active.reshape(-1, group)
-
-    worst = "coalesced"
-    all_coalesced = True
-    order = ["coalesced", "broadcast", "misaligned", "strided", "irregular"]
-
-    def rank(p: str) -> int:
-        return order.index(p.split("(")[0])
-
-    for addrs, act in zip(addr_rows, act_rows):
-        if not act.any():
-            continue
-        result = coalesce_half_warp(addrs, act, itemsize, spec)
-        # <= 1 active lane costs one transaction either way, which is
-        # exactly what a coalesced access costs — not a hazard.
-        if result.coalesced or int(act.sum()) <= 1:
-            continue
-        all_coalesced = False
-        vals = addrs[act] // itemsize
-        if np.ptp(vals) == 0:
-            label = "broadcast"
-        else:
-            diffs = np.diff(vals)
-            if diffs.size and np.ptp(diffs) == 0:
-                stride = int(diffs[0])
-                label = "misaligned" if stride == 1 else f"strided({stride})"
-            else:
-                label = "irregular"
-        if rank(label) > rank(worst):
-            worst = label
-    if all_coalesced:
+    _, _, _, _, coalesced = coalesce_groups(lanes * itemsize, active,
+                                            itemsize, spec)
+    rows, on = group_rows(lanes, active, spec.coalesce_group)
+    counts = on.sum(axis=1)
+    # <= 1 active lane costs one transaction either way, which is
+    # exactly what a coalesced access costs — not a hazard.
+    hazard = ~coalesced & (counts > 1)
+    if not hazard.any():
         return "coalesced", True
-    return worst, False
+    rows, on, counts = rows[hazard], on[hazard], counts[hazard]
+    # each group's active lanes, in lane order, packed to the left
+    packed = np.take_along_axis(
+        rows, np.argsort(~on, axis=1, kind="stable"), axis=1)
+    steps = np.diff(packed, axis=1)
+    stride = steps[:, 0]
+    counted = np.arange(1, rows.shape[1]) < counts[:, None]
+    uniform = ((steps == stride[:, None]) | ~counted).all(axis=1)
+    # rank: broadcast < misaligned < strided < irregular; the worst
+    # group decides, the first of equally bad ones names the stride
+    rank = np.where(~uniform, 4,
+                    np.where(stride == 0, 1, np.where(stride == 1, 2, 3)))
+    worst = int(np.argmax(rank))
+    return {1: "broadcast", 2: "misaligned",
+            3: f"strided({int(stride[worst])})",
+            4: "irregular"}[int(rank[worst])], False
 
 
 def classify_shared(index: SymLike, mask: Optional[np.ndarray],
@@ -540,18 +524,7 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     if value is not None:
         words = np.broadcast_to(np.asarray(value, dtype=np.int64),
                                 (nthreads,)) * word_scale + word_offset
-        hw = spec.shared_access_group
-        pad = (-nthreads) % hw
-        w = np.concatenate([words, np.zeros(pad, dtype=np.int64)]) \
-            if pad else words
-        a = np.concatenate([active, np.zeros(pad, dtype=bool)]) \
-            if pad else active
-        degree = 0
-        for row_w, row_a in zip(w.reshape(-1, hw), a.reshape(-1, hw)):
-            if row_a.any():
-                degree = max(degree,
-                             bank_conflict_degree(row_w, row_a, spec))
-        degree = max(degree, 1)
+        degree = max(int(bank_conflict_degrees(words, active, spec).max()), 1)
         return ("conflict-free" if degree <= 1
                 else f"{degree}-way"), degree
 
@@ -562,17 +535,13 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     residues = (np.broadcast_to(np.asarray(sym.lanes, dtype=np.int64),
                                 (nthreads,)) * word_scale
                 + word_offset) % nbanks
-    hw = spec.shared_access_group
-    pad = (-nthreads) % hw
-    r = np.concatenate([residues, np.zeros(pad, dtype=np.int64)]) \
-        if pad else residues
-    a = np.concatenate([active, np.zeros(pad, dtype=bool)]) \
-        if pad else active
-    for row_r, row_a in zip(r.reshape(-1, hw), a.reshape(-1, hw)):
-        vals = row_r[row_a]
-        if vals.size and np.unique(vals).size != vals.size:
-            # two lanes share a bank but their unknown words may differ
-            return "data-dependent", None
+    rows, on = group_rows(residues, active, spec.shared_access_group)
+    # inactive lanes take distinct out-of-range banks; two active lanes
+    # sharing a bank may read different unknown words
+    rows = np.sort(np.where(on, rows, nbanks + np.arange(rows.shape[1])),
+                   axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        return "data-dependent", None
     return "conflict-free", 1
 
 

@@ -193,9 +193,10 @@ def _load_program(payload: dict) -> CompiledProgram:
 class ArtifactCache:
     """Directory of serialized :class:`CompiledProgram` artifacts.
 
-    ``stats`` counts hits/misses/writes/invalidations locally (always,
-    so tests need no registry); the same events feed the ambient
-    metrics registry as ``artifact.*`` counters when it is enabled.
+    ``stats`` counts hits/misses/writes/invalidations and unwritable
+    stores locally (always, so tests need no registry); the same events
+    feed the ambient metrics registry as ``artifact.*`` counters when it
+    is enabled.
     """
 
     def __init__(self, root: str) -> None:
@@ -220,7 +221,9 @@ class ArtifactCache:
     def store(self, kernel, program: CompiledProgram,
               device_name: str = "", signature: Tuple = ()) -> bool:
         """Write one artifact (atomic rename); returns False when the
-        kernel or one of its constants is unserializable."""
+        kernel or one of its constants is unserializable, or when the
+        cache directory cannot be written (the caller keeps using its
+        in-memory program)."""
         try:
             fingerprint = kernel_fingerprint(kernel)
             blob = pickle.dumps(
@@ -232,11 +235,16 @@ class ArtifactCache:
             self._count("unserializable", kernel.name)
             return False
         path = self.path_for(kernel, device_name, signature)
-        os.makedirs(self.root, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
+        try:
+            os.makedirs(self.root, exist_ok=True)
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except OSError:
+            self._discard(tmp)
+            self._count("unwritable", kernel.name)
+            return False
         self._count("writes", kernel.name)
         return True
 

@@ -509,7 +509,8 @@ class BlockContext:
         mask = self.mask
         self._emit(InstrClass.LD_SHARED)
         self._record_bank_conflicts(sh, idx, mask)
-        safe = np.where(mask, np.clip(idx, 0, sh.size - 1), 0)
+        # raw ufuncs skip np.clip's dispatch (hot: one call per load)
+        safe = np.where(mask, np.minimum(np.maximum(idx, 0), sh.size - 1), 0)
         return sh.data[safe]
 
     def st_shared(self, sh: SharedArray, index: ArrayLike,
@@ -519,12 +520,13 @@ class BlockContext:
         self._emit(InstrClass.ST_SHARED)
         self._record_bank_conflicts(sh, idx, mask)
         vals = self._bc(value, sh.data.dtype)
-        if idx[mask].size and (idx[mask].min() < 0 or idx[mask].max() >= sh.size):
+        hot = idx[mask]
+        if hot.size and (hot.min() < 0 or hot.max() >= sh.size):
             raise CudaModelError(
                 f"{self._where()}: shared store out of bounds on "
-                f"{sh.name!r}: indices span [{int(idx[mask].min())}, "
-                f"{int(idx[mask].max())}] vs size {sh.size}")
-        sh.data[idx[mask]] = vals[mask]
+                f"{sh.name!r}: indices span [{int(hot.min())}, "
+                f"{int(hot.max())}] vs size {sh.size}")
+        sh.data[hot] = vals[mask]
 
     def _record_bank_conflicts(self, sh: SharedArray, idx: np.ndarray,
                                mask: np.ndarray) -> None:

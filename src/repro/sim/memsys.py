@@ -72,7 +72,8 @@ def coalesce_half_warp(
 
     The group is a half-warp on strict-segment (CUDA 1.x) devices —
     hence the historical name — and a full warp on cached-line ones;
-    the caller supplies exactly ``spec.coalesce_group`` lanes.
+    the caller supplies exactly ``spec.coalesce_group`` lanes.  This is
+    :func:`coalesce_groups` for a single group.
 
     Parameters
     ----------
@@ -88,74 +89,122 @@ def coalesce_half_warp(
     group = spec.coalesce_group
     if addresses.shape[0] != group or active.shape[0] != group:
         raise ValueError(f"expected a coalescing group of {group} lanes")
-    n_active = int(active.sum())
-    if n_active == 0:
+    if not active.any():
         return CoalesceResult(True, 0, 0, 0)
-    if spec.coalescing_rule == CACHED_LINE:
-        return _coalesce_cached_line(addresses, active, itemsize, spec)
-    return _coalesce_strict_segment(addresses, active, itemsize, spec)
+    _, transactions, bus, useful, coalesced = coalesce_groups(
+        addresses, active, itemsize, spec)
+    return CoalesceResult(bool(coalesced[0]), int(transactions[0]),
+                          int(bus[0]), int(useful[0]))
 
 
 #: backwards-compatible alias for the rule-dispatching entry point
 coalesce_group_access = coalesce_half_warp
 
 
-def _coalesce_strict_segment(
+def group_rows(values: np.ndarray, active: np.ndarray,
+               group: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cut block-wide lanes into access groups: ``(values, active)`` as
+    ``(groups, group)`` rows of int64 values and activity flags, the
+    ragged last group padded with inactive lanes."""
+    values = np.asarray(values, dtype=np.int64)
+    pad = (-values.shape[0]) % group
+    if pad:
+        values = np.concatenate([values, np.zeros(pad, dtype=np.int64)])
+        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
+    return values.reshape(-1, group), active.reshape(-1, group)
+
+
+def _sorted_rows(values: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` sorted, after its inactive entries take a
+    value the row's active entries already hold (their minimum), so
+    they add no distinct value; an all-inactive row becomes one
+    repeated value."""
+    if active.all():
+        return np.sort(values, axis=1)
+    fill = np.where(active, values, values.max()).min(axis=1, keepdims=True)
+    return np.sort(np.where(active, values, fill), axis=1)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in sorted
+    rows."""
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return first
+
+
+def coalesce_groups(
     addresses: np.ndarray,
     active: np.ndarray,
     itemsize: int,
-    spec: DeviceSpec,
-) -> CoalesceResult:
-    """The CUDA 1.x rule: thread k must hit word k of an aligned
-    segment, else one serialized transaction per active thread."""
+    spec: DeviceSpec = DEFAULT_DEVICE,
+) -> Tuple[np.ndarray, ...]:
+    """Apply the device's coalescing rule to every group of a
+    block-wide access at once.
+
+    The lanes are cut into ``spec.coalesce_group`` groups (see
+    :func:`group_rows`).  Returns per-group arrays ``(any_active,
+    transactions, bus_bytes, useful_bytes, coalesced)``; a group with
+    no active lane issues nothing and is not counted as coalesced.
+
+    * strict-segment: a group whose k-th active thread reads word k of
+      an aligned segment is one transaction of one segment; any other
+      is one transaction per active thread, and the bus carries each
+      ``min_transaction_bytes`` bucket the group touches once, from
+      the bucket's start to the last byte read in it;
+    * cached-line: one transaction per distinct line the group's
+      first and last bytes fall in, coalesced when no more lines than
+      its useful bytes need.
+    """
     group = spec.coalesce_group
-    n_active = int(active.sum())
-    addrs = addresses[active].astype(np.int64)
-    useful = n_active * itemsize
-    segment = group * itemsize
-
-    lanes = np.nonzero(active)[0]
-    base = addresses[lanes[0]] - lanes[0] * itemsize
-    aligned = (base % segment) == 0
-    in_order = bool(np.all(addresses[lanes] == base + lanes * itemsize))
-    if aligned and in_order:
-        return CoalesceResult(True, 1, segment, useful)
-
-    # Uncoalesced: one transaction per active thread (minimum-
-    # granularity bus charge each); duplicate segments are merged for
-    # bus accounting.
-    min_txn = spec.min_transaction_bytes
-    segments = np.unique(addrs // min_txn)
-    bus = 0
-    for seg in segments:
-        lo = seg * min_txn
-        hi_needed = int(np.max(addrs[addrs // min_txn == seg])) + itemsize
-        span = hi_needed - lo
-        bus += int(np.ceil(span / min_txn)) * min_txn
-    return CoalesceResult(False, n_active, bus, useful)
-
-
-def _coalesce_cached_line(
-    addresses: np.ndarray,
-    active: np.ndarray,
-    itemsize: int,
-    spec: DeviceSpec,
-) -> CoalesceResult:
-    """The Fermi+ rule: one transaction per distinct cache line the
-    warp touches.  The access is *coalesced* when it needs no more
-    lines than its useful bytes occupy at best — any permutation of
-    threads within those lines is free."""
+    A, M = group_rows(addresses, active, group)
+    cached = spec.coalescing_rule == CACHED_LINE
     line = spec.cache_line_bytes
-    n_active = int(active.sum())
-    addrs = addresses[active].astype(np.int64)
+    segment = group * itemsize
+    offsets = np.arange(group, dtype=np.int64) * itemsize
+    lane0 = A[:, 0]
+    if (M.all() and not (lane0 % (line if cached else segment)).any()
+            and (A == lane0[:, None] + offsets).all()):
+        # every group fully active and in order from an aligned base:
+        # a segment rounded up to whole lines on cached devices, one
+        # segment on strict ones (the common case; skips the sorts)
+        transactions = -(-segment // line) if cached else 1
+        bus = transactions * line if cached else segment
+        n = A.shape[0]
+        every = np.ones(n, dtype=bool)
+        return (every, np.full(n, transactions), np.full(n, bus),
+                np.full(n, segment), every)
+
+    any_active = M.any(axis=1)
+    n_active = M.sum(axis=1)
     useful = n_active * itemsize
-    first = addrs // line
-    last = (addrs + itemsize - 1) // line
-    lines = np.unique(np.concatenate([first, last]))
-    transactions = int(lines.size)
-    minimal = max(1, -(-useful // line))
-    return CoalesceResult(transactions <= minimal, transactions,
-                          transactions * line, useful)
+    if cached:
+        lines = _sorted_rows(
+            np.concatenate([A // line, (A + itemsize - 1) // line], axis=1),
+            np.concatenate([M, M], axis=1))
+        transactions = _distinct(lines).sum(axis=1) * any_active
+        coalesced = any_active & (
+            transactions <= np.maximum(1, -(-useful // line)))
+        return any_active, transactions, transactions * line, useful, \
+            coalesced
+
+    first = M.argmax(axis=1)
+    base = A[np.arange(A.shape[0]), first] - first * itemsize
+    coalesced = (any_active & (base % segment == 0)
+                 & ((A == base[:, None] + offsets) | ~M).all(axis=1))
+    bus = np.where(coalesced, segment, 0)
+    slow = any_active & ~coalesced
+    if slow.any():
+        min_txn = spec.min_transaction_bytes
+        addrs = _sorted_rows(A[slow], M[slow])
+        bucket = addrs // min_txn
+        last = np.ones(addrs.shape, dtype=bool)
+        last[:, :-1] = bucket[:, 1:] != bucket[:, :-1]
+        span = addrs + itemsize - bucket * min_txn
+        bus[slow] = np.where(last, -(-span // min_txn), 0).sum(axis=1) \
+            * min_txn
+    return (any_active, np.where(coalesced, 1, n_active), bus, useful,
+            coalesced)
 
 
 def coalesce_period(itemsize: int, spec: DeviceSpec = DEFAULT_DEVICE) -> int:
@@ -212,54 +261,9 @@ def _coalesce_block_direct(
     spec: DeviceSpec,
 ) -> Tuple[int, int, int, int, int]:
     """:func:`coalesce_block_access` without the memo."""
-    group = spec.coalesce_group
-    n = addresses.shape[0]
-    pad = (-n) % group
-    if pad:
-        addresses = np.concatenate(
-            [addresses.astype(np.int64), np.zeros(pad, dtype=np.int64)])
-        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
-    A = addresses.reshape(-1, group).astype(np.int64)
-    M = active.reshape(-1, group)
-    any_active = M.any(axis=1)
-    if not any_active.any():
-        return 0, 0, 0, 0, 0
-    segment = group * itemsize
-    cached = spec.coalescing_rule == CACHED_LINE
-    # a fast-path row costs segment bytes rounded up to whole lines on
-    # cached devices, exactly one segment on strict ones
-    if cached:
-        line = spec.cache_line_bytes
-        txn_per_fast = -(-segment // line)
-        bus_per_fast = txn_per_fast * line
-        align = line
-    else:
-        txn_per_fast = 1
-        bus_per_fast = segment
-        align = segment
-
-    # Vectorized fast path: fully active, in-order, aligned rows.
-    fully = M.all(axis=1)
-    lane0 = A[:, 0]
-    expected = lane0[:, None] + np.arange(group, dtype=np.int64)[None, :] * itemsize
-    in_order = (A == expected).all(axis=1)
-    aligned = (lane0 % align) == 0
-    fast = fully & in_order & aligned
-    n_fast = int(fast.sum())
-    warp_accesses = int(any_active.sum())
-    transactions = n_fast * txn_per_fast
-    bus = n_fast * bus_per_fast
-    useful = n_fast * segment
-    coalesced = n_fast
-
-    slow_rows = np.nonzero(any_active & ~fast)[0]
-    for r in slow_rows:
-        res = coalesce_half_warp(A[r], M[r], itemsize, spec)
-        transactions += res.transactions
-        bus += res.bus_bytes
-        useful += res.useful_bytes
-        coalesced += int(res.coalesced)
-    return warp_accesses, transactions, bus, useful, coalesced
+    # a block has few groups: summing Python lists beats NumPy's reduce
+    return tuple(sum(v.tolist())
+                 for v in coalesce_groups(addresses, active, itemsize, spec))
 
 
 # ----------------------------------------------------------------------
@@ -271,23 +275,38 @@ def bank_conflict_degree(
     active: np.ndarray,
     spec: DeviceSpec = DEFAULT_DEVICE,
 ) -> int:
-    """Conflict degree of one shared-memory access group.
+    """Conflict degree of one shared-memory access group of exactly
+    ``spec.shared_access_group`` lanes: :func:`bank_conflict_degrees`
+    for a single group."""
+    group = spec.shared_access_group
+    if word_indices.shape[0] != group or active.shape[0] != group:
+        raise ValueError(f"expected a shared access group of {group} lanes")
+    return int(bank_conflict_degrees(word_indices, active, spec)[0])
+
+
+def bank_conflict_degrees(
+    words: np.ndarray,
+    active: np.ndarray,
+    spec: DeviceSpec = DEFAULT_DEVICE,
+) -> np.ndarray:
+    """Conflict degree of every access group of a block-wide shared
+    access, 0 for a group with no active lane.
 
     The group is a half-warp on 16-bank devices and a full warp on
-    32-bank ones (``spec.shared_access_group``).  ``word_indices`` are
-    word (4 B) offsets into shared memory.  The degree is the maximum,
-    over banks, of the number of *distinct* words accessed in that
-    bank; duplicate words broadcast for free.  A degree of 1 is
-    conflict-free.
+    32-bank ones (``spec.shared_access_group``; see :func:`group_rows`).
+    ``words`` are word (4 B) offsets into shared memory.  A group's
+    degree is the maximum, over banks, of the number of *distinct*
+    words its active lanes access in that bank; duplicate words
+    broadcast for free.  A degree of 1 is conflict-free.
     """
-    if not active.any():
-        return 0
-    words = word_indices[active].astype(np.int64)
-    banks = words % spec.shared_mem_banks
-    degree = 0
-    for b in np.unique(banks):
-        degree = max(degree, len(np.unique(words[banks == b])))
-    return int(degree)
+    nbanks = spec.shared_mem_banks
+    W, M = group_rows(words, active, spec.shared_access_group)
+    rows = _sorted_rows(W, M)
+    # one counter per (group, bank): the distinct words that bank serves
+    slots = np.arange(rows.shape[0])[:, None] * nbanks + rows % nbanks
+    counts = np.bincount(slots[_distinct(rows)],
+                         minlength=rows.shape[0] * nbanks)
+    return counts.reshape(-1, nbanks).max(axis=1) * M.any(axis=1)
 
 
 def block_bank_conflicts(
@@ -323,36 +342,8 @@ def _bank_conflicts_direct(
     spec: DeviceSpec,
 ) -> Tuple[int, int]:
     """:func:`block_bank_conflicts` without the memo."""
-    hw = spec.shared_access_group
-    nbanks = spec.shared_mem_banks
-    n = word_indices.shape[0]
-    pad = (-n) % hw
-    if pad:
-        word_indices = np.concatenate(
-            [word_indices.astype(np.int64), np.zeros(pad, dtype=np.int64)])
-        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
-    W = word_indices.reshape(-1, hw).astype(np.int64)
-    M = active.reshape(-1, hw)
-    any_active = M.any(axis=1)
-    if not any_active.any():
-        return 0, 0
-    accesses = int(any_active.sum())
-
-    # Vectorized fast path: fully active rows whose lanes all hit
-    # distinct banks (the common conflict-free stride-1 pattern), or
-    # rows where every lane reads the same word (broadcast).
-    fully = M.all(axis=1)
-    banks = W % nbanks
-    banks_sorted = np.sort(banks, axis=1)
-    distinct_banks = (np.diff(banks_sorted, axis=1) != 0).all(axis=1)
-    broadcast = (W == W[:, :1]).all(axis=1)
-    fast = fully & (distinct_banks | broadcast)
-    total = int(fast.sum())  # degree 1 each
-
-    slow_rows = np.nonzero(any_active & ~fast)[0]
-    for r in slow_rows:
-        total += bank_conflict_degree(W[r], M[r], spec)
-    return accesses, total
+    degrees = bank_conflict_degrees(word_indices, active, spec).tolist()
+    return len(degrees) - degrees.count(0), sum(degrees)
 
 
 # ----------------------------------------------------------------------
@@ -376,18 +367,7 @@ def constant_broadcast_passes(
     hot = words[active]
     if hot.size == 0 or (hot == hot[0]).all():
         return 0
-    group = spec.coalesce_group
-    pad = (-words.shape[0]) % group
-    if pad:
-        words = np.concatenate([words, np.zeros(pad, dtype=words.dtype)])
-        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
-    W = words.reshape(-1, group)
-    M = active.reshape(-1, group)
-    # an inactive lane takes a word its group's active lanes already
-    # read, so it adds no distinct word; an all-inactive group becomes
-    # one repeated word and adds nothing either
-    fill = np.where(M, W, W.max()).min(axis=1, keepdims=True)
-    rows = np.sort(np.where(M, W, fill), axis=1)
+    rows = _sorted_rows(*group_rows(words, active, spec.coalesce_group))
     return int((rows[:, 1:] != rows[:, :-1]).sum())
 
 

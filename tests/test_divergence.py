@@ -22,6 +22,9 @@ Pins the PR-9 contract surface:
 
 from __future__ import annotations
 
+import gc
+import linecache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +148,39 @@ def test_ir_lowers_branchy_kernel():
 
 def test_ir_is_memoized():
     assert lower_kernel(div_half_warp) is lower_kernel(div_half_warp)
+
+
+def _generated(name: str, source: str):
+    """A function compiled from ``source`` whose source ``inspect`` can
+    still read (registered with ``linecache``)."""
+    filename = f"<generated {name}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    scope = {}
+    exec(compile(source, filename, "exec"), scope)
+    return scope[name]
+
+
+def test_ir_is_never_served_to_a_function_with_a_reused_id():
+    """A new function that gets a collected function's id (its freed
+    address) is lowered afresh, not served the collected one's IR."""
+    ka = _generated("ka", "def ka(ctx, x):\n    ctx.st_global(x, 0, 0)\n")
+    lower_kernel(ka)
+    stale = id(ka)
+    del ka
+    gc.collect()
+    kb = None
+    for _ in range(1000):
+        kb = None
+        kb = _generated("kb", "def kb(ctx, x, y):\n"
+                              "    i = ctx.global_tid()\n"
+                              "    if i > 3:\n"
+                              "        ctx.sync()\n")
+        if id(kb) == stale:
+            break
+    ir = lower_kernel(kb)
+    assert (ir.name, ir.params) == ("kb", ("ctx", "x", "y"))
+    assert analyze_divergence(kb).divergent_syncs
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.symbolic import (
+    SymVal,
+    classify_global,
+    classify_shared,
+    fresh_sym,
+)
 from repro.arch import DEFAULT_DEVICE
-from repro.arch.device import geforce_8800_gtx, gtx_480
+from repro.arch.device import CACHED_LINE, geforce_8800_gtx, gtx_480
 from repro.sim import memsys
 from repro.sim.memsys import (
+    CoalesceResult,
     DirectMappedCache,
     bank_conflict_degree,
+    bank_conflict_degrees,
     block_bank_conflicts,
     coalesce_block_access,
+    coalesce_groups,
     coalesce_half_warp,
     coalesce_period,
     constant_broadcast_passes,
@@ -375,40 +384,43 @@ def _broadcast_passes_reference(words, active, spec):
 
 
 @st.composite
-def constant_patterns(draw, group):
-    """(words, active): uniform, strided or random word indices over a
-    lane count that need not be a multiple of ``group``, under a full,
-    random or group-wise (whole groups inactive) mask."""
-    n = draw(st.integers(1, 4 * group + group // 2))
+def group_lanes(draw, group):
+    """(values, active): uniform (a broadcast), strided or random lanes
+    around a base that may be negative, over a lane count that need not
+    be a multiple of ``group``, under a full, random or group-wise
+    (whole groups inactive) mask, with junk in the inactive lanes."""
+    n = draw(st.integers(1, 4)) * group - draw(
+        st.sampled_from([0, 0, 3, group // 2]))
+    base = draw(st.integers(-64, 64)) * draw(st.sampled_from([1, group]))
     kind = draw(st.sampled_from(["uniform", "strided", "random"]))
     if kind == "uniform":
-        words = np.full(n, draw(st.integers(0, 4095)), dtype=np.int64)
+        values = np.full(n, base, dtype=np.int64)
     elif kind == "strided":
-        stride = draw(st.sampled_from([1, 2, 4, 17]))
-        words = (draw(st.integers(0, 64))
-                 + np.arange(n, dtype=np.int64) // draw(
-                     st.sampled_from([1, 4, group])) * stride)
+        stride = draw(st.sampled_from([-1, 1, 2, 3, 4, 16, 17, 32, 33]))
+        repeat = draw(st.sampled_from([1, 4, group]))
+        values = base + np.arange(n, dtype=np.int64) // repeat * stride
     else:
-        words = np.array(draw(st.lists(st.integers(0, 40), min_size=n,
-                                       max_size=n)), dtype=np.int64)
+        values = base + np.array(draw(st.lists(
+            st.integers(-40, 40), min_size=n, max_size=n)), dtype=np.int64)
     masking = draw(st.sampled_from(["all", "random", "groups"]))
     if masking == "all":
-        active = np.ones(n, bool)
-    elif masking == "random":
+        return values, np.ones(n, bool)
+    if masking == "random":
         active = np.array(draw(st.lists(st.booleans(), min_size=n,
                                         max_size=n)), dtype=bool)
     else:
         on = draw(st.lists(st.booleans(), min_size=-(-n // group),
                            max_size=-(-n // group)))
         active = np.repeat(np.array(on, dtype=bool), group)[:n]
-    return words, active
+    junk = draw(st.integers(-10 ** 6, 10 ** 6)) + np.arange(n)
+    return np.where(active, values, junk), active
 
 
 @settings(max_examples=200, deadline=None)
 @given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
 def test_property_broadcast_passes_equal_group_loop(spec_name, data):
     spec = MEMO_SPECS[spec_name]
-    words, active = data.draw(constant_patterns(spec.coalesce_group))
+    words, active = data.draw(group_lanes(spec.coalesce_group))
     assert constant_broadcast_passes(words, active, spec) == \
         _broadcast_passes_reference(words, active, spec)
 
@@ -434,6 +446,241 @@ def test_broadcast_passes_cases(spec_name):
     for words, active in ((lanes % 5, on), (lanes, lanes % 3 == 0)):
         assert constant_broadcast_passes(words, active, spec) == \
             _broadcast_passes_reference(words, active, spec)
+
+
+# ----------------------------------------------------------------------
+# Per-group classifiers: the vectorized rows equal the one-group loops
+# ----------------------------------------------------------------------
+
+def _bank_conflict_degree_reference(word_indices, active, spec):
+    """The per-bank ``np.unique`` loop over one access group."""
+    if not active.any():
+        return 0
+    words = word_indices[active].astype(np.int64)
+    banks = words % spec.shared_mem_banks
+    degree = 0
+    for b in np.unique(banks):
+        degree = max(degree, len(np.unique(words[banks == b])))
+    return int(degree)
+
+
+def _coalesce_strict_segment_reference(addresses, active, itemsize, spec):
+    """The CUDA 1.x rule: thread k must hit word k of an aligned
+    segment, else one serialized transaction per active thread."""
+    group = spec.coalesce_group
+    n_active = int(active.sum())
+    addrs = addresses[active].astype(np.int64)
+    useful = n_active * itemsize
+    segment = group * itemsize
+
+    lanes = np.nonzero(active)[0]
+    base = addresses[lanes[0]] - lanes[0] * itemsize
+    aligned = (base % segment) == 0
+    in_order = bool(np.all(addresses[lanes] == base + lanes * itemsize))
+    if aligned and in_order:
+        return CoalesceResult(True, 1, segment, useful)
+
+    # Uncoalesced: one transaction per active thread (minimum-
+    # granularity bus charge each); duplicate segments are merged for
+    # bus accounting.
+    min_txn = spec.min_transaction_bytes
+    segments = np.unique(addrs // min_txn)
+    bus = 0
+    for seg in segments:
+        lo = seg * min_txn
+        hi_needed = int(np.max(addrs[addrs // min_txn == seg])) + itemsize
+        span = hi_needed - lo
+        bus += int(np.ceil(span / min_txn)) * min_txn
+    return CoalesceResult(False, n_active, bus, useful)
+
+
+def _coalesce_cached_line_reference(addresses, active, itemsize, spec):
+    """The Fermi+ rule: one transaction per distinct cache line the
+    warp touches.  The access is *coalesced* when it needs no more
+    lines than its useful bytes occupy at best — any permutation of
+    threads within those lines is free."""
+    line = spec.cache_line_bytes
+    n_active = int(active.sum())
+    addrs = addresses[active].astype(np.int64)
+    useful = n_active * itemsize
+    first = addrs // line
+    last = (addrs + itemsize - 1) // line
+    lines = np.unique(np.concatenate([first, last]))
+    transactions = int(lines.size)
+    minimal = max(1, -(-useful // line))
+    return CoalesceResult(transactions <= minimal, transactions,
+                          transactions * line, useful)
+
+
+def _coalesce_reference(addresses, active, itemsize, spec):
+    """One group under the device's rule, dispatched as the scalar
+    classifier did."""
+    if not active.any():
+        return CoalesceResult(True, 0, 0, 0)
+    if spec.coalescing_rule == CACHED_LINE:
+        return _coalesce_cached_line_reference(addresses, active, itemsize,
+                                               spec)
+    return _coalesce_strict_segment_reference(addresses, active, itemsize,
+                                              spec)
+
+
+def _groups(values, active, group):
+    """(values, active) of each group, the last padded with inactive
+    lanes."""
+    for start in range(0, len(values), group):
+        v = np.zeros(group, np.int64)
+        a = np.zeros(group, bool)
+        v[:len(values[start:start + group])] = values[start:start + group]
+        a[:len(active[start:start + group])] = active[start:start + group]
+        yield v, a
+
+
+def _coalesce_rows(addresses, active, itemsize, spec):
+    """:func:`coalesce_groups` as one tuple per group."""
+    return list(zip(*(v.tolist() for v in coalesce_groups(
+        addresses, active, itemsize, spec))))
+
+
+def _coalesce_rows_reference(addresses, active, itemsize, spec):
+    """The same tuples from the one-group loop; a group with no active
+    lane counts as not coalesced."""
+    rows = []
+    for addrs, act in _groups(addresses, active, spec.coalesce_group):
+        ref = _coalesce_reference(addrs, act, itemsize, spec)
+        rows.append((bool(act.any()), ref.transactions, ref.bus_bytes,
+                     ref.useful_bytes, ref.coalesced and bool(act.any())))
+    return rows
+
+
+def _classify_global_reference(lanes, active, itemsize, spec):
+    """The per-group labelling loop: the worst group's label, the
+    first of equally bad groups."""
+    order = ["coalesced", "broadcast", "misaligned", "strided", "irregular"]
+
+    def rank(p):
+        return order.index(p.split("(")[0])
+
+    worst, all_coalesced = "coalesced", True
+    for addrs, act in _groups(lanes * itemsize, active,
+                              spec.coalesce_group):
+        if not act.any():
+            continue
+        result = _coalesce_reference(addrs, act, itemsize, spec)
+        if result.coalesced or int(act.sum()) <= 1:
+            continue
+        all_coalesced = False
+        vals = addrs[act] // itemsize
+        if np.ptp(vals) == 0:
+            label = "broadcast"
+        else:
+            diffs = np.diff(vals)
+            if diffs.size and np.ptp(diffs) == 0:
+                stride = int(diffs[0])
+                label = "misaligned" if stride == 1 else f"strided({stride})"
+            else:
+                label = "irregular"
+        if rank(label) > rank(worst):
+            worst = label
+    return ("coalesced", True) if all_coalesced else (worst, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
+def test_property_bank_conflict_degrees_equal_group_loop(spec_name, data):
+    spec = MEMO_SPECS[spec_name]
+    group = spec.shared_access_group
+    words, active = data.draw(group_lanes(group))
+    want = [_bank_conflict_degree_reference(w, a, spec)
+            for w, a in _groups(words, active, group)]
+    assert bank_conflict_degrees(words, active, spec).tolist() == want
+    assert block_bank_conflicts(words, active, spec) == \
+        (sum(d > 0 for d in want), sum(want))
+    # the rules take the worst group, at least 1
+    pattern, degree = classify_shared(words, active, len(words), spec=spec)
+    assert degree == max(want + [1])
+    assert pattern == ("conflict-free" if degree == 1 else f"{degree}-way")
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_name=st.sampled_from(sorted(MEMO_SPECS)),
+       itemsize=st.sampled_from([4, 8, 16]),
+       data=st.data())
+def test_property_coalesce_groups_equal_group_loop(spec_name, itemsize,
+                                                   data):
+    spec = MEMO_SPECS[spec_name]
+    lanes, active = data.draw(group_lanes(spec.coalesce_group))
+    # a byte shift off the item grid makes items straddle bus buckets
+    addresses = lanes * itemsize + data.draw(
+        st.sampled_from([0, 0, 1, itemsize // 2, itemsize - 1]))
+    want = _coalesce_rows_reference(addresses, active, itemsize, spec)
+    assert _coalesce_rows(addresses, active, itemsize, spec) == want
+    assert memsys._coalesce_block_direct(addresses, active, itemsize, spec) \
+        == tuple(int(sum(col)) for col in zip(*want))
+    assert classify_global(lanes, active, len(lanes), itemsize, spec) == \
+        _classify_global_reference(lanes, active, itemsize, spec)
+
+
+@pytest.mark.parametrize("spec_name", sorted(MEMO_SPECS))
+def test_coalesce_groups_early_exit_equals_group_loop(spec_name):
+    """Fully active, in-order groups from an aligned base skip the
+    sorts; the result is the one the group loop gives."""
+    spec = MEMO_SPECS[spec_name]
+    for itemsize in (4, 8, 16):
+        addresses = 4096 * itemsize + np.arange(
+            4 * spec.coalesce_group, dtype=np.int64) * itemsize
+        active = np.ones(addresses.shape[0], bool)
+        got = _coalesce_rows(addresses, active, itemsize, spec)
+        assert got == _coalesce_rows_reference(addresses, active, itemsize,
+                                               spec)
+        assert all(row[-1] for row in got)
+
+
+def test_classify_global_label_precedence():
+    """The highest-ranked label wins; among equal ranks, the first
+    group names the stride."""
+    spec = MEMO_SPECS["g80"]
+    lanes = np.arange(16, dtype=np.int64)
+
+    def labels(*rows):
+        index = np.concatenate(rows)
+        return classify_global(index, None, len(index), 4, spec)
+
+    assert labels(lanes * 2, 1024 + lanes * 3) == ("strided(2)", False)
+    assert labels(lanes * 3, 1024 + lanes * 2) == ("strided(3)", False)
+    assert labels(1 + lanes, 1024 + lanes * 2) == ("strided(2)", False)
+    assert labels(lanes * 2, 1025 + lanes) == ("strided(2)", False)
+    assert labels(np.full(16, 5), (lanes * 7) % 16) == ("irregular", False)
+    assert labels((lanes * 7) % 16, np.full(16, 5)) == ("irregular", False)
+    assert labels(np.full(16, 5), 1025 + lanes) == ("misaligned", False)
+    assert labels(lanes, 1024 + lanes) == ("coalesced", True)
+    # a group with one active lane is never a hazard
+    one = np.zeros(32, bool)
+    one[[0, 16]] = True
+    assert classify_global(np.concatenate([lanes * 2, lanes * 3]), one, 32,
+                           4, spec) == ("coalesced", True)
+
+
+def test_classify_shared_residue_path():
+    """Unknown terms on bank-count multiples: conflict-free when the
+    active lanes' residues hit distinct banks, else data-dependent."""
+    spec = MEMO_SPECS["g80"]
+    n = 40                                   # a ragged last group
+    lanes = np.arange(n, dtype=np.int64)
+    assert classify_shared(SymVal(lanes, {fresh_sym(): 16}), None, n,
+                           spec=spec) == ("conflict-free", 1)
+    pairs = SymVal(lanes // 2, {fresh_sym(): 16})
+    assert classify_shared(pairs, None, n, spec=spec) == \
+        ("data-dependent", None)
+    # masking off one lane of each pair makes the banks distinct again
+    assert classify_shared(pairs, lanes % 2 == 0, n, spec=spec) == \
+        ("conflict-free", 1)
+    # two-word items: lanes k and k + 8 of a group share a bank
+    assert classify_shared(SymVal(lanes % 16, {fresh_sym(): 32}), None, n,
+                           word_scale=2, spec=spec) == \
+        ("data-dependent", None)
+    # a coefficient off the bank count leaves the bank unknown
+    assert classify_shared(SymVal(lanes, {fresh_sym(): 8}), None, n,
+                           spec=spec) == ("data-dependent", None)
 
 
 class TestDirectMappedCache:

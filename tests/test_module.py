@@ -23,12 +23,13 @@ import pytest
 from repro.apps.fdtd import Fdtd
 from repro.apps.lbm import Lbm
 from repro.apps.mri_q import MriQ
-from repro.apps.registry import ALL_APPS
+from repro.apps.registry import ALL_APPS, get_app
 from repro.compile import (
     ArtifactCache,
     CompiledModule,
     HostStep,
     ModuleSchedule,
+    active_artifact_cache,
     clear_program_cache,
     fuse_schedule,
     get_program,
@@ -322,6 +323,30 @@ def test_corrupt_artifact_is_discarded(tmp_path):
     assert cache.load(artifact_probe, *plan_context(plan)) is None
     assert cache.stats["corrupt"] == 1
     assert not os.path.exists(path)
+
+
+def test_unwritable_cache_falls_back_to_the_in_memory_program(
+        tmp_path, monkeypatch):
+    """REPRO_AOT_CACHE naming a regular file: the store fails and is
+    counted, and the launch runs on the program it just lowered."""
+    app = get_app("saxpy")
+    workload = app.default_workload("test")
+    monkeypatch.delenv("REPRO_AOT_CACHE", raising=False)
+    clear_program_cache()
+    want = app.run(dict(workload), functional=True).outputs
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("REPRO_AOT_CACHE", str(blocker))
+    clear_program_cache()
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        got = app.run(dict(workload), functional=True).outputs
+    clear_program_cache()
+    assert active_artifact_cache().stats["unwritable"] >= 1
+    assert reg.value("artifact.unwritable", kernel="saxpy") >= 1
+    assert set(got) == set(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
 
 
 def test_fingerprint_tracks_closure_constants():
