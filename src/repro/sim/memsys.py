@@ -158,27 +158,11 @@ def coalesce_groups(
     """
     group = spec.coalesce_group
     A, M = group_rows(addresses, active, group)
-    cached = spec.coalescing_rule == CACHED_LINE
-    line = spec.cache_line_bytes
-    segment = group * itemsize
-    offsets = np.arange(group, dtype=np.int64) * itemsize
-    lane0 = A[:, 0]
-    if (M.all() and not (lane0 % (line if cached else segment)).any()
-            and (A == lane0[:, None] + offsets).all()):
-        # every group fully active and in order from an aligned base:
-        # a segment rounded up to whole lines on cached devices, one
-        # segment on strict ones (the common case; skips the sorts)
-        transactions = -(-segment // line) if cached else 1
-        bus = transactions * line if cached else segment
-        n = A.shape[0]
-        every = np.ones(n, dtype=bool)
-        return (every, np.full(n, transactions), np.full(n, bus),
-                np.full(n, segment), every)
-
     any_active = M.any(axis=1)
     n_active = M.sum(axis=1)
     useful = n_active * itemsize
-    if cached:
+    if spec.coalescing_rule == CACHED_LINE:
+        line = spec.cache_line_bytes
         lines = _sorted_rows(
             np.concatenate([A // line, (A + itemsize - 1) // line], axis=1),
             np.concatenate([M, M], axis=1))
@@ -188,10 +172,12 @@ def coalesce_groups(
         return any_active, transactions, transactions * line, useful, \
             coalesced
 
+    segment = group * itemsize
     first = M.argmax(axis=1)
     base = A[np.arange(A.shape[0]), first] - first * itemsize
+    in_order = A == base[:, None] + np.arange(group) * itemsize
     coalesced = (any_active & (base % segment == 0)
-                 & ((A == base[:, None] + offsets) | ~M).all(axis=1))
+                 & (in_order | ~M).all(axis=1))
     bus = np.where(coalesced, segment, 0)
     slow = any_active & ~coalesced
     if slow.any():
