@@ -40,6 +40,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
+from ..cuda.source import SOURCE_ERRORS, kernel_source
 from .ir import KernelIR, lower_kernel
 
 __all__ = ["Uniformity", "join", "BranchVerdict", "SyncVerdict",
@@ -231,30 +232,21 @@ def _run_dataflow(ir: KernelIR, param_seed: Uniformity
 # Entry points
 # ----------------------------------------------------------------------
 
-_CACHE: Dict[Tuple[int, Uniformity], Tuple[Callable, DivergenceAnalysis]] = {}
-
-
 def analyze_divergence(fn: Callable,
                        param_seed: Uniformity = Uniformity.UNIFORM
                        ) -> DivergenceAnalysis:
     """Run the uniformity/divergence dataflow on a kernel function (or
-    :class:`~repro.cuda.launch.Kernel`); memoized per function.
+    :class:`~repro.cuda.launch.Kernel`); memoized per code object, like
+    the IR it runs on.
 
     ``param_seed`` is the lattice point assumed for the non-``ctx``
     parameters — UNIFORM for kernel entries (launch arguments are
     grid constants); pass VARYING when analyzing a helper that may be
     called with per-lane arguments.
     """
-    raw = getattr(fn, "fn", fn)
-    key = (id(raw), param_seed)
-    hit = _CACHE.get(key)
-    if hit is not None and hit[0] is raw:
-        return hit[1]
-    analysis = _run_dataflow(lower_kernel(raw), param_seed)
-    if len(_CACHE) > 256:
-        _CACHE.clear()
-    _CACHE[key] = (raw, analysis)
-    return analysis
+    return kernel_source(fn).derive(
+        ("divergence", param_seed),
+        lambda: _run_dataflow(lower_kernel(fn), param_seed))
 
 
 def uniform_mask_lines(fn: Callable) -> FrozenSet[int]:
@@ -264,5 +256,5 @@ def uniform_mask_lines(fn: Callable) -> FrozenSet[int]:
     agrees on the condition, so the barrier is never divergent)."""
     try:
         return analyze_divergence(fn).uniform_masked_lines()
-    except (OSError, SyntaxError, ValueError, TypeError):
+    except SOURCE_ERRORS:
         return frozenset()

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import ast
 import inspect
-import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from ..cuda.context import (
     warp_lane_counts,
 )
 from ..cuda.dim3 import Dim3, as_dim3
+from ..cuda.source import SOURCE_ERRORS, closure_env, kernel_source
 from ..sim.memsys import (
     block_bank_conflicts,
     coalesce_block_access,
@@ -879,6 +879,16 @@ class InterpFunc:
         self.globals = globals_dict
         self.line_offset = line_offset
 
+    @classmethod
+    def of(cls, fn: Any) -> "InterpFunc":
+        """A plain Python function: the front end's parse, its closure
+        cells as the defining scope, its globals.  Raises one of
+        :data:`~repro.cuda.source.SOURCE_ERRORS`."""
+        src = kernel_source(fn)
+        root = Scope()
+        root.vars.update(closure_env(fn))
+        return cls(src.fdef, root, fn.__globals__, src.offset)
+
     @property
     def name(self) -> str:
         return self.node.name
@@ -905,23 +915,11 @@ class KernelInterp:
 
     # -- public entry ---------------------------------------------------
     def run(self) -> Recorder:
-        fn = self.target.kernel.fn
         try:
-            lines, start = inspect.getsourcelines(fn)
-        except (OSError, TypeError):
+            func = InterpFunc.of(self.target.kernel.fn)
+        except SOURCE_ERRORS:
             self.recorder.note("kernel source unavailable", line=0)
             return self.recorder
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        fdef = next(n for n in tree.body
-                    if isinstance(n, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)))
-        closure = {}
-        if fn.__closure__:
-            closure = dict(zip(fn.__code__.co_freevars,
-                               [c.cell_contents for c in fn.__closure__]))
-        root = Scope()
-        root.vars.update(closure)
-        func = InterpFunc(fdef, root, fn.__globals__, start - 1)
         args = (self.ctx,) + tuple(self.target.args)
         try:
             self._call_interp(func, args, {})
@@ -1057,19 +1055,10 @@ class KernelInterp:
         """Interpret a plain Python function reached through a closure
         (e.g. a rotate helper defined in a kernel factory)."""
         try:
-            lines, start = inspect.getsourcelines(fn)
-        except (OSError, TypeError):
+            func = InterpFunc.of(fn)
+        except SOURCE_ERRORS:
             raise AnalysisLimit(
                 f"cannot interpret opaque callable {fn!r}") from None
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        fdef = next(n for n in tree.body if isinstance(n, ast.FunctionDef))
-        closure = {}
-        if fn.__closure__:
-            closure = dict(zip(fn.__code__.co_freevars,
-                               [c.cell_contents for c in fn.__closure__]))
-        root = Scope()
-        root.vars.update(closure)
-        func = InterpFunc(fdef, root, fn.__globals__, start - 1)
         return self._call_interp(func, args, kwargs)
 
     # -- statement execution --------------------------------------------

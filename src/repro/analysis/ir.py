@@ -22,24 +22,25 @@ query calls are surfaced as *seed tokens* (``"tid"``, ``"bx"``,
 ``"global_tid"``, ...) so the lattice seeding stays out of this
 module.
 
-Line numbers are absolute file lines (decorator-relative offsets are
-resolved the same way :mod:`repro.analysis.interp` and
-:mod:`repro.compile.lower` resolve theirs), so findings and compiler
-queries key on the same coordinates.
+The source comes from the kernel front end (:mod:`repro.cuda.source`),
+and line numbers are absolute file lines from its one line offset, the
+coordinates :mod:`repro.analysis.interp` and :mod:`repro.compile.lower`
+use too, so findings and compiler queries key on the same lines.  One
+IR serves every closure of a ``def``: it is memoized on the front
+end's per-code-object entry.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
+from ..cuda.source import KernelSource, kernel_source
 
 __all__ = ["IRInstr", "Branch", "BasicBlock", "Loop", "KernelIR",
-           "lower_kernel", "kernel_source"]
+           "lower_kernel"]
 
 
 # ----------------------------------------------------------------------
@@ -112,22 +113,6 @@ class Loop:
     header: int
     body: FrozenSet[int]
     line: int
-
-
-# ----------------------------------------------------------------------
-# Source acquisition (shared convention with analysis.interp)
-# ----------------------------------------------------------------------
-
-def kernel_source(fn: Callable) -> Tuple[ast.FunctionDef, int]:
-    """``(FunctionDef, line_offset)`` for a kernel function; absolute
-    file line of a node is ``line_offset + node.lineno``."""
-    fn = getattr(fn, "fn", fn)          # unwrap a Kernel wrapper
-    lines, start = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    fdef = tree.body[0]
-    if not isinstance(fdef, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise ValueError(f"not a function definition: {fn!r}")
-    return fdef, start - 1
 
 
 # ----------------------------------------------------------------------
@@ -562,30 +547,22 @@ class KernelIR:
 # Entry point
 # ----------------------------------------------------------------------
 
-#: ``id(fn) -> (fn, ir)``; holding ``fn`` keeps its id from being
-#: reused by another function while the entry lives
-_IR_CACHE: Dict[int, Tuple[Callable, KernelIR]] = {}
-
-
 def lower_kernel(fn: Callable) -> KernelIR:
     """Lower a kernel function (or :class:`~repro.cuda.launch.Kernel`)
-    into its :class:`KernelIR`; memoized per function object."""
-    raw = getattr(fn, "fn", fn)
-    hit = _IR_CACHE.get(id(raw))
-    if hit is not None and hit[0] is raw:
-        return hit[1]
-    fdef, offset = kernel_source(raw)
-    args = fdef.args
-    params = tuple(a.arg for a in args.args)
+    into its :class:`KernelIR`; memoized per code object, since the IR
+    depends on the source alone."""
+    src = kernel_source(fn)
+    return src.derive("ir", lambda: _build_ir(src))
+
+
+def _build_ir(src: KernelSource) -> KernelIR:
+    fdef, offset = src.fdef, src.offset
+    params = tuple(a.arg for a in fdef.args.args)
     ctx_name = params[0] if params else "ctx"
     builder = _CFGBuilder(ctx_name, offset)
     builder.build(fdef.body)
     exit_index = builder._exit()
     if builder.cur is not None:
         builder.edge(builder.cur, exit_index)
-    ir = KernelIR(getattr(fn, "name", fdef.name), builder.blocks,
-                  0, exit_index, offset, params, ctx_name)
-    if len(_IR_CACHE) > 256:
-        _IR_CACHE.clear()
-    _IR_CACHE[id(raw)] = (raw, ir)
-    return ir
+    return KernelIR(fdef.name, builder.blocks, 0, exit_index, offset,
+                    params, ctx_name)

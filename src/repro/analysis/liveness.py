@@ -8,10 +8,10 @@ a kernel's register demand the way that anecdote reasons: the peak
 number of *per-thread* values simultaneously live at any program
 point.
 
-The analysis runs on the kernel's Python AST with the closure
-environment resolved (tile size, ``unrolled``/``prefetch`` flags), so
-configuration branches are pruned before liveness.  Values are
-classified by data flow:
+The analysis runs on the kernel's Python AST (the front end's parse,
+:mod:`repro.cuda.source`) with the closure environment resolved (tile
+size, ``unrolled``/``prefetch`` flags), so configuration branches are
+pruned before liveness.  Values are classified by data flow:
 
 * **varying** — derived from thread identity (``ctx.tx``,
   ``ctx.global_tid*``) or loaded data: needs a register per thread;
@@ -36,12 +36,11 @@ the 3/3/2 blocks-per-SM occupancy the paper derives from them.
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
+from ..cuda.source import closure_env, kernel_source
 from .divergence import SEED_UNIFORMITY, Uniformity
 
 #: ctx methods whose result is per-thread regardless of arguments:
@@ -83,18 +82,6 @@ class RegisterEstimate:
             "peak_names": list(self.peak_names),
             "fallback": self.fallback,
         }
-
-
-def _kernel_ast(fn) -> Tuple[ast.FunctionDef, Dict[str, object]]:
-    lines, _start = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    fdef = next(n for n in tree.body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    closure: Dict[str, object] = {}
-    if fn.__closure__:
-        closure = dict(zip(fn.__code__.co_freevars,
-                           [c.cell_contents for c in fn.__closure__]))
-    return fdef, closure
 
 
 def _const_eval(node: ast.AST, env: Dict[str, object]):
@@ -334,10 +321,8 @@ def estimate_registers(kernel) -> RegisterEstimate:
     """
     name = getattr(kernel, "name", "<kernel>")
     declared = int(getattr(kernel, "regs_per_thread", 10))
-    fn = getattr(kernel, "fn", kernel)
     try:
-        fdef, env = _kernel_ast(fn)
-        analysis = _Liveness(fdef, env)
+        analysis = _Liveness(kernel_source(kernel).fdef, closure_env(kernel))
         regs, peak_names, classes = analysis.run()
         return RegisterEstimate(name, regs, peak_names, classes)
     except Exception:

@@ -9,9 +9,10 @@ these programs with bit-identical results to the sequential
 interpreter, falling back per kernel when a construct is unsupported.
 """
 
+from ..cuda.source import fingerprint as kernel_fingerprint
 from .artifact import (ArtifactCache, COMPILER_VERSION,
                        active_artifact_cache, install_artifact_cache,
-                       kernel_fingerprint, use_artifact_cache)
+                       use_artifact_cache)
 from .fuse import FusedGroup, FusionPlan, fuse_schedule
 from .lower import CompileError, LoweredFunction, LoweringSession
 from .module import CompiledModule, HostStep, ModuleSchedule

@@ -11,14 +11,13 @@ rebuild the program from bytes.
 
 Cache key
     ``sha256(kernel name, device name, arg signature, compiler
-    version, python version)`` names the file; the kernel's *source
-    fingerprint* (entry source + closure cell values, including the
-    sources of function-valued cells) is stored inside the artifact
-    and checked on load.  A fingerprint mismatch means the kernel
-    changed since the artifact was written: the stale file is deleted,
-    the ``artifact.invalidated`` counter bumps, and the kernel is
-    recompiled (and re-cached).  Unreadable files are treated the same
-    way (``artifact.corrupt``).
+    version, python version)`` names the file; the kernel's content
+    fingerprint (:func:`repro.cuda.source.fingerprint`) is stored
+    inside the artifact and checked on load.  A fingerprint mismatch
+    means the kernel changed since the artifact was written: the stale
+    file is deleted, the ``artifact.invalidated`` counter bumps, and the
+    kernel is recompiled (and re-cached).  Unreadable files are treated
+    the same way (``artifact.corrupt``).
 
 Activation
     :func:`active_artifact_cache` returns the process-wide cache: the
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import inspect
 import marshal
 import os
 import pickle
@@ -42,12 +40,11 @@ import types
 from collections import Counter
 from typing import Dict, Optional, Tuple
 
-from .lower import CompileError
+from ..cuda.source import fingerprint
 from .program import CompiledProgram
 
 __all__ = ["ArtifactCache", "COMPILER_VERSION", "active_artifact_cache",
-           "artifact_key", "install_artifact_cache", "kernel_fingerprint",
-           "use_artifact_cache"]
+           "artifact_key", "install_artifact_cache", "use_artifact_cache"]
 
 #: bump when the lowering or the artifact layout changes shape — old
 #: artifacts become unreachable (different file names) rather than
@@ -56,34 +53,6 @@ COMPILER_VERSION = 1
 
 #: serialized payload layout version (checked on load)
 _FORMAT = 1
-
-
-def kernel_fingerprint(kernel) -> str:
-    """Content hash of everything that determines the lowered program:
-    the kernel function's source plus its closure cell values (kernel
-    factories like ``lbm_step_kernel(layout)`` share one source but
-    close over different constants).  Function-valued cells contribute
-    their own source.  Raises :class:`CompileError` when the source is
-    unavailable (interactively defined kernels are not cacheable)."""
-    fn = kernel.fn
-    h = hashlib.sha256()
-    try:
-        h.update(inspect.getsource(fn).encode())
-    except (OSError, TypeError) as exc:
-        raise CompileError(
-            f"source of {fn.__name__!r} unavailable: {exc}") from None
-    if fn.__closure__:
-        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
-            value = cell.cell_contents
-            if isinstance(value, types.FunctionType):
-                try:
-                    part = inspect.getsource(value)
-                except (OSError, TypeError):
-                    part = repr(value.__code__.co_code)
-            else:
-                part = repr(value)
-            h.update(f"{name}={part}\n".encode())
-    return h.hexdigest()
 
 
 def artifact_key(kernel, device_name: str = "",
@@ -224,14 +193,15 @@ class ArtifactCache:
         kernel or one of its constants is unserializable, or when the
         cache directory cannot be written (the caller keeps using its
         in-memory program)."""
+        key = fingerprint(kernel)
         try:
-            fingerprint = kernel_fingerprint(kernel)
-            blob = pickle.dumps(
-                {"fingerprint": fingerprint,
-                 "program": _dump_program(program)},
+            blob = None if key is None else pickle.dumps(
+                {"fingerprint": key, "program": _dump_program(program)},
                 protocol=pickle.HIGHEST_PROTOCOL)
-        except (CompileError, ValueError, TypeError, pickle.PicklingError,
+        except (ValueError, TypeError, pickle.PicklingError,
                 AttributeError):
+            blob = None
+        if blob is None:
             self._count("unserializable", kernel.name)
             return False
         path = self.path_for(kernel, device_name, signature)
@@ -262,13 +232,12 @@ class ArtifactCache:
             return None
         try:
             wrapper = pickle.loads(blob)
-            fingerprint = wrapper["fingerprint"]
-            current = kernel_fingerprint(kernel)
+            stored = wrapper["fingerprint"]
         except Exception:
             self._count("corrupt", kernel.name)
             self._discard(path)
             return None
-        if fingerprint != current:
+        if stored != fingerprint(kernel):
             self._count("invalidated", kernel.name)
             self._discard(path)
             return None

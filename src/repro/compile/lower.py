@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import ast
 import builtins
-import inspect
-import textwrap
+import copy
 import types
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -42,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
+from ..cuda.source import SOURCE_ERRORS, closure_env, kernel_source
 
 __all__ = ["CompileError", "LoweringSession", "LoweredFunction"]
 
@@ -73,6 +73,16 @@ _FORBIDDEN_STMTS = {
 def _is_numpy(value) -> bool:
     return isinstance(value, types.ModuleType) \
         and getattr(value, "__name__", "") == "numpy"
+
+
+def _snapshot(value):
+    """Closure arrays, also inside tuples, bound as copies: a program
+    cached by content must keep computing with that content."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if type(value) is tuple:
+        return tuple(_snapshot(item) for item in value)
+    return value
 
 
 def _target_names(node: ast.AST) -> List[str]:
@@ -118,11 +128,12 @@ class LoweredFunction:
 class _FunctionLowerer(ast.NodeTransformer):
     """Rewrites one function body; shared session handles helpers."""
 
-    def __init__(self, session: "LoweringSession", fn,
+    def __init__(self, session: "LoweringSession", fn, offset: int,
                  ctx_names: frozenset, env: Dict[str, object],
                  bindings: Dict[str, object]) -> None:
         self.session = session
         self.fn = fn
+        self.offset = offset            # absolute line = offset + lineno
         self.ctx_names = ctx_names
         self.env = env
         self.bindings = bindings        # globals dict of the lowered fn
@@ -140,8 +151,7 @@ class _FunctionLowerer(ast.NodeTransformer):
         line = getattr(node, "lineno", None)
         where = f"{self.fn.__name__}"
         if line is not None:
-            base = getattr(self.fn.__code__, "co_firstlineno", 1)
-            where += f" (line {base + line - 1})"
+            where += f" (line {self.offset + line})"
         return CompileError(f"{where}: {message}")
 
     # -- names ---------------------------------------------------------
@@ -284,10 +294,9 @@ class _FunctionLowerer(ast.NodeTransformer):
         if len(call.args) != 1 or call.keywords:
             raise self.fail(node, "ctx.masked takes exactly one condition")
         cond = self.visit(call.args[0])
-        base = getattr(self.fn.__code__, "co_firstlineno", 1)
-        absolute = base + node.lineno - 1
         self.mask_depth += 1
-        self._masked_uniform.append(absolute in self.uniform_lines)
+        self._masked_uniform.append(
+            self.offset + node.lineno in self.uniform_lines)
         try:
             body = self._visit_body(node.body, node)
         finally:
@@ -455,25 +464,19 @@ class LoweringSession:
 
     def _lower(self, fn, ctx_positions: Tuple[int, ...]) -> LoweredFunction:
         try:
-            source = textwrap.dedent(inspect.getsource(fn))
-        except (OSError, TypeError) as exc:
+            src = kernel_source(fn)
+            # the rewrite below edits the tree in place: work on a copy
+            # of the front end's shared parse
+            fndef = copy.deepcopy(src.fdef)
+            closure = closure_env(fn)
+        except SOURCE_ERRORS as exc:
             raise CompileError(
                 f"source of {fn.__name__!r} unavailable: {exc}") from None
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:     # pragma: no cover - getsource quirk
-            raise CompileError(
-                f"cannot re-parse {fn.__name__!r}: {exc}") from None
-        if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
-            raise CompileError(
-                f"{fn.__name__!r} is not a plain function definition")
-        fndef = tree.body[0]
         fndef.decorator_list = []
 
         env = dict(fn.__globals__)
-        if fn.__closure__:
-            env.update(zip(fn.__code__.co_freevars,
-                           (c.cell_contents for c in fn.__closure__)))
+        env.update((name, _snapshot(value))
+                   for name, value in closure.items())
         ctx_names = frozenset(
             fndef.args.args[i].arg for i in ctx_positions
             if i < len(fndef.args.args))
@@ -481,7 +484,8 @@ class LoweringSession:
         self._counter += 1
         lowered_name = f"__grid_{fn.__name__}_{self._counter}"
         bindings: Dict[str, object] = {"__builtins__": builtins}
-        lowerer = _FunctionLowerer(self, fn, ctx_names, env, bindings)
+        lowerer = _FunctionLowerer(self, fn, src.offset, ctx_names, env,
+                                   bindings)
         if len(self._in_progress) == 1:
             # root kernel entry only: launch arguments are grid
             # constants, so the R8 dataflow's UNIFORM parameter seed is

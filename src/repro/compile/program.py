@@ -3,19 +3,18 @@
 A :class:`CompiledProgram` is the AOT artifact for one kernel: a
 single Python function ``entry(__rt, *args)`` over a
 :class:`~repro.compile.runtime.GridRT` that executes every lane of a
-block range in one shot.  Programs (and compile *failures*) are
-cached per kernel function object, so repeated launches — including
-launches of fresh :func:`build_kernel` closures — pay the AST pass at
-most once per kernel object.
+block range in one shot.  Programs (and compile *failures*) are cached
+by content (:func:`repro.cuda.source.fingerprint`), so the fresh
+closures a kernel factory returns on every run share one program.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..cuda.launch import Kernel
+from ..cuda.source import fingerprint
 from ..obs.registry import get_registry
 from .lower import CompileError, LoweringSession
 from .runtime import NP_SHIM, GridPrelude, prelude_for
@@ -37,26 +36,16 @@ class CompiledProgram:
     helpers: int           # transitively lowered helper functions
 
 
-#: fn -> CompiledProgram | CompileError.  Keyed on the *function*
-#: object (kernels are frozen dataclasses wrapping fn); weak keys let
-#: throwaway build_kernel closures be collected along with their
-#: programs.
-_PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: content fingerprint -> CompiledProgram | CompileError
+_PROGRAMS: Dict[str, Union[CompiledProgram, CompileError]] = {}
+
+#: programs kept before the cache starts over
+_MAX_PROGRAMS = 256
 
 
 def compile_kernel(kernel: Kernel) -> CompiledProgram:
-    """Lower ``kernel`` to a whole-grid program (uncached).
-
-    Raises :class:`CompileError` for kernels outside the supported
-    construct set, and for kernels declared ``batchable=False`` —
-    whole-grid execution runs every block's lanes at once, so the
-    batchable contract is the correctness gate for compilation.
-    """
-    if not kernel.batchable:
-        raise CompileError(
-            f"kernel {kernel.name!r} is declared batchable=False "
-            f"(order-sensitive); whole-grid lowering would reorder "
-            f"its effects")
+    """Lower ``kernel`` to a whole-grid program (uncached); raises
+    :class:`CompileError` for constructs outside the supported set."""
     session = LoweringSession(NP_SHIM)
     lowered = session.lower_function(kernel.fn, ctx_positions=(0,))
     return CompiledProgram(
@@ -71,17 +60,30 @@ def compile_kernel(kernel: Kernel) -> CompiledProgram:
 def get_program(kernel: Kernel,
                 context: Optional[Tuple[str, Tuple]] = None
                 ) -> CompiledProgram:
-    """Cached :func:`compile_kernel`; failures are cached too.
+    """Cached :func:`compile_kernel`; failures are cached too, by the
+    kernel's content fingerprint (a kernel without one is compiled on
+    every call).
+
+    Kernels declared ``batchable=False`` are refused before the cache:
+    whole-grid execution runs every block's lanes at once, so the
+    batchable contract is the correctness gate for compilation, and it
+    is not part of the content key.
 
     ``context`` is an optional ``(device name, arg signature)`` pair
     from a concrete launch plan.  When an artifact cache is active
     (:func:`repro.compile.artifact.active_artifact_cache`), a memory
     miss with context first tries the on-disk artifact keyed by
-    ``(kernel source hash, device, signature, compiler version)`` —
-    the cold-process path that skips lowering entirely — and a fresh
+    ``(kernel name, device, signature, compiler version)`` — the
+    cold-process path that skips lowering entirely — and a fresh
     compile is written back for the next process.
     """
-    cached = _PROGRAMS.get(kernel.fn)
+    if not kernel.batchable:
+        raise CompileError(
+            f"kernel {kernel.name!r} is declared batchable=False "
+            f"(order-sensitive); whole-grid lowering would reorder "
+            f"its effects")
+    key = fingerprint(kernel)
+    cached = _PROGRAMS.get(key) if key is not None else None
     if isinstance(cached, CompileError):
         # a previously-recorded refusal: the negative cache answered
         registry = get_registry()
@@ -91,7 +93,7 @@ def get_program(kernel: Kernel,
         raise cached
     if cached is None:
         from .artifact import active_artifact_cache
-        disk = active_artifact_cache()
+        disk = active_artifact_cache() if key is not None else None
         if disk is not None and context is not None:
             cached = disk.load(kernel, *context)
         if cached is None:
@@ -101,10 +103,10 @@ def get_program(kernel: Kernel,
                     disk.store(kernel, cached, *context)
             except CompileError as exc:
                 cached = exc
-        try:
-            _PROGRAMS[kernel.fn] = cached
-        except TypeError:          # unweakrefable callable: skip cache
-            pass
+        if key is not None:
+            if len(_PROGRAMS) >= _MAX_PROGRAMS:
+                _PROGRAMS.clear()
+            _PROGRAMS[key] = cached
     if isinstance(cached, CompileError):
         raise cached
     return cached

@@ -9,6 +9,8 @@ reason) and that a static census fills the same profiler fields a
 dynamic trace would.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ def test_non_batchable_is_refused_at_the_gate():
     ok, reason = compile_status(order_sensitive)
     assert not ok
     assert "batchable=False" in reason
+
+
+def test_batchable_refusal_does_not_depend_on_the_program_cache():
+    """``batchable`` is a property of the Kernel, not of the function
+    content the program cache is keyed by: a cached program must not
+    admit an order-sensitive copy of the kernel, and a refused copy
+    must not refuse the batchable original."""
+    kern = build_kernel("tiled", 16)
+    order_sensitive = dataclasses.replace(kern, batchable=False)
+    for first, second in ((kern, order_sensitive), (order_sensitive, kern)):
+        clear_program_cache()
+        compile_status(first)
+        assert compile_status(kern) == (True, "")
+        ok, reason = compile_status(order_sensitive)
+        assert not ok and "batchable=False" in reason
 
 
 def test_sync_inside_divergence_is_refused():

@@ -351,10 +351,72 @@ def test_unwritable_cache_falls_back_to_the_in_memory_program(
 
 def test_fingerprint_tracks_closure_constants():
     from repro.apps.lbm import lbm_step_kernel
+    from repro.apps.rc5 import rc5_search_kernel
     assert kernel_fingerprint(lbm_step_kernel("aos")) != \
         kernel_fingerprint(lbm_step_kernel("soa"))
     assert kernel_fingerprint(lbm_step_kernel("aos")) == \
         kernel_fingerprint(lbm_step_kernel("aos"))
+    # the variants differ only in what their rotl helper closes over
+    assert kernel_fingerprint(rc5_search_kernel(False)) != \
+        kernel_fingerprint(rc5_search_kernel(True))
+
+
+def _scaled_probe(scale):
+    def times(x):
+        return x * scale
+
+    @kernel("closure_probe", regs_per_thread=4)
+    def probe(ctx, out):
+        i = ctx.global_tid()
+        ctx.st_global(out, i, times(i).astype(np.float32))
+    return probe
+
+
+def _table_probe(table):
+    @kernel("closure_probe", regs_per_thread=4)
+    def probe(ctx, out):
+        i = ctx.global_tid()
+        ctx.st_global(out, i, (i * 0 + table[5]).astype(np.float32))
+    return probe
+
+
+def _run_compiled(kern):
+    dev = Device()
+    out = dev.alloc(256, np.float32, "out")
+    LaunchPlan.build(kern, (8,), (32,), (out,), device=dev,
+                     functional=True).execute("compiled")
+    return out.to_host()
+
+
+def test_artifact_cache_tells_helper_closures_apart(tmp_path):
+    """Two kernels of one name whose helper closes over different
+    constants: the second must not load the first's artifact."""
+    cache = ArtifactCache(str(tmp_path))
+    with use_artifact_cache(cache):
+        for scale in (1, 3):
+            clear_program_cache()
+            got = _run_compiled(_scaled_probe(scale))
+            np.testing.assert_array_equal(got, np.arange(256) * scale)
+    clear_program_cache()
+    assert cache.stats["cold_hits"] == 0
+    assert cache.stats["invalidated"] == 1
+
+
+def test_artifact_cache_tells_array_contents_apart(tmp_path):
+    """A closure array whose ``repr`` elides the changed element."""
+    table = np.zeros(2000)
+    edited = table.copy()
+    edited[5] = 7.0
+    assert repr(table) == repr(edited)
+    cache = ArtifactCache(str(tmp_path))
+    with use_artifact_cache(cache):
+        for values in (table, edited):
+            clear_program_cache()
+            got = _run_compiled(_table_probe(values))
+            np.testing.assert_array_equal(got, np.full(256, values[5]))
+    clear_program_cache()
+    assert cache.stats["cold_hits"] == 0
+    assert cache.stats["invalidated"] == 1
 
 
 # ----------------------------------------------------------------------
