@@ -419,6 +419,22 @@ def test_artifact_cache_tells_array_contents_apart(tmp_path):
     assert cache.stats["invalidated"] == 1
 
 
+def test_program_cached_by_content_keeps_that_content():
+    """A closure array edited in place after its kernel compiled must
+    not change what the program cached under its old content computes
+    for a later kernel with that content."""
+    clear_program_cache()
+    table = np.zeros(8)
+    np.testing.assert_array_equal(_run_compiled(_table_probe(table)),
+                                  np.zeros(256))
+    table[5] = 7.0
+    np.testing.assert_array_equal(_run_compiled(_table_probe(table)),
+                                  np.full(256, 7.0))
+    np.testing.assert_array_equal(_run_compiled(_table_probe(np.zeros(8))),
+                                  np.zeros(256))
+    clear_program_cache()
+
+
 # ----------------------------------------------------------------------
 # Negative-cache observability (R6 surfacing)
 # ----------------------------------------------------------------------
