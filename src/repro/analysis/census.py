@@ -5,20 +5,24 @@ compiled PTX — "with the configuration shown in Fig. 3(a), only 1 out
 of 8 operations is a fused multiply-add" — before any kernel runs.
 This module produces that mix statically: the abstract interpreter
 (:mod:`repro.analysis.interp`) already re-executes a kernel's source
-for sample blocks, and its :class:`LintContext` records every DSL
-operation into a :class:`~repro.trace.trace.KernelTrace` using exactly
-the accounting rules of the dynamic DSL (divergence-aware warp counts,
-the G80 coalescing rule for concrete indices, bank-conflict
-serialization).  A :class:`KernelCensus` averages the sampled blocks
-and extrapolates to the full grid, so every downstream consumer of a
-dynamic trace — :func:`repro.sim.bounds.analyze_bounds`,
-:func:`repro.sim.timing.estimate_time` — works unchanged on the
-static census.
+for sample blocks, and its :class:`LintContext` charges every DSL
+operation to a :class:`~repro.trace.trace.KernelTrace` through the
+accounting execution itself uses
+(:class:`~repro.cuda.context.BlockAccounting`: divergence-aware warp
+counts, the device's coalescing rule for concrete indices,
+bank-conflict and broadcast serialization, serialized atomics).  A
+:class:`KernelCensus` averages the sampled blocks and extrapolates to
+the full grid, so every downstream consumer of a dynamic trace —
+:func:`repro.sim.bounds.analyze_bounds`,
+:func:`repro.sim.timing.estimate_time` — works unchanged on the static
+census.
 
 Approximations (documented in DESIGN.md):
 
 * data-dependent global indices are charged one transaction per
-  active thread (the gather/scatter worst case);
+  active thread (the gather/scatter worst case, what atomics pay);
+* data-dependent shared or constant indices charge no conflicts, and
+  a data-dependent per-lane branch counts every active warp divergent;
 * constant/texture loads are assumed cache-resident (no DRAM bytes);
 * a data-dependent ``while`` contributes two iterations, and both
   arms of a data-dependent Python ``if`` are counted — the SIMD cost
@@ -32,7 +36,6 @@ from typing import Dict, List, Tuple
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.dim3 import as_dim3
-from ..trace.instr import InstrClass
 from ..trace.trace import KernelTrace
 from .interp import interpret
 from .rules import sample_coords
@@ -100,16 +103,6 @@ class KernelCensus:
         return out
 
 
-def census_block(target: LintTarget, coord: Tuple[int, int, int],
-                 spec: DeviceSpec = DEFAULT_DEVICE) -> KernelTrace:
-    """Instruction census of one sample block of a lint target."""
-    _recorder, ctx = interpret(target, coord, spec)
-    trace = ctx.census
-    trace.blocks_traced = 1
-    trace.threads_traced = float(ctx.threads_per_block)
-    return trace
-
-
 def census_target(target: LintTarget,
                   spec: DeviceSpec = DEFAULT_DEVICE) -> KernelCensus:
     """Census a lint target: sample representative blocks (first,
@@ -126,7 +119,7 @@ def census_target(target: LintTarget,
     coords = sample_coords(grid)
     for coord in coords:
         recorder, ctx = interpret(target, coord, spec)
-        per_block = ctx.census
+        per_block = ctx.trace
         per_block.blocks_traced = 1
         per_block.threads_traced = float(ctx.threads_per_block)
         merged.merge(per_block)
@@ -149,13 +142,3 @@ def census_target(target: LintTarget,
         block_trace=block_trace, trace=full,
         smem_bytes=smem_bytes, blocks_sampled=len(coords),
         limits=limits)
-
-
-def census_mix(census: KernelCensus) -> Dict[str, float]:
-    """Normalized instruction mix of a census (report convenience)."""
-    return census.trace.instruction_mix()
-
-
-#: classes whose counts the cross-validation harness compares against
-#: dynamic LaunchProfiler traces (every class the DSL emits)
-VALIDATED_CLASSES = tuple(InstrClass)

@@ -34,18 +34,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..cuda.context import (
-    CTX_OPS,
-    divergent_warps,
-    mask_counts,
-    warp_lane_counts,
-)
+from ..cuda.context import CTX_OPS, BlockAccounting
 from ..cuda.dim3 import Dim3, as_dim3
 from ..cuda.source import SOURCE_ERRORS, closure_env, kernel_source
-from ..sim.memsys import (
+# re-exported: benchmarks/suite/layers.py patches the names here (the
+# census calls them through repro.cuda.context)
+from ..sim.memsys import (  # noqa: F401
     block_bank_conflicts,
     coalesce_block_access,
-    constant_broadcast_passes,
 )
 from ..trace.instr import InstrClass
 from ..trace.trace import KernelTrace
@@ -67,9 +63,9 @@ LOOP_CAP = 512
 #: iterations to run a data-dependent while loop for
 UNKNOWN_WHILE_ITERS = 2
 
-#: op-name -> instruction class for the static census, mirroring the
-#: per-method _emit calls of :class:`~repro.cuda.context.BlockContext`
-#: (fsub accounts as FADD, fmin/fmax as FCMP, exactly like the DSL)
+#: op-name -> instruction class for the static census: the class each
+#: :class:`~repro.cuda.context.BlockContext` method emits (fsub
+#: accounts as FADD, fmin/fmax as FCMP)
 CENSUS_FARITH: Dict[str, InstrClass] = {
     "fma": InstrClass.FMA,
     "fadd": InstrClass.FADD,
@@ -232,42 +228,36 @@ class _MaskedCM:
         self._cond = cond
 
     def __enter__(self) -> None:
-        # BlockContext.masked issues the predicate-set and branch under
-        # the parent mask, before divergence takes effect
-        self._ctx._census_branch(self._cond)
-        self._ctx._census_emit(InstrClass.SETP)
-        self._ctx._census_emit(InstrClass.BRANCH)
-        self._ctx._push_mask(self._cond)
+        self._ctx._enter_masked(self._cond)
 
     def __exit__(self, *_exc) -> bool:
         self._ctx._pop_mask()
         return False
 
 
-class LintContext:
+class LintContext(BlockAccounting):
     """Event-recording stand-in for
     :class:`~repro.cuda.context.BlockContext`.
 
     Method dispatch is generated from :data:`CTX_OPS`; a DSL method
     with no entry there simply does not exist here, which keeps the
-    metadata table honest.
+    metadata table honest.  Every charge to :attr:`trace` goes through
+    :class:`~repro.cuda.context.BlockAccounting`, the accounting
+    execution uses; the identity helpers are inherited as they are.
     """
+
+    #: static instruction census of this sample block, charged exactly
+    #: as executing the block records its trace, so
+    #: :mod:`repro.analysis.census` compares one-for-one with dynamic
+    #: LaunchProfiler counters
+    trace: KernelTrace
 
     def __init__(self, spec: DeviceSpec, grid: Dim3, block: Dim3,
                  coord: Tuple[int, int, int], recorder: Recorder) -> None:
-        self.spec = spec
-        self.gridDim = grid
-        self.blockDim = block
+        super().__init__(spec, grid, block, KernelTrace())
         self._recorder = recorder
 
         T = block.size
-        tid = np.arange(T, dtype=np.int64)
-        self.tid = tid
-        self.tx = tid % block.x
-        self.ty = (tid // block.x) % block.y
-        self.tz = tid // (block.x * block.y)
-        self.threads_per_block = T
-        self.nwarps = -(-T // spec.warp_size)
         bx, by, bz = coord
         self.bx = SymVal.concrete(bx, "int", frozenset({BLOCK_COORD}))
         self.by = SymVal.concrete(by, "int", frozenset({BLOCK_COORD}))
@@ -280,57 +270,38 @@ class LintContext:
         # (active-lane superset, exactly known?, divergent?)
         self._mask_stack: List[Tuple[np.ndarray, bool, bool]] = [
             (np.ones(T, dtype=bool), True, False)]
-        base = self._mask_stack[0][0]
-        self._base_lane_counts = warp_lane_counts(base, spec.warp_size)
-        #: census ``(active warps, partial warps, active lanes)`` of each
-        #: ``_mask_stack`` level, computed once when the level is pushed
-        #: (as BlockContext does)
-        self._level_counts: List[Tuple[int, int, int]] = [
-            mask_counts(base, self._base_lane_counts, spec.warp_size)]
         #: current barrier interval (bumped by every __syncthreads())
         self._sync_interval = 0
-        self._smem_words = 0
         self.shared_arrays: List[LintShared] = []
-        #: static instruction census of this sample block — warp-level
-        #: instruction counts recorded exactly the way BlockContext's
-        #: _emit does, so :mod:`repro.analysis.census` can compare them
-        #: against dynamic LaunchProfiler trace counters one-for-one
-        self.census = KernelTrace()
 
         for op_name, op in CTX_OPS.items():
             if op.category == "identity":
                 continue
             setattr(self, op_name, _bind_dispatch(self, op_name, op))
 
-    # -- identity helpers (mirror BlockContext) -------------------------
-    def global_tid_x(self):
-        return self.bx * self.blockDim.x + self.tx
-
-    def global_tid_y(self):
-        return self.by * self.blockDim.y + self.ty
-
-    def global_tid(self):
-        return self.block_linear * self.blockDim.size + self.tid
-
     # -- mask machinery -------------------------------------------------
     @property
     def mask(self) -> np.ndarray:
         return self._mask_stack[-1][0]
 
-    def _push_mask(self, cond) -> None:
-        parent, parent_exact, parent_div = self._mask_stack[-1]
+    def _enter_masked(self, cond: Any) -> None:
+        """``ctx.masked``: charge the branch under the parent mask,
+        then push the child mask."""
+        parent, exact, divergent = self._mask_stack[-1]
         sym = as_sym(cond)
         value = sym.concrete_value()
         if value is None:
-            # unknown condition: active set is some subset of parent
+            # an unknown thread-varying predicate (a data-dependent
+            # per-lane test) is charged as splitting every active warp;
+            # an unknown scalar is uniform, every lane takes one side
+            self._branch(parent, None if is_varying(sym) else parent)
             self.push_unknown_branch()
             return
-        m = parent & np.broadcast_to(
-            np.asarray(value, dtype=bool), parent.shape)
-        divergent = parent_div or not bool(m.all())
-        self._mask_stack.append((m, parent_exact, divergent))
-        self._level_counts.append(mask_counts(
-            m, self._base_lane_counts, self.spec.warp_size))
+        lanes = np.broadcast_to(np.asarray(value, dtype=bool), parent.shape)
+        self._branch(parent, lanes)
+        m = parent & lanes
+        self._mask_stack.append((m, exact, divergent or not bool(m.all())))
+        self._push_level(m)
 
     def _pop_mask(self) -> None:
         self._mask_stack.pop()
@@ -350,109 +321,8 @@ class LintContext:
         return self._mask_stack[-1]
 
     # -- event helpers --------------------------------------------------
-    @property
-    def smem_bytes(self) -> int:
-        return self._smem_words * 4
-
     def _line(self) -> int:
         return self._recorder.current_line
-
-    # -- census (static instruction/byte accounting) --------------------
-    def _census_branch(self, cond) -> None:
-        """Mirror of BlockContext.masked's branch bookkeeping: count the
-        warps whose parent-active lanes disagree on ``cond``.  An
-        unknown *thread-varying* condition (a data-dependent per-lane
-        predicate) is charged pessimistically as all-warps-divergent;
-        an unknown scalar is uniform — every lane agrees."""
-        warps = self._level_counts[-1][0]
-        if warps == 0:
-            return
-        sym = as_sym(cond)
-        value = sym.concrete_value()
-        if value is None:
-            divergent = warps if is_varying(sym) else 0
-        else:
-            parent = self._mask_state()[0]
-            divergent = divergent_warps(
-                parent, np.broadcast_to(np.asarray(value, dtype=bool),
-                                        parent.shape),
-                self.spec.warp_size)
-        self.census.record_branch(warps, divergent)
-
-    def _census_emit(self, cls: InstrClass, count: int = 1) -> None:
-        """Mirror of BlockContext._emit: one warp instruction per warp
-        with any active lane, under the current divergence mask.  A
-        partial-mask warp (divergence in effect) still occupies a full
-        issue slot — counted toward the serialized-divergence total."""
-        if count == 0:
-            return
-        warps, partial, lanes = self._level_counts[-1]
-        if warps == 0:
-            return
-        if partial:
-            self.census.record_divergent_issue(partial * count)
-        self.census.record_instr(cls, warps * count, lanes * count)
-
-    def _census_global(self, name: str, index_sym: SymVal, itemsize: int,
-                       mask: np.ndarray, kind: str = "ld") -> None:
-        """Static coalescing outcome of one global access event, using
-        the same :func:`coalesce_block_access` the simulator applies to
-        real addresses (so the device's coalescing rule is honoured).
-        A data-dependent index (a gather/scatter) is charged
-        pessimistically: one transaction per active thread at the
-        minimum bus granularity."""
-        nthreads = mask.shape[0]
-        value = index_sym.concrete_value()
-        if value is not None:
-            lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                    (nthreads,))
-            wa, txn, bus, useful, coal = coalesce_block_access(
-                lanes * itemsize, mask, itemsize, self.spec)
-        else:
-            n = int(mask.sum())
-            if n == 0:
-                return
-            group = self.spec.coalesce_group
-            wa = -(-n // group)
-            txn = n
-            bus = n * max(itemsize, self.spec.min_transaction_bytes)
-            useful = n * itemsize
-            coal = 0
-        self.census.record_global_access(name, wa, txn, bus, useful, coal,
-                                         kind=kind)
-
-    def _census_shared(self, array: "LintShared", index_sym: SymVal,
-                       mask: np.ndarray) -> None:
-        """Static bank-conflict serialization cycles, mirroring
-        BlockContext._record_bank_conflicts for concrete indices."""
-        value = index_sym.concrete_value()
-        if value is None:
-            return
-        nthreads = mask.shape[0]
-        words = (np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                 (nthreads,))
-                 * max(1, array.itemsize // 4) + array.word_offset)
-        accesses, degree = block_bank_conflicts(words, mask, self.spec)
-        group_share = self.spec.shared_access_group / self.spec.warp_size
-        extra = (degree - accesses) * (
-            self.spec.timing.issue_cycles_per_warp_inst * group_share)
-        if extra:
-            self.census.record_shared_conflict(extra)
-
-    def _census_const(self, index_sym: SymVal, mask: np.ndarray) -> None:
-        """Constant-cache broadcast serialization: threads of a
-        coalescing group reading different words serialize one
-        word/cycle."""
-        value = index_sym.concrete_value()
-        if value is None:
-            return
-        words = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                mask.shape)
-        passes = constant_broadcast_passes(words, mask, self.spec)
-        if passes:
-            group_share = self.spec.coalesce_group / self.spec.warp_size
-            self.census.record_shared_conflict(passes * (
-                self.spec.timing.issue_cycles_per_warp_inst * group_share))
 
     def _record_access(self, op: str, space: str, array, index) -> None:
         mask, exact, divergent = self._mask_state()
@@ -483,14 +353,26 @@ class LintContext:
             mask=mask.copy(), mask_exact=exact, mask_divergent=divergent,
             word_offset=word_offset, word_scale=word_scale,
             interval=self._sync_interval))
-        self._census_emit(CENSUS_MEM[(op, space)])
+        self._emit(CENSUS_MEM[(op, space)])
+        value = index_sym.concrete_value()
+        if space == "global" and (value is None or op == "atom"):
+            # atomics serialize whatever the index; an unknown index (a
+            # gather/scatter) is charged as the same worst case
+            self._record_serialized(array, mask, op)
+            return
+        if space == "tex" or value is None:
+            # a texture read charges only its issue; unknown shared or
+            # constant words charge no conflict cycles
+            return
+        lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
+                                mask.shape)
         if space == "global":
-            self._census_global(name, index_sym, itemsize, mask,
-                                kind="atom" if op == "atom" else op)
+            self._record_global(array, lanes * itemsize, mask, op)
         elif space == "shared":
-            self._census_shared(array, index_sym, mask)
+            self._record_bank_conflicts(lanes * word_scale + word_offset,
+                                        mask)
         elif space == "const":
-            self._census_const(index_sym, mask)
+            self._record_broadcast(lanes, mask)
 
     def _loaded_value(self, array) -> SymVal:
         if isinstance(array, LintShared):
@@ -503,21 +385,21 @@ class LintContext:
     def dispatch(self, name: str, op, *args, **kwargs):
         cat = op.category
         if cat in ("farith", "sfu"):
-            self._census_emit(CENSUS_FARITH.get(name, InstrClass.SFU))
+            self._emit(CENSUS_FARITH.get(name, InstrClass.SFU))
             taints = frozenset().union(*(taints_of(a) for a in args)) \
                 if args else frozenset()
             varying = any(is_varying(a) for a in args)
             return SymVal.opaque("float", taints, varying)
         if cat == "iarith":
-            self._census_emit(InstrClass.IMUL if name == "imul"
-                              else InstrClass.IALU)
+            self._emit(InstrClass.IMUL if name == "imul"
+                       else InstrClass.IALU)
             return _int_arith(name, *args)
         if cat == "cvt":
-            self._census_emit(InstrClass.CVT)
+            self._emit(InstrClass.CVT)
             value, dtype = args[0], args[1] if len(args) > 1 else np.float32
             return as_sym(value).astype(dtype)
         if cat == "select":
-            self._census_emit(InstrClass.SETP)
+            self._emit(InstrClass.SETP)
             cond, new, old = args
             return _select(cond, new, old)
         if cat == "merge":
@@ -562,7 +444,7 @@ class LintContext:
                                           divergent=divergent or not exact,
                                           interval=self._sync_interval))
             self._sync_interval += 1
-            self._census_emit(InstrClass.SYNC)
+            self._emit(InstrClass.SYNC)
             return None
         if cat == "masked":
             return _MaskedCM(self, args[0])
@@ -574,12 +456,8 @@ class LintContext:
             mask = self._mask_state()[0]
             return bool(np.any(np.broadcast_to(
                 np.asarray(value, dtype=bool), mask.shape) & mask))
-        if cat == "meta":       # loop_tail / address_ops
-            count = int(args[0]) if args else 1
-            self._census_emit(InstrClass.IALU, count)
-            if name == "loop_tail":
-                self._census_emit(InstrClass.SETP)
-                self._census_emit(InstrClass.BRANCH)
+        if cat == "meta":       # the inherited loop_tail / address_ops
+            getattr(BlockAccounting, name)(self, *map(int, args), **kwargs)
             return None
         raise AnalysisLimit(f"unmodeled ctx op {name!r} ({cat})")
 

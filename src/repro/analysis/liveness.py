@@ -327,10 +327,3 @@ def estimate_registers(kernel) -> RegisterEstimate:
         return RegisterEstimate(name, regs, peak_names, classes)
     except Exception:
         return RegisterEstimate(name, declared, (), {}, fallback=True)
-
-
-def static_registers(kernel, prefer_declared: bool = False) -> int:
-    """The register count downstream occupancy math should use."""
-    if prefer_declared:
-        return int(getattr(kernel, "regs_per_thread", 10))
-    return estimate_registers(kernel).regs

@@ -880,7 +880,7 @@ def analyze_target(target: LintTarget, app: str = "",
                     hazards.append(ev)
         smem_bytes = max(smem_bytes, ctx.smem_bytes + static_smem)
         regs_estimated = max(regs_estimated, recorder.live_regs_max)
-        census_total.merge(ctx.census)
+        census_total.merge(ctx.trace)
         for note in recorder.notes:
             if note not in notes:
                 notes.append(note)

@@ -328,13 +328,6 @@ def is_varying(value: SymLike) -> bool:
     return arr.ndim > 0 and arr.size > 1 and (arr != arr.flat[0]).any()
 
 
-def _native(value: SymLike):
-    """The exact native value, or ``None`` if any part is unknown."""
-    if isinstance(value, SymVal):
-        return value.concrete_value()
-    return value
-
-
 def _result_kind(op: str, a: SymVal, b: SymVal) -> str:
     if op == "truediv":
         return "float"

@@ -29,6 +29,16 @@ The same execution serves two purposes: it mutates real device arrays
 (functional correctness, checked against NumPy references in the test
 suite) and it emits the dynamic instruction/memory trace that the
 performance models consume (the paper's PTX-inspection methodology).
+
+What each op costs is charged in one place, :class:`BlockAccounting`:
+warp and lane counts under the divergence mask, the branch charge,
+loop and address bookkeeping, and one charge per memory kind (bank
+conflicts, constant broadcast passes, coalesced global access through
+any L1/L2 hierarchy, serialized atomics).  :class:`BlockContext`
+inherits it to execute a block; the static analyzer's
+:class:`~repro.analysis.interp.LintContext` inherits it to interpret a
+block's source, so the static census counts what execution records by
+construction.
 """
 
 from __future__ import annotations
@@ -148,8 +158,7 @@ CTX_ATTRS: Tuple[str, ...] = (
 
 
 # ----------------------------------------------------------------------
-# Warp accounting under a divergence mask (shared with the analyzer's
-# LintContext, so the census counts warps exactly as execution does)
+# Warp accounting under a divergence mask
 # ----------------------------------------------------------------------
 
 def warp_lane_counts(mask: np.ndarray, warp_size: int) -> np.ndarray:
@@ -181,27 +190,31 @@ def divergent_warps(parent: np.ndarray, cond: np.ndarray,
     return int(((taken > 0) & (skipped > 0)).sum())
 
 
-class BlockContext:
-    """Execution context of one thread block (see module docstring)."""
+class BlockAccounting:
+    """Charges every ``ctx`` op of one thread block to a
+    :class:`~repro.trace.trace.KernelTrace` (see module docstring).
+
+    Subclasses own the divergence mask and push each mask level's warp
+    counts with :meth:`_push_level`; every charge reads the innermost
+    level.  They also set the block coordinates ``bx``/``by`` and
+    ``block_linear`` the identity helpers read.  :meth:`_emit` and
+    :meth:`_branch` do nothing without a trace; the ``_record_*``
+    memory charges expect one, so a caller skips computing their lanes
+    when ``trace`` is None.
+    """
 
     def __init__(
         self,
         spec: DeviceSpec,
         grid: Dim3,
         block: Dim3,
-        block_coord: Tuple[int, int, int],
-        trace: Optional[KernelTrace] = None,
+        trace: Optional[KernelTrace],
         caches: Optional[Dict[str, DirectMappedCache]] = None,
         stream: Optional[list] = None,
-        kernel_name: str = "",
     ) -> None:
         self.spec = spec
         self.gridDim = grid
         self.blockDim = block
-        self.bx, self.by, self.bz = block_coord
-        #: name of the kernel this block belongs to; used to correlate
-        #: runtime CudaModelErrors with static-analyzer findings
-        self.kernel_name = kernel_name
 
         T = block.size
         tid = np.arange(T, dtype=np.int64)
@@ -209,11 +222,10 @@ class BlockContext:
         self.tx = tid % block.x
         self.ty = (tid // block.x) % block.y
         self.tz = tid // (block.x * block.y)
-        self.nthreads = T
-        #: threads of ONE block — equals ``nthreads`` here, but stays
-        #: per-block under compiled whole-grid execution, where
-        #: ``nthreads`` widens to all lanes of the segment; index math
-        #: that means "block size" must use this, not ``nthreads``
+        #: threads of ONE block — stays per-block under compiled
+        #: whole-grid execution, where ``nthreads`` widens to all lanes
+        #: of the segment; index math that means "block size" must use
+        #: this, not ``nthreads``
         self.threads_per_block = T
         self.nwarps = -(-T // spec.warp_size)
 
@@ -222,35 +234,19 @@ class BlockContext:
         #: ordered instruction stream for the event-driven warp
         #: simulator (populated when the launch records streams)
         self.stream = stream
-        self._mask_stack: List[np.ndarray] = [np.ones(T, dtype=bool)]
+        base = np.ones(T, dtype=bool)
         #: per-warp lane counts of the base mask (the reference for
         #: divergence-serialization accounting)
-        self._base_lane_counts = warp_lane_counts(self._mask_stack[0],
-                                                  spec.warp_size)
-        #: ``(active warps, partial warps, active lanes)`` of each
-        #: ``_mask_stack`` level, computed once when the level is pushed
+        self._base_lane_counts = warp_lane_counts(base, spec.warp_size)
+        #: ``(active warps, partial warps, active lanes)`` of each mask
+        #: level, computed once when the level is pushed
         self._level_counts: List[Tuple[int, int, int]] = [
-            mask_counts(self._mask_stack[0], self._base_lane_counts,
-                        spec.warp_size)]
+            mask_counts(base, self._base_lane_counts, spec.warp_size)]
         self._smem_words = 0
-        self.shared_arrays: List[SharedArray] = []
-
-    def _where(self) -> str:
-        """Error-message prefix naming the kernel and block geometry so
-        runtime failures correlate with static-analyzer findings."""
-        name = self.kernel_name or "<kernel>"
-        b = self.blockDim
-        return (f"{name} [block {b.x}x{b.y}x{b.z}, "
-                f"blockIdx ({self.bx},{self.by},{self.bz})]")
 
     # ------------------------------------------------------------------
     # Thread identity helpers
     # ------------------------------------------------------------------
-    @property
-    def block_linear(self) -> int:
-        """Linear block index within the grid."""
-        return self.gridDim.linear(self.bx, self.by, self.bz)
-
     def global_tid_x(self) -> np.ndarray:
         """``blockIdx.x * blockDim.x + threadIdx.x`` for every thread."""
         return self.bx * self.blockDim.x + self.tx
@@ -260,15 +256,20 @@ class BlockContext:
 
     def global_tid(self) -> np.ndarray:
         """Grid-wide linear thread id (x fastest, matching CUDA)."""
-        block_threads = self.blockDim.size
-        return self.block_linear * block_threads + self.tid
+        return self.block_linear * self.blockDim.size + self.tid
+
+    @property
+    def smem_bytes(self) -> int:
+        return self._smem_words * 4
 
     # ------------------------------------------------------------------
-    # Mask / divergence machinery
+    # Issue accounting
     # ------------------------------------------------------------------
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask_stack[-1]
+    def _push_level(self, mask: np.ndarray) -> None:
+        """Enter a mask level: count its warps once for every charge
+        made under it."""
+        self._level_counts.append(mask_counts(
+            mask, self._base_lane_counts, self.spec.warp_size))
 
     def _emit(self, cls: InstrClass, count: int = 1,
               mem: Optional[Tuple[float, float]] = None,
@@ -289,6 +290,152 @@ class BlockContext:
                             divergent_warps, partial)
                 for _ in range(count))
 
+    def _branch(self, parent: np.ndarray,
+                cond: Optional[np.ndarray]) -> None:
+        """Charge a branch: the warps whose ``parent``-active lanes
+        disagree on ``cond`` (every active warp when ``cond`` is None, a
+        predicate known only to vary per lane), then the predicate-set
+        and branch instructions, issued under the parent mask before
+        divergence takes effect."""
+        divergent = 0
+        if self.trace is not None:
+            warps = self._level_counts[-1][0]
+            if warps:
+                divergent = warps if cond is None else divergent_warps(
+                    parent, cond, self.spec.warp_size)
+                self.trace.record_branch(warps, divergent)
+        self._emit(InstrClass.SETP)
+        self._emit(InstrClass.BRANCH, divergent_warps=divergent)
+
+    # ------------------------------------------------------------------
+    # Loop bookkeeping (the instructions unrolling removes, Section 4.3)
+    # ------------------------------------------------------------------
+    def loop_tail(self, induction_updates: int = 1) -> None:
+        """Account the per-iteration loop overhead: ``induction_updates``
+        integer increments plus the compare and backward branch.  A
+        fully unrolled loop simply never calls this."""
+        self._emit(InstrClass.IALU, induction_updates)
+        self._emit(InstrClass.SETP)
+        self._emit(InstrClass.BRANCH)
+
+    def address_ops(self, count: int = 1) -> None:
+        """Account explicit address-calculation instructions that the
+        vectorized functional execution performs implicitly."""
+        self._emit(InstrClass.IALU, count)
+
+    # ------------------------------------------------------------------
+    # Memory charges
+    # ------------------------------------------------------------------
+    def _record_bank_conflicts(self, words: np.ndarray,
+                               mask: np.ndarray) -> None:
+        """Shared memory: serialization passes beyond one per access
+        group, from the shared-memory word each lane touches."""
+        accesses, degree = block_bank_conflicts(words, mask, self.spec)
+        # each extra serialization pass costs one access group's share
+        # of the warp issue time (a half-warp on 16-bank devices)
+        group_share = self.spec.shared_access_group / self.spec.warp_size
+        extra = (degree - accesses) * (
+            self.spec.timing.issue_cycles_per_warp_inst * group_share)
+        if extra:
+            self.trace.record_shared_conflict(extra)
+
+    def _record_broadcast(self, words: np.ndarray, mask: np.ndarray) -> None:
+        """Constant memory: threads of a coalescing group reading
+        different words serialize one word per pass."""
+        passes = constant_broadcast_passes(words, mask, self.spec)
+        if passes:
+            # each extra broadcast pass costs one coalescing group's
+            # share of the warp issue time
+            group_share = self.spec.coalesce_group / self.spec.warp_size
+            self.trace.record_shared_conflict(passes * (
+                self.spec.timing.issue_cycles_per_warp_inst * group_share))
+
+    def _record_global(self, arr, addresses: np.ndarray, mask: np.ndarray,
+                       kind: str) -> Tuple[float, float]:
+        """Global memory through the device's coalescing rule (``arr``
+        needs a ``name`` and an ``itemsize``); returns the per-warp
+        (transactions, bus bytes) for the warp simulator."""
+        wa, txn, bus, useful, coal = coalesce_block_access(
+            addresses, mask, arr.itemsize, self.spec)
+        request_bus = bus
+        hierarchy = self.caches.get("global")
+        if hierarchy is not None:
+            # Cached global path: only lines missing in every level
+            # occupy the DRAM bus; the transaction count (issue-side
+            # cost) is the classifier's verdict either way.
+            out = hierarchy.access(addresses, mask, arr.itemsize)
+            if hierarchy.l1 is not None:
+                self.trace.record_cache("l1", out.l1_hits, out.l1_misses)
+            if hierarchy.l2 is not None:
+                self.trace.record_cache("l2", out.l2_hits, out.l2_misses)
+            bus = out.dram_lines * hierarchy.line_bytes
+        self.trace.record_global_access(arr.name, wa, txn, bus, useful, coal,
+                                        kind=kind,
+                                        request_bus_bytes=request_bus)
+        warps = max(self._level_counts[-1][0], 1)
+        return (txn / warps, bus / warps)
+
+    def _record_serialized(self, arr, mask: np.ndarray, kind: str) -> None:
+        """A fully serialized global access: one minimum-size
+        transaction per active lane (what atomics pay)."""
+        n = int(mask.sum())
+        self.trace.record_global_access(
+            arr.name,
+            warp_accesses=-(-n // self.spec.coalesce_group),
+            transactions=n,
+            bus_bytes=n * self.spec.min_transaction_bytes,
+            useful_bytes=n * arr.itemsize,
+            coalesced_accesses=0,
+            kind=kind,
+        )
+
+
+class BlockContext(BlockAccounting):
+    """Execution context of one thread block (see module docstring)."""
+
+    def __init__(
+        self,
+        spec: DeviceSpec,
+        grid: Dim3,
+        block: Dim3,
+        block_coord: Tuple[int, int, int],
+        trace: Optional[KernelTrace] = None,
+        caches: Optional[Dict[str, DirectMappedCache]] = None,
+        stream: Optional[list] = None,
+        kernel_name: str = "",
+    ) -> None:
+        super().__init__(spec, grid, block, trace, caches, stream)
+        self.bx, self.by, self.bz = block_coord
+        #: name of the kernel this block belongs to; used to correlate
+        #: runtime CudaModelErrors with static-analyzer findings
+        self.kernel_name = kernel_name
+        self.nthreads = block.size
+        self._mask_stack: List[np.ndarray] = [np.ones(block.size, dtype=bool)]
+        self.shared_arrays: List[SharedArray] = []
+
+    def _where(self) -> str:
+        """Error-message prefix naming the kernel and block geometry so
+        runtime failures correlate with static-analyzer findings."""
+        name = self.kernel_name or "<kernel>"
+        b = self.blockDim
+        return (f"{name} [block {b.x}x{b.y}x{b.z}, "
+                f"blockIdx ({self.bx},{self.by},{self.bz})]")
+
+    # ------------------------------------------------------------------
+    # Thread identity helpers
+    # ------------------------------------------------------------------
+    @property
+    def block_linear(self) -> int:
+        """Linear block index within the grid."""
+        return self.gridDim.linear(self.bx, self.by, self.bz)
+
+    # ------------------------------------------------------------------
+    # Mask / divergence machinery
+    # ------------------------------------------------------------------
+    @property
+    def mask(self) -> np.ndarray:
+        return self._mask_stack[-1]
+
     @contextlib.contextmanager
     def masked(self, cond: np.ndarray):
         """Divergent branch: execute the body only where ``cond`` holds.
@@ -300,20 +447,11 @@ class BlockContext:
         exactly the SIMD divergence cost of Section 3.
         """
         cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.nthreads,))
-        divergent = 0
-        if self.trace is not None:
-            parent = self.mask
-            warps = self._level_counts[-1][0]
-            if warps:
-                divergent = divergent_warps(parent, cond,
-                                            self.spec.warp_size)
-                self.trace.record_branch(warps, divergent)
-        self._emit(InstrClass.SETP)
-        self._emit(InstrClass.BRANCH, divergent_warps=divergent)
-        mask = self.mask & cond
+        parent = self._mask_stack[-1]
+        self._branch(parent, cond)
+        mask = parent & cond
         self._mask_stack.append(mask)
-        self._level_counts.append(mask_counts(
-            mask, self._base_lane_counts, self.spec.warp_size))
+        self._push_level(mask)
         try:
             yield
         finally:
@@ -455,22 +593,6 @@ class BlockContext:
         return self._sfu(lambda v: 1.0 / v, x)
 
     # ------------------------------------------------------------------
-    # Loop bookkeeping (the instructions unrolling removes, Section 4.3)
-    # ------------------------------------------------------------------
-    def loop_tail(self, induction_updates: int = 1) -> None:
-        """Account the per-iteration loop overhead: ``induction_updates``
-        integer increments plus the compare and backward branch.  A
-        fully unrolled loop simply never calls this."""
-        self._emit(InstrClass.IALU, induction_updates)
-        self._emit(InstrClass.SETP)
-        self._emit(InstrClass.BRANCH)
-
-    def address_ops(self, count: int = 1) -> None:
-        """Account explicit address-calculation instructions that the
-        vectorized functional execution performs implicitly."""
-        self._emit(InstrClass.IALU, count)
-
-    # ------------------------------------------------------------------
     # Shared memory
     # ------------------------------------------------------------------
     def shared_alloc(self, shape, dtype=np.float32,
@@ -488,10 +610,6 @@ class BlockContext:
         self.shared_arrays.append(arr)
         return arr
 
-    @property
-    def smem_bytes(self) -> int:
-        return self._smem_words * 4
-
     def _flat_index(self, index: ArrayLike) -> np.ndarray:
         idx = np.asarray(index)
         if idx.ndim == 0:
@@ -508,7 +626,8 @@ class BlockContext:
         idx = self._flat_index(index)
         mask = self.mask
         self._emit(InstrClass.LD_SHARED)
-        self._record_bank_conflicts(sh, idx, mask)
+        if self.trace is not None:
+            self._record_bank_conflicts(sh.word_indices(idx), mask)
         # raw ufuncs skip np.clip's dispatch (hot: one call per load)
         safe = np.where(mask, np.minimum(np.maximum(idx, 0), sh.size - 1), 0)
         return sh.data[safe]
@@ -518,7 +637,8 @@ class BlockContext:
         idx = self._flat_index(index)
         mask = self.mask
         self._emit(InstrClass.ST_SHARED)
-        self._record_bank_conflicts(sh, idx, mask)
+        if self.trace is not None:
+            self._record_bank_conflicts(sh.word_indices(idx), mask)
         vals = self._bc(value, sh.data.dtype)
         hot = idx[mask]
         if hot.size and (hot.min() < 0 or hot.max() >= sh.size):
@@ -527,20 +647,6 @@ class BlockContext:
                 f"{sh.name!r}: indices span [{int(hot.min())}, "
                 f"{int(hot.max())}] vs size {sh.size}")
         sh.data[hot] = vals[mask]
-
-    def _record_bank_conflicts(self, sh: SharedArray, idx: np.ndarray,
-                               mask: np.ndarray) -> None:
-        if self.trace is None:
-            return
-        accesses, degree = block_bank_conflicts(
-            sh.word_indices(idx), mask, self.spec)
-        # each extra serialization pass costs one access group's share
-        # of the warp issue time (a half-warp on 16-bank devices)
-        group_share = self.spec.shared_access_group / self.spec.warp_size
-        extra = (degree - accesses) * (
-            self.spec.timing.issue_cycles_per_warp_inst * group_share)
-        if extra:
-            self.trace.record_shared_conflict(extra)
 
     # ------------------------------------------------------------------
     # Global memory
@@ -552,7 +658,9 @@ class BlockContext:
         idx = self._flat_index(index)
         mask = self.mask
         arr.check_bounds(idx, mask)
-        mem = self._record_global(arr, idx, mask, kind="ld")
+        mem = None
+        if self.trace is not None:
+            mem = self._record_global(arr, arr.addresses(idx), mask, "ld")
         self._emit(InstrClass.LD_GLOBAL, mem=mem)
         safe = np.where(mask, idx, 0)
         return arr.data[safe]
@@ -565,7 +673,9 @@ class BlockContext:
         idx = self._flat_index(index)
         mask = self.mask
         arr.check_bounds(idx, mask)
-        mem = self._record_global(arr, idx, mask, kind="st")
+        mem = None
+        if self.trace is not None:
+            mem = self._record_global(arr, arr.addresses(idx), mask, "st")
         self._emit(InstrClass.ST_GLOBAL, mem=mem)
         vals = self._bc(value, arr.data.dtype)
         arr.data[idx[mask]] = vals[mask]
@@ -579,45 +689,9 @@ class BlockContext:
         arr.check_bounds(idx, mask)
         self._emit(InstrClass.ATOM_GLOBAL)
         if self.trace is not None:
-            n = int(mask.sum())
-            group = self.spec.coalesce_group
-            self.trace.record_global_access(
-                arr.name,
-                warp_accesses=-(-n // group),
-                transactions=n,
-                bus_bytes=n * self.spec.min_transaction_bytes,
-                useful_bytes=n * arr.itemsize,
-                coalesced_accesses=0,
-                kind="atom",
-            )
+            self._record_serialized(arr, mask, "atom")
         vals = self._bc(value, arr.data.dtype)
         np.add.at(arr.data, idx[mask], vals[mask])
-
-    def _record_global(self, arr: DeviceArray, idx: np.ndarray,
-                       mask: np.ndarray, kind: str = "ld",
-                       ) -> Optional[Tuple[float, float]]:
-        if self.trace is None:
-            return None
-        addresses = arr.addresses(idx)
-        wa, txn, bus, useful, coal = coalesce_block_access(
-            addresses, mask, arr.itemsize, self.spec)
-        request_bus = bus
-        hierarchy = self.caches.get("global")
-        if hierarchy is not None:
-            # Cached global path: only lines missing in every level
-            # occupy the DRAM bus; the transaction count (issue-side
-            # cost) is the classifier's verdict either way.
-            out = hierarchy.access(addresses, mask, arr.itemsize)
-            if hierarchy.l1 is not None:
-                self.trace.record_cache("l1", out.l1_hits, out.l1_misses)
-            if hierarchy.l2 is not None:
-                self.trace.record_cache("l2", out.l2_hits, out.l2_misses)
-            bus = out.dram_lines * hierarchy.line_bytes
-        self.trace.record_global_access(arr.name, wa, txn, bus, useful, coal,
-                                        kind=kind,
-                                        request_bus_bytes=request_bus)
-        warps = max(self._level_counts[-1][0], 1)
-        return (txn / warps, bus / warps)
 
     # ------------------------------------------------------------------
     # Cached read-only paths
@@ -628,16 +702,9 @@ class BlockContext:
         mask = self.mask
         arr.check_bounds(idx, mask)
         self._emit(cls)
-        if self.trace is not None and space == "const":
-            passes = constant_broadcast_passes(idx, mask, self.spec)
-            if passes:
-                # each extra broadcast pass costs one coalescing
-                # group's share of the warp issue time
-                group_share = self.spec.coalesce_group / self.spec.warp_size
-                self.trace.record_shared_conflict(passes * (
-                    self.spec.timing.issue_cycles_per_warp_inst
-                    * group_share))
         if self.trace is not None:
+            if space == "const":
+                self._record_broadcast(idx, mask)
             cache = self.caches.get(space)
             if cache is not None:
                 hits, misses = cache.access(arr.addresses(idx), mask)

@@ -54,36 +54,47 @@ def _dim_str(dim) -> str:
     return "x".join(str(p) for p in parts)
 
 
-def _io_split(trace) -> Dict[str, float]:
-    """nvprof-style load/store traffic split out of a trace."""
-    return {
-        "gld_accesses": trace.gld_accesses,
-        "gld_transactions": trace.gld_transactions,
-        "gld_bus_bytes": trace.gld_bus_bytes,
-        "gld_useful_bytes": trace.gld_useful_bytes,
-        "gst_accesses": trace.gst_accesses,
-        "gst_transactions": trace.gst_transactions,
-        "gst_bus_bytes": trace.gst_bus_bytes,
-        "gst_useful_bytes": trace.gst_useful_bytes,
-    }
-
-
-def _shared_insts(trace) -> float:
+def _trace_fields(trace) -> Dict[str, object]:
+    """A record's trace-derived counters, the same for an executed
+    launch and a static census."""
     from ..trace.instr import InstrClass
-    return float(trace.warp_insts[InstrClass.LD_SHARED]
-                 + trace.warp_insts[InstrClass.ST_SHARED])
-
-
-def _cache_counters(trace) -> Dict[str, float]:
-    """Every cached path's hit/miss counters, L1/L2 included."""
-    return {"const_hits": trace.const_hits,
-            "const_misses": trace.const_misses,
-            "tex_hits": trace.tex_hits,
-            "tex_misses": trace.tex_misses,
-            "l1_hits": trace.l1_hits,
-            "l1_misses": trace.l1_misses,
-            "l2_hits": trace.l2_hits,
-            "l2_misses": trace.l2_misses}
+    return dict(
+        warp_insts=trace.total_warp_insts,
+        flops=trace.flops,
+        global_transactions=trace.global_transactions,
+        global_warp_accesses=sum(s.warp_accesses
+                                 for s in trace.per_array.values()),
+        global_bus_bytes=trace.global_bus_bytes,
+        transactions_per_access={
+            name: round(stats.transactions_per_access, 4)
+            for name, stats in sorted(trace.per_array.items())},
+        # nvprof-style load/store traffic split
+        io={"gld_accesses": trace.gld_accesses,
+            "gld_transactions": trace.gld_transactions,
+            "gld_bus_bytes": trace.gld_bus_bytes,
+            "gld_useful_bytes": trace.gld_useful_bytes,
+            "gst_accesses": trace.gst_accesses,
+            "gst_transactions": trace.gst_transactions,
+            "gst_bus_bytes": trace.gst_bus_bytes,
+            "gst_useful_bytes": trace.gst_useful_bytes},
+        shared_insts=float(trace.warp_insts[InstrClass.LD_SHARED]
+                           + trace.warp_insts[InstrClass.ST_SHARED]),
+        bank_conflict_cycles=trace.shared_conflict_cycles,
+        # every cached path's hit/miss counters, L1/L2 included
+        cache={"const_hits": trace.const_hits,
+               "const_misses": trace.const_misses,
+               "tex_hits": trace.tex_hits,
+               "tex_misses": trace.tex_misses,
+               "l1_hits": trace.l1_hits,
+               "l1_misses": trace.l1_misses,
+               "l2_hits": trace.l2_hits,
+               "l2_misses": trace.l2_misses},
+        syncs=trace.syncs,
+        branch_warps=trace.branch_warps,
+        divergent_branch_warps=trace.divergent_branch_warps,
+        divergence_serialized_warp_insts=(
+            trace.divergence_serialized_warp_insts),
+    )
 
 
 def _hit_rate(hits: float, misses: float) -> Optional[float]:
@@ -144,8 +155,6 @@ class LaunchRecord:
         """Build a record from an executed
         :class:`~repro.cuda.launch.LaunchResult`."""
         trace = result.trace
-        per_array = {name: round(stats.transactions_per_access, 4)
-                     for name, stats in sorted(trace.per_array.items())}
         rec = cls(
             kernel=result.kernel.name,
             grid=_dim_str(result.grid),
@@ -158,22 +167,7 @@ class LaunchRecord:
             device=result.spec.name,
             dispositions=dict(result.block_dispositions),
             stage_seconds=dict(result.stage_seconds),
-            warp_insts=trace.total_warp_insts,
-            flops=trace.flops,
-            global_transactions=trace.global_transactions,
-            global_warp_accesses=sum(s.warp_accesses
-                                     for s in trace.per_array.values()),
-            global_bus_bytes=trace.global_bus_bytes,
-            transactions_per_access=per_array,
-            io=_io_split(trace),
-            shared_insts=_shared_insts(trace),
-            bank_conflict_cycles=trace.shared_conflict_cycles,
-            cache=_cache_counters(trace),
-            syncs=trace.syncs,
-            branch_warps=trace.branch_warps,
-            divergent_branch_warps=trace.divergent_branch_warps,
-            divergence_serialized_warp_insts=(
-                trace.divergence_serialized_warp_insts),
+            **_trace_fields(trace),
         )
         rec.spec = result.spec
         if estimate and trace.total_warp_insts > 0:
@@ -201,9 +195,6 @@ class LaunchRecord:
         dynamic trace would, with the executor marked ``"census"`` and
         all stage timings zero.
         """
-        trace = census.trace
-        per_array = {name: round(stats.transactions_per_access, 4)
-                     for name, stats in sorted(trace.per_array.items())}
         return cls(
             kernel=census.label,
             grid="x".join(str(d) for d in census.grid),
@@ -213,25 +204,7 @@ class LaunchRecord:
             blocks_executed=0,
             blocks_traced=census.blocks_sampled,
             memo_hits=0,
-            device=census.spec.name if hasattr(census, "spec") else "",
-            dispositions={},
-            stage_seconds={},
-            warp_insts=trace.total_warp_insts,
-            flops=trace.flops,
-            global_transactions=trace.global_transactions,
-            global_warp_accesses=sum(s.warp_accesses
-                                     for s in trace.per_array.values()),
-            global_bus_bytes=trace.global_bus_bytes,
-            transactions_per_access=per_array,
-            io=_io_split(trace),
-            shared_insts=_shared_insts(trace),
-            bank_conflict_cycles=trace.shared_conflict_cycles,
-            cache=_cache_counters(trace),
-            syncs=trace.syncs,
-            branch_warps=trace.branch_warps,
-            divergent_branch_warps=trace.divergent_branch_warps,
-            divergence_serialized_warp_insts=(
-                trace.divergence_serialized_warp_insts),
+            **_trace_fields(census.trace),
         )
 
     # ------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_interp_mask_stack_balances(data):
 
     nest(0)
     assert len(ctx._mask_stack) == 1        # balanced after exit
-    trace = ctx.census
+    trace = ctx.trace
     assert 0 <= trace.divergent_branch_warps <= trace.branch_warps
     assert trace.divergence_serialized_warp_insts \
         <= trace.total_warp_insts

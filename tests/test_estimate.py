@@ -6,6 +6,9 @@ Covers the contracts of the PR's static cost model:
   ``LaunchProfiler`` trace counters on five apps (matmul, saxpy, cp,
   mri-q, rpes) when every block is traced — same accounting rules,
   no execution;
+* the census equals execution op by op, on one small kernel per
+  accounting path (arithmetic, bookkeeping, masks, each memory kind,
+  atomics) on G80 and GTX 480;
 * liveness reproduces the paper's register anecdotes exactly
   (tiled 10, +unroll 9, +prefetch 11) and never exceeds the declared
   counts on any shipped kernel;
@@ -29,6 +32,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +41,7 @@ from repro.analysis.advisor import advise_estimate, advise_target
 from repro.analysis.census import census_target
 from repro.analysis.estimate import estimate_app, estimate_target
 from repro.analysis.liveness import estimate_registers
+from repro.analysis.targets import LintArray, LintTarget
 from repro.analysis.validate import (
     MATMUL_LADDER,
     estimator_checks,
@@ -46,7 +51,8 @@ from repro.analysis.validate import (
     main as validate_main,
 )
 from repro.apps.registry import app_names, get_app
-from repro.arch.device import DEFAULT_DEVICE
+from repro.arch.device import DEFAULT_DEVICE, geforce_8800_gtx, gtx_480
+from repro.cuda import Device, kernel, launch
 from repro.obs import LaunchProfiler
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.sim.autotuner import MatmulAutotuner
@@ -83,6 +89,186 @@ CENSUS_CASES = [
      False),
     ("rpes", {"batches": 1, "trace_blocks": 256}, None, False),
 ]
+
+
+# One small kernel per accounting path, launched as 3 blocks x 64
+# threads with every block traced, so execution and the census (which
+# samples the first, middle and last block) see the same blocks.
+# Arrays are (name, space, size).
+PATH_BLOCKS, PATH_THREADS = 3, 64
+PATH_N = PATH_BLOCKS * PATH_THREADS
+
+
+@kernel("path_farith")
+def path_farith(ctx):
+    a = ctx.fma(ctx.tx, 2.0, 1.0)
+    a = ctx.fsub(ctx.fadd(a, 1.0), 0.5)
+    a = ctx.fdiv(ctx.fmul(a, a), 3.0)
+    ctx.fmax(ctx.fmin(a, 5.0), 1.0)
+
+
+@kernel("path_iarith")
+def path_iarith(ctx):
+    i = ctx.imul(ctx.iadd(ctx.tx, 1), 3)
+    i = ctx.ixor(ctx.ior(ctx.iand(ctx.isub(i, 1), 7), 8), 5)
+    ctx.ishr(ctx.ishl(i, 2), 1)
+
+
+@kernel("path_sfu")
+def path_sfu(ctx):
+    x = ctx.tx + 1.0
+    ctx.sfu_sin(x), ctx.sfu_cos(x), ctx.sfu_rsqrt(x), ctx.sfu_sqrt(x)
+    ctx.sfu_exp(x), ctx.sfu_log(x), ctx.sfu_rcp(x)
+
+
+@kernel("path_cvt_select")
+def path_cvt_select(ctx):
+    f = ctx.cvt(ctx.tx, np.float32)
+    ctx.select(ctx.tx < 10, f, 2.0)
+
+
+@kernel("path_bookkeeping")
+def path_bookkeeping(ctx):
+    ctx.loop_tail(2)
+    ctx.address_ops(3)
+    ctx.sync()
+
+
+@kernel("path_masked_divergent")
+def path_masked_divergent(ctx):
+    with ctx.masked(ctx.tx < 20):
+        ctx.fadd(ctx.tx, 1.0)
+
+
+@kernel("path_masked_nested")
+def path_masked_nested(ctx):
+    with ctx.masked(ctx.tx < 40):
+        ctx.fadd(ctx.tx, 1.0)
+        with ctx.masked(ctx.tx % 2 == 0):
+            ctx.fmul(ctx.tx, 2.0)
+
+
+@kernel("path_masked_uniform")
+def path_masked_uniform(ctx):
+    with ctx.masked(ctx.bx == 1):
+        ctx.fadd(ctx.tx, 1.0)
+
+
+@kernel("path_global_coalesced")
+def path_global_coalesced(ctx, x, y):
+    i = ctx.global_tid()
+    ctx.st_global(y, i, ctx.ld_global(x, i))
+
+
+@kernel("path_global_strided")
+def path_global_strided(ctx, x, y):
+    i = ctx.global_tid()
+    ctx.st_global(y, i * 3, ctx.ld_global(x, i * 2))
+
+
+@kernel("path_global_masked")
+def path_global_masked(ctx, x, y):
+    i = ctx.global_tid()
+    with ctx.masked(ctx.tx < 40):
+        ctx.st_global(y, i, ctx.ld_global(x, i))
+
+
+@kernel("path_atomic_contiguous")
+def path_atomic_contiguous(ctx, h):
+    ctx.atom_global_add(h, ctx.global_tid(), 1.0)
+
+
+@kernel("path_atomic_repeated")
+def path_atomic_repeated(ctx, h):
+    ctx.atom_global_add(h, ctx.tid % 4, 1.0)
+
+
+@kernel("path_shared_conflict_free")
+def path_shared_conflict_free(ctx):
+    s = ctx.shared_alloc((PATH_THREADS,), np.float32, "s")
+    ctx.st_shared(s, ctx.tid, 1.0)
+    ctx.sync()
+    ctx.ld_shared(s, ctx.tid)
+
+
+@kernel("path_shared_two_way")
+def path_shared_two_way(ctx):
+    s = ctx.shared_alloc((2 * PATH_THREADS,), np.float32, "s")
+    ctx.st_shared(s, ctx.tid * 2, 1.0)
+    ctx.sync()
+    ctx.ld_shared(s, ctx.tid * 2)
+
+
+@kernel("path_shared_broadcast")
+def path_shared_broadcast(ctx):
+    s = ctx.shared_alloc((PATH_THREADS,), np.float32, "s")
+    ctx.st_shared(s, ctx.tid, 1.0)
+    ctx.sync()
+    ctx.ld_shared(s, 0)
+
+
+@kernel("path_const_broadcast")
+def path_const_broadcast(ctx, c):
+    ctx.ld_const(c, ctx.bx)
+
+
+@kernel("path_const_serialized")
+def path_const_serialized(ctx, c):
+    ctx.ld_const(c, ctx.tid % 8)
+
+
+@kernel("path_texture")
+def path_texture(ctx, t):
+    ctx.ld_tex(t, ctx.global_tid())
+
+
+_GLOBAL_XY = (("x", "global", 2 * PATH_N), ("y", "global", 3 * PATH_N))
+_HIST = (("h", "global", PATH_N),)
+
+#: (kernel, arrays, serialized) — ``serialized`` rows are atomics, whose
+#: combined global totals are compared as well
+PATH_CASES = [
+    (path_farith, (), False),
+    (path_iarith, (), False),
+    (path_sfu, (), False),
+    (path_cvt_select, (), False),
+    (path_bookkeeping, (), False),
+    (path_masked_divergent, (), False),
+    (path_masked_nested, (), False),
+    (path_masked_uniform, (), False),
+    (path_global_coalesced, _GLOBAL_XY, False),
+    (path_global_strided, _GLOBAL_XY, False),
+    (path_global_masked, _GLOBAL_XY, False),
+    (path_atomic_contiguous, _HIST, True),
+    (path_atomic_repeated, _HIST, True),
+    (path_shared_conflict_free, (), False),
+    (path_shared_two_way, (), False),
+    (path_shared_broadcast, (), False),
+    (path_const_broadcast, (("c", "const", PATH_N),), False),
+    (path_const_serialized, (("c", "const", PATH_N),), False),
+    (path_texture, (("t", "tex", PATH_N),), False),
+]
+
+#: counters the census models exactly; const/tex/L1/L2 hits and misses
+#: and their fill and DRAM traffic depend on cache residency, which the
+#: census does not model
+PATH_COUNTERS = (
+    "flops", "syncs", "branch_warps", "divergent_branch_warps",
+    "divergence_serialized_warp_insts", "shared_conflict_cycles",
+    "gld_accesses", "gld_transactions", "gld_bus_bytes", "gld_useful_bytes",
+    "gst_accesses", "gst_transactions", "gst_bus_bytes", "gst_useful_bytes",
+)
+
+
+def _path_counters(trace, serialized: bool) -> dict:
+    out = {name: getattr(trace, name) for name in PATH_COUNTERS}
+    for cls in InstrClass:
+        out[f"warp_insts.{cls.value}"] = trace.warp_insts[cls]
+        out[f"thread_insts.{cls.value}"] = trace.thread_insts[cls]
+    if serialized:
+        out["global_transactions"] = trace.global_transactions
+        out["global_bus_bytes"] = trace.global_bus_bytes
+    return out
 
 
 class TestCensusAgreement:
@@ -129,6 +315,30 @@ class TestCensusAgreement:
                 pytest.approx(trace.global_bus_bytes, rel=1e-9)
             assert census.trace.global_useful_bytes == \
                 pytest.approx(trace.global_useful_bytes, rel=1e-9)
+
+    @pytest.mark.parametrize("spec_factory", [geforce_8800_gtx, gtx_480],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kern,arrays,serialized", PATH_CASES,
+                             ids=[case[0].name for case in PATH_CASES])
+    def test_census_equals_execution_per_path(self, kern, arrays,
+                                              serialized, spec_factory):
+        spec = spec_factory()
+        dev = Device(spec)
+        upload = {"global": dev.to_device, "const": dev.to_constant,
+                  "tex": dev.to_texture}
+        device_args = tuple(upload[space](np.zeros(size, np.float32), name)
+                            for name, space, size in arrays)
+        lint_args = tuple(LintArray(name, space, size)
+                          for name, space, size in arrays)
+        result = launch(kern, (PATH_BLOCKS,), (PATH_THREADS,), device_args,
+                        device=dev, trace_blocks=PATH_BLOCKS)
+        assert result.blocks_traced == PATH_BLOCKS
+        census = census_target(
+            LintTarget(kern, (PATH_BLOCKS,), (PATH_THREADS,), lint_args),
+            spec)
+        assert census.blocks_sampled == PATH_BLOCKS
+        assert _path_counters(census.trace, serialized) \
+            == _path_counters(result.trace, serialized)
 
     def test_census_fp_useful_fraction_naive_is_an_eighth(self):
         census = census_target(_matmul_target("naive"))
