@@ -107,6 +107,7 @@ class KernelReport:
     accesses: List[AccessSummary] = field(default_factory=list)
     smem_bytes: int = 0
     regs_declared: int = 0
+    #: registers/thread by liveness (:func:`.liveness.estimate_registers`)
     regs_estimated: int = 0
     threads_per_block: int = 0
     occupancy: Dict[str, object] = field(default_factory=dict)
@@ -122,9 +123,6 @@ class KernelReport:
     @property
     def label(self) -> str:
         return f"{self.kernel}[{self.note}]" if self.note else self.kernel
-
-    def max_severity(self) -> Optional[Severity]:
-        return max((f.severity for f in self.findings), default=None)
 
     def count(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity == severity)

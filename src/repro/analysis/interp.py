@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,15 +146,11 @@ class Recorder:
 
     events: List[object] = field(default_factory=list)
     notes: List[Tuple[int, str]] = field(default_factory=list)
-    live_regs_max: int = 0
     current_line: int = 0
-    live_counter: Optional[Callable[[], int]] = None
     _hazard_seen: set = field(default_factory=set)
 
     def emit(self, event) -> None:
         self.events.append(event)
-        if self.live_counter is not None:
-            self.live_regs_max = max(self.live_regs_max, self.live_counter())
 
     def hazard(self, kind: str, detail: str,
                line: Optional[int] = None) -> None:
@@ -786,8 +782,6 @@ class KernelInterp:
         block = as_dim3(tuple(target.block))
         self.ctx = LintContext(spec, grid, block, coord, self.recorder)
         self.shim = NpShim(self.recorder, block.size)
-        self.scopes: List[Scope] = []
-        self.recorder.live_counter = self._live_count
         self._builtins = self._make_builtins()
         self._depth = 0
 
@@ -806,20 +800,6 @@ class KernelInterp:
         return self.recorder
 
     # -- plumbing -------------------------------------------------------
-    def _live_count(self) -> int:
-        seen = set()
-        count = 0
-        for scope in reversed(self.scopes):
-            for name, value in scope.vars.items():
-                if name in seen:
-                    continue
-                seen.add(name)
-                if is_varying(value) if isinstance(value, (SymVal,)) \
-                        else (isinstance(value, np.ndarray)
-                              and value.ndim > 0 and value.size > 1):
-                    count += 1
-        return count
-
     def _make_builtins(self) -> dict:
         recorder = self.recorder
 
@@ -919,13 +899,11 @@ class KernelInterp:
                                     f"keyword {name!r}")
             scope.vars[name] = value
         self._depth += 1
-        self.scopes.append(scope)
         try:
             self._exec_block(node.body, scope, func)
         except _Return as ret:
             return ret.value
         finally:
-            self.scopes.pop()
             self._depth -= 1
         return None
 

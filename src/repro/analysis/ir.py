@@ -69,11 +69,6 @@ class IRInstr:
     def is_sync(self) -> bool:
         return "sync" in self.categories
 
-    @property
-    def is_load(self) -> bool:
-        return any(c in ("global_ld", "shared_ld", "const_ld", "tex_ld")
-                   for c in self.categories)
-
 
 @dataclass(frozen=True)
 class Branch:

@@ -49,6 +49,7 @@ from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SyncEvent, interpret
+from .liveness import estimate_registers
 from .symbolic import (
     classify_global,
     classify_shared,
@@ -840,7 +841,6 @@ def analyze_target(target: LintTarget, app: str = "",
     hazards: List[HazardEvent] = []
     hazard_keys: set = set()
     smem_bytes = static_smem
-    regs_estimated = 0
     notes: List[Tuple[int, str]] = []
     census_total = KernelTrace()
 
@@ -879,7 +879,6 @@ def analyze_target(target: LintTarget, app: str = "",
                     hazard_keys.add((ev.kind, ev.line))
                     hazards.append(ev)
         smem_bytes = max(smem_bytes, ctx.smem_bytes + static_smem)
-        regs_estimated = max(regs_estimated, recorder.live_regs_max)
         census_total.merge(ctx.trace)
         for note in recorder.notes:
             if note not in notes:
@@ -901,7 +900,7 @@ def analyze_target(target: LintTarget, app: str = "",
     report.accesses = sorted(merged_access.values(),
                              key=lambda s: (s.space, s.array))
     report.smem_bytes = smem_bytes
-    report.regs_estimated = regs_estimated
+    report.regs_estimated = estimate_registers(kernel).regs
     report.occupancy = occ_desc
     report.batch_hazards = sorted({h.kind for h in hazards})
     report.findings.sort(

@@ -21,13 +21,19 @@ Axes representation
     sequential backend runs threads, which is what makes fancy-index
     scatters (last-writer-wins) and ``np.add.at`` atomics bit-compatible.
 
-Numeric mirroring
-    Every helper reproduces the dtype behavior of
-    :class:`repro.cuda.context.BlockContext` *exactly* — the f32
-    casts of ``fma``, the NEP-50-sensitive ``result_type`` rule of
-    ``select``, the clip-vs-raise asymmetry of shared loads vs
-    stores — so compiled device arrays are bit-identical to the
-    reference backend.
+Shared value ops, own lane layout
+    ``GridRT`` inherits every value op (arithmetic, conversion,
+    ``select``, ``merge``, SFU, ``any_active``) and the memory-space,
+    shared-allocation and shared-store checks from
+    :class:`repro.cuda.context.LaneOps`, the code the reference
+    :class:`~repro.cuda.context.BlockContext` runs, with an ``_emit``
+    that charges nothing.  It keeps what its lane layout needs:
+    ``_bc`` reshapes a scalar to the ``(1, 1, 1, 1)`` seed, the mask
+    stack holds broadcastable masks, and the memory data paths gather
+    and scatter through 4-D segment views, with the
+    identity-permutation and block-invariant fast paths and the
+    clip-vs-raise asymmetry of shared loads vs stores.  So compiled
+    device arrays are bit-identical to the reference backend.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..arch.device import DeviceSpec
+from ..cuda.context import LaneOps
 from ..cuda.dim3 import Dim3
 from ..cuda.memory import CudaModelError
 
@@ -168,8 +175,9 @@ class _SharedTile:
         self._iota = np.arange(self.size, dtype=np.int64)
 
 
-class GridRT:
-    """Lowered-``ctx`` runtime over one contiguous block segment."""
+class GridRT(LaneOps):
+    """Lowered-``ctx`` runtime over one contiguous block segment (the
+    value ops and memory checks are :class:`LaneOps`'s)."""
 
     def __init__(self, prelude: GridPrelude, start: int, stop: int,
                  spec: DeviceSpec, kernel_name: str = "") -> None:
@@ -227,13 +235,6 @@ class GridRT:
     def pop_mask(self) -> None:
         self._mask_stack.pop()
 
-    def merge(self, new, old) -> np.ndarray:
-        return np.where(self.mask, self._bc(new), self._bc(old))
-
-    def any_active(self, cond) -> bool:
-        cond = np.asarray(cond, dtype=bool)
-        return bool(np.any(self._mask_stack[-1] & cond))
-
     def sync(self) -> None:
         """Whole-grid statements already execute at one program point
         for every thread — the barrier is trivially satisfied."""
@@ -278,103 +279,9 @@ class GridRT:
     def _full_flat(self, a: np.ndarray) -> np.ndarray:
         return np.broadcast_to(a, self.lane_shape).reshape(-1)
 
-    # -- arithmetic (bit-exact mirrors of BlockContext) ----------------
-    @staticmethod
-    def _f32(a: np.ndarray) -> np.ndarray:
-        """Dtype guarantee of BlockContext's trailing ``astype``
-        without its unconditional copy (f32-in/f32-out is the common
-        case and the values are identical either way)."""
-        return np.asarray(a, dtype=np.float32)
-
-    def fma(self, a, b, c) -> np.ndarray:
-        return self._f32(self._bc(a, np.float32) * self._bc(b, np.float32)
-                         + self._bc(c, np.float32))
-
-    def fadd(self, a, b) -> np.ndarray:
-        return self._f32(self._bc(a, np.float32)
-                         + self._bc(b, np.float32))
-
-    def fsub(self, a, b) -> np.ndarray:
-        return self._f32(self._bc(a, np.float32)
-                         - self._bc(b, np.float32))
-
-    def fmul(self, a, b) -> np.ndarray:
-        return self._f32(self._bc(a, np.float32)
-                         * self._bc(b, np.float32))
-
-    def fdiv(self, a, b) -> np.ndarray:
-        return self._f32(self._bc(a, np.float32)
-                         / self._bc(b, np.float32))
-
-    def fmin(self, a, b) -> np.ndarray:
-        return np.minimum(self._bc(a, np.float32), self._bc(b, np.float32))
-
-    def fmax(self, a, b) -> np.ndarray:
-        return np.maximum(self._bc(a, np.float32), self._bc(b, np.float32))
-
-    def iadd(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) + self._bc(b, np.int64)
-
-    def isub(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) - self._bc(b, np.int64)
-
-    def imul(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) * self._bc(b, np.int64)
-
-    def iand(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) & self._bc(b, np.int64)
-
-    def ior(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) | self._bc(b, np.int64)
-
-    def ixor(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) ^ self._bc(b, np.int64)
-
-    def ishl(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) << self._bc(b, np.int64)
-
-    def ishr(self, a, b) -> np.ndarray:
-        return self._bc(a, np.int64) >> self._bc(b, np.int64)
-
-    def cvt(self, a, dtype) -> np.ndarray:
-        return self._bc(a).astype(dtype)
-
-    def select(self, cond, a, b) -> np.ndarray:
-        cond = self._bc(cond, bool)
-        av, bv = self._bc(a), self._bc(b)
-        out_dtype = np.result_type(av.dtype, bv.dtype)
-        return np.asarray(np.where(cond, av, bv), dtype=out_dtype)
-
-    def _sfu(self, fn, x) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._f32(fn(self._bc(x, np.float32)))
-
-    def sfu_sin(self, x) -> np.ndarray:
-        return self._sfu(np.sin, x)
-
-    def sfu_cos(self, x) -> np.ndarray:
-        return self._sfu(np.cos, x)
-
-    def sfu_rsqrt(self, x) -> np.ndarray:
-        return self._sfu(lambda v: 1.0 / np.sqrt(v), x)
-
-    def sfu_sqrt(self, x) -> np.ndarray:
-        return self._sfu(np.sqrt, x)
-
-    def sfu_exp(self, x) -> np.ndarray:
-        return self._sfu(np.exp, x)
-
-    def sfu_log(self, x) -> np.ndarray:
-        return self._sfu(lambda v: np.log(np.maximum(v, 1e-30)), x)
-
-    def sfu_rcp(self, x) -> np.ndarray:
-        return self._sfu(lambda v: 1.0 / v, x)
-
     # -- global memory -------------------------------------------------
     def ld_global(self, arr, index) -> np.ndarray:
-        if arr.space != "global":
-            raise CudaModelError(
-                f"ld_global on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_global", arr, "global")
         idx = self._idx(index)
         if len(self._mask_stack) == 1:
             self._check_bounds(arr, idx, None)
@@ -384,9 +291,7 @@ class GridRT:
         return arr.data[np.where(mask, idx, 0)]
 
     def st_global(self, arr, index, value) -> None:
-        if arr.space != "global":
-            raise CudaModelError(
-                f"st_global on {arr.space!r} array {arr.name!r}")
+        self._check_space("st_global", arr, "global")
         idx = self._idx(index)
         vals = self._bc(value, arr.data.dtype)
         if len(self._mask_stack) == 1:
@@ -399,6 +304,7 @@ class GridRT:
         arr.data[self._full_flat(idx)[mflat]] = self._full_flat(vals)[mflat]
 
     def atom_global_add(self, arr, index, value) -> None:
+        self._check_space("atom_global_add", arr, "global")
         idx = self._idx(index)
         vals = self._bc(value, arr.data.dtype)
         if len(self._mask_stack) == 1:
@@ -422,15 +328,11 @@ class GridRT:
         return arr.data[np.where(mask, idx, 0)]
 
     def ld_const(self, arr, index) -> np.ndarray:
-        if arr.space != "const":
-            raise CudaModelError(
-                f"ld_const on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_const", arr, "const")
         return self._ld_ro(arr, index)
 
     def ld_tex(self, arr, index) -> np.ndarray:
-        if arr.space != "tex":
-            raise CudaModelError(
-                f"ld_tex on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_tex", arr, "tex")
         return self._ld_ro(arr, index)
 
     # -- shared memory -------------------------------------------------
@@ -440,16 +342,9 @@ class GridRT:
 
     def shared_alloc(self, shape, dtype=np.float32,
                      name: str = "smem") -> _SharedTile:
-        tile = _SharedTile(name, tuple(np.atleast_1d(shape)),
-                           np.dtype(dtype), self._nblocks, self._slot4)
-        self._smem_words += max(1, tile.itemsize // 4) * tile.size
-        if self.smem_bytes > self.spec.shared_mem_per_sm:
-            raise CudaModelError(
-                f"{self._where()}: shared memory overflow: block requests "
-                f"{self.smem_bytes} B > {self.spec.shared_mem_per_sm} B "
-                f"per SM")
-        self.shared_arrays.append(tile)
-        return tile
+        return self._alloc_shared(_SharedTile(
+            name, tuple(np.atleast_1d(shape)), np.dtype(dtype),
+            self._nblocks, self._slot4))
 
     def ld_shared(self, sh: _SharedTile, index) -> np.ndarray:
         idx = self._idx(index)
@@ -469,11 +364,7 @@ class GridRT:
         idx = self._idx(index)
         vals = self._bc(value, sh.dtype)
         if len(self._mask_stack) == 1:
-            if idx.size and (idx.min() < 0 or idx.max() >= sh.size):
-                raise CudaModelError(
-                    f"{self._where()}: shared store out of bounds on "
-                    f"{sh.name!r}: indices span [{int(idx.min())}, "
-                    f"{int(idx.max())}] vs size {sh.size}")
+            self._check_shared_store(sh, idx)
             if idx.shape[0] == 1:
                 if idx.size == sh.size \
                         and idx.size == self.threads_per_block \
@@ -492,12 +383,7 @@ class GridRT:
             return
         mask = self.mask
         mb, ib = np.broadcast_arrays(mask, idx)
-        act = ib[mb]
-        if act.size and (act.min() < 0 or act.max() >= sh.size):
-            raise CudaModelError(
-                f"{self._where()}: shared store out of bounds on "
-                f"{sh.name!r}: indices span [{int(act.min())}, "
-                f"{int(act.max())}] vs size {sh.size}")
+        self._check_shared_store(sh, ib[mb])
         mflat = self._full_flat(mask)
         sh.data1d[self._full_flat(idx + sh.off4)[mflat]] = \
             self._full_flat(vals)[mflat]

@@ -39,6 +39,17 @@ inherits it to execute a block; the static analyzer's
 :class:`~repro.analysis.interp.LintContext` inherits it to interpret a
 block's source, so the static census counts what execution records by
 construction.
+
+What each value op computes is defined in one place too,
+:class:`LaneOps`: the arithmetic, conversion, ``select``, ``merge``,
+SFU and ``any_active`` ops, each one :meth:`~LaneOps._emit` plus one
+NumPy expression over the subclass's lanes, and the memory-space,
+shared-allocation and shared-store checks.  :class:`BlockContext`
+inherits it over one block's ``(nthreads,)`` lanes, charging through
+:class:`BlockAccounting`; the grid compiler's
+:class:`~repro.compile.runtime.GridRT` inherits it over a whole grid
+segment with an ``_emit`` that charges nothing, so the compiled sweep
+computes what the reference computes by construction.
 """
 
 from __future__ import annotations
@@ -390,7 +401,193 @@ class BlockAccounting:
         )
 
 
-class BlockContext(BlockAccounting):
+class LaneOps:
+    """Every ``ctx`` value op, and the memory checks, of both executors
+    (see module docstring).
+
+    Each value op is one :meth:`_emit` plus one NumPy expression over
+    ``self._bc(...)``.  A subclass supplies ``_bc`` (a value as lanes
+    of its layout, a scalar broadcast to every lane), the ``mask``
+    property, ``_where`` for error messages, ``spec``, the
+    ``_smem_words`` meter with its ``smem_bytes`` and a
+    ``shared_arrays`` list.  :meth:`_emit` charges nothing here;
+    :class:`BlockContext` lists :class:`BlockAccounting` first, so its
+    charging ``_emit`` wins.
+    """
+
+    def _emit(self, cls: InstrClass, count: int = 1,
+              mem: Optional[Tuple[float, float]] = None,
+              divergent_warps: int = 0) -> None:
+        """Charge nothing: the values are computed, the trace is not."""
+
+    # ------------------------------------------------------------------
+    # Memory checks
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _check_space(op: str, arr, space: str) -> None:
+        """Refuse ``op`` on an array of another memory space (constant
+        and texture arrays are read-only: no stores, no atomics)."""
+        if arr.space != space:
+            raise CudaModelError(f"{op} on {arr.space!r} array {arr.name!r}")
+
+    def _alloc_shared(self, arr):
+        """Meter a new shared array against the SM's 16 KB (a block
+        that oversubscribes cannot launch at all) and keep it."""
+        self._smem_words += max(1, arr.itemsize // 4) * arr.size
+        if self.smem_bytes > self.spec.shared_mem_per_sm:
+            raise CudaModelError(
+                f"{self._where()}: shared memory overflow: block requests "
+                f"{self.smem_bytes} B > {self.spec.shared_mem_per_sm} B "
+                f"per SM")
+        self.shared_arrays.append(arr)
+        return arr
+
+    def _check_shared_store(self, sh, active: np.ndarray) -> None:
+        """Raise when a store's ``active`` lane indices leave ``sh``
+        (shared loads clip instead)."""
+        if active.size and (active.min() < 0 or active.max() >= sh.size):
+            raise CudaModelError(
+                f"{self._where()}: shared store out of bounds on "
+                f"{sh.name!r}: indices span [{int(active.min())}, "
+                f"{int(active.max())}] vs size {sh.size}")
+
+    # ------------------------------------------------------------------
+    # Divergence queries
+    # ------------------------------------------------------------------
+    def merge(self, new: ArrayLike, old: ArrayLike) -> np.ndarray:
+        """Predicated write-back for register values inside a
+        ``masked`` region: active lanes take ``new``, inactive lanes
+        keep ``old``.  Free at the ISA level (results are committed
+        under the active mask), hence no instruction is recorded.  Any
+        accumulator updated inside divergent control flow must go
+        through this — a plain assignment would clobber the inactive
+        lanes with whatever the vectorized evaluation produced for
+        them.
+        """
+        return np.where(self.mask, self._bc(new), self._bc(old))
+
+    def any_active(self, cond: ArrayLike) -> bool:
+        """True if any active thread satisfies ``cond`` (host-side loop
+        control for divergent ``while`` loops)."""
+        return bool((self.mask & np.asarray(cond, dtype=bool)).any())
+
+    # ------------------------------------------------------------------
+    # Arithmetic (each op = one warp instruction per active warp; the
+    # float ops' asarray is a no-copy float32 guarantee)
+    # ------------------------------------------------------------------
+    def fma(self, a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
+        """Fused multiply-add ``a * b + c`` (2 flops/thread)."""
+        self._emit(InstrClass.FMA)
+        return np.asarray(self._bc(a, np.float32) * self._bc(b, np.float32)
+                          + self._bc(c, np.float32), dtype=np.float32)
+
+    def fadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.FADD)
+        return np.asarray(self._bc(a, np.float32) + self._bc(b, np.float32),
+                          dtype=np.float32)
+
+    def fsub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.FADD)
+        return np.asarray(self._bc(a, np.float32) - self._bc(b, np.float32),
+                          dtype=np.float32)
+
+    def fmul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.FMUL)
+        return np.asarray(self._bc(a, np.float32) * self._bc(b, np.float32),
+                          dtype=np.float32)
+
+    def fdiv(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """Floating divide — multi-cycle, executed on the SFU pipe."""
+        self._emit(InstrClass.FDIV)
+        return np.asarray(self._bc(a, np.float32) / self._bc(b, np.float32),
+                          dtype=np.float32)
+
+    def fmin(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.FCMP)
+        return np.minimum(self._bc(a, np.float32), self._bc(b, np.float32))
+
+    def fmax(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.FCMP)
+        return np.maximum(self._bc(a, np.float32), self._bc(b, np.float32))
+
+    def iadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) + self._bc(b, np.int64)
+
+    def isub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) - self._bc(b, np.int64)
+
+    def imul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """32-bit integer multiply (slower than FP MAD on the G80)."""
+        self._emit(InstrClass.IMUL)
+        return self._bc(a, np.int64) * self._bc(b, np.int64)
+
+    def iand(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) & self._bc(b, np.int64)
+
+    def ior(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) | self._bc(b, np.int64)
+
+    def ixor(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) ^ self._bc(b, np.int64)
+
+    def ishl(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) << self._bc(b, np.int64)
+
+    def ishr(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        self._emit(InstrClass.IALU)
+        return self._bc(a, np.int64) >> self._bc(b, np.int64)
+
+    def cvt(self, a: ArrayLike, dtype) -> np.ndarray:
+        """Type conversion / register move."""
+        self._emit(InstrClass.CVT)
+        return self._bc(a).astype(dtype)
+
+    def select(self, cond: ArrayLike, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """Predicated select (no divergence — one instruction)."""
+        self._emit(InstrClass.SETP)
+        cond = self._bc(cond, bool)
+        av, bv = self._bc(a), self._bc(b)
+        out_dtype = np.result_type(av.dtype, bv.dtype)
+        return np.asarray(np.where(cond, av, bv), dtype=out_dtype)
+
+    # ------------------------------------------------------------------
+    # SFU transcendentals (Section 3.2: sin/cos/rsqrt on the SFUs)
+    # ------------------------------------------------------------------
+    def _sfu(self, fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike
+             ) -> np.ndarray:
+        self._emit(InstrClass.SFU)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(fn(self._bc(x, np.float32)), dtype=np.float32)
+
+    def sfu_sin(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(np.sin, x)
+
+    def sfu_cos(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(np.cos, x)
+
+    def sfu_rsqrt(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(lambda v: 1.0 / np.sqrt(v), x)
+
+    def sfu_sqrt(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(np.sqrt, x)
+
+    def sfu_exp(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(np.exp, x)
+
+    def sfu_log(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(lambda v: np.log(np.maximum(v, 1e-30)), x)
+
+    def sfu_rcp(self, x: ArrayLike) -> np.ndarray:
+        return self._sfu(lambda v: 1.0 / v, x)
+
+
+class BlockContext(BlockAccounting, LaneOps):
     """Execution context of one thread block (see module docstring)."""
 
     def __init__(
@@ -458,139 +655,14 @@ class BlockContext(BlockAccounting):
             self._mask_stack.pop()
             self._level_counts.pop()
 
-    def merge(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        """Predicated write-back for register values inside a
-        :meth:`masked` region: active lanes take ``new``, inactive
-        lanes keep ``old``.  Free at the ISA level (results are
-        committed under the active mask), hence no instruction is
-        recorded.  Any accumulator updated inside divergent control
-        flow must go through this — a plain assignment would clobber
-        the inactive lanes with whatever the vectorized evaluation
-        produced for them.
-        """
-        return np.where(self.mask, self._bc(new), self._bc(old))
-
-    def any_active(self, cond: np.ndarray) -> bool:
-        """True if any active thread satisfies ``cond`` (host-side loop
-        control for divergent ``while`` loops)."""
-        cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.nthreads,))
-        return bool((self.mask & cond).any())
-
     # ------------------------------------------------------------------
-    # Arithmetic (each op = one warp instruction per active warp)
+    # Lane values: the operands of every LaneOps op
     # ------------------------------------------------------------------
     def _bc(self, v: ArrayLike, dtype=None) -> np.ndarray:
         a = np.asarray(v, dtype=dtype)
         if a.ndim == 0:
             a = np.broadcast_to(a, (self.nthreads,))
         return a
-
-    def fma(self, a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
-        """Fused multiply-add ``a * b + c`` (2 flops/thread)."""
-        self._emit(InstrClass.FMA)
-        return (self._bc(a, np.float32) * self._bc(b, np.float32)
-                + self._bc(c, np.float32)).astype(np.float32)
-
-    def fadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.FADD)
-        return (self._bc(a, np.float32) + self._bc(b, np.float32)).astype(np.float32)
-
-    def fsub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.FADD)
-        return (self._bc(a, np.float32) - self._bc(b, np.float32)).astype(np.float32)
-
-    def fmul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.FMUL)
-        return (self._bc(a, np.float32) * self._bc(b, np.float32)).astype(np.float32)
-
-    def fdiv(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Floating divide — multi-cycle, executed on the SFU pipe."""
-        self._emit(InstrClass.FDIV)
-        return (self._bc(a, np.float32) / self._bc(b, np.float32)).astype(np.float32)
-
-    def fmin(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.FCMP)
-        return np.minimum(self._bc(a, np.float32), self._bc(b, np.float32))
-
-    def fmax(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.FCMP)
-        return np.maximum(self._bc(a, np.float32), self._bc(b, np.float32))
-
-    def iadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return self._bc(a, np.int64) + self._bc(b, np.int64)
-
-    def isub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return self._bc(a, np.int64) - self._bc(b, np.int64)
-
-    def imul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """32-bit integer multiply (slower than FP MAD on the G80)."""
-        self._emit(InstrClass.IMUL)
-        return self._bc(a, np.int64) * self._bc(b, np.int64)
-
-    def iand(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return self._bc(a, np.int64) & self._bc(b, np.int64)
-
-    def ior(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return self._bc(a, np.int64) | self._bc(b, np.int64)
-
-    def ixor(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return self._bc(a, np.int64) ^ self._bc(b, np.int64)
-
-    def ishl(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return (self._bc(a, np.int64) << self._bc(b, np.int64))
-
-    def ishr(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        self._emit(InstrClass.IALU)
-        return (self._bc(a, np.int64) >> self._bc(b, np.int64))
-
-    def cvt(self, a: ArrayLike, dtype) -> np.ndarray:
-        """Type conversion / register move."""
-        self._emit(InstrClass.CVT)
-        return self._bc(a).astype(dtype)
-
-    def select(self, cond: ArrayLike, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Predicated select (no divergence — one instruction)."""
-        self._emit(InstrClass.SETP)
-        cond = self._bc(cond, bool)
-        av, bv = self._bc(a), self._bc(b)
-        out_dtype = np.result_type(av.dtype, bv.dtype)
-        return np.where(cond, av, bv).astype(out_dtype)
-
-    # ------------------------------------------------------------------
-    # SFU transcendentals (Section 3.2: sin/cos/rsqrt on the SFUs)
-    # ------------------------------------------------------------------
-    def _sfu(self, fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike
-             ) -> np.ndarray:
-        self._emit(InstrClass.SFU)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return fn(self._bc(x, np.float32)).astype(np.float32)
-
-    def sfu_sin(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.sin, x)
-
-    def sfu_cos(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.cos, x)
-
-    def sfu_rsqrt(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(lambda v: 1.0 / np.sqrt(v), x)
-
-    def sfu_sqrt(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.sqrt, x)
-
-    def sfu_exp(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.exp, x)
-
-    def sfu_log(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(lambda v: np.log(np.maximum(v, 1e-30)), x)
-
-    def sfu_rcp(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(lambda v: 1.0 / v, x)
 
     # ------------------------------------------------------------------
     # Shared memory
@@ -599,16 +671,9 @@ class BlockContext(BlockAccounting):
                      name: str = "smem") -> SharedArray:
         """Allocate a per-block shared array, metered against the SM's
         16 KB (a block that oversubscribes cannot launch at all)."""
-        arr = SharedArray(name, tuple(np.atleast_1d(shape)), np.dtype(dtype),
-                          self._smem_words)
-        self._smem_words += max(1, arr.itemsize // 4) * arr.size
-        if self.smem_bytes > self.spec.shared_mem_per_sm:
-            raise CudaModelError(
-                f"{self._where()}: shared memory overflow: block requests "
-                f"{self.smem_bytes} B > {self.spec.shared_mem_per_sm} B "
-                f"per SM")
-        self.shared_arrays.append(arr)
-        return arr
+        return self._alloc_shared(SharedArray(
+            name, tuple(np.atleast_1d(shape)), np.dtype(dtype),
+            self._smem_words))
 
     def _flat_index(self, index: ArrayLike) -> np.ndarray:
         idx = np.asarray(index)
@@ -641,20 +706,14 @@ class BlockContext(BlockAccounting):
             self._record_bank_conflicts(sh.word_indices(idx), mask)
         vals = self._bc(value, sh.data.dtype)
         hot = idx[mask]
-        if hot.size and (hot.min() < 0 or hot.max() >= sh.size):
-            raise CudaModelError(
-                f"{self._where()}: shared store out of bounds on "
-                f"{sh.name!r}: indices span [{int(hot.min())}, "
-                f"{int(hot.max())}] vs size {sh.size}")
+        self._check_shared_store(sh, hot)
         sh.data[hot] = vals[mask]
 
     # ------------------------------------------------------------------
     # Global memory
     # ------------------------------------------------------------------
     def ld_global(self, arr: DeviceArray, index: ArrayLike) -> np.ndarray:
-        if arr.space != "global":
-            raise CudaModelError(
-                f"ld_global on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_global", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
         arr.check_bounds(idx, mask)
@@ -667,9 +726,7 @@ class BlockContext(BlockAccounting):
 
     def st_global(self, arr: DeviceArray, index: ArrayLike,
                   value: ArrayLike) -> None:
-        if arr.space != "global":
-            raise CudaModelError(
-                f"st_global on {arr.space!r} array {arr.name!r}")
+        self._check_space("st_global", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
         arr.check_bounds(idx, mask)
@@ -684,6 +741,7 @@ class BlockContext(BlockAccounting):
                         value: ArrayLike) -> None:
         """Atomic add: functional via ``np.add.at``; performance-wise a
         fully serialized (uncoalesced) read-modify-write per thread."""
+        self._check_space("atom_global_add", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
         arr.check_bounds(idx, mask)
@@ -725,14 +783,11 @@ class BlockContext(BlockAccounting):
         return arr.data[safe]
 
     def ld_const(self, arr: ConstantArray, index: ArrayLike) -> np.ndarray:
-        if arr.space != "const":
-            raise CudaModelError(
-                f"ld_const on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_const", arr, "const")
         return self._cached_load(arr, index, "const", InstrClass.LD_CONST)
 
     def ld_tex(self, arr: TextureArray, index: ArrayLike) -> np.ndarray:
-        if arr.space != "tex":
-            raise CudaModelError(f"ld_tex on {arr.space!r} array {arr.name!r}")
+        self._check_space("ld_tex", arr, "tex")
         return self._cached_load(arr, index, "tex", InstrClass.LD_TEX)
 
     # ------------------------------------------------------------------

@@ -41,19 +41,6 @@ from .launch import LaunchResult
 from .memory import CudaModelError
 
 
-def _execute_single(plan, collector: TraceCollector, linear: int,
-                    mode: str) -> None:
-    """Run one block through a scalar :class:`BlockContext`."""
-    if mode == TRACE:
-        trace, stream = collector.begin_block(linear)
-        ctx = plan.make_context(linear, trace=trace, stream=stream)
-        plan.kernel.fn(ctx, *plan.args)
-        collector.finish_block(linear, ctx)
-    else:
-        ctx = plan.make_context(linear)
-        plan.kernel.fn(ctx, *plan.args)
-
-
 class Executor(ABC):
     """Common interface: ``execute(plan) -> LaunchResult``.
 
@@ -137,16 +124,33 @@ class SequentialExecutor(Executor):
             mode = collector.classify(linear)
             if mode == MEMO and not plan.functional:
                 continue
-            _execute_single(plan, collector, linear, mode)
+            self._run_block(plan, collector, linear, mode)
             executed += 1
         return executed
+
+    def _run_block(self, plan, collector: TraceCollector, linear: int,
+                   mode: str):
+        """Run one block through a scalar context, traced when ``mode``
+        is ``TRACE``; returns the context."""
+        if mode == TRACE:
+            trace, stream = collector.begin_block(linear)
+            ctx = self._context(plan, linear, trace, stream)
+            plan.kernel.fn(ctx, *plan.args)
+            collector.finish_block(linear, ctx)
+        else:
+            ctx = self._context(plan, linear, None, None)
+            plan.kernel.fn(ctx, *plan.args)
+        return ctx
+
+    def _context(self, plan, linear: int, trace, stream):
+        return plan.make_context(linear, trace=trace, stream=stream)
 
 
 # ----------------------------------------------------------------------
 # Sanitized execution
 # ----------------------------------------------------------------------
 
-class SanitizedExecutor(Executor):
+class SanitizedExecutor(SequentialExecutor):
     """The reference sequential walk through sanitizing contexts.
 
     Every block runs in a :class:`~repro.san.context.SanitizedContext`
@@ -169,25 +173,19 @@ class SanitizedExecutor(Executor):
         self.state = state if state is not None else SanState(tools)
 
     def _run(self, plan, collector: TraceCollector) -> int:
-        from ..san.context import SanitizedContext
         self.state.begin_launch(plan)
-        executed = 0
-        for linear in plan.block_ids():
-            mode = collector.classify(linear)
-            if mode == MEMO and not plan.functional:
-                continue
-            if mode == TRACE:
-                trace, stream = collector.begin_block(linear)
-                ctx = SanitizedContext(self.state, plan, linear,
-                                       trace=trace, stream=stream)
-                plan.kernel.fn(ctx, *plan.args)
-                collector.finish_block(linear, ctx)
-            else:
-                ctx = SanitizedContext(self.state, plan, linear)
-                plan.kernel.fn(ctx, *plan.args)
-            ctx.finish()
-            executed += 1
-        return executed
+        return super()._run(plan, collector)
+
+    def _run_block(self, plan, collector: TraceCollector, linear: int,
+                   mode: str):
+        ctx = super()._run_block(plan, collector, linear, mode)
+        ctx.finish()
+        return ctx
+
+    def _context(self, plan, linear: int, trace, stream):
+        from ..san.context import SanitizedContext
+        return SanitizedContext(self.state, plan, linear,
+                                trace=trace, stream=stream)
 
     def execute(self, plan) -> LaunchResult:
         result = super().execute(plan)
@@ -231,8 +229,9 @@ class CompiledExecutor(Executor):
         from ..compile import (CompileError, GridRT, get_program,
                                prelude_for)
         from ..compile.program import plan_context
+        reference = SequentialExecutor()
         if not plan.functional:
-            return SequentialExecutor()._run(plan, collector)
+            return reference._run(plan, collector)
         registry = get_registry()
         try:
             program = get_program(plan.kernel, plan_context(plan))
@@ -241,7 +240,7 @@ class CompiledExecutor(Executor):
                 registry.counter("executor.compile_fallbacks",
                                  kernel=plan.kernel.name,
                                  reason=str(exc)).inc()
-            return SequentialExecutor()._run(plan, collector)
+            return reference._run(plan, collector)
 
         prelude = prelude_for(plan.grid, plan.block)
         chunk_blocks = max(1, MAX_LANES // plan.block.size)
@@ -270,7 +269,7 @@ class CompiledExecutor(Executor):
             mode = collector.classify(linear)
             if mode == TRACE:
                 run_range(seg_start, linear)   # keep block order intact
-                _execute_single(plan, collector, linear, TRACE)
+                reference._run_block(plan, collector, linear, TRACE)
                 executed += 1
                 seg_start = linear + 1
             # MEMO blocks stay in the compiled segment: the launch is

@@ -30,7 +30,7 @@ benchmark harness uses for large problem sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..arch.device import DeviceSpec
@@ -53,15 +53,6 @@ class Kernel:
     #: in index math (use ``ctx.threads_per_block``), and no block
     #: reading global data another block of the same launch writes
     batchable: bool = True
-
-    def with_resources(self, regs_per_thread: Optional[int] = None,
-                       static_smem_bytes: Optional[int] = None) -> "Kernel":
-        updates = {}
-        if regs_per_thread is not None:
-            updates["regs_per_thread"] = regs_per_thread
-        if static_smem_bytes is not None:
-            updates["static_smem_bytes"] = static_smem_bytes
-        return replace(self, **updates)
 
 
 def kernel(name: str, regs_per_thread: int = 10,

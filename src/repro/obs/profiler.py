@@ -393,6 +393,3 @@ class LaunchProfiler:
             points = [point_from_record(r) for r in self.records]
             out += "\n\n" + format_roofline(roofline_report(points, spec))
         return out
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [r.to_dict() for r in self.records]

@@ -218,12 +218,3 @@ class SanState:
             "findings": [f.to_dict() for f in self.all_findings()],
             "launches": [la.to_dict() for la in self.launch_accesses()],
         }
-
-    def format_report(self) -> str:
-        findings = self.all_findings()
-        lines = [f"sanitizer report ({', '.join(sorted(self.tools))}): "
-                 f"{len(findings)} finding(s)"]
-        for f in findings:
-            tool = SAN_RULES.get(f.rule, "?")
-            lines.append(f"  {tool}: {f.format()}")
-        return "\n".join(lines)

@@ -87,16 +87,6 @@ class KernelTimeEstimate:
         return {name: seconds * clock
                 for name, seconds in self.components().items()}
 
-    def stall_breakdown(self) -> Dict[str, float]:
-        """Normalized share of each bottleneck in the cycle estimates
-        — the analytical counterpart of nvprof's warp-issue stall
-        reasons (fractions sum to 1 when any component is nonzero)."""
-        cycles = self.cycles_components()
-        total = sum(cycles.values())
-        if total <= 0:
-            return {name: 0.0 for name in cycles}
-        return {name: c / total for name, c in cycles.items()}
-
     def attribution(self) -> Dict[str, object]:
         """Structured bottleneck-attribution record for the profiler:
         the binding bottleneck plus every component in seconds and

@@ -29,6 +29,7 @@ from repro.analysis import (
     LintTarget,
     Severity,
     analyze_target,
+    estimate_registers,
     garr,
 )
 from repro.analysis.lint import lint_app, main as lint_main
@@ -230,6 +231,20 @@ class TestShippedKernels:
         # the Section 4.4 register cost: prefetch drops to 2 blocks/SM
         assert reports["tiled"].occupancy["blocks/SM"] == 3
         assert reports["prefetch"].occupancy["blocks/SM"] == 2
+
+    def test_lint_reports_the_liveness_register_estimate(self):
+        """``lint --json`` and ``lint --estimate`` give a kernel one
+        register count: Section 4's 10 / 9 / 11 on the tiled ladder."""
+        from repro.apps.registry import get_app
+        targets = get_app("matmul").lint_targets()
+        regs = {}
+        for target in targets:
+            report = analyze_target(target, app="matmul")
+            assert report.regs_estimated == \
+                estimate_registers(target.kernel).regs, report.label
+            regs[target.note] = report.regs_estimated
+        assert regs == {"naive": 6, "tiled": 10, "tiled_unrolled": 9,
+                        "prefetch": 11}
 
     def test_batch_safety_agrees_with_declared_flags(self):
         for name in ("rpes", "tpacf"):

@@ -17,6 +17,7 @@ import pytest
 from repro.apps.matmul import build_kernel
 from repro.compile import (
     CompileError,
+    GridRT,
     LaneCount,
     NP_SHIM,
     clear_program_cache,
@@ -33,6 +34,7 @@ from repro.cuda import (
     kernel,
     launch,
 )
+from repro.cuda.context import CTX_OPS, BlockContext
 from repro.obs.profiler import LaunchProfiler, LaunchRecord
 
 
@@ -178,6 +180,23 @@ def test_lane_allocations_become_broadcast_seeds():
     # ordinary shapes pass through untouched
     assert NP_SHIM.zeros(7).shape == (7,)
     assert NP_SHIM.sqrt(np.float32(4.0)) == 2.0
+
+
+def test_grid_runtime_surface_is_the_reference_surface():
+    """Every op the lowering emits as ``__rt.<op>`` (all of CTX_OPS but
+    the meta ops, ``sync`` and ``masked``) resolves on GridRT, and every
+    value op is the reference's own function, not a copy of it."""
+    lowered = {op for op, meta in CTX_OPS.items()
+               if meta.category not in ("meta", "sync", "masked")}
+    unresolved = {op for op in lowered
+                  if not callable(getattr(GridRT, op, None))}
+    assert not unresolved, f"lowered ops GridRT lacks: {unresolved}"
+    value_ops = {op for op, meta in CTX_OPS.items()
+                 if meta.category in ("farith", "iarith", "sfu", "cvt",
+                                      "select", "merge")} | {"any_active"}
+    for op in sorted(value_ops):
+        assert op not in vars(GridRT) and op not in vars(BlockContext), op
+        assert getattr(GridRT, op) is getattr(BlockContext, op), op
 
 
 def test_prelude_cache_is_per_geometry():

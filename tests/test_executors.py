@@ -208,6 +208,31 @@ def test_no_work_launch_rejected():
 
 
 # ----------------------------------------------------------------------
+# Read-only memory spaces
+# ----------------------------------------------------------------------
+
+@kernel("read_only_histogram", regs_per_thread=4)
+def read_only_histogram(ctx, hist):
+    ctx.atom_global_add(hist, ctx.global_tid() % 4, 1.0)
+
+
+@pytest.mark.parametrize("upload", ["to_constant", "to_texture"])
+@pytest.mark.parametrize("executor", ["sequential", "compiled", "sanitized"])
+def test_atomics_refuse_read_only_arrays(executor, upload):
+    """An atomic on a constant or texture array raises like a store
+    does, on every executor, and leaves the array untouched.  Untraced,
+    so the compiled launch runs every block in the grid runtime."""
+    from repro.compile import compile_status
+    assert compile_status(read_only_histogram)[0]
+    dev = Device()
+    hist = getattr(dev, upload)(np.zeros(4, np.float32), "c")
+    with pytest.raises(CudaModelError, match="atom_global_add on"):
+        launch(read_only_histogram, (8,), (8,), (hist,), device=dev,
+               trace=False, executor=executor)
+    np.testing.assert_array_equal(hist.data, np.zeros(4, np.float32))
+
+
+# ----------------------------------------------------------------------
 # Resolution / selection policy
 # ----------------------------------------------------------------------
 
