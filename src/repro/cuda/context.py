@@ -431,8 +431,8 @@ class LaneOps:
             raise CudaModelError(f"{op} on {arr.space!r} array {arr.name!r}")
 
     def _alloc_shared(self, arr):
-        """Meter a new shared array against the SM's 16 KB (a block
-        that oversubscribes cannot launch at all) and keep it."""
+        """Meter a new shared array against the SM's shared memory (a
+        block that oversubscribes cannot launch at all) and keep it."""
         self._smem_words += max(1, arr.itemsize // 4) * arr.size
         if self.smem_bytes > self.spec.shared_mem_per_sm:
             raise CudaModelError(
