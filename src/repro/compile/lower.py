@@ -51,7 +51,8 @@ class CompileError(Exception):
 
 
 #: ctx methods that vanish entirely (accounting the vectorized
-#: execution performs implicitly; the census path re-synthesizes them)
+#: execution performs implicitly; the traced blocks and the census
+#: charge them through BlockAccounting.loop_tail and address_ops)
 _META_OPS = frozenset(op for op, meta in CTX_OPS.items()
                       if meta.category == "meta")
 

@@ -350,10 +350,12 @@ class BlockAccounting:
         if extra:
             self.trace.record_shared_conflict(extra)
 
-    def _record_broadcast(self, words: np.ndarray, mask: np.ndarray) -> None:
+    def _record_broadcast(self, words: np.ndarray, mask: np.ndarray,
+                          hot: Optional[np.ndarray] = None) -> None:
         """Constant memory: threads of a coalescing group reading
-        different words serialize one word per pass."""
-        passes = constant_broadcast_passes(words, mask, self.spec)
+        different words serialize one word per pass (``hot`` is
+        ``words[mask]`` when the caller has gathered it)."""
+        passes = constant_broadcast_passes(words, mask, self.spec, hot)
         if passes:
             # each extra broadcast pass costs one coalescing group's
             # share of the warp issue time
@@ -670,7 +672,9 @@ class BlockContext(BlockAccounting, LaneOps):
     def shared_alloc(self, shape, dtype=np.float32,
                      name: str = "smem") -> SharedArray:
         """Allocate a per-block shared array, metered against the SM's
-        16 KB (a block that oversubscribes cannot launch at all)."""
+        shared memory, ``spec.shared_mem_per_sm`` (16 KB on the G80,
+        48 KB on GTX 480; a block that oversubscribes cannot launch at
+        all)."""
         return self._alloc_shared(SharedArray(
             name, tuple(np.atleast_1d(shape)), np.dtype(dtype),
             self._smem_words))
@@ -716,7 +720,7 @@ class BlockContext(BlockAccounting, LaneOps):
         self._check_space("ld_global", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
-        arr.check_bounds(idx, mask)
+        arr.check_bounds(idx[mask])
         mem = None
         if self.trace is not None:
             mem = self._record_global(arr, arr.addresses(idx), mask, "ld")
@@ -729,13 +733,14 @@ class BlockContext(BlockAccounting, LaneOps):
         self._check_space("st_global", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
-        arr.check_bounds(idx, mask)
+        hot = idx[mask]
+        arr.check_bounds(hot)
         mem = None
         if self.trace is not None:
             mem = self._record_global(arr, arr.addresses(idx), mask, "st")
         self._emit(InstrClass.ST_GLOBAL, mem=mem)
         vals = self._bc(value, arr.data.dtype)
-        arr.data[idx[mask]] = vals[mask]
+        arr.data[hot] = vals[mask]
 
     def atom_global_add(self, arr: DeviceArray, index: ArrayLike,
                         value: ArrayLike) -> None:
@@ -744,12 +749,13 @@ class BlockContext(BlockAccounting, LaneOps):
         self._check_space("atom_global_add", arr, "global")
         idx = self._flat_index(index)
         mask = self.mask
-        arr.check_bounds(idx, mask)
+        hot = idx[mask]
+        arr.check_bounds(hot)
         self._emit(InstrClass.ATOM_GLOBAL)
         if self.trace is not None:
             self._record_serialized(arr, mask, "atom")
         vals = self._bc(value, arr.data.dtype)
-        np.add.at(arr.data, idx[mask], vals[mask])
+        np.add.at(arr.data, hot, vals[mask])
 
     # ------------------------------------------------------------------
     # Cached read-only paths
@@ -758,14 +764,21 @@ class BlockContext(BlockAccounting, LaneOps):
                      space: str, cls: InstrClass) -> np.ndarray:
         idx = self._flat_index(index)
         mask = self.mask
-        arr.check_bounds(idx, mask)
+        # the active lanes, gathered once for the bounds check and every
+        # charge (at the base mask level, every lane); lanes that all
+        # read one word are cut to that one lane, which the check and
+        # the charges take without a vector op
+        hot = idx if len(self._mask_stack) == 1 else idx[mask]
+        if hot.size > 1 and (hot == hot[0]).all():
+            hot = hot[:1]
+        arr.check_bounds(hot)
         self._emit(cls)
         if self.trace is not None:
             if space == "const":
-                self._record_broadcast(idx, mask)
+                self._record_broadcast(idx, mask, hot)
             cache = self.caches.get(space)
             if cache is not None:
-                hits, misses = cache.access(arr.addresses(idx), mask)
+                hits, misses = cache.access(arr.addresses(hot))
                 self.trace.record_cache(space, hits, misses)
                 if misses:
                     # each missed line is one 32 B fill from DRAM

@@ -89,12 +89,19 @@ class DeviceArray:
         """Simulated byte addresses of the given flat element indices."""
         return self.base_addr + flat_index.astype(np.int64) * self.itemsize
 
-    def check_bounds(self, flat_index: np.ndarray, active: np.ndarray) -> None:
-        idx = flat_index[active]
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
+    def check_bounds(self, idx: np.ndarray) -> None:
+        """Raise unless every flat index in ``idx`` — the active lanes'
+        indices, already gathered — lies inside the array."""
+        if idx.size == 1:               # one lane: no reduction
+            lo = hi = idx.item()
+        elif idx.size:
+            lo, hi = idx.min(), idx.max()
+        else:
+            return
+        if lo < 0 or hi >= self.size:
             raise CudaModelError(
                 f"out-of-bounds access to {self.name!r}: "
-                f"index range [{idx.min()}, {idx.max()}] vs size {self.size}")
+                f"index range [{lo}, {hi}] vs size {self.size}")
 
     def to_host(self) -> np.ndarray:
         """Host-side view reshaped to the original shape (no transfer
@@ -132,8 +139,8 @@ class SharedArray:
     Word-granular (4 B) offsets are used for bank-conflict analysis.
     Instances are created through
     :meth:`repro.cuda.context.BlockContext.shared_alloc` so that the
-    per-block shared-memory footprint is metered against the 16 KB SM
-    limit.
+    per-block shared-memory footprint is metered against the SM's
+    ``spec.shared_mem_per_sm`` (16 KB on the G80, 48 KB on GTX 480).
     """
 
     space = "shared"

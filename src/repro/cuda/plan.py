@@ -196,8 +196,9 @@ class LaunchPlan:
         """Hashable description of the launch arguments: memory space,
         dtype and element count for device arrays, type and value for
         scalars.  Combined with the kernel name and block shape this
-        keys anything cached per launch *configuration* — compiled-
-        program preludes, census-synthesized traces — without holding
+        keys anything cached per launch *configuration* — the artifact
+        cache's program context, R7's per-launch footprints and the
+        launch trace cache (:meth:`module_key`) — without holding
         references to the arrays themselves."""
         from .memory import DeviceArray
         parts = []

@@ -340,6 +340,7 @@ def constant_broadcast_passes(
     words: np.ndarray,
     active: np.ndarray,
     spec: DeviceSpec = DEFAULT_DEVICE,
+    hot: Optional[np.ndarray] = None,
 ) -> int:
     """Extra serialization passes of one block-wide constant-cache read.
 
@@ -348,10 +349,13 @@ def constant_broadcast_passes(
     of a group reading different words serialize (the paper's Section
     5.2 "care must be taken").  Returns, summed over the groups with an
     active lane, the number of distinct words the active lanes read
-    minus one.
+    minus one.  ``hot`` is ``words[active]`` when the caller has
+    gathered it (a caller may cut lanes that all read one word to one
+    lane); active lanes that read one word return 0 at once.
     """
-    hot = words[active]
-    if hot.size == 0 or (hot == hot[0]).all():
+    if hot is None:
+        hot = words[active]
+    if hot.size <= 1 or (hot == hot[0]).all():
         return 0
     rows = _sorted_rows(*group_rows(words, active, spec.coalesce_group))
     return int((rows[:, 1:] != rows[:, :-1]).sum())
@@ -434,19 +438,29 @@ class DirectMappedCache:
         self.hits = 0
         self.misses = 0
 
-    def access(self, addresses: np.ndarray, active: np.ndarray) -> Tuple[int, int]:
-        """Access a vector of byte addresses; returns (hits, misses).
+    def access(self, addresses: np.ndarray,
+               active: Optional[np.ndarray] = None) -> Tuple[int, int]:
+        """Access the byte addresses of one block-wide read: those of
+        the ``active`` lanes, or every address given when ``active`` is
+        None (the caller gathered the active lanes); returns (hits,
+        misses).
 
-        Duplicate lines within one access are counted once (warp-level
-        broadcast), matching constant-cache behaviour.
+        Lanes reading the same line are counted once per access (the
+        line is fetched once for the whole block), matching
+        constant-cache behaviour.
         """
-        lines = addresses[active] // self.line_bytes
-        if lines.size == 0:
-            return 0, 0
-        if (lines == lines[0]).all():      # one line: nothing to sort
-            lines = lines[:1]
+        if active is not None:
+            addresses = addresses[active]
+        if addresses.size == 1:            # one lane: no vector op
+            lines = (addresses.item() // self.line_bytes,)
         else:
-            lines = np.unique(lines)
+            lines = addresses // self.line_bytes
+            if lines.size == 0:
+                return 0, 0
+            if (lines == lines[0]).all():  # one line: nothing to sort
+                lines = lines[:1]
+            else:
+                lines = np.unique(lines)
         hits, misses, _ = self.probe_lines(lines)
         return hits, misses
 

@@ -15,6 +15,13 @@ import enum
 class InstrClass(enum.Enum):
     """Dynamic instruction classes recognized by the timing models."""
 
+    # hash by identity, in C (Enum's name hash is a Python call on every
+    # trace counter update); members are singletons compared by
+    # identity, so it agrees with equality.  A set of members then
+    # iterates in a different order from run to run: code whose result
+    # depends on order iterates InstrClass itself
+    __hash__ = object.__hash__
+
     FMA = "fma"            # fused multiply-add (2 flops)
     FADD = "fadd"          # floating add/sub (1 flop)
     FMUL = "fmul"          # floating multiply (1 flop)

@@ -27,9 +27,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
-from .instr import InstrClass, flops_of, GLOBAL_MEMORY_CLASSES, SFU_CLASSES
+from .instr import (
+    FLOPS_PER_THREAD,
+    GLOBAL_MEMORY_CLASSES,
+    SFU_CLASSES,
+    InstrClass,
+)
 
 
 @dataclass
@@ -136,9 +141,10 @@ class KernelTrace:
     def record_instr(self, cls: InstrClass, warps: float, threads: float) -> None:
         """Record ``warps`` warp-instructions covering ``threads`` active
         threads of class ``cls``."""
+        # no Python-level call: hot, one per traced warp instruction
         self.warp_insts[cls] += warps
         self.thread_insts[cls] += threads
-        self.flops += flops_of(cls) * threads
+        self.flops += FLOPS_PER_THREAD.get(cls, 0) * threads
         if cls is InstrClass.SYNC:
             self.syncs += warps
 
@@ -329,11 +335,17 @@ class KernelTrace:
 
     @property
     def global_memory_warp_insts(self) -> float:
-        return float(sum(self.warp_insts[c] for c in GLOBAL_MEMORY_CLASSES))
+        return self._class_sum(GLOBAL_MEMORY_CLASSES)
 
     @property
     def sfu_warp_insts(self) -> float:
-        return float(sum(self.warp_insts[c] for c in SFU_CLASSES))
+        return self._class_sum(SFU_CLASSES)
+
+    def _class_sum(self, classes: FrozenSet[InstrClass]) -> float:
+        """Warp instructions of ``classes``, summed in declaration order:
+        a float sum in a set's iteration order would follow the hash."""
+        return float(sum(self.warp_insts[c] for c in InstrClass
+                         if c in classes))
 
     @property
     def memory_to_compute_ratio(self) -> float:

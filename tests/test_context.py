@@ -1,13 +1,16 @@
 """Tests for the kernel DSL: instruction accounting, divergence,
 memory semantics and error checking."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.arch import DEFAULT_DEVICE
-from repro.cuda import CudaModelError, Device, Dim3
+from repro.arch.device import geforce_8800_gtx, gtx_480
+from repro.cuda import CudaModelError, Device, Dim3, LaunchPlan, kernel
 from repro.cuda.context import BlockContext
-from repro.sim.memsys import DirectMappedCache
+from repro.sim.memsys import DirectMappedCache, constant_broadcast_passes
 from repro.trace import InstrClass, KernelTrace
 
 
@@ -287,3 +290,127 @@ class TestCachedPaths:
         ctx = make_ctx((8,))
         with pytest.raises(CudaModelError):
             ctx.ld_const(g, ctx.tid)
+
+
+# ----------------------------------------------------------------------
+# The constant/texture charge against the composition it replaced
+# ----------------------------------------------------------------------
+
+@kernel("cached_reads")
+def _cached_reads(ctx):
+    pass
+
+
+def _cached_charge_reference(trace, spec, caches, arr, idx, mask, space):
+    """One traced ``ld_const``/``ld_tex`` charged the way the DSL used
+    to compose it: the bounds check over the gathered active lanes, the
+    broadcast passes of every lane (constant only), then the cache
+    access over every lane's address."""
+    hot = idx[mask]
+    if hot.size and (hot.min() < 0 or hot.max() >= arr.size):
+        raise CudaModelError(
+            f"out-of-bounds access to {arr.name!r}: "
+            f"index range [{hot.min()}, {hot.max()}] vs size {arr.size}")
+    if space == "const":
+        passes = constant_broadcast_passes(idx, mask, spec)
+        if passes:
+            group_share = spec.coalesce_group / spec.warp_size
+            trace.record_shared_conflict(passes * (
+                spec.timing.issue_cycles_per_warp_inst * group_share))
+    cache = caches[space]
+    hits, misses = cache.access(arr.addresses(idx), mask)
+    trace.record_cache(space, hits, misses)
+    if misses:
+        line = cache.line_bytes
+        trace.record_global_access(
+            arr.name, warp_accesses=0, transactions=misses,
+            bus_bytes=misses * line, useful_bytes=misses * line,
+            coalesced_accesses=0, kind="fill")
+
+
+def _error_of(fn, *args):
+    """The CudaModelError message ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except CudaModelError as err:
+        return str(err)
+    return None
+
+
+def _cached_counters(trace):
+    return (trace.const_hits, trace.const_misses, trace.tex_hits,
+            trace.tex_misses, trace.shared_conflict_cycles,
+            trace.global_transactions, trace.global_bus_bytes,
+            trace.global_useful_bytes,
+            {name: (s.transactions, s.bus_bytes, s.useful_bytes)
+             for name, s in trace.per_array.items()})
+
+
+@pytest.mark.parametrize("make_spec", [geforce_8800_gtx, gtx_480],
+                         ids=["g80", "gtx480"])
+def test_cached_load_charge_equals_the_reference_composition(make_spec):
+    """A sequence of ``ld_const``/``ld_tex`` reads through one plan's
+    caches (so their state carries from load to load) charges what the
+    reference composition charges on a second plan's caches: hits,
+    misses, fill traffic, broadcast cycles and the out-of-bounds error,
+    for uniform, strided, random, few-word and out-of-range indices
+    under full, partial, one-lane and empty masks."""
+    spec = make_spec()
+    dev = Device(spec)
+    n = 72                                   # a ragged last group
+    # two constant tables one cache apart, so their lines collide
+    span = spec.constant_cache_bytes_per_sm // 4
+    arrays = {
+        "const": [dev.to_constant(np.arange(span, dtype=np.float32), "k0"),
+                  dev.to_constant(np.arange(span, dtype=np.float32), "k1")],
+        "tex": [dev.to_texture(np.ones((64, 64), np.float32), "tx")],
+    }
+    plans = [LaunchPlan.build(_cached_reads, (1,), (n,), device=dev)
+             for _ in range(2)]
+    ctx = BlockContext(spec, Dim3(1), Dim3(n), (0, 0, 0),
+                       trace=KernelTrace(), caches=plans[0].caches)
+    ref = KernelTrace()
+    rng = np.random.default_rng(7)
+    lanes = np.arange(n)
+
+    def indices(kind, size, active):
+        w = int(rng.integers(0, size))
+        if kind == "uniform":
+            return np.full(n, w)
+        if kind == "strided":
+            return (w + lanes * int(rng.integers(1, 9))) % size
+        if kind == "random":
+            return rng.integers(0, size, n)
+        if kind == "few":
+            return np.minimum(w + rng.integers(0, 3, n), size - 1)
+        if kind == "active-uniform":         # inactive lanes disagree
+            return np.where(active, w, rng.integers(0, size, n))
+        if kind == "out-of-range":
+            return np.full(n, size)
+        return np.where(lanes == n - 1, -1, w)   # "one-negative"
+
+    masks = {"full": None, "partial": rng.random(n) < 0.6,
+             "one-lane": lanes == 37, "empty": np.zeros(n, bool)}
+    kinds = ("uniform", "strided", "random", "few", "active-uniform",
+             "out-of-range", "one-negative")
+    errors = 0
+    for _ in range(6):
+        for kind in kinds:
+            for mask_name, cond in masks.items():
+                for space, candidates in arrays.items():
+                    arr = candidates[int(rng.integers(len(candidates)))]
+                    idx = indices(kind, arr.size,
+                                  True if cond is None else cond)
+                    load = ctx.ld_const if space == "const" else ctx.ld_tex
+                    with (ctx.masked(cond) if cond is not None
+                          else contextlib.nullcontext()):
+                        got = _error_of(load, arr, idx)
+                        want = _error_of(_cached_charge_reference, ref, spec,
+                                         plans[1].caches, arr, idx, ctx.mask,
+                                         space)
+                    assert got == want, (kind, mask_name, space)
+                    errors += got is not None
+                    assert _cached_counters(ctx.trace) == \
+                        _cached_counters(ref), (kind, mask_name, space)
+    assert errors and ctx.trace.const_misses and ctx.trace.const_hits
+    assert ctx.trace.tex_misses and ctx.trace.shared_conflict_cycles

@@ -119,16 +119,27 @@ def _app_outputs(app, workload, executor):
     return run
 
 
-def _assert_app_identical(app_cls, workload):
-    runs = [_app_outputs(app_cls(), dict(workload), ex)
-            for ex in ("sequential", "compiled")]
-    for other in runs[1:]:
-        assert set(runs[0].outputs) == set(other.outputs)
-        for key in runs[0].outputs:
-            np.testing.assert_array_equal(runs[0].outputs[key],
-                                          other.outputs[key])
-        assert runs[0].merged_trace.summary() == \
-            other.merged_trace.summary()
+def _launch_counters(launch):
+    return (trace_counters(launch.trace), launch.smem_bytes_per_block,
+            launch.blocks_traced)
+
+
+def _assert_app_identical(app_cls, workload, make_spec=None):
+    """Outputs, the merged trace summary and, launch by launch, every
+    trace counter the golden traces pin agree between the sequential
+    and the compiled executor (on ``make_spec()``, else the default
+    device)."""
+    def run(executor):
+        app = app_cls() if make_spec is None else app_cls(make_spec())
+        return _app_outputs(app, dict(workload), executor)
+
+    ref, comp = run("sequential"), run("compiled")
+    assert set(ref.outputs) == set(comp.outputs)
+    for key in ref.outputs:
+        np.testing.assert_array_equal(ref.outputs[key], comp.outputs[key])
+    assert ref.merged_trace.summary() == comp.merged_trace.summary()
+    assert [_launch_counters(launch) for launch in ref.launches] == \
+        [_launch_counters(launch) for launch in comp.launches]
 
 
 @settings(max_examples=10, deadline=None)
@@ -159,17 +170,14 @@ def test_lbm_identical_under_compiled(nx, ny, layout):
 @pytest.mark.parametrize("name", list(ALL_APPS))
 def test_every_app_identical_under_compiled(name):
     """The full-suite bit-identity sweep: every registered application's
-    test workload must produce byte-identical outputs under the
-    compiled executor (whether the kernel compiles or falls back to
-    the sequential reference backend)."""
-    app = ALL_APPS[name]()
-    workload = app.default_workload("test")
-    _assert_app_identical(ALL_APPS[name], workload)
-
-
-def _launch_counters(launch):
-    return (trace_counters(launch.trace), launch.smem_bytes_per_block,
-            launch.blocks_traced)
+    test workload must produce byte-identical outputs and, launch by
+    launch, identical trace counters under the compiled executor
+    (whether the kernel compiles or falls back to the sequential
+    reference backend), on the G80 and on Fermi."""
+    app_cls = ALL_APPS[name]
+    for make_spec in DEVICES.values():
+        workload = app_cls(make_spec()).default_workload("test")
+        _assert_app_identical(app_cls, workload, make_spec)
 
 
 @pytest.mark.parametrize("name", list(ALL_APPS))

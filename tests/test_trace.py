@@ -1,5 +1,10 @@
 """Tests for KernelTrace aggregation, scaling and derived metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +99,27 @@ class TestRecording:
         t = KernelTrace()
         t.record_instr(InstrClass.LD_GLOBAL, 4, 128)
         assert t.memory_to_compute_ratio == float("inf")
+
+
+def test_class_group_sums_do_not_depend_on_the_hash_seed():
+    """The global-memory and SFU group sums add float counts in one
+    order in every process: five counts whose sum rounds differently
+    by order, summed under eight hash seeds, print one ``repr``."""
+    script = (
+        "from repro.trace import InstrClass as C, KernelTrace\n"
+        "t = KernelTrace()\n"
+        "for cls, n in zip((C.LD_GLOBAL, C.ST_GLOBAL, C.LD_LOCAL,\n"
+        "                   C.ST_LOCAL, C.ATOM_GLOBAL, C.SFU, C.FDIV),\n"
+        "                  (0.1, 0.2, 0.3, 1e16, 1.0, 0.1, 0.2)):\n"
+        "    t.record_instr(cls, n, n)\n"
+        "print(repr(t.global_memory_warp_insts), repr(t.sfu_warp_insts))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+    ).stdout for seed in range(8)}
+    assert outputs == {"1e+16 0.30000000000000004\n"}
 
 
 class TestMergeAndScale:
