@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, Optional
 
 from .instr import (
     FLOPS_PER_THREAD,
@@ -35,6 +35,13 @@ from .instr import (
     SFU_CLASSES,
     InstrClass,
 )
+
+#: the class groups in declaration order, so that a float sum over a
+#: group adds in one order in every process (a set of members iterates
+#: in hash order, which follows their addresses)
+_GLOBAL_MEMORY_ORDER = tuple(c for c in InstrClass
+                             if c in GLOBAL_MEMORY_CLASSES)
+_SFU_ORDER = tuple(c for c in InstrClass if c in SFU_CLASSES)
 
 
 @dataclass
@@ -335,17 +342,11 @@ class KernelTrace:
 
     @property
     def global_memory_warp_insts(self) -> float:
-        return self._class_sum(GLOBAL_MEMORY_CLASSES)
+        return float(sum(self.warp_insts[c] for c in _GLOBAL_MEMORY_ORDER))
 
     @property
     def sfu_warp_insts(self) -> float:
-        return self._class_sum(SFU_CLASSES)
-
-    def _class_sum(self, classes: FrozenSet[InstrClass]) -> float:
-        """Warp instructions of ``classes``, summed in declaration order:
-        a float sum in a set's iteration order would follow the hash."""
-        return float(sum(self.warp_insts[c] for c in InstrClass
-                         if c in classes))
+        return float(sum(self.warp_insts[c] for c in _SFU_ORDER))
 
     @property
     def memory_to_compute_ratio(self) -> float:
