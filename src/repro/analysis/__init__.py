@@ -21,13 +21,13 @@ Entry points:
 """
 
 from .advisor import Advice, AdvisorReport, advise_app, advise_target
-from .census import KernelCensus, census_target
+from .census import KernelCensus, census_target, sample_coords
 from .estimate import PerfEstimate, estimate_app, estimate_target
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .liveness import RegisterEstimate, estimate_registers
 from .rules import (ArrayDataflow, LaunchAccess, LaunchDataflow,
                     analyze_launch_sequence, analyze_target,
-                    classify_dataflow, launch_dataflow, sample_coords)
+                    classify_dataflow, launch_dataflow)
 from .targets import LintArray, LintTarget, carr, garr, tarr
 
 __all__ = [

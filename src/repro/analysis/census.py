@@ -17,6 +17,14 @@ the full grid, so every downstream consumer of a dynamic trace —
 :func:`repro.sim.timing.estimate_time` — works unchanged on the static
 census.
 
+The lint pass (:func:`repro.analysis.rules.analyze_target`) is the
+census's one producer: it interprets every sample block for its rules
+anyway, assembles the census from those blocks with
+:func:`census_from_blocks` and leaves it on the target
+(``LintTarget.censuses``, one per device).  :func:`census_target`
+returns that census, and interprets the blocks itself, through the same
+assembly, only for a target no lint pass has seen on that device.
+
 Approximations (documented in DESIGN.md):
 
 * data-dependent global indices are charged one transaction per
@@ -32,13 +40,12 @@ Approximations (documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.dim3 import as_dim3
 from ..trace.trace import KernelTrace
 from .interp import interpret
-from .rules import sample_coords
 from .targets import LintTarget
 
 
@@ -103,42 +110,65 @@ class KernelCensus:
         return out
 
 
-def census_target(target: LintTarget,
-                  spec: DeviceSpec = DEFAULT_DEVICE) -> KernelCensus:
-    """Census a lint target: sample representative blocks (first,
-    middle, last in grid-linear order), average, extrapolate to the
-    full grid."""
+def sample_coords(grid) -> List[Tuple[int, int, int]]:
+    """First, middle and last block in grid-linear order (deduped)."""
+    grid = as_dim3(grid)
+    total = grid.size
+    ids = sorted({0, total // 2, total - 1})
+    return [grid.unlinear(i) for i in ids]
+
+
+#: what the census keeps of one interpreted sample block:
+#: ``(ctx.trace, ctx.smem_bytes, recorder.notes)`` — no events
+SampleBlock = Tuple[KernelTrace, int, List[Tuple[int, str]]]
+
+
+def census_from_blocks(target: LintTarget, blocks: Sequence[SampleBlock],
+                       ) -> Tuple[KernelCensus, KernelTrace]:
+    """Assemble ``target``'s census from its interpreted sample blocks:
+    average them, extrapolate to the full grid.  Also returns the
+    blocks' unscaled sum, whose divergence fractions R8 reports.  The
+    blocks' traces are left as they are."""
     kernel = target.kernel
-    name = getattr(kernel, "name", "<kernel>")
     grid = as_dim3(tuple(target.grid))
     block = as_dim3(tuple(target.block))
+    static_smem = getattr(kernel, "static_smem_bytes", 0)
 
     merged = KernelTrace()
-    smem_bytes = getattr(kernel, "static_smem_bytes", 0)
+    smem_bytes = static_smem
     limits: List[str] = []
-    coords = sample_coords(grid)
-    for coord in coords:
-        recorder, ctx = interpret(target, coord, spec)
-        per_block = ctx.trace
-        per_block.blocks_traced = 1
-        per_block.threads_traced = float(ctx.threads_per_block)
-        merged.merge(per_block)
-        smem_bytes = max(smem_bytes, ctx.smem_bytes
-                         + getattr(kernel, "static_smem_bytes", 0))
-        for _line, message in recorder.notes:
+    for trace, smem, notes in blocks:
+        merged.merge(trace)
+        smem_bytes = max(smem_bytes, smem + static_smem)
+        for _line, message in notes:
             if message.startswith("analysis stopped") \
                     and message not in limits:
                 limits.append(message)
+    sampled = len(blocks)
+    merged.blocks_traced = sampled
+    merged.threads_traced = float(block.size * sampled)
 
-    block_trace = merged.scaled(1.0 / len(coords))
+    block_trace = merged.scaled(1.0 / sampled)
     block_trace.blocks_traced = 1
-    full = merged.scaled(grid.size / len(coords))
-    full.blocks_traced = len(coords)
-
-    return KernelCensus(
-        kernel=name, note=target.note,
+    census = KernelCensus(
+        kernel=getattr(kernel, "name", "<kernel>"), note=target.note,
         grid=tuple(target.grid), block=tuple(target.block),
         num_blocks=grid.size, threads_per_block=block.size,
-        block_trace=block_trace, trace=full,
-        smem_bytes=smem_bytes, blocks_sampled=len(coords),
-        limits=limits)
+        block_trace=block_trace, trace=merged.scaled(grid.size / sampled),
+        smem_bytes=smem_bytes, blocks_sampled=sampled, limits=limits)
+    return census, merged
+
+
+def census_target(target: LintTarget,
+                  spec: DeviceSpec = DEFAULT_DEVICE) -> KernelCensus:
+    """The census a lint pass left on ``target`` for ``spec``; for a
+    target no lint pass has seen on ``spec``, interpret its sample
+    blocks and assemble the census the same way."""
+    census = target.censuses.get(spec)
+    if census is not None:
+        return census
+    blocks: List[SampleBlock] = []
+    for coord in sample_coords(target.grid):
+        recorder, ctx = interpret(target, coord, spec)
+        blocks.append((ctx.trace, ctx.smem_bytes, recorder.notes))
+    return census_from_blocks(target, blocks)[0]

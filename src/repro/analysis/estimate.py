@@ -23,6 +23,13 @@ reuses :func:`repro.sim.timing.estimate_time` unchanged — so a static
 estimate and a simulated launch disagree only where the census
 approximates (data-dependent indices, cache residency), which
 :mod:`repro.analysis.validate` checks.
+
+The census is the one the lint pass
+(:func:`repro.analysis.rules.analyze_target`) left on the target, so
+an estimate after a lint pass interprets nothing; only a target no
+lint pass has seen on the device is interpreted here, by
+:func:`~repro.analysis.census.census_target`.  The estimate reads the
+census and never changes it.
 """
 
 from __future__ import annotations
@@ -201,7 +208,8 @@ def estimate_target(target: LintTarget,
                     spec: DeviceSpec = DEFAULT_DEVICE,
                     use_declared_regs: bool = False) -> PerfEstimate:
     """Static performance estimate of one lint target: census the
-    kernel, estimate registers by liveness, bound and time it."""
+    kernel (the lint pass's census when one ran on ``spec``), estimate
+    registers by liveness, bound and time it."""
     census = census_target(target, spec)
     registers = estimate_registers(target.kernel)
     regs = int(target.kernel.regs_per_thread) if use_declared_regs else None

@@ -42,11 +42,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from .findings import Finding, KernelReport, Severity
 from .rules import RULES, analyze_target
+from .targets import LintTarget
 
 #: version of the ``--json`` envelope; bump on shape changes
 #: (v3 added the top-level "device" field; v4 added the top-level
@@ -60,23 +61,22 @@ def _finding_sort_key(finding: Finding):
     return (finding.kernel, finding.line or 0, finding.rule)
 
 
+def linted_targets(names: Optional[Sequence[str]] = None,
+                   spec: DeviceSpec = DEFAULT_DEVICE,
+                   ) -> List[Tuple[LintTarget, KernelReport]]:
+    """Analyze every lint target of several applications (default: all
+    registered).  Each report stays with the target it came from, which
+    holds the lint pass's census for the estimator."""
+    from ..apps.registry import app_names, get_app
+    return [(target, analyze_target(target, app=name, spec=spec))
+            for name in (names if names else app_names())
+            for target in get_app(name, spec).lint_targets()]
+
+
 def lint_app(name: str, spec: DeviceSpec = DEFAULT_DEVICE
              ) -> List[KernelReport]:
     """Analyze every lint target one application declares."""
-    from ..apps.registry import get_app
-    app = get_app(name, spec)
-    return [analyze_target(target, app=name, spec=spec)
-            for target in app.lint_targets()]
-
-
-def lint_apps(names: Optional[Sequence[str]] = None,
-              spec: DeviceSpec = DEFAULT_DEVICE) -> List[KernelReport]:
-    """Analyze several applications (default: all registered)."""
-    from ..apps.registry import app_names
-    reports: List[KernelReport] = []
-    for name in (names if names else app_names()):
-        reports.extend(lint_app(name, spec))
-    return reports
+    return [report for _target, report in linted_targets([name], spec)]
 
 
 def _format_report(report: KernelReport) -> str:
@@ -143,25 +143,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     threshold = Severity.parse(args.fail_on) if args.fail_on else None
-    reports = lint_apps(args.apps or None, spec)
+    linted = linted_targets(args.apps, spec)
+    reports = [report for _target, report in linted]
 
     estimates = {}
     advisor_reports = {}
     if args.estimate or args.advise:
-        from ..apps.registry import get_app
         from .advisor import advise_estimate
         from .estimate import estimate_target
-        index = 0
-        for name in (args.apps or None) or _registered_names():
-            for target in get_app(name, spec).lint_targets():
-                report = reports[index]
-                est = estimate_target(target, spec)
-                estimates[id(report)] = est
-                if args.advise:
-                    adv = advise_estimate(est, spec=spec)
-                    advisor_reports[id(report)] = adv
-                    report.findings.extend(adv.findings())
-                index += 1
+        for target, report in linted:
+            est = estimate_target(target, spec)
+            estimates[id(report)] = est
+            if args.advise:
+                adv = advise_estimate(est, spec=spec)
+                advisor_reports[id(report)] = adv
+                report.findings.extend(adv.findings())
 
     for report in reports:
         report.findings.sort(key=_finding_sort_key)
@@ -205,11 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{threshold}", file=sys.stderr)
             return 1
     return 0
-
-
-def _registered_names() -> List[str]:
-    from ..apps.registry import app_names
-    return list(app_names())
 
 
 if __name__ == "__main__":

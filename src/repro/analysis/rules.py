@@ -47,6 +47,7 @@ from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.dim3 import as_dim3
 from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
+from .census import SampleBlock, census_from_blocks, sample_coords
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SyncEvent, interpret
 from .liveness import estimate_registers
@@ -129,14 +130,6 @@ RULES: Tuple[RuleInfo, ...] = (
              "thread-varying control flow, hot divergent branches, "
              "proven-uniform predication"),
 )
-
-
-def sample_coords(grid) -> List[Tuple[int, int, int]]:
-    """First, middle and last block in grid-linear order (deduped)."""
-    grid = as_dim3(grid)
-    total = grid.size
-    ids = sorted({0, total // 2, total - 1})
-    return [grid.unlinear(i) for i in ids]
 
 
 # ----------------------------------------------------------------------
@@ -546,11 +539,14 @@ def _compile_status_safe(kernel) -> Tuple[bool, str]:
         return False, f"{type(exc).__name__}: {exc}"
 
 
-def rule_compilability(kernel, name: str) -> List[Finding]:
+def rule_compilability(status: Tuple[bool, str],
+                       name: str) -> List[Finding]:
     """INFO when the grid compiler cannot lower the kernel — the
     ``compiled`` executor (and ``executor="auto"``) will fall back to
-    the sequential reference backend for it.  Silent on success."""
-    ok, reason = _compile_status_safe(kernel)
+    the sequential reference backend for it.  Silent on success.
+    ``status`` is the compiler's ``(ok, reason)`` for the kernel, as
+    :func:`repro.compile.compile_status` reports it."""
+    ok, reason = status
     if ok:
         return []
     return [Finding(
@@ -820,7 +816,14 @@ def rule_divergence(kernel, name: str,
 
 def analyze_target(target: LintTarget, app: str = "",
                    spec: DeviceSpec = DEFAULT_DEVICE) -> KernelReport:
-    """Run every rule against one lint target and merge the verdicts."""
+    """Run every rule against one lint target and merge the verdicts.
+
+    The lint pass is the census's one producer: it interprets each
+    sample block once, and the census assembled from those blocks
+    (:func:`repro.analysis.census.census_from_blocks`) is left on
+    ``target.censuses[spec]``, where
+    :func:`repro.analysis.census.census_target` reads it instead of
+    interpreting the blocks again."""
     kernel = target.kernel
     name = getattr(kernel, "name", "<kernel>")
     grid = as_dim3(tuple(target.grid))
@@ -828,7 +831,6 @@ def analyze_target(target: LintTarget, app: str = "",
     nthreads = block.size
     declared = getattr(kernel, "batchable", None)
     regs_declared = getattr(kernel, "regs_per_thread", 10)
-    static_smem = getattr(kernel, "static_smem_bytes", 0)
 
     report = KernelReport(
         kernel=name, app=app, grid=tuple(target.grid),
@@ -840,9 +842,8 @@ def analyze_target(target: LintTarget, app: str = "",
     merged_access: Dict[Tuple[str, str], AccessSummary] = {}
     hazards: List[HazardEvent] = []
     hazard_keys: set = set()
-    smem_bytes = static_smem
     notes: List[Tuple[int, str]] = []
-    census_total = KernelTrace()
+    blocks: List[SampleBlock] = []
 
     def add(findings: List[Finding]) -> None:
         for f in findings:
@@ -878,20 +879,21 @@ def analyze_target(target: LintTarget, app: str = "",
                 if (ev.kind, ev.line) not in hazard_keys:
                     hazard_keys.add((ev.kind, ev.line))
                     hazards.append(ev)
-        smem_bytes = max(smem_bytes, ctx.smem_bytes + static_smem)
-        census_total.merge(ctx.trace)
+        blocks.append((ctx.trace, ctx.smem_bytes, recorder.notes))
         for note in recorder.notes:
             if note not in notes:
                 notes.append(note)
 
+    census, sampled = census_from_blocks(target, blocks)
+    target.censuses[spec] = census
     occ_findings, occ_desc = rule_occupancy(
-        nthreads, regs_declared, smem_bytes, name, spec)
+        nthreads, regs_declared, census.smem_bytes, name, spec)
     add(occ_findings)
     add(rule_batch_safety(hazards, name, declared))
-    add(rule_compilability(kernel, name))
     ok, reason = _compile_status_safe(kernel)
+    add(rule_compilability((ok, reason), name))
     report.compile = {"ok": ok, "reason": None if ok else reason}
-    div_findings, div_summary = rule_divergence(kernel, name, census_total)
+    div_findings, div_summary = rule_divergence(kernel, name, sampled)
     add(div_findings)
     report.divergence = div_summary
     add([Finding("analysis", Severity.INFO, name, message, line or None)
@@ -899,7 +901,7 @@ def analyze_target(target: LintTarget, app: str = "",
 
     report.accesses = sorted(merged_access.values(),
                              key=lambda s: (s.space, s.array))
-    report.smem_bytes = smem_bytes
+    report.smem_bytes = census.smem_bytes
     report.regs_estimated = estimate_registers(kernel).regs
     report.occupancy = occ_desc
     report.batch_hazards = sorted({h.kind for h in hazards})

@@ -16,9 +16,13 @@ interpreter can evaluate index arithmetic concretely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..arch.device import DeviceSpec
+    from .census import KernelCensus
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,12 @@ class LintTarget:
     block: Tuple[int, ...]
     args: Tuple[object, ...] = field(default_factory=tuple)
     note: str = ""
+    #: the census per device that the lint pass
+    #: (:func:`repro.analysis.rules.analyze_target`) left for
+    #: :func:`repro.analysis.census.census_target`; not part of the
+    #: target's identity
+    censuses: Dict[DeviceSpec, KernelCensus] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def label(self) -> str:

@@ -121,11 +121,13 @@ def test_refusal_is_negatively_cached():
 
 def test_lint_reports_non_compilable_kernels():
     from repro.analysis.rules import rule_compilability
-    findings = rule_compilability(sync_in_branch, "sync_in_branch")
+    findings = rule_compilability(compile_status(sync_in_branch),
+                                  "sync_in_branch")
     assert len(findings) == 1
     assert findings[0].rule == "compile"
     assert "falls back" in findings[0].message
-    assert rule_compilability(build_kernel("tiled", 16), "matmul") == []
+    assert rule_compilability(compile_status(build_kernel("tiled", 16)),
+                              "matmul") == []
 
 
 def test_fallback_increments_obs_counter():
