@@ -20,43 +20,34 @@ Entry points:
   verdicts against dynamic trace counters and the timing simulator.
 """
 
-from .advisor import Advice, AdvisorReport, advise_app, advise_target
-from .census import KernelCensus, census_target, sample_coords
-from .estimate import PerfEstimate, estimate_app, estimate_target
-from .findings import AccessSummary, Finding, KernelReport, Severity
-from .liveness import RegisterEstimate, estimate_registers
-from .rules import (ArrayDataflow, LaunchAccess, LaunchDataflow,
-                    analyze_launch_sequence, analyze_target,
-                    classify_dataflow, launch_dataflow)
-from .targets import LintArray, LintTarget, carr, garr, tarr
+import importlib
+from typing import Dict, Tuple
 
-__all__ = [
-    "AccessSummary",
-    "Advice",
-    "AdvisorReport",
-    "ArrayDataflow",
-    "Finding",
-    "KernelCensus",
-    "KernelReport",
-    "LaunchAccess",
-    "LaunchDataflow",
-    "LintArray",
-    "LintTarget",
-    "PerfEstimate",
-    "RegisterEstimate",
-    "Severity",
-    "advise_app",
-    "advise_target",
-    "analyze_launch_sequence",
-    "analyze_target",
-    "carr",
-    "census_target",
-    "classify_dataflow",
-    "estimate_app",
-    "estimate_registers",
-    "estimate_target",
-    "garr",
-    "launch_dataflow",
-    "sample_coords",
-    "tarr",
-]
+#: public names by the submodule that defines them.  A submodule is
+#: imported on first use, so the launch path's replay proof, which
+#: imports only :mod:`.divergence` and :mod:`.ir`, pulls in neither
+#: the interpreter nor the rules.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "advisor": ("Advice", "AdvisorReport", "advise_app", "advise_target"),
+    "census": ("KernelCensus", "census_target", "sample_coords"),
+    "estimate": ("PerfEstimate", "estimate_app", "estimate_target"),
+    "findings": ("AccessSummary", "Finding", "KernelReport", "Severity"),
+    "liveness": ("RegisterEstimate", "estimate_registers"),
+    "rules": ("ArrayDataflow", "LaunchAccess", "LaunchDataflow",
+              "analyze_launch_sequence", "analyze_target",
+              "classify_dataflow", "launch_dataflow"),
+    "targets": ("LintArray", "LintTarget", "carr", "garr", "tarr"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -32,20 +32,31 @@ Consumers:
 * :mod:`repro.compile.lower` queries :func:`uniform_mask_lines` to
   lower ``__syncthreads`` under *proven-uniform* ``ctx.masked``
   regions instead of refusing the kernel.
+
+Next to the lattice runs a second forward dataflow over the same CFG,
+the **data taint** behind :func:`replay_proof`: a value is DATA when
+it derives from a load (any ``ld_*``, or a raw ``arr.data`` read).  A
+kernel none of whose charged operands — memory-op indices,
+``shared_alloc`` shapes, bookkeeping counts, mask conditions — nor
+branch conditions is DATA charges the same trace for any contents of
+its arrays, so the launch trace cache (:mod:`repro.trace.collector`)
+may replay a recorded trace for it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, List, Set,
+                    Tuple)
 
+from ..cuda.context import CTX_OPS
 from ..cuda.source import SOURCE_ERRORS, kernel_source
 from .ir import KernelIR, lower_kernel
 
 __all__ = ["Uniformity", "join", "BranchVerdict", "SyncVerdict",
            "DivergenceAnalysis", "analyze_divergence",
-           "uniform_mask_lines"]
+           "uniform_mask_lines", "ReplayProof", "replay_proof"]
 
 
 class Uniformity(enum.IntEnum):
@@ -258,3 +269,103 @@ def uniform_mask_lines(fn: Callable) -> FrozenSet[int]:
         return analyze_divergence(fn).uniform_masked_lines()
     except SOURCE_ERRORS:
         return frozenset()
+
+
+# ----------------------------------------------------------------------
+# The data taint: may a recorded trace be replayed?
+# ----------------------------------------------------------------------
+
+#: seed tokens of loaded values: every load op, and ``"data"``, a raw
+#: read of an array's storage that bypasses them
+DATA_SEEDS: FrozenSet[str] = frozenset(
+    [op for op, meta in CTX_OPS.items() if meta.category.endswith("_ld")]
+    + ["data"])
+
+
+@dataclass(frozen=True)
+class ReplayProof:
+    """The verdict of :func:`replay_proof` on one kernel.
+
+    ``refusals`` lists what stops the proof, most telling first:
+    constructs the IR cannot see into, then DATA memory-op indices,
+    then every other DATA operand or branch condition, each in source
+    order and naming the DATA values it reads.  Empty when admitted.
+    """
+
+    refusals: Tuple[str, ...] = ()
+
+    @property
+    def admitted(self) -> bool:
+        return not self.refusals
+
+    @property
+    def reason(self) -> str:
+        return self.refusals[0] if self.refusals else ""
+
+
+def _data_in(names: Tuple[str, ...], env: AbstractSet[str]) -> List[str]:
+    return [n for n in names if n in env or n in DATA_SEEDS]
+
+
+def _taint(ir: KernelIR) -> ReplayProof:
+    out: Dict[int, FrozenSet[str]] = {}      # DATA names out of a block
+    indices: List[Tuple[int, str]] = []
+    others: List[Tuple[int, str]] = []
+
+    def report(line: int, role: str, hit: List[str]) -> None:
+        (indices if role.endswith(" index") else others).append(
+            (line, f"{role} {', '.join(hit)} (line {line})"))
+
+    def walk(idx: int, check: bool) -> FrozenSet[str]:
+        """The DATA names out of block ``idx`` (assignments only add
+        taint); with ``check``, report every DATA operand on the way."""
+        blk = ir.blocks[idx]
+        env: Set[str] = set()
+        for p in blk.preds:
+            env |= out.get(p, frozenset())
+        for instr in blk.instrs:
+            for role, names in instr.operands:
+                hit = _data_in(names, env) if check else []
+                if hit:
+                    report(instr.line, role, hit)
+            if _data_in(instr.srcs + instr.seeds, env):
+                env.update(instr.dests)
+        if check and blk.branch is not None:
+            hit = _data_in(blk.branch.srcs + blk.branch.seeds, env)
+            if hit:
+                report(blk.branch.line, f"{blk.branch.kind} condition", hit)
+        return frozenset(env)
+
+    changed = True
+    while changed:                  # a union grows to its fixpoint
+        changed = False
+        for idx in ir.rpo:
+            env = walk(idx, check=False)
+            if env != out.get(idx):
+                out[idx] = env
+                changed = True
+    for idx in ir.rpo:
+        walk(idx, check=True)
+    opaque = [f"{what} (line {line})" for line, what in ir.opaque]
+    return ReplayProof(tuple(opaque + [r for _, r in sorted(set(indices))]
+                             + [r for _, r in sorted(set(others))]))
+
+
+def replay_proof(fn: Callable) -> ReplayProof:
+    """May a recorded trace of ``fn`` (a kernel function or
+    :class:`~repro.cuda.launch.Kernel`) stand for another launch with
+    the same :meth:`~repro.cuda.plan.LaunchPlan.module_key`?
+
+    Yes when the data taint (module docstring) proves every charged
+    operand and branch condition free of DATA and the IR sees the whole
+    body — no nested ``def``/``lambda``, no call that receives ``ctx``.
+    Then the address and control streams depend only on what the key
+    holds: geometry, scalar arguments and the arrays' layout.  Memoized
+    per code object, like the IR; a kernel without readable source is
+    refused.  CSR SpMV (fem) is refused for its gathered column index,
+    tpacf for its binary search over staged bin edges."""
+    try:
+        return kernel_source(fn).derive(
+            "replay", lambda: _taint(lower_kernel(fn)))
+    except SOURCE_ERRORS as exc:
+        return ReplayProof((f"source unavailable: {exc}",))

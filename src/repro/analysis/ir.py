@@ -15,12 +15,17 @@ where a diverged warp's lanes rejoin).
 
 The IR is deliberately SSA-lite: statements keep their source names
 (``dests``/``srcs``) rather than versioned values, because the
-consumer (:mod:`repro.analysis.divergence`) runs a monotone forward
-dataflow to fixpoint where name-level join is exactly as precise for
-the three-point uniformity lattice.  ``ctx`` attribute reads and
-query calls are surfaced as *seed tokens* (``"tid"``, ``"bx"``,
-``"global_tid"``, ...) so the lattice seeding stays out of this
-module.
+consumer (:mod:`repro.analysis.divergence`) runs monotone forward
+dataflows to fixpoint where name-level join is exactly as precise for
+the three-point uniformity lattice and the data taint.  ``ctx``
+attribute reads, query calls and loads are surfaced as *seed tokens*
+(``"tid"``, ``"bx"``, ``"global_tid"``, ``"ld_global"``, ...; a raw
+``arr.data`` read is ``"data"``) so the lattice seeding stays out of
+this module.  Every ``ctx`` call whose trace charge reads an operand
+(a memory op's index, ``shared_alloc``'s shape, a bookkeeping count,
+a mask condition) records the names that operand reads, and the
+constructs that hide statements from the CFG (a nested ``def`` or
+``lambda``, a call that receives ``ctx``) are listed as ``opaque``.
 
 The source comes from the kernel front end (:mod:`repro.cuda.source`),
 and line numbers are absolute file lines from its one line offset, the
@@ -53,9 +58,13 @@ class IRInstr:
 
     ``ops`` lists the ``ctx.*`` methods the statement invokes (with
     their :data:`CTX_OPS` categories in ``categories``); ``seeds``
-    lists the ``ctx`` identity attributes / query calls it reads
-    (``"tid"``, ``"bx"``, ``"global_tid"``, ...) so a dataflow client
-    can seed lattice values without re-parsing.
+    lists the ``ctx`` identity attributes, query calls and loads it
+    reads (``"tid"``, ``"bx"``, ``"global_tid"``, ``"ld_global"``, ...)
+    so a dataflow client can seed lattice values without re-parsing.
+    ``operands`` pairs each charged operand of a ``ctx`` call (see
+    :data:`CHARGED_OPERAND`) with the names and seed tokens it reads,
+    e.g. ``("ld_global index", ("col",))``; the test of a conditional
+    expression or comprehension that guards a ``ctx`` call is one too.
     """
 
     line: int
@@ -64,6 +73,7 @@ class IRInstr:
     seeds: Tuple[str, ...]
     ops: Tuple[str, ...]
     categories: Tuple[str, ...]
+    operands: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
 
     @property
     def is_sync(self) -> bool:
@@ -123,10 +133,25 @@ def _is_ctx_call(node: ast.AST, ctx_name: str) -> Optional[str]:
     return None
 
 
+#: the operand a ``ctx`` call's trace charge reads, by :data:`CTX_OPS`
+#: category: (argument position, role)
+CHARGED_OPERAND: Dict[str, Tuple[int, str]] = {
+    **{cat: (1, "index") for cat in (
+        "global_ld", "global_st", "global_atomic", "shared_ld",
+        "shared_st", "const_ld", "tex_ld")},
+    "alloc": (0, "shape"),
+    "meta": (0, "count"),
+    "masked": (0, "condition"),
+    "query": (0, "condition"),
+}
+
+
 def _scan_expr(node: ast.AST, ctx_name: str,
                srcs: Set[str], seeds: Set[str],
-               ops: List[str], cats: List[str]) -> None:
-    """Collect names, ctx seed tokens and ctx ops from an expression."""
+               ops: List[str], cats: List[str],
+               operands: Optional[List] = None) -> None:
+    """Collect names, ctx seed tokens and ctx ops from an expression
+    (and, when ``operands`` is given, the charged operands)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) \
                 and sub.id != ctx_name:
@@ -139,10 +164,58 @@ def _scan_expr(node: ast.AST, ctx_name: str,
             if op is not None:
                 ops.append(meth)
                 cats.append(op.category)
-                if op.category in ("query", "identity"):
+                if op.category in ("query", "identity") \
+                        or op.category.endswith("_ld"):
                     seeds.add(meth)   # global_tid & friends vary
             elif meth in CTX_ATTRS:
                 seeds.add(meth)
+        elif isinstance(sub, ast.Attribute) and sub.attr == "data":
+            seeds.add("data")         # a raw read of array storage
+        if operands is not None:
+            _charged(sub, ctx_name, operands)
+
+
+def _reads(nodes: Sequence[ast.AST], ctx_name: str) -> Tuple[str, ...]:
+    """Names and seed tokens read anywhere in ``nodes``."""
+    srcs: Set[str] = set()
+    seeds: Set[str] = set()
+    for node in nodes:
+        _scan_expr(node, ctx_name, srcs, seeds, [], [])
+    return tuple(sorted(srcs | seeds))
+
+
+def _calls_ctx(nodes: Sequence[ast.AST], ctx_name: str) -> bool:
+    return any(_is_ctx_call(sub, ctx_name) for node in nodes
+               for sub in ast.walk(node))
+
+
+def _charged(node: ast.AST, ctx_name: str, operands: List) -> None:
+    """Record ``node``'s charged operand: the one :data:`CHARGED_OPERAND`
+    names for a ``ctx`` call (every keyword when it is not positional),
+    or the test of a conditional expression, short-circuit operator or
+    comprehension that decides whether a ``ctx`` call runs."""
+    meth = _is_ctx_call(node, ctx_name)
+    op = CTX_OPS.get(meth) if meth is not None else None
+    charged = CHARGED_OPERAND.get(op.category) if op is not None else None
+    if isinstance(node, ast.Call) and charged is not None:
+        pos, role = charged
+        arg = [node.args[pos]] if len(node.args) > pos \
+            else [kw.value for kw in node.keywords]
+        operands.append((f"{meth} {role}", _reads(arg, ctx_name)))
+    elif isinstance(node, ast.IfExp) \
+            and _calls_ctx([node.body, node.orelse], ctx_name):
+        operands.append(("conditional expression test",
+                         _reads([node.test], ctx_name)))
+    elif isinstance(node, ast.BoolOp) \
+            and _calls_ctx(node.values[1:], ctx_name):
+        operands.append(("boolean operand",
+                         _reads(node.values[:-1], ctx_name)))
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                           ast.GeneratorExp)) \
+            and _calls_ctx([node], ctx_name):
+        operands.append(("comprehension iteration", _reads(
+            [part for gen in node.generators
+             for part in (gen.iter, *gen.ifs)], ctx_name)))
 
 
 def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
@@ -151,6 +224,7 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     seeds: Set[str] = set()
     ops: List[str] = []
     cats: List[str] = []
+    operands: List[Tuple[str, Tuple[str, ...]]] = []
     value: Optional[ast.AST] = None
     if isinstance(stmt, ast.Assign):
         value = stmt.value
@@ -172,15 +246,15 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     elif isinstance(stmt, ast.Return):
         value = stmt.value
     if value is not None:
-        _scan_expr(value, ctx_name, srcs, seeds, ops, cats)
+        _scan_expr(value, ctx_name, srcs, seeds, ops, cats, operands)
     # subscripted / attribute assignment targets also read names
     if isinstance(stmt, ast.Assign):
         for tgt in stmt.targets:
             if not isinstance(tgt, ast.Name):
-                _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats)
+                _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats, operands)
     return IRInstr(offset + stmt.lineno, tuple(sorted(dests)),
                    tuple(sorted(srcs)), tuple(sorted(seeds)),
-                   tuple(ops), tuple(cats))
+                   tuple(ops), tuple(cats), tuple(operands))
 
 
 def _cond_info(node: ast.AST, ctx_name: str
@@ -256,6 +330,12 @@ class _CFGBuilder:
                                ast.Pass, ast.Global, ast.Nonlocal)):
             pass                          # no dataflow contribution
         elif isinstance(stmt, ast.With):  # non-masked context manager
+            for item in stmt.items:       # its ctx calls still charge
+                entry = ast.Assign([item.optional_vars], item.context_expr) \
+                    if item.optional_vars else ast.Expr(item.context_expr)
+                self.blocks[self.cur].instrs.append(_classify_stmt(
+                    ast.copy_location(entry, stmt),
+                    self.ctx_name, self.offset))
             self.build(stmt.body)
         elif isinstance(stmt, (ast.Try,)):
             self.build(stmt.body)         # conservative: straight-line
@@ -399,7 +479,8 @@ class KernelIR:
 
     def __init__(self, name: str, blocks: List[BasicBlock],
                  entry: int, exit_index: int, line_offset: int,
-                 params: Tuple[str, ...], ctx_name: str) -> None:
+                 params: Tuple[str, ...], ctx_name: str,
+                 opaque: Tuple[Tuple[int, str], ...] = ()) -> None:
         self.name = name
         self.blocks = blocks
         self.entry = entry
@@ -407,6 +488,10 @@ class KernelIR:
         self.line_offset = line_offset
         self.params = params
         self.ctx_name = ctx_name
+        #: (line, what) of every construct whose statements the CFG
+        #: does not see: a nested ``def``/``class``/``lambda``, a call
+        #: that receives ``ctx``, any other escape of ``ctx``, a ``try``
+        self.opaque = opaque
 
         self.reachable = self._reachable_from(entry, lambda b: b.succs)
         nodes = sorted(self.reachable)
@@ -560,4 +645,35 @@ def _build_ir(src: KernelSource) -> KernelIR:
     if builder.cur is not None:
         builder.edge(builder.cur, exit_index)
     return KernelIR(fdef.name, builder.blocks, 0, exit_index, offset,
-                    params, ctx_name)
+                    params, ctx_name, _opaque(fdef.body, ctx_name, offset))
+
+
+def _opaque(body: Sequence[ast.stmt], ctx_name: str,
+            offset: int) -> Tuple[Tuple[int, str], ...]:
+    """The constructs of ``body`` that hide statements from the CFG."""
+    found: List[Tuple[int, str]] = []
+    bases: Set[int] = set()        # ctx names read as ``ctx.<attr>``
+    passed: Set[int] = set()       # ctx names passed to a call
+    nodes = [sub for stmt in body for sub in ast.walk(stmt)]
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.lineno, f"nested def {node.name}"))
+        elif isinstance(node, ast.Lambda):
+            found.append((node.lineno, "lambda"))
+        elif isinstance(node, ast.Try):
+            found.append((node.lineno, "try statement"))
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name):
+            bases.add(id(node.value))
+        elif isinstance(node, ast.Call):
+            for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                if isinstance(arg, ast.Name) and arg.id == ctx_name:
+                    passed.add(id(arg))
+                    found.append((node.lineno, f"{ast.unparse(node.func)} "
+                                               f"receives {ctx_name}"))
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id == ctx_name \
+                and id(node) not in bases and id(node) not in passed:
+            found.append((node.lineno, f"{ctx_name} escapes"))
+    return tuple(sorted((offset + line, what) for line, what in found))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
-from ..cuda.source import closure_env, kernel_source
+from ..cuda.source import closure_env, fingerprint, kernel_source
 from .divergence import SEED_UNIFORMITY, Uniformity
 
 #: ctx methods whose result is per-thread regardless of arguments:
@@ -312,18 +312,36 @@ class _Liveness:
         return max(1, self.peak), self.peak_names, classes
 
 
+#: estimates by (content fingerprint, name, declared count); entries
+#: kept before the memo starts over
+_ESTIMATES: Dict[Tuple[str, str, int], RegisterEstimate] = {}
+_MAX_ESTIMATES = 1024
+
+
 def estimate_registers(kernel) -> RegisterEstimate:
     """Estimate registers/thread for a DSL kernel (see module docs).
 
     Falls back to the kernel's declared ``regs_per_thread`` when its
     source is unavailable or uses constructs the AST pass cannot
-    follow — the estimate then carries ``fallback=True``.
+    follow — the estimate then carries ``fallback=True``.  Memoized by
+    content (:func:`repro.cuda.source.fingerprint`: source plus closure
+    values), so the lint pass and the estimator walk a kernel once; a
+    kernel without a fingerprint is walked on every call.
     """
     name = getattr(kernel, "name", "<kernel>")
     declared = int(getattr(kernel, "regs_per_thread", 10))
+    content = fingerprint(kernel)
+    key = (content, name, declared) if content is not None else None
+    if key is not None and key in _ESTIMATES:
+        return _ESTIMATES[key]
     try:
         analysis = _Liveness(kernel_source(kernel).fdef, closure_env(kernel))
         regs, peak_names, classes = analysis.run()
-        return RegisterEstimate(name, regs, peak_names, classes)
+        estimate = RegisterEstimate(name, regs, peak_names, classes)
     except Exception:
-        return RegisterEstimate(name, declared, (), {}, fallback=True)
+        estimate = RegisterEstimate(name, declared, (), {}, fallback=True)
+    if key is not None:
+        if len(_ESTIMATES) >= _MAX_ESTIMATES:
+            _ESTIMATES.clear()
+        _ESTIMATES[key] = estimate
+    return estimate

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,17 +58,22 @@ class AppRun:
     module: Optional[object] = None
 
     # ------------------------------------------------------------------
-    # GPU side
+    # GPU side (a run's launches are fixed when it is built, so the
+    # merged trace and the per-launch estimates are computed once)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def merged_trace(self) -> KernelTrace:
         merged = KernelTrace()
         for l in self.launches:
             merged.merge(l.trace)
         return merged
 
+    @cached_property
+    def _kernel_estimates(self) -> Tuple[KernelTimeEstimate, ...]:
+        return tuple(estimate_kernel_time(l) for l in self.launches)
+
     def kernel_estimates(self) -> List[KernelTimeEstimate]:
-        return [estimate_kernel_time(l) for l in self.launches]
+        return list(self._kernel_estimates)
 
     @property
     def gpu_kernel_seconds(self) -> float:

@@ -17,16 +17,20 @@ unit instead:
   ordinary per-launch path).
 
 * Every launch of a fused group runs through the module's one
-  :class:`~repro.cuda.executors.CompiledExecutor`, whose launch trace
-  cache (:mod:`repro.trace.collector`) is keyed by
-  :meth:`~repro.cuda.plan.LaunchPlan.module_key`.  The first
-  occurrence of each launch configuration traces its sample blocks;
-  every repeat runs the compiled program over the whole grid and
-  **replays** the recorded trace, so the dominant per-launch cost (two
-  scalar traced blocks with per-operation accounting) is paid once per
-  configuration, not once per launch.  Replay is sound because a
-  launch configuration fixes the kernel's address and control
-  streams, which for the suite's kernels are data-independent.
+  :class:`~repro.cuda.executors.CompiledExecutor`, which uses the
+  schedule device's launch trace cache (``Device.traces``, see
+  :mod:`repro.trace.collector`) — the same cache the ``"auto"``
+  policy of per-launch execution uses, so the module owns none of its
+  own.  The first occurrence of each
+  :meth:`~repro.cuda.plan.LaunchPlan.module_key` traces its sample
+  blocks; every repeat runs the compiled program over the whole grid
+  and **replays** the recorded trace, so the dominant per-launch cost
+  (two scalar traced blocks with per-operation accounting) is paid
+  once per configuration, not once per launch.  Replay is sound when
+  the key's memory layout and scalars are equal and the data taint of
+  :func:`repro.analysis.divergence.replay_proof` shows that the
+  kernel's address and control streams do not depend on loaded data;
+  a kernel it refuses re-traces.
 
 * Compiled programs come through the artifact-cache-aware
   :func:`repro.compile.get_program`, so a warm on-disk cache
@@ -104,7 +108,7 @@ class CompiledModule:
             schedule, spec=schedule.device.spec)
         self.stats: Counter = Counter()
         self._executor = CompiledExecutor()
-        self._executor.traces = {}
+        self._executor.traces = schedule.device.traces
         self._fused_steps = frozenset(
             i for g in self.fusion.groups if g.fused for i in g.steps)
 

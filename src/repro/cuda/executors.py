@@ -53,11 +53,17 @@ class Executor(ABC):
     *launch* — blocks pay nothing.
 
     ``traces`` is the launch trace cache handed to every collector
-    (see :mod:`repro.trace.collector`); ``None`` traces every launch.
+    (see :mod:`repro.trace.collector`); ``None``, the default of every
+    named executor, traces every launch.  :func:`choose_executor` sets
+    it to the plan's ``Device.traces`` and ``decision`` to why it chose
+    this backend.  While a span tracer is installed, the launch's
+    ``executor.<name>`` span carries both decisions as its ``auto``
+    and ``replay`` attributes.
     """
 
     name = "executor"
     traces: Optional[Dict] = None
+    decision: Optional[str] = None
 
     def execute(self, plan) -> LaunchResult:
         profiler = active_profiler()
@@ -67,7 +73,12 @@ class Executor(ABC):
             traces=self.traces)
         t0 = perf_counter()
         with span(f"executor.{self.name}", kernel=plan.kernel.name,
-                  grid=plan.grid, block=plan.block):
+                  grid=plan.grid, block=plan.block) as node:
+            if node is not None:
+                if self.decision is not None:
+                    node.attrs["auto"] = self.decision
+                if collector.replay is not None:
+                    node.attrs["replay"] = collector.replay
             executed = self._run(plan, collector)
         t1 = perf_counter()
         with span("collector.finalize", kernel=plan.kernel.name):
@@ -301,16 +312,28 @@ def choose_executor(plan) -> Executor:
     the grid compiler has (or can build, or loads from the on-disk
     artifact cache) a program for run compiled when at least
     :data:`MIN_VECTOR_BLOCKS` blocks are untraced; everything else
-    runs on the sequential reference backend.
+    runs on the sequential reference backend.  Either way the executor
+    replays through the plan device's launch trace cache
+    (``Device.traces``), and its ``decision`` says why it was chosen.
     """
     from ..compile import compile_status
     from ..compile.program import plan_context
     untraced = plan.num_blocks - len(plan.traced)
-    if plan.functional and plan.kernel.batchable \
-            and untraced >= MIN_VECTOR_BLOCKS \
-            and compile_status(plan.kernel, plan_context(plan))[0]:
-        return CompiledExecutor()
-    return SequentialExecutor()
+    if not plan.functional:
+        decision = "non-functional launch"
+    elif not plan.kernel.batchable:
+        decision = "batchable=False"
+    elif untraced < MIN_VECTOR_BLOCKS:
+        decision = (f"{untraced} untraced blocks < "
+                    f"MIN_VECTOR_BLOCKS ({MIN_VECTOR_BLOCKS})")
+    else:
+        ok, reason = compile_status(plan.kernel, plan_context(plan))
+        decision = "compiled" if ok else f"compile refused: {reason}"
+    executor: Executor = CompiledExecutor() if decision == "compiled" \
+        else SequentialExecutor()
+    executor.decision = decision
+    executor.traces = plan.device.traces
+    return executor
 
 
 def resolve_executor(spec, plan=None) -> Executor:

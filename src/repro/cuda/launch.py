@@ -166,9 +166,11 @@ def launch(
         nothing and is rejected with :class:`CudaModelError`.
     trace_blocks:
         Number of blocks to execute with tracing enabled; the trace is
-        scaled by ``grid.size / traced``.  Every ``launch()`` traces
-        its own sample; replaying a configuration's recorded trace is
-        the AOT module's job (:mod:`repro.compile.module`).
+        scaled by ``grid.size / traced``.  Under ``executor="auto"`` a
+        launch whose key is in ``device.traces`` replays the recorded
+        trace when the replay proof admits the kernel (see
+        :mod:`repro.trace.collector`); the named executors trace every
+        launch.
     trace:
         Disable to run purely functionally (fast path for tests).
     record_stream:

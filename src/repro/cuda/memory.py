@@ -183,6 +183,11 @@ class Device:
         self.arrays: Dict[str, DeviceArray] = {}
         self.transfers: List[TransferRecord] = []
         self._anon = 0
+        #: the launch trace cache of this device's run, keyed by
+        #: :meth:`~repro.cuda.plan.LaunchPlan.module_key` (see
+        #: :mod:`repro.trace.collector`); only the ``"auto"`` policy and
+        #: the AOT module hand it to their executors
+        self.traces: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Allocation

@@ -30,6 +30,7 @@ it is now three explicit layers:
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -197,9 +198,8 @@ class LaunchPlan:
         dtype and element count for device arrays, type and value for
         scalars.  Combined with the kernel name and block shape this
         keys anything cached per launch *configuration* — the artifact
-        cache's program context, R7's per-launch footprints and the
-        launch trace cache (:meth:`module_key`) — without holding
-        references to the arrays themselves."""
+        cache's program context and R7's per-launch footprints —
+        without holding references to the arrays themselves."""
         from .memory import DeviceArray
         parts = []
         for a in self.args:
@@ -211,20 +211,56 @@ class LaunchPlan:
         return (self.kernel.name, self.block, tuple(parts))
 
     def module_key(self) -> Tuple:
-        """Full launch-*configuration* identity, the key of the launch
-        trace cache (:mod:`repro.trace.collector`): the kernel object
-        itself (two kernels may share a name), :meth:`arg_signature`,
-        the grid, the bound array names and every switch that changes
-        what executing the plan observes.  Two plans with equal keys
-        run the same kernel over the same geometry against the
-        same-named device arrays — the precondition for replaying a
-        recorded trace instead of re-tracing sample blocks."""
+        """The key of the launch trace cache (:mod:`repro.trace.collector`):
+        the kernel object itself (two kernels may share a name), the
+        geometry, the switches that change what executing the plan
+        observes, and the arguments as the memory model sees them — a
+        scalar by type and value, an array by space, dtype, size, shape
+        and base address relative to the lowest base bound in the same
+        cache space (``const``, ``tex``, ``global``), never by name.
+
+        Caches are built cold for each plan, and a direct-mapped cache
+        and the coalescing classifier keep their verdicts when every
+        address of a space moves by a multiple of the space's period
+        (its cache line; for global memory also
+        :func:`~repro.sim.memsys.coalesce_period` of each bound item
+        size).  Each space's lowest base is keyed modulo that period;
+        every :class:`Device` allocation is ``Device.ALIGN``-aligned and
+        the registered devices' periods divide it, so that residue is 0.
+        Whether the kernel's index streams are equal is the replay
+        proof's question (:func:`repro.analysis.divergence.replay_proof`),
+        not the key's."""
+        from ..sim.memsys import coalesce_period
         from .memory import DeviceArray
-        names = tuple(a.name if isinstance(a, DeviceArray) else None
-                      for a in self.args)
-        return (self.kernel, self.arg_signature(), self.grid, names,
+        arrays = [a for a in self.args if isinstance(a, DeviceArray)]
+        lowest: Dict[str, int] = {}
+        period: Dict[str, int] = {}
+        for a in arrays:
+            lowest[a.space] = min(lowest.get(a.space, a.base_addr),
+                                  a.base_addr)
+            cache = self.caches.get(a.space)
+            step = cache.line_bytes if cache is not None else 1
+            if a.space == "global":
+                step = math.lcm(step, coalesce_period(a.itemsize, self.spec))
+            period[a.space] = math.lcm(period.get(a.space, 1), step)
+        layout = tuple(
+            (a.space, str(a.data.dtype), a.size, a.shape,
+             a.base_addr - lowest[a.space])
+            if isinstance(a, DeviceArray) else (type(a).__name__, a)
+            for a in self.args)
+        residues = tuple(sorted((space, lowest[space] % period[space])
+                                for space in lowest))
+        return (self.kernel, self.grid, self.block, layout, residues,
                 self.trace_enabled, self.trace_blocks,
                 self.functional, self.record_stream)
+
+    def array_names(self) -> Tuple[Optional[str], ...]:
+        """The bound arrays' names by argument position (``None`` for a
+        scalar): what a replayed trace's ``per_array`` entries are
+        renamed by."""
+        from .memory import DeviceArray
+        return tuple(a.name if isinstance(a, DeviceArray) else None
+                     for a in self.args)
 
     # ------------------------------------------------------------------
     # Execution

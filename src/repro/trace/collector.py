@@ -8,15 +8,25 @@ sampled trace to the full grid.
 
 It also owns the **launch trace cache**.  The paper's methodology
 reasons from the PTX of *one* block and scales, so a launch
-configuration only needs tracing once.  An executor that carries a
-``traces`` dict (the AOT module's, see :mod:`repro.compile.module`)
-hands it to each collector, keyed by
-:meth:`repro.cuda.plan.LaunchPlan.module_key`.  The first launch of a
-configuration traces its sample and records the scaled trace; every
-repeat classifies its sampled blocks ``MEMO`` (they still execute,
-untraced, when the launch is functional) and returns a copy of the
-recorded trace.  Launches that record an instruction stream or trace
-no blocks bypass the cache.
+configuration only needs tracing once.  The cache lives on the
+:class:`~repro.cuda.memory.Device` (``Device.traces``), which lives
+for one application run; the ``"auto"`` policy and the AOT module
+(:mod:`repro.compile.module`) hand it to the executor they run, and
+the named executors trace every launch.  Entries are keyed by
+:meth:`repro.cuda.plan.LaunchPlan.module_key`, which holds what the
+memory model observes (geometry, scalars, each array's space, dtype,
+size and relative base), not array names.  The first launch of a key
+traces its sample and records the scaled trace.  A repeat replays it
+only when :func:`repro.analysis.divergence.replay_proof` proves that
+the kernel's address and control streams do not depend on loaded data
+— the proof is computed on the first key hit and memoized per code
+object.  A replay classifies the sampled blocks ``MEMO`` (they still
+execute, untraced, when the launch is functional) and returns a copy
+of the recorded trace, its ``per_array`` entries renamed to this
+launch's arrays by argument position.  A refused kernel re-traces;
+the reason is the outcome :attr:`TraceCollector.replay` reports and,
+with metrics on, a ``collector.replay_refusals`` count.  Launches that
+record an instruction stream or trace no blocks bypass the cache.
 
 The collector is deliberately executor-agnostic: backends call
 :meth:`classify` / :meth:`begin_block` / :meth:`finish_block` and never
@@ -45,8 +55,7 @@ class TraceCollector:
     """
 
     def __init__(self, plan, timed: bool = False,
-                 traces: Optional[Dict[Tuple, Tuple[KernelTrace, int]]] = None
-                 ) -> None:
+                 traces: Optional[Dict[Tuple, Tuple]] = None) -> None:
         self.plan = plan
         self.merged = KernelTrace()
         self.smem_bytes = plan.kernel.static_smem_bytes
@@ -60,13 +69,38 @@ class TraceCollector:
         self.collect_seconds = 0.0
         self._timed = timed
         self._registry = get_registry()
-        if not plan.traced or plan.record_stream:
-            traces = None
+        #: the launch trace cache's outcome: ``"first trace"``,
+        #: ``"replayed"`` or ``"refused: <why>"``; None without a cache
+        self.replay: Optional[str] = None
         #: launch trace cache, its key for this plan, and the recorded
-        #: (trace, smem bytes) when the key was already present
-        self._traces = traces
-        self._key = plan.module_key() if traces is not None else None
-        self._hit = traces.get(self._key) if traces is not None else None
+        #: (trace, smem bytes, array names) when the key replays
+        self._traces = None
+        self._key: Optional[Tuple] = None
+        self._hit: Optional[Tuple] = None
+        if traces is not None and plan.traced and not plan.record_stream:
+            self._lookup(traces)
+
+    def _lookup(self, traces: Dict[Tuple, Tuple]) -> None:
+        key = self.plan.module_key()
+        try:
+            hit = traces.get(key)
+        except TypeError:           # an unhashable scalar argument
+            return
+        if hit is None:
+            self._traces, self._key = traces, key
+            self.replay = "first trace"
+            return
+        from ..analysis.divergence import replay_proof
+        proof = replay_proof(self.plan.kernel)
+        if proof.admitted:
+            self._hit = hit
+            self.replay = "replayed"
+            return
+        self.replay = f"refused: {proof.reason}"
+        if self._registry.enabled:
+            self._registry.counter(
+                "collector.replay_refusals", kernel=self.plan.kernel.name,
+                reason=proof.reason).inc()
 
     # ------------------------------------------------------------------
     # Per-block protocol (called by executors)
@@ -129,16 +163,32 @@ class TraceCollector:
     # ------------------------------------------------------------------
     def finalize(self) -> KernelTrace:
         """Scale the sampled trace to the full grid (the paper's
-        per-block-PTX extrapolation), or return the cached trace of the
-        launch configuration; a first trace is recorded in the cache."""
+        per-block-PTX extrapolation), or replay the recorded trace of
+        the launch's key; a first trace is recorded in the cache."""
         if self._hit is not None:
-            trace, self.smem_bytes = self._hit
-            return trace.scaled(1.0)
+            trace, self.smem_bytes, names = self._hit
+            return _renamed(trace, names, self.plan.array_names())
         merged = self.merged
         if merged.blocks_traced:
             scale = self.plan.grid.size / merged.blocks_traced
             merged = merged.scaled(scale)
             merged.blocks_traced = len(self.plan.traced)
         if self._traces is not None:
-            self._traces[self._key] = (merged.scaled(1.0), self.smem_bytes)
+            self._traces[self._key] = (merged.scaled(1.0), self.smem_bytes,
+                                       self.plan.array_names())
         return merged
+
+
+def _renamed(trace: KernelTrace, recorded: Tuple[Optional[str], ...],
+             current: Tuple[Optional[str], ...]) -> KernelTrace:
+    """A copy of a recorded trace whose ``per_array`` entries name the
+    arrays bound at the same argument positions as in the recording."""
+    out = trace.scaled(1.0)
+    rename: Dict[str, str] = {}
+    for old, new in zip(recorded, current):
+        if old is not None:
+            rename.setdefault(old, new)
+    for entry in out.per_array.values():
+        entry.array = rename.get(entry.array, entry.array)
+    out.per_array = {entry.array: entry for entry in out.per_array.values()}
+    return out

@@ -324,3 +324,46 @@ class TestSharedDevice:
         cp.run({"width": 32, "height": 32, "natoms": 32, "spacing": 0.1},
                device=dev)
         assert dev.bytes_allocated > 0
+
+
+class TestAppRunDerivedOnce:
+    """An AppRun's launches are fixed, so its merged trace and its
+    per-launch time estimates are computed once, however many Table-3
+    columns read them."""
+
+    WORKLOAD = {"n": 4096, "a": 2.5, "iterations": 5}
+
+    def test_each_launch_is_estimated_once(self, monkeypatch):
+        import repro.apps.base as base
+        from repro.trace.trace import KernelTrace
+        run = get_app("saxpy").run(dict(self.WORKLOAD), functional=False)
+        estimated, merges = [], []
+        estimate = base.estimate_kernel_time
+        merge = KernelTrace.merge
+        monkeypatch.setattr(
+            base, "estimate_kernel_time",
+            lambda launch: estimated.append(launch) or estimate(launch))
+        monkeypatch.setattr(
+            KernelTrace, "merge",
+            lambda self, other: merges.append(other) or merge(self, other))
+        first = run.summary()
+        assert run.summary() == first
+        assert run.gpu_gflops > 0 and run.bottleneck == first["bottleneck"]
+        assert len(estimated) == len(run.launches) == 5
+        assert len(merges) == len(run.launches)
+
+    def test_table3_columns_match_a_fresh_derivation(self):
+        from repro.sim.cpumodel import CpuSpec, estimate_cpu_time
+        from repro.sim.timing import estimate_kernel_time
+        from repro.trace.trace import KernelTrace
+        run = get_app("saxpy").run(dict(self.WORKLOAD), functional=False)
+        merged = KernelTrace()
+        for launch in run.launches:
+            merged.merge(launch.trace)
+        gpu = sum(estimate_kernel_time(launch).seconds
+                  for launch in run.launches)
+        cpu = estimate_cpu_time(merged, run.cpu_params, CpuSpec()).seconds
+        assert run.merged_trace.summary() == merged.summary()
+        assert run.gpu_kernel_seconds == gpu * run.time_steps_scale
+        assert run.kernel_speedup == cpu * run.time_steps_scale \
+            / (gpu * run.time_steps_scale)

@@ -22,7 +22,8 @@ from typing import List, NamedTuple
 
 import pytest
 
-from repro.analysis import sample_coords
+import repro.analysis.estimate as estimate_module
+from repro.analysis import liveness, sample_coords
 from repro.analysis.advisor import advise_estimate
 from repro.analysis.census import KernelCensus, census_target
 from repro.analysis.estimate import PerfEstimate, estimate_target
@@ -33,6 +34,7 @@ from repro.analysis.rules import analyze_target
 from repro.analysis.targets import LintTarget
 from repro.apps.registry import app_names, get_app
 from repro.arch.device import geforce_8800_gtx, gtx_480
+from repro.cuda.source import fingerprint
 
 DEVICES = {"geforce_8800_gtx": geforce_8800_gtx, "gtx_480": gtx_480}
 
@@ -139,3 +141,35 @@ def test_report_and_estimate_do_not_depend_on_the_order(both_orders):
         for estimate in run.estimates_after:
             assert estimate.to_dict() == run.estimate_before.to_dict(), \
                 run.label
+
+
+@pytest.mark.parametrize("device", list(DEVICES))
+def test_lint_then_estimate_walks_each_kernel_once(device, monkeypatch):
+    """The liveness register estimate is memoized by content: a lint
+    pass (``regs_estimated``) and an estimate walk each kernel once,
+    and the estimate still calls it through ``repro.analysis.estimate``
+    (the suite's ``analysis.registers`` site)."""
+    spec = DEVICES[device]()
+    monkeypatch.setattr(liveness, "_ESTIMATES", {})
+    walks: List[str] = []
+    run = liveness._Liveness.run
+
+    def counted(self):
+        walks.append(self.fdef.name)
+        return run(self)
+
+    monkeypatch.setattr(liveness._Liveness, "run", counted)
+    calls: List[object] = []
+    estimate_registers = estimate_module.estimate_registers
+    monkeypatch.setattr(estimate_module, "estimate_registers",
+                        lambda kern: calls.append(kern)
+                        or estimate_registers(kern))
+    targets = [(name, t) for name in ("matmul", "lbm", "fdtd", "saxpy")
+               for t in get_app(name, spec).lint_targets()]
+    for name, target in targets:
+        report = analyze_target(target, app=name, spec=spec)
+        est = estimate_target(target, spec)
+        assert est.registers.regs == report.regs_estimated
+    kernels = {(fingerprint(t.kernel), t.kernel.name) for _, t in targets}
+    assert len(walks) == len(kernels) == 10
+    assert len(calls) == len(targets)

@@ -5,9 +5,10 @@ identical* to the reference ``SequentialExecutor``: same device-array
 bits, same scaled trace statistics, same block accounting.  The
 property tests here drive random grid/block shapes, every registered
 application and random matmul tile sizes through the sequential and
-AOT-compiled backends and compare everything exactly; the module sweep
-does the same per launch, on two device generations, for the trace
-replay of :meth:`Application.run_module`.
+AOT-compiled backends and compare everything exactly; the replay
+sweeps do the same per launch, on two device generations, for the
+device trace cache that ``"auto"`` and :meth:`Application.run_module`
+replay through.
 """
 
 import numpy as np
@@ -124,22 +125,26 @@ def _launch_counters(launch):
             launch.blocks_traced)
 
 
-def _assert_app_identical(app_cls, workload, make_spec=None):
+def _assert_app_identical(app_cls, workload, make_spec=None,
+                          executors=("sequential", "compiled"),
+                          functional=True):
     """Outputs, the merged trace summary and, launch by launch, every
-    trace counter the golden traces pin agree between the sequential
-    and the compiled executor (on ``make_spec()``, else the default
-    device)."""
+    trace counter the golden traces pin (per-array names included) and
+    the shared-memory bytes agree between the two ``executors`` (on
+    ``make_spec()``, else the default device); returns both runs."""
     def run(executor):
         app = app_cls() if make_spec is None else app_cls(make_spec())
-        return _app_outputs(app, dict(workload), executor)
+        app.executor = executor
+        return app.run(dict(workload), functional=functional)
 
-    ref, comp = run("sequential"), run("compiled")
-    assert set(ref.outputs) == set(comp.outputs)
+    ref, other = (run(executor) for executor in executors)
+    assert set(ref.outputs) == set(other.outputs)
     for key in ref.outputs:
-        np.testing.assert_array_equal(ref.outputs[key], comp.outputs[key])
-    assert ref.merged_trace.summary() == comp.merged_trace.summary()
+        np.testing.assert_array_equal(ref.outputs[key], other.outputs[key])
+    assert ref.merged_trace.summary() == other.merged_trace.summary()
     assert [_launch_counters(launch) for launch in ref.launches] == \
-        [_launch_counters(launch) for launch in comp.launches]
+        [_launch_counters(launch) for launch in other.launches]
+    return ref, other
 
 
 @settings(max_examples=10, deadline=None)
@@ -201,6 +206,45 @@ def test_every_app_identical_under_module(name):
                                           mod.outputs[key])
         assert [_launch_counters(l) for l in ref.launches] == \
             [_launch_counters(l) for l in mod.launches]
+
+
+@pytest.mark.parametrize("name", list(ALL_APPS))
+def test_every_app_identical_under_auto_replay(name):
+    """The replay-vs-re-trace sweep: under ``"auto"`` a repeated launch
+    replays the trace recorded in its device's cache when the replay
+    proof admits the kernel, and re-traces when it refuses; every
+    application's test workload must match the sequential backend,
+    which traces every launch, on the G80 and on Fermi."""
+    app_cls = ALL_APPS[name]
+    for make_spec in DEVICES.values():
+        workload = app_cls(make_spec()).default_workload("test")
+        ref, auto = _assert_app_identical(
+            app_cls, workload, make_spec, executors=("sequential", "auto"))
+        assert not any(launch.memo_hits for launch in ref.launches)
+        if name in ("saxpy", "fdtd"):
+            assert auto.launches[-1].memo_hits \
+                == auto.launches[-1].blocks_traced > 0
+        if name in ("fem", "rpes", "tpacf"):      # refused or distinct
+            assert not any(launch.memo_hits for launch in auto.launches)
+
+
+@pytest.mark.parametrize("name", ["mri-q", "mri-fhd"])
+def test_second_mri_chunk_replays(name):
+    """A trace-only two-chunk MRI run: the second chunk binds new
+    constant arrays (``kx#5``, ...) at the same relative layout, so it
+    replays the first chunk's trace under its own array names."""
+    app_cls = ALL_APPS[name]
+    for make_spec in DEVICES.values():
+        ref, auto = _assert_app_identical(
+            app_cls, {"nvoxels": 512, "nsamples": 2048}, make_spec,
+            executors=("sequential", "auto"), functional=False)
+        assert len(auto.launches) == 2
+        assert [launch.memo_hits for launch in ref.launches] == [0, 0]
+        second = auto.launches[1]
+        assert second.memo_hits == second.blocks_traced > 0
+        assert "kx" in auto.launches[0].trace.per_array
+        assert "kx" not in second.trace.per_array
+        assert any(n.startswith("kx#") for n in second.trace.per_array)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,11 @@ The module layer's contract mirrors the executors': running an app
 through :meth:`Application.run_module` must be *observationally
 identical* to the sequential per-launch path — same output bits, same
 merged trace statistics — whatever mix of fused execution, trace
-replay and per-launch fallback the fusion plan picked.  Replay is the
-launch trace cache of the module's compiled executor; the per-launch,
-two-device identity sweep lives in ``tests/test_executors.py``
-(``test_every_app_identical_under_module``).
+replay and per-launch fallback the fusion plan picked.  Replay goes
+through the schedule device's launch trace cache (``Device.traces``),
+which the module's compiled executor shares with ``"auto"``; the
+per-launch, two-device identity sweep lives in
+``tests/test_executors.py`` (``test_every_app_identical_under_module``).
 """
 
 import json
