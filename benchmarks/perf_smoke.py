@@ -31,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
@@ -42,7 +43,6 @@ from repro.cuda import CompiledExecutor, Device, SequentialExecutor, launch
 from repro.apps.matmul import MatMul, build_kernel
 from repro.bench.profile_report import measure_overhead
 from repro.obs import SpanTracer, use_tracer
-from repro.obs.history import run_provenance
 
 N = 512
 TILE = 16
@@ -51,6 +51,22 @@ COMPILED_VS_SEQ_FLOOR = 20.0
 #: --aot gates
 FUSED_SPEEDUP_FLOOR = 1.3          # on at least one time-sliced app
 COLD_START_FLOOR = 5.0             # lowering / warm-artifact-load
+
+
+def run_provenance():
+    """Provenance stamp for the bench envelopes: git sha + UTC
+    timestamp."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            timeout=10, check=True).stdout.strip()
+    except Exception:
+        sha = "unknown"
+    return {
+        "git_sha": sha,
+        "timestamp": datetime.now(timezone.utc)
+        .isoformat(timespec="seconds"),
+    }
 
 
 def _one(tracer, executor, label, a, b):

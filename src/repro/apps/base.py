@@ -99,15 +99,16 @@ class AppRun:
         return max(totals, key=totals.get) if totals else "n/a"
 
     # ------------------------------------------------------------------
-    # CPU side
+    # CPU side (the Opteron model over the merged trace, computed once)
     # ------------------------------------------------------------------
-    def cpu_estimate(self, cpu: Optional[CpuSpec] = None) -> CpuTimeEstimate:
+    @cached_property
+    def cpu_estimate(self) -> CpuTimeEstimate:
         return estimate_cpu_time(self.merged_trace, self.cpu_params,
-                                 cpu if cpu is not None else CpuSpec())
+                                 CpuSpec())
 
     @property
     def cpu_kernel_seconds(self) -> float:
-        return self.cpu_estimate().seconds * self.time_steps_scale
+        return self.cpu_estimate.seconds * self.time_steps_scale
 
     # ------------------------------------------------------------------
     # Paper Table 3 metrics

@@ -1,7 +1,6 @@
 """Benchmark harness: one runner per paper table/figure."""
 from .experiments import (
     ExperimentResult,
-    all_experiments,
     run_figure4,
     run_figure5,
     run_section4,
@@ -13,7 +12,6 @@ from .tables import format_table
 
 __all__ = [
     "ExperimentResult",
-    "all_experiments",
     "run_figure4",
     "run_figure5",
     "run_section4",

@@ -14,19 +14,19 @@ Command line::
 
     python -m repro.bench.devices                    # default devices
     python -m repro.bench.devices --devices geforce_8800_gtx gtx_480
-    python -m repro.bench.devices --n 256 --out BENCH_devices.json
+    python -m repro.bench.devices --n 256
 
-Writes ``BENCH_devices.json`` (CI artifact) with one entry per device:
-ladder GFLOPS per variant, the autotuner winner, its GFLOPS, and the
-pruning statistics of the estimator-guided search.
+prints one row per device: peak, ladder GFLOPS per variant, the
+autotuner winner, its GFLOPS, and the pruning statistics of the
+estimator-guided search.  ``benchmarks/test_cross_device.py`` writes
+the n=512 table to ``benchmarks/out/cross_device.txt``, the committed
+record of these numbers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..arch.registry import device_by_name
@@ -61,20 +61,11 @@ def tune_device(spec, n: int = 512, trace_blocks: int = 2,
     the search statistics."""
     tuner = MatmulAutotuner(n=n, trace_blocks=trace_blocks, spec=spec)
     result = tuner.exhaustive(prune=prune)
-    best = result.best
     return {
-        "tile_sizes": list(tuner.tiles),
-        "space_size": len(tuner.space()),
         "evaluated": len(result.evaluations),
         "pruned": len(result.pruned),
-        "winner": {"tile": best.tile, "unrolled": best.unrolled,
-                   "prefetch": best.prefetch,
-                   "label": best.config.label},
+        "winner": result.best.config.label,
         "winner_gflops": round(result.best_gflops, 2),
-        "local_maxima": [
-            {"tile": p.tile, "unrolled": p.unrolled, "prefetch": p.prefetch,
-             "gflops": round(g, 2)}
-            for p, g in result.local_maxima],
     }
 
 
@@ -87,11 +78,7 @@ def run_devices(names: Sequence[str] = DEFAULT_DEVICES, n: int = 512,
         spec = device_by_name(name)
         entries.append({
             "device": name,
-            "generation": spec.generation,
-            "compute_capability": list(spec.compute_capability),
             "peak_mad_gflops": round(spec.peak_mad_gflops, 1),
-            "dram_bandwidth_gbs": spec.dram_bandwidth_gbs,
-            "n": n,
             "ladder_gflops": run_ladder(spec, n, trace_blocks),
             "autotune": tune_device(spec, n, trace_blocks, prune),
         })
@@ -107,13 +94,13 @@ def format_entries(entries: Sequence[Dict[str, object]]) -> str:
         tune = e["autotune"]
         rows.append([
             e["device"],
-            f"{e['peak_mad_gflops']:.0f}",
-            f"{ladder['naive']:.1f}",
-            f"{ladder['tiled']:.1f}",
-            f"{ladder['tiled_unrolled']:.1f}",
-            f"{ladder['prefetch']:.1f}",
-            tune["winner"]["label"],
-            f"{tune['winner_gflops']:.1f}",
+            f"{e['peak_mad_gflops']:.1f}",
+            f"{ladder['naive']:.2f}",
+            f"{ladder['tiled']:.2f}",
+            f"{ladder['tiled_unrolled']:.2f}",
+            f"{ladder['prefetch']:.2f}",
+            tune["winner"],
+            f"{tune['winner_gflops']:.2f}",
             f"{tune['evaluated']}/{tune['pruned']}",
         ])
     return format_table(headers, rows,
@@ -134,9 +121,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--no-prune", action="store_true",
                         help="exhaustive evaluation without static-bound "
                              "pruning")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the JSON payload here "
-                             "(default: BENCH_devices.json in the CWD)")
     args = parser.parse_args(argv)
 
     try:
@@ -148,22 +132,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     print(format_entries(entries))
-    winners = {e["device"]: e["autotune"]["winner"]["label"]
-               for e in entries}
+    winners = {e["device"]: e["autotune"]["winner"] for e in entries}
     if len(set(winners.values())) > 1:
         print("note: autotuner winner shifts across devices: "
               + ", ".join(f"{d} -> {w}" for d, w in winners.items()))
-
-    from ..obs.history import run_provenance
-    payload = {
-        "benchmark": "cross_device_retune",
-        "n": args.n,
-        **run_provenance(),
-        "devices": entries,
-    }
-    out = Path(args.out) if args.out else Path("BENCH_devices.json")
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
     return 0
 
 

@@ -4,8 +4,9 @@ Each ``run_*`` function executes the relevant simulations and returns a
 :class:`ExperimentResult` whose rows place our measurement next to the
 paper's reported value (with provenance marks from
 :mod:`repro.data.paper`).  The ``benchmarks/`` tree wraps these in
-pytest-benchmark targets; ``examples/`` and the EXPERIMENTS.md
-generator call them directly.
+pytest-benchmark targets that write ``benchmarks/out/*.txt``, the
+files EXPERIMENTS.md quotes; the ``examples/`` scripts call them
+directly.
 """
 
 from __future__ import annotations
@@ -257,15 +258,3 @@ def run_figure5(nx: int = 256, ny: int = 256,
         f"(paper Section 5.2: 2.8X over its global-only version)")
     return res
 
-
-def all_experiments(scale: str = "full") -> List[ExperimentResult]:
-    """Run every table/figure (used by the EXPERIMENTS.md generator)."""
-    n = 4096 if scale == "full" else 512
-    return [
-        run_table1(),
-        run_section4(n=n),
-        run_figure4(n=n),
-        run_table2(),
-        run_table3(scale=scale),
-        run_figure5(),
-    ]

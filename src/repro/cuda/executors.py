@@ -145,16 +145,18 @@ class SequentialExecutor(Executor):
         is ``TRACE``; returns the context."""
         if mode == TRACE:
             trace, stream = collector.begin_block(linear)
-            ctx = self._context(plan, linear, trace, stream)
+            ctx = self._context(plan, linear, trace, stream,
+                                collector.caches)
             plan.kernel.fn(ctx, *plan.args)
             collector.finish_block(linear, ctx)
         else:
-            ctx = self._context(plan, linear, None, None)
+            ctx = self._context(plan, linear, None, None, None)
             plan.kernel.fn(ctx, *plan.args)
         return ctx
 
-    def _context(self, plan, linear: int, trace, stream):
-        return plan.make_context(linear, trace=trace, stream=stream)
+    def _context(self, plan, linear: int, trace, stream, caches):
+        return plan.make_context(linear, trace=trace, stream=stream,
+                                 caches=caches)
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +195,10 @@ class SanitizedExecutor(SequentialExecutor):
         ctx.finish()
         return ctx
 
-    def _context(self, plan, linear: int, trace, stream):
+    def _context(self, plan, linear: int, trace, stream, caches):
         from ..san.context import SanitizedContext
-        return SanitizedContext(self.state, plan, linear,
-                                trace=trace, stream=stream)
+        return SanitizedContext(self.state, plan, linear, trace=trace,
+                                stream=stream, caches=caches)
 
     def execute(self, plan) -> LaunchResult:
         result = super().execute(plan)

@@ -6,9 +6,9 @@ it is now three explicit layers:
 ``LaunchPlan`` (this module)
     Captures and validates everything a launch needs *before* any
     block runs: grid/block geometry against the device limits, the
-    deterministic traced-block sample, the per-SM read-only caches,
-    and the execution/tracing switches.  A plan is inert data — it can
-    be inspected, re-executed, or handed to a different backend.
+    deterministic traced-block sample and the execution/tracing
+    switches.  A plan is inert data — it can be inspected, re-executed,
+    or handed to a different backend.
 
 :mod:`repro.cuda.executors`
     Pluggable backends that walk the plan's blocks: the reference
@@ -20,8 +20,9 @@ it is now three explicit layers:
     sequential walk under ``cuda-memcheck``-style checking).
 
 :class:`repro.trace.collector.TraceCollector`
-    Owns trace merging, sample-to-grid scaling, stream recording and
-    the launch trace cache keyed on :meth:`LaunchPlan.module_key`.
+    Owns trace merging, sample-to-grid scaling, stream recording, the
+    cold caches one execution's traced blocks read through, and the
+    launch trace cache keyed on :meth:`LaunchPlan.module_key`.
 
 ``launch()`` in :mod:`repro.cuda.launch` is a thin facade over
 ``LaunchPlan.build(...).execute(...)``.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from ..arch.device import DeviceSpec
 from ..obs.spans import span
-from ..sim.memsys import CacheHierarchy, DirectMappedCache
 from ..trace.trace import KernelTrace
 from .dim3 import Dim3, DimLike, as_dim3
 from .context import BlockContext
@@ -101,9 +101,11 @@ class LaunchPlan:
     """Everything one kernel launch needs, decided up front.
 
     Build with :meth:`build` (which validates), then :meth:`execute`
-    with any executor backend.  The ``traced`` sample and the cache
-    objects are part of the plan so that every backend observes the
-    same blocks and the same cache state evolution.
+    with any executor backend.  The ``traced`` sample is part of the
+    plan so that every backend observes the same blocks; each
+    execution's collector builds cold caches for them
+    (:func:`~repro.sim.memsys.cold_caches`), so every execution
+    observes the same cache state evolution.
     """
 
     kernel: Kernel
@@ -116,9 +118,6 @@ class LaunchPlan:
     trace_blocks: int = 4
     record_stream: bool = False
     traced: Tuple[int, ...] = ()
-    #: "const"/"tex" read-only caches, plus a "global" CacheHierarchy
-    #: on devices whose global loads are cached (Fermi and later)
-    caches: Dict[str, object] = field(default_factory=dict)
     #: wall time spent in :meth:`build` (the pipeline's "plan" stage)
     build_seconds: float = 0.0
 
@@ -144,29 +143,19 @@ class LaunchPlan:
         t0 = perf_counter()
         with span("plan.build", kernel=kern.name):
             device = device if device is not None else Device()
-            spec = device.spec
             grid = as_dim3(grid)
             block = as_dim3(block)
-            validate_launch(spec, grid, block)
+            validate_launch(device.spec, grid, block)
             if not functional and not trace:
                 raise CudaModelError(
                     "launch(functional=False, trace=False) would execute "
                     "zero blocks and return an empty trace; enable tracing "
                     "or run functionally")
             traced = tuple(sample_blocks(grid, trace_blocks)) if trace else ()
-            caches: Dict[str, object] = {
-                "const": DirectMappedCache(spec.constant_cache_bytes_per_sm,
-                                           space="const"),
-                "tex": DirectMappedCache(spec.texture_cache_bytes_per_sm,
-                                         space="tex"),
-            }
-            if spec.has_cached_global_loads:
-                caches["global"] = CacheHierarchy(spec)
             plan = cls(kernel=kern, grid=grid, block=block, args=args,
                        device=device, functional=functional,
                        trace_enabled=trace, trace_blocks=trace_blocks,
-                       record_stream=record_stream, traced=traced,
-                       caches=caches)
+                       record_stream=record_stream, traced=traced)
         plan.build_seconds = perf_counter() - t0
         for sink in list(_PLAN_OBSERVERS):
             sink(plan)
@@ -219,18 +208,20 @@ class LaunchPlan:
         and base address relative to the lowest base bound in the same
         cache space (``const``, ``tex``, ``global``), never by name.
 
-        Caches are built cold for each plan, and a direct-mapped cache
-        and the coalescing classifier keep their verdicts when every
-        address of a space moves by a multiple of the space's period
-        (its cache line; for global memory also
-        :func:`~repro.sim.memsys.coalesce_period` of each bound item
-        size).  Each space's lowest base is keyed modulo that period;
+        Caches are built cold for each execution
+        (:func:`~repro.sim.memsys.cold_caches`), and a direct-mapped
+        cache and the coalescing classifier keep their verdicts when
+        every address of a space moves by a multiple of the space's
+        period: ``READ_ONLY_LINE_BYTES`` for ``const`` and ``tex``, and
+        for global memory :func:`~repro.sim.memsys.coalesce_period` of
+        each bound item size (the cache line on cached-line devices).
+        Each space's lowest base is keyed modulo that period;
         every :class:`Device` allocation is ``Device.ALIGN``-aligned and
         the registered devices' periods divide it, so that residue is 0.
         Whether the kernel's index streams are equal is the replay
         proof's question (:func:`repro.analysis.divergence.replay_proof`),
         not the key's."""
-        from ..sim.memsys import coalesce_period
+        from ..sim.memsys import READ_ONLY_LINE_BYTES, coalesce_period
         from .memory import DeviceArray
         arrays = [a for a in self.args if isinstance(a, DeviceArray)]
         lowest: Dict[str, int] = {}
@@ -238,10 +229,8 @@ class LaunchPlan:
         for a in arrays:
             lowest[a.space] = min(lowest.get(a.space, a.base_addr),
                                   a.base_addr)
-            cache = self.caches.get(a.space)
-            step = cache.line_bytes if cache is not None else 1
-            if a.space == "global":
-                step = math.lcm(step, coalesce_period(a.itemsize, self.spec))
+            step = coalesce_period(a.itemsize, self.spec) \
+                if a.space == "global" else READ_ONLY_LINE_BYTES
             period[a.space] = math.lcm(period.get(a.space, 1), step)
         layout = tuple(
             (a.space, str(a.data.dtype), a.size, a.shape,
@@ -267,11 +256,14 @@ class LaunchPlan:
     # ------------------------------------------------------------------
     def make_context(self, linear: int,
                      trace: Optional[KernelTrace] = None,
-                     stream: Optional[list] = None) -> BlockContext:
-        """A scalar (one-block) execution context for block ``linear``."""
+                     stream: Optional[list] = None,
+                     caches: Optional[Dict[str, object]] = None
+                     ) -> BlockContext:
+        """A scalar (one-block) execution context for block ``linear``,
+        reading through ``caches`` when traced."""
         return BlockContext(
             self.spec, self.grid, self.block, self.grid.unlinear(linear),
-            trace=trace, caches=self.caches, stream=stream,
+            trace=trace, caches=caches, stream=stream,
             kernel_name=self.kernel.name)
 
     def execute(self, executor=None) -> LaunchResult:

@@ -17,9 +17,7 @@ reproduction's own pipeline the same treatment:
 * :mod:`repro.obs.timeline` — per-SM warp scheduling timelines from
   the event-driven simulator (chrome://tracing JSON + ASCII strips);
 * :mod:`repro.obs.roofline` — per-launch roofline placement against
-  the device's compute and bandwidth roofs;
-* :mod:`repro.obs.history` — perf-history manifests
-  (``BENCH_history.jsonl``) and the baseline regression gate.
+  the device's compute and bandwidth roofs.
 
 Everything is **off by default**: the ambient registry and tracer are
 disabled, and every instrumentation point in the pipeline reduces to a

@@ -66,10 +66,10 @@ class SanitizedContext(BlockContext):
     """A :class:`BlockContext` with all four sanitizer tools armed."""
 
     def __init__(self, san: SanState, plan, linear: int,
-                 trace=None, stream=None) -> None:
+                 trace=None, stream=None, caches=None) -> None:
         super().__init__(
             plan.spec, plan.grid, plan.block, plan.grid.unlinear(linear),
-            trace=trace, caches=plan.caches, stream=stream,
+            trace=trace, caches=caches, stream=stream,
             kernel_name=plan.kernel.name)
         self.san = san
         self._shadow: Dict[int, _SharedShadow] = {}

@@ -417,6 +417,10 @@ def _remember(key: tuple, nbytes: int, verdict: tuple) -> None:
 # Read-only caches (constant / texture)
 # ----------------------------------------------------------------------
 
+#: line size of the constant and texture caches (one 32 B DRAM fill)
+READ_ONLY_LINE_BYTES = 32
+
+
 class DirectMappedCache:
     """A small direct-mapped line cache for the constant/texture paths.
 
@@ -426,7 +430,8 @@ class DirectMappedCache:
     the hit-rate distinction that matters for the timing model.
     """
 
-    def __init__(self, capacity_bytes: int, line_bytes: int = 32,
+    def __init__(self, capacity_bytes: int,
+                 line_bytes: int = READ_ONLY_LINE_BYTES,
                  space: str = "cache") -> None:
         if capacity_bytes % line_bytes:
             raise ValueError("capacity must be a multiple of the line size")
@@ -568,3 +573,20 @@ class CacheHierarchy:
         for level in (self.l1, self.l2):
             if level is not None:
                 level.reset()
+
+
+def cold_caches(spec: DeviceSpec) -> Dict[str, object]:
+    """A cold set of the caches one launch's traced blocks read through:
+    the ``const`` and ``tex`` read-only caches, plus a ``global``
+    :class:`CacheHierarchy` on devices whose global loads are cached
+    (Fermi and later).  Each execution of a launch builds its own, so
+    re-executing a plan charges what its first execution charged."""
+    caches: Dict[str, object] = {
+        "const": DirectMappedCache(spec.constant_cache_bytes_per_sm,
+                                   space="const"),
+        "tex": DirectMappedCache(spec.texture_cache_bytes_per_sm,
+                                 space="tex"),
+    }
+    if spec.has_cached_global_loads:
+        caches["global"] = CacheHierarchy(spec)
+    return caches

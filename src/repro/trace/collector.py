@@ -4,7 +4,10 @@ A :class:`TraceCollector` owns everything that used to be inlined in
 ``launch()`` *after* a block ran: accumulating per-block traces,
 tracking the shared-memory high-water mark, capturing the recorded
 instruction stream of the first traced block, and finally scaling the
-sampled trace to the full grid.
+sampled trace to the full grid.  It builds the cold caches
+(:func:`repro.sim.memsys.cold_caches`) that the launch's traced blocks
+read through, one set per execution, so executing a plan again charges
+what its first execution charged.
 
 It also owns the **launch trace cache**.  The paper's methodology
 reasons from the PTX of *one* block and scales, so a launch
@@ -39,6 +42,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from ..obs.registry import get_registry
+from ..sim.memsys import cold_caches
 from .trace import KernelTrace
 
 #: block dispositions returned by :meth:`TraceCollector.classify`
@@ -79,6 +83,10 @@ class TraceCollector:
         self._hit: Optional[Tuple] = None
         if traces is not None and plan.traced and not plan.record_stream:
             self._lookup(traces)
+        #: the cold caches this execution's traced blocks read through
+        #: (none when nothing is traced: no sample, or a replay)
+        self.caches = cold_caches(plan.spec) \
+            if plan.traced and self._hit is None else {}
 
     def _lookup(self, traces: Dict[Tuple, Tuple]) -> None:
         key = self.plan.module_key()

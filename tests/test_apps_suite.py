@@ -327,9 +327,9 @@ class TestSharedDevice:
 
 
 class TestAppRunDerivedOnce:
-    """An AppRun's launches are fixed, so its merged trace and its
-    per-launch time estimates are computed once, however many Table-3
-    columns read them."""
+    """An AppRun's launches are fixed, so its merged trace, its
+    per-launch time estimates and its CPU estimate are computed once,
+    however many Table-3 columns read them."""
 
     WORKLOAD = {"n": 4096, "a": 2.5, "iterations": 5}
 
@@ -337,12 +337,17 @@ class TestAppRunDerivedOnce:
         import repro.apps.base as base
         from repro.trace.trace import KernelTrace
         run = get_app("saxpy").run(dict(self.WORKLOAD), functional=False)
-        estimated, merges = [], []
+        estimated, merges, cpu_estimated = [], [], []
         estimate = base.estimate_kernel_time
+        estimate_cpu = base.estimate_cpu_time
         merge = KernelTrace.merge
         monkeypatch.setattr(
             base, "estimate_kernel_time",
             lambda launch: estimated.append(launch) or estimate(launch))
+        monkeypatch.setattr(
+            base, "estimate_cpu_time",
+            lambda trace, params, cpu: cpu_estimated.append(trace)
+            or estimate_cpu(trace, params, cpu))
         monkeypatch.setattr(
             KernelTrace, "merge",
             lambda self, other: merges.append(other) or merge(self, other))
@@ -351,6 +356,7 @@ class TestAppRunDerivedOnce:
         assert run.gpu_gflops > 0 and run.bottleneck == first["bottleneck"]
         assert len(estimated) == len(run.launches) == 5
         assert len(merges) == len(run.launches)
+        assert cpu_estimated == [run.merged_trace]
 
     def test_table3_columns_match_a_fresh_derivation(self):
         from repro.sim.cpumodel import CpuSpec, estimate_cpu_time

@@ -8,9 +8,10 @@ import pytest
 
 from repro.arch import DEFAULT_DEVICE
 from repro.arch.device import geforce_8800_gtx, gtx_480
-from repro.cuda import CudaModelError, Device, Dim3, LaunchPlan, kernel
+from repro.cuda import CudaModelError, Device, Dim3
 from repro.cuda.context import BlockContext
-from repro.sim.memsys import DirectMappedCache, constant_broadcast_passes
+from repro.sim.memsys import (DirectMappedCache, cold_caches,
+                              constant_broadcast_passes)
 from repro.trace import InstrClass, KernelTrace
 
 
@@ -296,11 +297,6 @@ class TestCachedPaths:
 # The constant/texture charge against the composition it replaced
 # ----------------------------------------------------------------------
 
-@kernel("cached_reads")
-def _cached_reads(ctx):
-    pass
-
-
 def _cached_charge_reference(trace, spec, caches, arr, idx, mask, space):
     """One traced ``ld_const``/``ld_tex`` charged the way the DSL used
     to compose it: the bounds check over the gathered active lanes, the
@@ -349,9 +345,9 @@ def _cached_counters(trace):
 @pytest.mark.parametrize("make_spec", [geforce_8800_gtx, gtx_480],
                          ids=["g80", "gtx480"])
 def test_cached_load_charge_equals_the_reference_composition(make_spec):
-    """A sequence of ``ld_const``/``ld_tex`` reads through one plan's
-    caches (so their state carries from load to load) charges what the
-    reference composition charges on a second plan's caches: hits,
+    """A sequence of ``ld_const``/``ld_tex`` reads through one cold
+    cache set (so its state carries from load to load) charges what the
+    reference composition charges on a second cold set: hits,
     misses, fill traffic, broadcast cycles and the out-of-bounds error,
     for uniform, strided, random, few-word and out-of-range indices
     under full, partial, one-lane and empty masks."""
@@ -365,10 +361,9 @@ def test_cached_load_charge_equals_the_reference_composition(make_spec):
                   dev.to_constant(np.arange(span, dtype=np.float32), "k1")],
         "tex": [dev.to_texture(np.ones((64, 64), np.float32), "tx")],
     }
-    plans = [LaunchPlan.build(_cached_reads, (1,), (n,), device=dev)
-             for _ in range(2)]
+    caches = [cold_caches(spec) for _ in range(2)]
     ctx = BlockContext(spec, Dim3(1), Dim3(n), (0, 0, 0),
-                       trace=KernelTrace(), caches=plans[0].caches)
+                       trace=KernelTrace(), caches=caches[0])
     ref = KernelTrace()
     rng = np.random.default_rng(7)
     lanes = np.arange(n)
@@ -406,7 +401,7 @@ def test_cached_load_charge_equals_the_reference_composition(make_spec):
                           else contextlib.nullcontext()):
                         got = _error_of(load, arr, idx)
                         want = _error_of(_cached_charge_reference, ref, spec,
-                                         plans[1].caches, arr, idx, ctx.mask,
+                                         caches[1], arr, idx, ctx.mask,
                                          space)
                     assert got == want, (kind, mask_name, space)
                     errors += got is not None

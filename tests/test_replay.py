@@ -7,8 +7,9 @@ the arrays' memory layout, no names) was seen before, and
 :func:`~repro.analysis.divergence.replay_proof` shows that the
 kernel's address and control streams do not depend on loaded data.
 These tests pin the proof's verdicts on the suite's kernels, what the
-key tells apart, that a refused kernel really needed refusing, and the
-decisions a traced launch reports.  The replay-vs-re-trace identity
+key tells apart, that a re-executed plan charges its first trace again,
+that a refused kernel really needed refusing, and the decisions a
+traced launch reports.  The replay-vs-re-trace identity
 sweep over every app lives in ``tests/test_executors.py``.
 """
 
@@ -32,7 +33,7 @@ from repro.arch.registry import device_by_name, device_names
 from repro.cuda import Device, LaunchPlan, kernel
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.spans import SpanTracer, use_tracer
-from repro.sim.memsys import coalesce_period
+from repro.sim.memsys import READ_ONLY_LINE_BYTES, coalesce_period
 
 from .test_golden_traces import DEVICES, trace_counters
 
@@ -195,7 +196,7 @@ def test_every_period_divides_the_allocation_alignment():
     base residues are 0 and only relative layouts matter."""
     for name in device_names():
         spec = device_by_name(name)
-        periods = [32, spec.cache_line_bytes or 1]
+        periods = [READ_ONLY_LINE_BYTES, spec.cache_line_bytes or 1]
         periods += [coalesce_period(size, spec) for size in (1, 2, 4, 8, 16)]
         assert all(Device.ALIGN % p == 0 for p in periods), name
     dev = Device()
@@ -222,21 +223,39 @@ def test_unhashable_scalar_bypasses_the_cache():
 
 
 # ----------------------------------------------------------------------
+# Re-executing a plan
+# ----------------------------------------------------------------------
+
+def test_re_executing_a_plan_reads_cold_caches():
+    """Each execution builds its own cold caches, so a plan executed
+    twice by the reference backend charges one trace twice: constant
+    misses, the L1/L2 counters and the global fill traffic included."""
+    for name, make_spec in DEVICES.items():
+        schedule = MriQ(make_spec()).module_schedule(
+            {"nvoxels": 512, "nsamples": 96, "trace_blocks": 2})
+        plan = schedule.steps[0]
+        first = plan.execute("sequential")
+        again = plan.execute("sequential")
+        assert first.trace.const_misses > 0, name
+        assert trace_counters(again.trace) == trace_counters(first.trace), \
+            name
+
+
+# ----------------------------------------------------------------------
 # A refused kernel must re-trace
 # ----------------------------------------------------------------------
 
-def _fem_launches(dev):
-    """fem's SpMV arguments on ``dev`` and a builder of fresh plans
-    over them (a plan's caches are cold only once)."""
+def _fem_launch(dev):
+    """fem's SpMV arguments on ``dev`` and one plan over them (each
+    execution reads its own cold caches)."""
     a, x0 = build_mesh_matrix(8)
     args = (dev.to_device(a.indptr.astype(np.int32), "rowptr"),
             dev.to_device(a.indices.astype(np.int32), "colidx"),
             dev.to_device(a.data.astype(np.float32), "values"),
             dev.to_device(x0, "x"), dev.alloc(a.shape[0], np.float32, "y"),
             a.shape[0])
-    kern = spmv_kernel()
-    return args, lambda: LaunchPlan.build(kern, (1,), (64,), args,
-                                          device=dev, functional=False)
+    return args, LaunchPlan.build(spmv_kernel(), (1,), (64,), args,
+                                  device=dev, functional=False)
 
 
 def test_forced_fem_replay_differs_from_a_retrace(monkeypatch):
@@ -245,21 +264,21 @@ def test_forced_fem_replay_differs_from_a_retrace(monkeypatch):
     be wrong, which is why the proof refuses fem."""
     for make_spec in DEVICES.values():
         dev = Device(make_spec())
-        args, plan = _fem_launches(dev)
-        first = plan().execute("auto")
+        args, plan = _fem_launch(dev)
+        first = plan.execute("auto")
         colidx = args[1].data
         colidx[:] = np.random.default_rng(1).permutation(colidx)
         (key,) = dev.traces
-        assert plan().module_key() == key
-        retrace = plan().execute("sequential")
+        assert plan.module_key() == key
+        retrace = plan.execute("sequential")
         monkeypatch.setattr(divergence, "replay_proof",
                             lambda fn: divergence.ReplayProof())
-        forced = plan().execute("auto")
+        forced = plan.execute("auto")
         monkeypatch.undo()
         assert forced.memo_hits == forced.blocks_traced == 1
         assert trace_counters(forced.trace) == trace_counters(first.trace)
         assert trace_counters(forced.trace) != trace_counters(retrace.trace)
-        honest = plan().execute("auto")
+        honest = plan.execute("auto")
         assert honest.memo_hits == 0
         assert trace_counters(honest.trace) == trace_counters(retrace.trace)
 
