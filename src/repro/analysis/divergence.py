@@ -278,7 +278,7 @@ def uniform_mask_lines(fn: Callable) -> FrozenSet[int]:
 #: seed tokens of loaded values: every load op, and ``"data"``, a raw
 #: read of an array's storage that bypasses them
 DATA_SEEDS: FrozenSet[str] = frozenset(
-    [op for op, meta in CTX_OPS.items() if meta.category.endswith("_ld")]
+    [op for op, cat in CTX_OPS.items() if cat.endswith("_ld")]
     + ["data"])
 
 

@@ -90,8 +90,8 @@ class PerfEstimate:
 
     @property
     def static_bound_gflops(self) -> float:
-        """The tightest closed-form ceiling — what the autotuner uses
-        to prune configurations without simulating them."""
+        """The tightest of the closed-form ceilings: compute,
+        bandwidth and, with a timing, issue."""
         gflops = min(self.compute_bound_gflops, self.bandwidth_bound_gflops)
         if self.time is not None:
             gflops = min(gflops, self.issue_bound_gflops)

@@ -10,9 +10,12 @@ block's coordinates and the target's scalar arguments are concrete,
 nearly all index arithmetic evaluates to exact per-lane vectors; the
 rules in :mod:`repro.analysis.rules` then replay the event stream.
 
-Dispatch over the ``ctx.*`` vocabulary is driven by
-:data:`repro.cuda.context.CTX_OPS` — the context and the analyzer
-share one description of the DSL surface.
+The ``ctx.*`` value ops are :class:`~repro.cuda.context.LaneOps`'s,
+the functions execution and the grid compiler run: :class:`LintContext`
+inherits them and supplies only their operands as :class:`SymVal`
+values and an array namespace over those values.  Its memory, barrier
+and divergence ops record events and charge through
+:class:`~repro.cuda.context.BlockAccounting`, as execution charges.
 
 Approximations (all deliberate, documented in DESIGN.md):
 
@@ -27,14 +30,16 @@ Approximations (all deliberate, documented in DESIGN.md):
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..cuda.context import CTX_OPS, BlockAccounting
+from ..cuda.context import BlockAccounting, LaneOps
 from ..cuda.dim3 import Dim3, as_dim3
 from ..cuda.source import SOURCE_ERRORS, closure_env, kernel_source
 # re-exported: benchmarks/suite/layers.py patches the names here (the
@@ -62,19 +67,6 @@ LOOP_CAP = 512
 
 #: iterations to run a data-dependent while loop for
 UNKNOWN_WHILE_ITERS = 2
-
-#: op-name -> instruction class for the static census: the class each
-#: :class:`~repro.cuda.context.BlockContext` method emits (fsub
-#: accounts as FADD, fmin/fmax as FCMP)
-CENSUS_FARITH: Dict[str, InstrClass] = {
-    "fma": InstrClass.FMA,
-    "fadd": InstrClass.FADD,
-    "fsub": InstrClass.FADD,
-    "fmul": InstrClass.FMUL,
-    "fdiv": InstrClass.FDIV,
-    "fmin": InstrClass.FCMP,
-    "fmax": InstrClass.FCMP,
-}
 
 #: memory (op, space) -> instruction class for the static census
 CENSUS_MEM: Dict[Tuple[str, str], InstrClass] = {
@@ -219,25 +211,84 @@ class LintShared:
 class _MaskedCM:
     """Context manager returned by the lint ``ctx.masked``."""
 
-    def __init__(self, ctx: "LintContext", cond) -> None:
+    def __init__(self, ctx: "LintContext", cond: Any) -> None:
         self._ctx = ctx
         self._cond = cond
 
     def __enter__(self) -> None:
         self._ctx._enter_masked(self._cond)
 
-    def __exit__(self, *_exc) -> bool:
+    def __exit__(self, *_exc: Any) -> bool:
         self._ctx._pop_mask()
         return False
 
 
-class LintContext(BlockAccounting):
+def _select(cond: Any, new: Any, old: Any) -> SymVal:
+    """``where(cond, new, old)`` in the abstract domain.
+
+    Unknown condition: if both branches are provably the same value,
+    keep it; otherwise take the *primary* (new) branch, mark varying
+    and union taints — interior-block behaviour, good enough for the
+    index structure the classifiers need.
+    """
+    c = as_sym(cond)
+    cv = c.concrete_value()
+    n, o = as_sym(new), as_sym(old)
+    taints = c.taints | n.taints | o.taints
+    if cv is not None:
+        nv, ov = n.concrete_value(), o.concrete_value()
+        if nv is not None and ov is not None:
+            result = np.where(np.asarray(cv, dtype=bool), nv, ov)
+            kind = "float" if (n.kind == "float" or o.kind == "float") \
+                else n.kind
+            return SymVal(result, None, kind, taints,
+                          is_varying(result) or n.varying or o.varying)
+        cond_arr = np.asarray(cv, dtype=bool)
+        if bool(np.all(cond_arr)):
+            return SymVal(n.lanes, n.terms, n.kind, taints, n.varying)
+        if not bool(np.any(cond_arr)):
+            return SymVal(o.lanes, o.terms, o.kind, taints, o.varying)
+        primary = n if nv is not None or ov is None else o
+        return SymVal(primary.lanes, primary.terms, primary.kind, taints,
+                      True)
+    if n.same_expr(o):
+        return SymVal(n.lanes, n.terms, n.kind, taints, n.varying)
+    return SymVal(n.lanes, n.terms, n.kind, taints, True)
+
+
+def _opaque_float(*args: Any) -> SymVal:
+    """A new opaque float with ``args``' taints, varying if any of them
+    is (never an operand itself: a data-dependent ``if`` merges a name
+    bound to the very same object as unchanged)."""
+    return SymVal.opaque("float", frozenset().union(*map(taints_of, args)),
+                         any(map(is_varying, args)))
+
+
+def _no_errstate(**_settings: str) -> contextlib.nullcontext:
+    return contextlib.nullcontext()
+
+
+#: the array namespace :class:`LintContext` gives the
+#: :class:`~repro.cuda.context.LaneOps` value ops: the NumPy calls
+#: :class:`SymVal` refuses (``__array_ufunc__ = None``).  The census
+#: computes no float, so each float function returns an opaque float
+#: and no floating-point error state needs setting.
+LINT_XP = SimpleNamespace(where=_select, errstate=_no_errstate,
+                          **dict.fromkeys(("minimum", "maximum", "sin",
+                                           "cos", "sqrt", "exp", "log"),
+                                          _opaque_float))
+
+
+class LintContext(BlockAccounting, LaneOps):
     """Event-recording stand-in for
     :class:`~repro.cuda.context.BlockContext`.
 
-    Method dispatch is generated from :data:`CTX_OPS`; a DSL method
-    with no entry there simply does not exist here, which keeps the
-    metadata table honest.  Every charge to :attr:`trace` goes through
+    The value ops (``fma`` … ``sfu_rcp``, ``cvt``, ``select``) are
+    :class:`~repro.cuda.context.LaneOps`'s own functions, run over
+    :meth:`_bc` operands and :data:`LINT_XP`; only ``merge`` and
+    ``any_active``, which read whether the lint mask is exactly known,
+    are defined here.  The memory, barrier and divergence ops record
+    events for the rules.  Every charge to :attr:`trace` goes through
     :class:`~repro.cuda.context.BlockAccounting`, the accounting
     execution uses; the identity helpers are inherited as they are.
     """
@@ -247,6 +298,8 @@ class LintContext(BlockAccounting):
     #: :mod:`repro.analysis.census` compares one-for-one with dynamic
     #: LaunchProfiler counters
     trace: KernelTrace
+
+    xp = LINT_XP
 
     def __init__(self, spec: DeviceSpec, grid: Dim3, block: Dim3,
                  coord: Tuple[int, int, int], recorder: Recorder) -> None:
@@ -270,15 +323,27 @@ class LintContext(BlockAccounting):
         self._sync_interval = 0
         self.shared_arrays: List[LintShared] = []
 
-        for op_name, op in CTX_OPS.items():
-            if op.category == "identity":
-                continue
-            setattr(self, op_name, _bind_dispatch(self, op_name, op))
+    @staticmethod
+    def _bc(v: Any, dtype: Any = None) -> SymVal:
+        """A value op's operand as a :class:`SymVal`.  A float operand
+        (``dtype`` float32) is an opaque float keeping ``v``'s taints
+        and varying flag, the census computing no float; one that is
+        already an opaque float is returned as it is, since every op
+        builds a new value from its operands."""
+        if dtype is np.float32:
+            if isinstance(v, SymVal) and v.lanes is None \
+                    and v.kind == "float":
+                return v
+            return SymVal.opaque("float", taints_of(v), is_varying(v))
+        return as_sym(v)
 
     # -- mask machinery -------------------------------------------------
     @property
     def mask(self) -> np.ndarray:
         return self._mask_stack[-1][0]
+
+    def masked(self, cond: Any) -> _MaskedCM:
+        return _MaskedCM(self, cond)
 
     def _enter_masked(self, cond: Any) -> None:
         """``ctx.masked``: charge the branch under the parent mask,
@@ -313,15 +378,49 @@ class LintContext(BlockAccounting):
     def pop_unknown_branch(self) -> None:
         self._pop_mask()
 
-    def _mask_state(self) -> Tuple[np.ndarray, bool, bool]:
-        return self._mask_stack[-1]
+    def merge(self, new: Any, old: Any) -> Any:
+        """Lanes under an exactly known mask take ``new``; under an
+        inexact one the select's condition is unknown."""
+        mask, exact, _div = self._mask_stack[-1]
+        if exact:
+            return _select(SymVal.concrete(mask, "bool"), new, old)
+        return _select(SymVal.opaque("bool"), new, old)
 
-    # -- event helpers --------------------------------------------------
+    def any_active(self, cond: Any) -> Any:
+        """Whether an active lane satisfies ``cond``; an unknown
+        ``cond`` gives an unknown, thread-varying bool."""
+        sym = as_sym(cond)
+        value = sym.concrete_value()
+        if value is None:
+            return SymVal.opaque("bool", sym.taints, True)
+        mask = self.mask
+        return bool(np.any(np.broadcast_to(
+            np.asarray(value, dtype=bool), mask.shape) & mask))
+
+    def sync(self) -> None:
+        """Record the barrier, divergent unless its mask is exactly
+        known and not divergent, and charge it."""
+        _mask, exact, divergent = self._mask_stack[-1]
+        self._recorder.emit(SyncEvent(self._line(),
+                                      divergent=divergent or not exact,
+                                      interval=self._sync_interval))
+        self._sync_interval += 1
+        self._emit(InstrClass.SYNC)
+
+    # -- bookkeeping (the inherited charges, over concrete counts) -------
+    def loop_tail(self, induction_updates: int = 1) -> None:
+        super().loop_tail(int(induction_updates))
+
+    def address_ops(self, count: int = 1) -> None:
+        super().address_ops(int(count))
+
+    # -- memory ---------------------------------------------------------
     def _line(self) -> int:
         return self._recorder.current_line
 
-    def _record_access(self, op: str, space: str, array, index) -> None:
-        mask, exact, divergent = self._mask_state()
+    def _record_access(self, op: str, space: str, array: Any,
+                       index: Any) -> None:
+        mask, exact, divergent = self._mask_stack[-1]
         if isinstance(array, LintShared):
             name = array.name
             itemsize = array.itemsize
@@ -370,95 +469,40 @@ class LintContext(BlockAccounting):
         elif space == "const":
             self._record_broadcast(lanes, mask)
 
-    def _loaded_value(self, array) -> SymVal:
+    def _load(self, space: str, array: Any, index: Any,
+              op: str = "ld") -> SymVal:
+        """Record a load (or an atomic) and return the unknown value it
+        reads."""
+        self._record_access(op, space, array, index)
         if isinstance(array, LintShared):
             integer = array.dtype.kind in "iu"
         else:
             integer = array.is_integer
         return SymVal.unknown_int() if integer else SymVal.opaque("float")
 
-    # -- CTX_OPS dispatch -----------------------------------------------
-    def dispatch(self, name: str, op, *args, **kwargs):
-        cat = op.category
-        if cat in ("farith", "sfu"):
-            self._emit(CENSUS_FARITH.get(name, InstrClass.SFU))
-            taints = frozenset().union(*(taints_of(a) for a in args)) \
-                if args else frozenset()
-            varying = any(is_varying(a) for a in args)
-            return SymVal.opaque("float", taints, varying)
-        if cat == "iarith":
-            self._emit(InstrClass.IMUL if name == "imul"
-                       else InstrClass.IALU)
-            return _int_arith(name, *args)
-        if cat == "cvt":
-            self._emit(InstrClass.CVT)
-            value, dtype = args[0], args[1] if len(args) > 1 else np.float32
-            return as_sym(value).astype(dtype)
-        if cat == "select":
-            self._emit(InstrClass.SETP)
-            cond, new, old = args
-            return _select(cond, new, old)
-        if cat == "merge":
-            new, old = args
-            mask, exact, _div = self._mask_state()
-            if exact:
-                return _select(SymVal.concrete(mask, "bool"), new, old)
-            return _select(SymVal.opaque("bool"), new, old)
-        if cat == "global_ld":
-            arr, index = args
-            self._record_access("ld", "global", arr, index)
-            return self._loaded_value(arr)
-        if cat == "global_st":
-            arr, index = args[0], args[1]
-            self._record_access("st", "global", arr, index)
-            return None
-        if cat == "global_atomic":
-            arr, index = args[0], args[1]
-            self._record_access("atom", "global", arr, index)
-            return self._loaded_value(arr)
-        if cat == "shared_ld":
-            sh, index = args
-            self._record_access("ld", "shared", sh, index)
-            return self._loaded_value(sh)
-        if cat == "shared_st":
-            sh, index = args[0], args[1]
-            self._record_access("st", "shared", sh, index)
-            return None
-        if cat == "const_ld":
-            arr, index = args
-            self._record_access("ld", "const", arr, index)
-            return self._loaded_value(arr)
-        if cat == "tex_ld":
-            arr, index = args
-            self._record_access("ld", "tex", arr, index)
-            return self._loaded_value(arr)
-        if cat == "alloc":
-            return self._shared_alloc(*args, **kwargs)
-        if cat == "sync":
-            _mask, exact, divergent = self._mask_state()
-            self._recorder.emit(SyncEvent(self._line(),
-                                          divergent=divergent or not exact,
-                                          interval=self._sync_interval))
-            self._sync_interval += 1
-            self._emit(InstrClass.SYNC)
-            return None
-        if cat == "masked":
-            return _MaskedCM(self, args[0])
-        if cat == "query":      # any_active
-            cond = as_sym(args[0])
-            value = cond.concrete_value()
-            if value is None:
-                return SymVal.opaque("bool", cond.taints, True)
-            mask = self._mask_state()[0]
-            return bool(np.any(np.broadcast_to(
-                np.asarray(value, dtype=bool), mask.shape) & mask))
-        if cat == "meta":       # the inherited loop_tail / address_ops
-            getattr(BlockAccounting, name)(self, *map(int, args), **kwargs)
-            return None
-        raise AnalysisLimit(f"unmodeled ctx op {name!r} ({cat})")
+    def ld_global(self, arr: Any, index: Any) -> SymVal:
+        return self._load("global", arr, index)
 
-    def _shared_alloc(self, shape, dtype=np.float32,
-                      name: str = "smem") -> LintShared:
+    def st_global(self, arr: Any, index: Any, value: Any) -> None:
+        self._record_access("st", "global", arr, index)
+
+    def atom_global_add(self, arr: Any, index: Any, value: Any) -> SymVal:
+        return self._load("global", arr, index, "atom")
+
+    def ld_shared(self, sh: Any, index: Any) -> SymVal:
+        return self._load("shared", sh, index)
+
+    def st_shared(self, sh: Any, index: Any, value: Any) -> None:
+        self._record_access("st", "shared", sh, index)
+
+    def ld_const(self, arr: Any, index: Any) -> SymVal:
+        return self._load("const", arr, index)
+
+    def ld_tex(self, arr: Any, index: Any) -> SymVal:
+        return self._load("tex", arr, index)
+
+    def shared_alloc(self, shape: Any, dtype: Any = np.float32,
+                     name: str = "smem") -> LintShared:
         dims: List[int] = []
         shape_taints: frozenset = frozenset()
         shape_seq = shape if isinstance(shape, (tuple, list)) else (shape,)
@@ -485,66 +529,6 @@ class LintContext(BlockAccounting):
             self._line(), name, arr.size * np_dtype.itemsize, shape_taints))
         self.shared_arrays.append(arr)
         return arr
-
-
-def _bind_dispatch(ctx: LintContext, name: str, op):
-    def bound(*args, **kwargs):
-        return ctx.dispatch(name, op, *args, **kwargs)
-    bound.__name__ = name
-    return bound
-
-
-def _int_arith(name: str, a, b):
-    if name == "iadd":
-        return as_sym(a) + b
-    if name == "isub":
-        return as_sym(a) - b
-    if name == "imul":
-        return as_sym(a) * b
-    if name == "iand":
-        return as_sym(a) & b
-    if name == "ior":
-        return as_sym(a) | b
-    if name == "ixor":
-        return as_sym(a) ^ b
-    if name == "ishl":
-        return as_sym(a) << b
-    if name == "ishr":
-        return as_sym(a) >> b
-    raise AnalysisLimit(f"unknown integer op {name!r}")
-
-
-def _select(cond, new, old):
-    """``where(cond, new, old)`` in the abstract domain.
-
-    Unknown condition: if both branches are provably the same value,
-    keep it; otherwise take the *primary* (new) branch, mark varying
-    and union taints — interior-block behaviour, good enough for the
-    index structure the classifiers need.
-    """
-    c = as_sym(cond)
-    cv = c.concrete_value()
-    n, o = as_sym(new), as_sym(old)
-    taints = c.taints | n.taints | o.taints
-    if cv is not None:
-        nv, ov = n.concrete_value(), o.concrete_value()
-        if nv is not None and ov is not None:
-            result = np.where(np.asarray(cv, dtype=bool), nv, ov)
-            kind = "float" if (n.kind == "float" or o.kind == "float") \
-                else n.kind
-            return SymVal(result, None, kind, taints,
-                          is_varying(result) or n.varying or o.varying)
-        cond_arr = np.asarray(cv, dtype=bool)
-        if bool(np.all(cond_arr)):
-            return SymVal(n.lanes, n.terms, n.kind, taints, n.varying)
-        if not bool(np.any(cond_arr)):
-            return SymVal(o.lanes, o.terms, o.kind, taints, o.varying)
-        primary = n if nv is not None or ov is None else o
-        return SymVal(primary.lanes, primary.terms, primary.kind, taints,
-                      True)
-    if n.same_expr(o):
-        return SymVal(n.lanes, n.terms, n.kind, taints, n.varying)
-    return SymVal(n.lanes, n.terms, n.kind, taints, True)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ uniformity, a barrier's reachability under divergence — before a
 kernel runs.  This module supplies the missing substrate: it lowers a
 kernel function into a small typed control-flow graph whose
 instructions are classified through the same :data:`repro.cuda.context.CTX_OPS`
-table the interpreter and the grid compiler dispatch over, then
+table the grid compiler dispatches over, then
 computes the classic structures a divergence analysis needs —
 dominator and post-dominator trees, natural loops, and the
 *reconvergence point* of every branch (its immediate post-dominator,
@@ -160,12 +160,11 @@ def _scan_expr(node: ast.AST, ctx_name: str,
                 and isinstance(sub.value, ast.Name) \
                 and sub.value.id == ctx_name:
             meth = sub.attr
-            op = CTX_OPS.get(meth)
-            if op is not None:
+            cat = CTX_OPS.get(meth)
+            if cat is not None:
                 ops.append(meth)
-                cats.append(op.category)
-                if op.category in ("query", "identity") \
-                        or op.category.endswith("_ld"):
+                cats.append(cat)
+                if cat in ("query", "identity") or cat.endswith("_ld"):
                     seeds.add(meth)   # global_tid & friends vary
             elif meth in CTX_ATTRS:
                 seeds.add(meth)
@@ -195,8 +194,8 @@ def _charged(node: ast.AST, ctx_name: str, operands: List) -> None:
     or the test of a conditional expression, short-circuit operator or
     comprehension that decides whether a ``ctx`` call runs."""
     meth = _is_ctx_call(node, ctx_name)
-    op = CTX_OPS.get(meth) if meth is not None else None
-    charged = CHARGED_OPERAND.get(op.category) if op is not None else None
+    cat = CTX_OPS.get(meth) if meth is not None else None
+    charged = CHARGED_OPERAND.get(cat) if cat is not None else None
     if isinstance(node, ast.Call) and charged is not None:
         pos, role = charged
         arg = [node.args[pos]] if len(node.args) > pos \

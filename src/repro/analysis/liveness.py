@@ -46,9 +46,8 @@ from .divergence import SEED_UNIFORMITY, Uniformity
 #: ctx methods whose result is per-thread regardless of arguments:
 #: thread identities, loads from every memory space, global atomics
 VARYING_CALLS = frozenset(
-    op for op, meta in CTX_OPS.items()
-    if meta.category in ("identity", "global_atomic")
-    or meta.category.endswith("_ld"))
+    op for op, cat in CTX_OPS.items()
+    if cat in ("identity", "global_atomic") or cat.endswith("_ld"))
 
 #: ctx attributes that are per-thread lane vectors: the thread-varying
 #: identity seeds (``mask`` is the active-lane predicate, not a value

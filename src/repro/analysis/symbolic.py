@@ -340,6 +340,11 @@ def _binop(op: str, left: SymLike, right: SymLike) -> SymVal:
     a, b = as_sym(left), as_sym(right)
     taints = a.taints | b.taints
     varying = a.varying or b.varying
+    if (a.lanes is None and a.kind == "float") \
+            or (b.lanes is None and b.kind == "float"):
+        # an opaque float operand: the float result below, reached early
+        # (the census's float ops all take this path)
+        return SymVal.opaque("float", taints, varying)
     kind = _result_kind(op, a, b)
 
     av, bv = a.concrete_value(), b.concrete_value()

@@ -17,8 +17,8 @@ Command line::
     python -m repro.bench.devices --n 256
 
 prints one row per device: peak, ladder GFLOPS per variant, the
-autotuner winner, its GFLOPS, and the pruning statistics of the
-estimator-guided search.  ``benchmarks/test_cross_device.py`` writes
+autotuner winner, its GFLOPS, and the number of configurations the
+exhaustive search evaluated.  ``benchmarks/test_cross_device.py`` writes
 the n=512 table to ``benchmarks/out/cross_device.txt``, the committed
 record of these numbers.
 """
@@ -55,23 +55,21 @@ def run_ladder(spec, n: int = 512, trace_blocks: int = 2
     return out
 
 
-def tune_device(spec, n: int = 512, trace_blocks: int = 2,
-                prune: bool = True) -> Dict[str, object]:
+def tune_device(spec, n: int = 512, trace_blocks: int = 2
+                ) -> Dict[str, object]:
     """Autotune the matmul space on ``spec``; returns the winner and
-    the search statistics."""
+    the number of configurations evaluated."""
     tuner = MatmulAutotuner(n=n, trace_blocks=trace_blocks, spec=spec)
-    result = tuner.exhaustive(prune=prune)
+    result = tuner.exhaustive()
     return {
         "evaluated": len(result.evaluations),
-        "pruned": len(result.pruned),
         "winner": result.best.config.label,
         "winner_gflops": round(result.best_gflops, 2),
     }
 
 
 def run_devices(names: Sequence[str] = DEFAULT_DEVICES, n: int = 512,
-                trace_blocks: int = 2, prune: bool = True
-                ) -> List[Dict[str, object]]:
+                trace_blocks: int = 2) -> List[Dict[str, object]]:
     """Ladder + retune for each named device profile."""
     entries = []
     for name in names:
@@ -80,14 +78,14 @@ def run_devices(names: Sequence[str] = DEFAULT_DEVICES, n: int = 512,
             "device": name,
             "peak_mad_gflops": round(spec.peak_mad_gflops, 1),
             "ladder_gflops": run_ladder(spec, n, trace_blocks),
-            "autotune": tune_device(spec, n, trace_blocks, prune),
+            "autotune": tune_device(spec, n, trace_blocks),
         })
     return entries
 
 
 def format_entries(entries: Sequence[Dict[str, object]]) -> str:
     headers = ["device", "peak", "naive", "tiled", "unrolled", "prefetch",
-               "winner", "winner GFLOPS", "eval/pruned"]
+               "winner", "winner GFLOPS", "evaluated"]
     rows = []
     for e in entries:
         ladder = e["ladder_gflops"]
@@ -101,7 +99,7 @@ def format_entries(entries: Sequence[Dict[str, object]]) -> str:
             f"{ladder['prefetch']:.2f}",
             tune["winner"],
             f"{tune['winner_gflops']:.2f}",
-            f"{tune['evaluated']}/{tune['pruned']}",
+            str(tune["evaluated"]),
         ])
     return format_table(headers, rows,
                         title="cross-device matmul ladder + retune "
@@ -118,15 +116,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--n", type=int, default=512,
                         help="matrix size for the ladder and the tuner")
     parser.add_argument("--trace-blocks", type=int, default=2)
-    parser.add_argument("--no-prune", action="store_true",
-                        help="exhaustive evaluation without static-bound "
-                             "pruning")
     args = parser.parse_args(argv)
 
     try:
         entries = run_devices(args.devices, n=args.n,
-                              trace_blocks=args.trace_blocks,
-                              prune=not args.no_prune)
+                              trace_blocks=args.trace_blocks)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2

@@ -53,8 +53,7 @@ class CompileError(Exception):
 #: ctx methods that vanish entirely (accounting the vectorized
 #: execution performs implicitly; the traced blocks and the census
 #: charge them through BlockAccounting.loop_tail and address_ops)
-_META_OPS = frozenset(op for op, meta in CTX_OPS.items()
-                      if meta.category == "meta")
+_META_OPS = frozenset(op for op, cat in CTX_OPS.items() if cat == "meta")
 
 #: environment value types that may be bound into lowered code as-is
 _CONST_TYPES = (int, float, complex, bool, str, bytes, type(None),
@@ -215,8 +214,7 @@ class _FunctionLowerer(ast.NodeTransformer):
                 and isinstance(func.value, ast.Name) \
                 and func.value.id in self.ctx_names:
             op = func.attr
-            meta = CTX_OPS.get(op)
-            if meta is None:
+            if op not in CTX_OPS:
                 raise self.fail(node, f"unknown ctx method {op!r}")
             self._check_call_shape(node)
             if op in _META_OPS:

@@ -43,20 +43,22 @@ construction.
 What each value op computes is defined in one place too,
 :class:`LaneOps`: the arithmetic, conversion, ``select``, ``merge``,
 SFU and ``any_active`` ops, each one :meth:`~LaneOps._emit` plus one
-NumPy expression over the subclass's lanes, and the memory-space,
-shared-allocation and shared-store checks.  :class:`BlockContext`
-inherits it over one block's ``(nthreads,)`` lanes, charging through
-:class:`BlockAccounting`; the grid compiler's
-:class:`~repro.compile.runtime.GridRT` inherits it over a whole grid
-segment with an ``_emit`` that charges nothing, so the compiled sweep
-computes what the reference computes by construction.
+expression over the subclass's ``self._bc(...)`` operands and its
+``self.xp`` array namespace, and the memory-space, shared-allocation
+and shared-store checks.  Three contexts inherit it:
+:class:`BlockContext` over one block's ``(nthreads,)`` lanes, charging
+through :class:`BlockAccounting`; the grid compiler's
+:class:`~repro.compile.runtime.GridRT` over a whole grid segment with
+an ``_emit`` that charges nothing; and the census's ``LintContext``
+over abstract values, charging through :class:`BlockAccounting`.  So
+the compiled sweep computes what the reference computes, and the
+census charges what execution charges, by construction.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,74 +87,47 @@ ArrayLike = Union[np.ndarray, float, int]
 # Rule metadata for the ctx.* vocabulary
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CtxOp:
-    """Static classification of one ``ctx.*`` operation.
-
-    The static analyzer (:mod:`repro.analysis`) drives its abstract
-    interpretation of kernel source from this table instead of
-    hard-coding the DSL surface: ``category`` decides how a call is
-    modeled (arithmetic, memory event, barrier, divergence, ...) and
-    ``result`` the kind of value it produces.  A new ctx method only
-    needs an entry here to become analyzable.
-    """
-
-    category: str   # farith | iarith | sfu | cvt | select | merge |
-    #                 global_ld | global_st | global_atomic |
-    #                 shared_ld | shared_st | const_ld | tex_ld |
-    #                 alloc | sync | masked | query | meta | identity
-    result: str = "none"   # float | int | value | bool | shared | ctx | none
-
-
-#: every public ``ctx`` method, classified for the static analyzer
-CTX_OPS: Dict[str, CtxOp] = {
+#: every public ``ctx`` method, mapped to its category for the static
+#: tooling: the IR and the dataflow passes read which ops load, charge
+#: an index or vanish, and the grid compiler refuses a ``ctx`` method
+#: with no entry.  Categories: farith | iarith | sfu | cvt | select |
+#: merge | global_ld | global_st | global_atomic | shared_ld |
+#: shared_st | const_ld | tex_ld | alloc | sync | masked | query | meta
+#: | identity.  A new op needs an entry here and a method on the
+#: executing contexts; unless it is a :class:`LaneOps` value op, which
+#: the census inherits, it also needs a
+#: :class:`~repro.analysis.interp.LintContext` method.
+CTX_OPS: Dict[str, str] = {
     # arithmetic (one warp instruction each)
-    "fma": CtxOp("farith", "float"),
-    "fadd": CtxOp("farith", "float"),
-    "fsub": CtxOp("farith", "float"),
-    "fmul": CtxOp("farith", "float"),
-    "fdiv": CtxOp("farith", "float"),
-    "fmin": CtxOp("farith", "float"),
-    "fmax": CtxOp("farith", "float"),
-    "iadd": CtxOp("iarith", "int"),
-    "isub": CtxOp("iarith", "int"),
-    "imul": CtxOp("iarith", "int"),
-    "iand": CtxOp("iarith", "int"),
-    "ior": CtxOp("iarith", "int"),
-    "ixor": CtxOp("iarith", "int"),
-    "ishl": CtxOp("iarith", "int"),
-    "ishr": CtxOp("iarith", "int"),
-    "cvt": CtxOp("cvt", "value"),
-    "select": CtxOp("select", "value"),
-    "merge": CtxOp("merge", "value"),
+    **dict.fromkeys(("fma", "fadd", "fsub", "fmul", "fdiv", "fmin",
+                     "fmax"), "farith"),
+    **dict.fromkeys(("iadd", "isub", "imul", "iand", "ior", "ixor",
+                     "ishl", "ishr"), "iarith"),
+    "cvt": "cvt",
+    "select": "select",
+    "merge": "merge",
     # SFU transcendentals
-    "sfu_sin": CtxOp("sfu", "float"),
-    "sfu_cos": CtxOp("sfu", "float"),
-    "sfu_rsqrt": CtxOp("sfu", "float"),
-    "sfu_sqrt": CtxOp("sfu", "float"),
-    "sfu_exp": CtxOp("sfu", "float"),
-    "sfu_log": CtxOp("sfu", "float"),
-    "sfu_rcp": CtxOp("sfu", "float"),
+    **dict.fromkeys(("sfu_sin", "sfu_cos", "sfu_rsqrt", "sfu_sqrt",
+                     "sfu_exp", "sfu_log", "sfu_rcp"), "sfu"),
     # memory spaces
-    "ld_global": CtxOp("global_ld", "value"),
-    "st_global": CtxOp("global_st"),
-    "atom_global_add": CtxOp("global_atomic"),
-    "ld_shared": CtxOp("shared_ld", "value"),
-    "st_shared": CtxOp("shared_st"),
-    "ld_const": CtxOp("const_ld", "value"),
-    "ld_tex": CtxOp("tex_ld", "value"),
-    "shared_alloc": CtxOp("alloc", "shared"),
+    "ld_global": "global_ld",
+    "st_global": "global_st",
+    "atom_global_add": "global_atomic",
+    "ld_shared": "shared_ld",
+    "st_shared": "shared_st",
+    "ld_const": "const_ld",
+    "ld_tex": "tex_ld",
+    "shared_alloc": "alloc",
     # control
-    "sync": CtxOp("sync"),
-    "masked": CtxOp("masked", "ctx"),
-    "any_active": CtxOp("query", "bool"),
+    "sync": "sync",
+    "masked": "masked",
+    "any_active": "query",
     # bookkeeping the vectorized execution performs implicitly
-    "loop_tail": CtxOp("meta"),
-    "address_ops": CtxOp("meta"),
+    "loop_tail": "meta",
+    "address_ops": "meta",
     # thread-identity helpers (methods; the tx/ty/... attrs are data)
-    "global_tid_x": CtxOp("identity", "int"),
-    "global_tid_y": CtxOp("identity", "int"),
-    "global_tid": CtxOp("identity", "int"),
+    **dict.fromkeys(("global_tid_x", "global_tid_y", "global_tid"),
+                    "identity"),
 }
 
 #: data attributes of a :class:`BlockContext` that kernels may read.
@@ -404,18 +379,25 @@ class BlockAccounting:
 
 
 class LaneOps:
-    """Every ``ctx`` value op, and the memory checks, of both executors
-    (see module docstring).
+    """Every ``ctx`` value op, and the memory checks, of all three
+    contexts (see module docstring).
 
-    Each value op is one :meth:`_emit` plus one NumPy expression over
-    ``self._bc(...)``.  A subclass supplies ``_bc`` (a value as lanes
-    of its layout, a scalar broadcast to every lane), the ``mask``
-    property, ``_where`` for error messages, ``spec``, the
+    Each value op is one :meth:`_emit` plus one expression over
+    ``self._bc(...)`` operands and the ``self.xp`` array namespace.  A
+    subclass supplies ``_bc`` (a value as lanes of its layout, a scalar
+    broadcast to every lane) and the ``mask`` property, and, for the
+    memory checks, ``_where`` for error messages, ``spec``, the
     ``_smem_words`` meter with its ``smem_bytes`` and a
     ``shared_arrays`` list.  :meth:`_emit` charges nothing here;
-    :class:`BlockContext` lists :class:`BlockAccounting` first, so its
-    charging ``_emit`` wins.
+    :class:`BlockContext` and the census's ``LintContext`` list
+    :class:`BlockAccounting` first, so its charging ``_emit`` wins.
     """
+
+    #: the array namespace the value ops call for what operators do not
+    #: spell (``where``, ``minimum``/``maximum``, the SFU functions and
+    #: their ``errstate``); the census swaps in one over its abstract
+    #: values
+    xp: Any = np
 
     def _emit(self, cls: InstrClass, count: int = 1,
               mem: Optional[Tuple[float, float]] = None,
@@ -474,43 +456,41 @@ class LaneOps:
         return bool((self.mask & np.asarray(cond, dtype=bool)).any())
 
     # ------------------------------------------------------------------
-    # Arithmetic (each op = one warp instruction per active warp; the
-    # float ops' asarray is a no-copy float32 guarantee)
+    # Arithmetic (each op = one warp instruction per active warp; float32
+    # operands keep every float result float32)
     # ------------------------------------------------------------------
     def fma(self, a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
         """Fused multiply-add ``a * b + c`` (2 flops/thread)."""
         self._emit(InstrClass.FMA)
-        return np.asarray(self._bc(a, np.float32) * self._bc(b, np.float32)
-                          + self._bc(c, np.float32), dtype=np.float32)
+        return (self._bc(a, np.float32) * self._bc(b, np.float32)
+                + self._bc(c, np.float32))
 
     def fadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.FADD)
-        return np.asarray(self._bc(a, np.float32) + self._bc(b, np.float32),
-                          dtype=np.float32)
+        return self._bc(a, np.float32) + self._bc(b, np.float32)
 
     def fsub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.FADD)
-        return np.asarray(self._bc(a, np.float32) - self._bc(b, np.float32),
-                          dtype=np.float32)
+        return self._bc(a, np.float32) - self._bc(b, np.float32)
 
     def fmul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.FMUL)
-        return np.asarray(self._bc(a, np.float32) * self._bc(b, np.float32),
-                          dtype=np.float32)
+        return self._bc(a, np.float32) * self._bc(b, np.float32)
 
     def fdiv(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Floating divide — multi-cycle, executed on the SFU pipe."""
         self._emit(InstrClass.FDIV)
-        return np.asarray(self._bc(a, np.float32) / self._bc(b, np.float32),
-                          dtype=np.float32)
+        return self._bc(a, np.float32) / self._bc(b, np.float32)
 
     def fmin(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.FCMP)
-        return np.minimum(self._bc(a, np.float32), self._bc(b, np.float32))
+        return self.xp.minimum(self._bc(a, np.float32),
+                               self._bc(b, np.float32))
 
     def fmax(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.FCMP)
-        return np.maximum(self._bc(a, np.float32), self._bc(b, np.float32))
+        return self.xp.maximum(self._bc(a, np.float32),
+                               self._bc(b, np.float32))
 
     def iadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         self._emit(InstrClass.IALU)
@@ -551,12 +531,10 @@ class LaneOps:
         return self._bc(a).astype(dtype)
 
     def select(self, cond: ArrayLike, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Predicated select (no divergence — one instruction)."""
+        """Predicated select (no divergence — one instruction); the
+        result has the operands' common type."""
         self._emit(InstrClass.SETP)
-        cond = self._bc(cond, bool)
-        av, bv = self._bc(a), self._bc(b)
-        out_dtype = np.result_type(av.dtype, bv.dtype)
-        return np.asarray(np.where(cond, av, bv), dtype=out_dtype)
+        return self.xp.where(self._bc(cond, bool), self._bc(a), self._bc(b))
 
     # ------------------------------------------------------------------
     # SFU transcendentals (Section 3.2: sin/cos/rsqrt on the SFUs)
@@ -564,26 +542,27 @@ class LaneOps:
     def _sfu(self, fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike
              ) -> np.ndarray:
         self._emit(InstrClass.SFU)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(fn(self._bc(x, np.float32)), dtype=np.float32)
+        with self.xp.errstate(divide="ignore", invalid="ignore"):
+            return fn(self._bc(x, np.float32))
 
     def sfu_sin(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.sin, x)
+        return self._sfu(self.xp.sin, x)
 
     def sfu_cos(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.cos, x)
+        return self._sfu(self.xp.cos, x)
 
     def sfu_rsqrt(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(lambda v: 1.0 / np.sqrt(v), x)
+        return self._sfu(lambda v: 1.0 / self.xp.sqrt(v), x)
 
     def sfu_sqrt(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.sqrt, x)
+        return self._sfu(self.xp.sqrt, x)
 
     def sfu_exp(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(np.exp, x)
+        return self._sfu(self.xp.exp, x)
 
     def sfu_log(self, x: ArrayLike) -> np.ndarray:
-        return self._sfu(lambda v: np.log(np.maximum(v, 1e-30)), x)
+        return self._sfu(lambda v: self.xp.log(self.xp.maximum(v, 1e-30)),
+                         x)
 
     def sfu_rcp(self, x: ArrayLike) -> np.ndarray:
         return self._sfu(lambda v: 1.0 / v, x)

@@ -17,7 +17,7 @@ greedy optimization strategies are unreliable on this architecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..apps.matmul import MatMul, MatmulConfig, TILE_SIZES
@@ -44,17 +44,6 @@ def device_tile_sizes(spec: DeviceSpec) -> Tuple[int, ...]:
                 and smem <= spec.shared_mem_per_sm:
             tiles.append(tile)
     return tuple(tiles)
-
-#: safety margin on static ceilings when pruning: a configuration is
-#: only skipped when its closed-form bound plus this slack is still
-#: below the incumbent, absorbing the small census-vs-trace drift
-#: between the pruning size and the evaluation size
-PRUNE_MARGIN = 0.10
-
-#: problem size the static ceilings are computed at — inside the
-#: abstract interpreter's loop budget, large enough that launch
-#: overhead does not distort the bound
-PRUNE_CENSUS_N = 256
 
 
 @dataclass(frozen=True)
@@ -110,9 +99,6 @@ class TuneResult:
     best_gflops: float
     evaluations: Dict[Point, float]
     local_maxima: List[Tuple[Point, float]]
-    #: configurations skipped by static-bound pruning, mapped to the
-    #: closed-form ceiling that ruled them out (never silently dropped)
-    pruned: Dict[Point, float] = field(default_factory=dict)
 
     def is_global(self, point: Point) -> bool:
         return self.evaluations[point] == self.best_gflops
@@ -129,7 +115,6 @@ class MatmulAutotuner:
         self.tiles = device_tile_sizes(spec)
         self.app = MatMul(spec)
         self._cache: Dict[Point, float] = {}
-        self._bound_cache: Dict[Point, float] = {}
 
     def space(self) -> List[Point]:
         points = [Point(0, False, False)]
@@ -151,67 +136,21 @@ class MatmulAutotuner:
             self._cache[point] = run.launches[0].estimate().gflops
         return self._cache[point]
 
-    def static_bound(self, point: Point) -> float:
-        """Closed-form GFLOPS ceiling of a configuration, from the
-        static census — no simulation (memoized)."""
-        if point not in self._bound_cache:
-            from ..analysis.estimate import estimate_target
-            from ..analysis.targets import LintTarget, garr
-            from ..apps.matmul import build_kernel
-            cfg = point.config
-            block = 16 if cfg.variant == "naive" else cfg.tile
-            n = -(-PRUNE_CENSUS_N // block) * block   # pad (12x12 tiles)
-            args = (garr("A", n * n), garr("B", n * n),
-                    garr("C", n * n), n)
-            target = LintTarget(build_kernel(cfg.variant, cfg.tile),
-                                (n // block, n // block), (block, block),
-                                args, note=cfg.label)
-            est = estimate_target(target, self.spec)
-            self._bound_cache[point] = est.static_bound_gflops
-        return self._bound_cache[point]
-
-    def exhaustive(self, prune: bool = False) -> TuneResult:
-        """Evaluate the whole space and identify every local maximum.
-
-        With ``prune=True``, configurations whose static closed-form
-        ceiling (plus a :data:`PRUNE_MARGIN` safety factor) cannot beat
-        the incumbent are skipped without simulation — the advisor-style
-        shortcut.  Pruned points are returned in
-        :attr:`TuneResult.pruned` and counted in the ``obs`` metrics
-        registry (``autotuner.pruned`` / ``autotuner.evaluated``), so
-        nothing is silently dropped.
-        """
-        pruned: Dict[Point, float] = {}
+    def exhaustive(self) -> TuneResult:
+        """Evaluate the whole space and identify every local maximum
+        (evaluations are counted as ``autotuner.evaluated`` in the
+        ``obs`` metrics registry)."""
+        evals = {p: self.evaluate(p) for p in self.space()}
         registry = get_registry()
-        if prune:
-            # evaluate in descending-ceiling order so the incumbent is
-            # strong early and prunes aggressively
-            ordered = sorted(self.space(),
-                             key=lambda p: -self.static_bound(p))
-            evals: Dict[Point, float] = {}
-            incumbent = 0.0
-            for p in ordered:
-                ceiling = self.static_bound(p)
-                if ceiling * (1.0 + PRUNE_MARGIN) < incumbent:
-                    pruned[p] = ceiling
-                    if registry.enabled:
-                        registry.counter("autotuner.pruned").inc()
-                    continue
-                evals[p] = self.evaluate(p)
-                incumbent = max(incumbent, evals[p])
-                if registry.enabled:
-                    registry.counter("autotuner.evaluated").inc()
-        else:
-            evals = {p: self.evaluate(p) for p in self.space()}
-            if registry.enabled:
-                registry.counter("autotuner.evaluated").inc(len(evals))
+        if registry.enabled:
+            registry.counter("autotuner.evaluated").inc(len(evals))
         best = max(evals, key=evals.get)
         maxima = []
         for p, g in evals.items():
-            if all(g >= evals[q] for q in self.neighbors(p) if q in evals):
+            if all(g >= evals[q] for q in self.neighbors(p)):
                 maxima.append((p, g))
         maxima.sort(key=lambda pg: -pg[1])
-        return TuneResult(best, evals[best], evals, maxima, pruned)
+        return TuneResult(best, evals[best], evals, maxima)
 
     def hill_climb(self, start: Point) -> Tuple[Point, float, List[Point]]:
         """Greedy one-step improvement until no neighbour is better.

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.interp import LintContext
 from repro.apps.matmul import build_kernel
 from repro.compile import (
     CompileError,
@@ -187,18 +188,26 @@ def test_lane_allocations_become_broadcast_seeds():
 def test_grid_runtime_surface_is_the_reference_surface():
     """Every op the lowering emits as ``__rt.<op>`` (all of CTX_OPS but
     the meta ops, ``sync`` and ``masked``) resolves on GridRT, and every
-    value op is the reference's own function, not a copy of it."""
-    lowered = {op for op, meta in CTX_OPS.items()
-               if meta.category not in ("meta", "sync", "masked")}
+    value op is the reference's own function, not a copy of it.  The
+    census's LintContext runs those same functions (``merge`` and
+    ``any_active`` aside, which read its lint mask) and has every
+    CTX_OPS op as a class attribute."""
+    lowered = {op for op, cat in CTX_OPS.items()
+               if cat not in ("meta", "sync", "masked")}
     unresolved = {op for op in lowered
                   if not callable(getattr(GridRT, op, None))}
     assert not unresolved, f"lowered ops GridRT lacks: {unresolved}"
-    value_ops = {op for op, meta in CTX_OPS.items()
-                 if meta.category in ("farith", "iarith", "sfu", "cvt",
-                                      "select", "merge")} | {"any_active"}
-    for op in sorted(value_ops):
+    census_ops = {op for op, cat in CTX_OPS.items()
+                  if cat in ("farith", "iarith", "sfu", "cvt", "select")}
+    for op in sorted(census_ops | {"merge", "any_active"}):
         assert op not in vars(GridRT) and op not in vars(BlockContext), op
         assert getattr(GridRT, op) is getattr(BlockContext, op), op
+    for op in sorted(census_ops):
+        assert op not in vars(LintContext), op
+        assert getattr(LintContext, op) is getattr(BlockContext, op), op
+    unresolved = {op for op in CTX_OPS
+                  if not callable(getattr(LintContext, op, None))}
+    assert not unresolved, f"CTX_OPS ops LintContext lacks: {unresolved}"
 
 
 def test_prelude_cache_is_per_geometry():
