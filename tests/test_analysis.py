@@ -29,6 +29,7 @@ from repro.analysis import (
     LintTarget,
     Severity,
     analyze_target,
+    carr,
     estimate_registers,
     garr,
 )
@@ -346,3 +347,22 @@ class TestIntegration:
         missing = set(CTX_OPS) - methods
         assert not missing, \
             f"CTX_OPS entries with no BlockContext method: {missing}"
+
+    def test_census_sfu_op_builds_a_new_value(self):
+        """A census SFU op never hands back its operand: a data-
+        dependent ``if`` merges a name bound to the very same object in
+        both arms as unchanged, so ``s = sqrt(s)`` in one arm must still
+        leave ``s`` thread-varying, and the constant read it indexes
+        varying."""
+
+        @kernel("rebind_sqrt")
+        def rebind_sqrt(ctx, x, flag, c, n):
+            s = ctx.fmul(1.5, 2.0)              # a uniform opaque float
+            if ctx.ld_global(flag, 0) > 0:      # a data-dependent branch
+                s = ctx.sfu_sqrt(s)
+            v = ctx.ld_const(c, ctx.cvt(s, np.int32))
+            ctx.st_global(x, ctx.global_tid_x(), v)
+
+        report = _report(rebind_sqrt, n=64, grid=(1,), block=(64,),
+                         extra=(garr("flag", 1), carr("c", 64)))
+        assert report.access("c").pattern == "varying"
