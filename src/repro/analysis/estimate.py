@@ -18,8 +18,9 @@ anything, Ryoo et al. bound a kernel three ways and compare —
 
 All three derive from the static :class:`~repro.analysis.census.KernelCensus`
 (no execution), registers come from the
-:mod:`~repro.analysis.liveness` AST analysis, and the predicted time
-reuses :func:`repro.sim.timing.estimate_time` unchanged — so a static
+:mod:`~repro.analysis.liveness` analysis over the kernel IR, and the
+predicted time reuses :func:`repro.sim.timing.estimate_time`
+unchanged — so a static
 estimate and a simulated launch disagree only where the census
 approximates (data-dependent indices, cache residency), which
 :mod:`repro.analysis.validate` checks.

@@ -41,6 +41,7 @@ import numpy as np
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.context import BlockAccounting, LaneOps
 from ..cuda.dim3 import Dim3, as_dim3
+from ..cuda.memory import CudaModelError
 from ..cuda.source import SOURCE_ERRORS, closure_env, kernel_source
 # re-exported: benchmarks/suite/layers.py patches the names here (the
 # census calls them through repro.cuda.context)
@@ -133,6 +134,16 @@ class HazardEvent:
 
 
 @dataclass
+class SpaceEvent:
+    """A memory op on an array of another space, which execution
+    refuses (constant and texture arrays are read-only)."""
+
+    line: int
+    array: str
+    detail: str    # execution's refusal message
+
+
+@dataclass
 class Recorder:
     """Collects the event stream of one sample-block execution."""
 
@@ -179,6 +190,8 @@ class OpaqueData:
 
 class LintShared:
     """Shared-array stand-in produced by ``ctx.shared_alloc``."""
+
+    space = "shared"
 
     def __init__(self, name: str, shape: Tuple[int, ...], dtype: np.dtype,
                  word_offset: int, recorder: Recorder) -> None:
@@ -436,6 +449,13 @@ class LintContext(BlockAccounting, LaneOps):
         else:
             raise AnalysisLimit(
                 f"{op}_{space} on a non-array value {type(array).__name__}")
+        if space != "shared":
+            try:        # execution's check; a refused access is not charged
+                self._check_space("atom_global_add" if op == "atom"
+                                  else f"{op}_{space}", array, space)
+            except CudaModelError as exc:
+                self._recorder.emit(SpaceEvent(self._line(), name, str(exc)))
+                return
         index_sym = as_sym(index)
         if NTHREADS in index_sym.taints:
             self._recorder.hazard(

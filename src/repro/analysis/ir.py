@@ -14,14 +14,17 @@ dominator and post-dominator trees, natural loops, and the
 where a diverged warp's lanes rejoin).
 
 The IR is deliberately SSA-lite: statements keep their source names
-(``dests``/``srcs``) rather than versioned values, because the
-consumer (:mod:`repro.analysis.divergence`) runs monotone forward
-dataflows to fixpoint where name-level join is exactly as precise for
-the three-point uniformity lattice and the data taint.  ``ctx``
-attribute reads, query calls and loads are surfaced as *seed tokens*
-(``"tid"``, ``"bx"``, ``"global_tid"``, ``"ld_global"``, ...; a raw
-``arr.data`` read is ``"data"``) so the lattice seeding stays out of
-this module.  Every ``ctx`` call whose trace charge reads an operand
+(``dests``/``srcs``/``binds``) rather than versioned values, because
+its consumers need name-level joins only: the uniformity lattice and
+the data taint of :mod:`repro.analysis.divergence` (forward, to
+fixpoint) and the register estimate's backward liveness
+(:mod:`repro.analysis.liveness`).  ``ctx`` attribute reads, query
+calls and loads are surfaced as *seed tokens* (``"tid"``, ``"bx"``,
+``"global_tid"``, ``"ld_global"``, ...; a raw ``arr.data`` read is
+``"data"``, an ``np.zeros``-style constructor ``"array"``) so the
+lattice seeding stays out of this module, and an ``if`` keeps its
+test for liveness's configuration pruning.  Every ``ctx`` call whose
+trace charge reads an operand
 (a memory op's index, ``shared_alloc``'s shape, a bookkeeping count,
 a mask condition) records the names that operand reads, and the
 constructs that hide statements from the CFG (a nested ``def`` or
@@ -65,6 +68,8 @@ class IRInstr:
     :data:`CHARGED_OPERAND`) with the names and seed tokens it reads,
     e.g. ``("ld_global index", ("col",))``; the test of a conditional
     expression or comprehension that guards a ``ctx`` call is one too.
+    ``binds`` lists the names the statement rebinds (plain-name
+    targets); ``dests`` adds the names of a subscripted store.
     """
 
     line: int
@@ -74,6 +79,7 @@ class IRInstr:
     ops: Tuple[str, ...]
     categories: Tuple[str, ...]
     operands: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+    binds: Tuple[str, ...] = ()
 
     @property
     def is_sync(self) -> bool:
@@ -85,13 +91,15 @@ class Branch:
     """A conditional terminator: the block forks on ``cond``.
 
     ``kind`` is ``"masked"`` (a ``with ctx.masked(...)`` region),
-    ``"if"``, ``"loop"`` (``for``) or ``"while"``.
+    ``"if"``, ``"loop"`` (``for``) or ``"while"``; ``test`` is the
+    condition of an ``if`` or masked region.
     """
 
     kind: str
     line: int
     srcs: Tuple[str, ...]
     seeds: Tuple[str, ...]
+    test: Optional[ast.AST] = field(default=None, compare=False)
 
 
 @dataclass
@@ -146,6 +154,10 @@ CHARGED_OPERAND: Dict[str, Tuple[int, str]] = {
 }
 
 
+#: NumPy constructors of per-thread arrays (the ``"array"`` seed)
+ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
+
+
 def _scan_expr(node: ast.AST, ctx_name: str,
                srcs: Set[str], seeds: Set[str],
                ops: List[str], cats: List[str],
@@ -170,6 +182,11 @@ def _scan_expr(node: ast.AST, ctx_name: str,
                 seeds.add(meth)
         elif isinstance(sub, ast.Attribute) and sub.attr == "data":
             seeds.add("data")         # a raw read of array storage
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
+                and sub.func.attr in ARRAY_CTORS \
+                and isinstance(sub.func.value, ast.Name) \
+                and sub.func.value.id == "np":
+            seeds.add("array")        # a new per-thread array
         if operands is not None:
             _charged(sub, ctx_name, operands)
 
@@ -217,6 +234,13 @@ def _charged(node: ast.AST, ctx_name: str, operands: List) -> None:
              for part in (gen.iter, *gen.ifs)], ctx_name)))
 
 
+def _bound(targets: Sequence[ast.AST]) -> Tuple[str, ...]:
+    """The names ``targets`` rebind: plain names, alone or unpacked."""
+    return tuple(sorted({sub.id for tgt in targets for sub in ast.walk(tgt)
+                         if isinstance(sub, ast.Name)
+                         and isinstance(sub.ctx, ast.Store)}))
+
+
 def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     dests: Set[str] = set()
     srcs: Set[str] = set()
@@ -225,35 +249,30 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     cats: List[str] = []
     operands: List[Tuple[str, Tuple[str, ...]]] = []
     value: Optional[ast.AST] = None
+    targets: List[ast.expr] = []
     if isinstance(stmt, ast.Assign):
-        value = stmt.value
-        for tgt in stmt.targets:
-            for sub in ast.walk(tgt):
-                if isinstance(sub, ast.Name):
-                    dests.add(sub.id)
-    elif isinstance(stmt, ast.AugAssign):
-        value = stmt.value
-        if isinstance(stmt.target, ast.Name):
-            dests.add(stmt.target.id)
-            srcs.add(stmt.target.id)      # x += v reads x
-    elif isinstance(stmt, ast.AnnAssign):
-        value = stmt.value
-        if isinstance(stmt.target, ast.Name):
-            dests.add(stmt.target.id)
-    elif isinstance(stmt, ast.Expr):
-        value = stmt.value
-    elif isinstance(stmt, ast.Return):
+        value, targets = stmt.value, stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        value, targets = stmt.value, [stmt.target]
+    elif isinstance(stmt, (ast.Expr, ast.Return)):
         value = stmt.value
     if value is not None:
         _scan_expr(value, ctx_name, srcs, seeds, ops, cats, operands)
-    # subscripted / attribute assignment targets also read names
-    if isinstance(stmt, ast.Assign):
-        for tgt in stmt.targets:
-            if not isinstance(tgt, ast.Name):
-                _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats, operands)
+    for tgt in targets:
+        if isinstance(tgt, ast.Name):
+            dests.add(tgt.id)
+            if isinstance(stmt, ast.AugAssign):
+                srcs.add(tgt.id)      # x += v reads x
+        elif not isinstance(stmt, ast.AnnAssign):
+            # a subscripted (``a[i] = v``, ``a[i] += v``), attribute or
+            # unpacking target updates its names and reads the index
+            dests.update(sub.id for sub in ast.walk(tgt)
+                         if isinstance(sub, ast.Name))
+            _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats, operands)
     return IRInstr(offset + stmt.lineno, tuple(sorted(dests)),
                    tuple(sorted(srcs)), tuple(sorted(seeds)),
-                   tuple(ops), tuple(cats), tuple(operands))
+                   tuple(ops), tuple(cats), tuple(operands),
+                   _bound(targets) if value is not None else ())
 
 
 def _cond_info(node: ast.AST, ctx_name: str
@@ -359,7 +378,7 @@ class _CFGBuilder:
         srcs, seeds = _cond_info(cond, self.ctx_name)
         branch_blk = self.cur
         self.blocks[branch_blk].branch = Branch(
-            kind, self.offset + lineno, srcs, seeds)
+            kind, self.offset + lineno, srcs, seeds, cond)
         join = self.new_block()
 
         then_entry = self.new_block()
@@ -391,7 +410,8 @@ class _CFGBuilder:
                 sub.id for sub in ast.walk(stmt.target)
                 if isinstance(sub, ast.Name)))
             self.blocks[header].instrs.append(IRInstr(
-                self.offset + stmt.lineno, dests, srcs, seeds, (), ()))
+                self.offset + stmt.lineno, dests, srcs, seeds, (), (),
+                binds=_bound([stmt.target])))
         else:
             kind = "while"
             srcs, seeds = _cond_info(stmt.test, self.ctx_name)

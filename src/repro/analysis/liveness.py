@@ -1,4 +1,4 @@
-"""Def-use liveness over kernel ASTs: static registers-per-thread.
+"""Def-use liveness over the kernel IR: static registers-per-thread.
 
 Section 4.2 of the paper turns on register pressure: 10 registers per
 thread let three 256-thread matmul blocks share an SM (the full 768
@@ -8,13 +8,16 @@ a kernel's register demand the way that anecdote reasons: the peak
 number of *per-thread* values simultaneously live at any program
 point.
 
-The analysis runs on the kernel's Python AST (the front end's parse,
-:mod:`repro.cuda.source`) with the closure environment resolved (tile
-size, ``unrolled``/``prefetch`` flags), so configuration branches are
-pruned before liveness.  Values are classified by data flow:
+The analysis runs on the kernel's IR (:func:`repro.analysis.ir.lower_kernel`,
+the CFG the uniformity lattice and the replay proof walk) with the
+closure environment resolved (tile size, ``unrolled``/``prefetch``
+flags), so an ``if`` whose test the closure decides keeps one arm.
+Values are classified from the IR's names and seed tokens,
+flow-insensitively:
 
 * **varying** — derived from thread identity (``ctx.tx``,
-  ``ctx.global_tid*``) or loaded data: needs a register per thread;
+  ``ctx.global_tid*``), loaded data or a new ``np.zeros``-style array:
+  needs a register per thread;
 * **uniform** — derived only from kernel parameters and constants
   (``ntiles = n // tile``): kept in shared/constant storage or
   rematerialized by the compiler, no per-thread register;
@@ -27,21 +30,27 @@ pruned before liveness.  Values are classified by data flow:
 * **shared** — handles from ``ctx.shared_alloc``: compile-time base
   addresses, no register.
 
-The estimate is a *lower bound* (compiler temporaries for address
-arithmetic are not modeled), but it reproduces the ladder anecdotes
-exactly: tiled 10, +unroll 9, +prefetch 11 registers — and therefore
-the 3/3/2 blocks-per-SM occupancy the paper derives from them.
+Liveness walks the CFG backward in source nesting: a branch's arms end
+at its reconvergence point, a loop's body at its header, and a loop
+iterates to a fixpoint.  A ``ctx.masked`` body is straight-line code
+(a value it defines is not live before it), so its masked-off edge is
+not a path.  The estimate is a *lower bound* (compiler temporaries for
+address arithmetic are not modeled), but it reproduces the ladder
+anecdotes exactly: tiled 10, +unroll 9, +prefetch 11 registers — and
+therefore the 3/3/2 blocks-per-SM occupancy the paper derives from
+them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
-from ..cuda.source import closure_env, fingerprint, kernel_source
+from ..cuda.source import SOURCE_ERRORS, closure_env, fingerprint
 from .divergence import SEED_UNIFORMITY, Uniformity
+from .ir import Branch, KernelIR, lower_kernel
 
 #: ctx methods whose result is per-thread regardless of arguments:
 #: thread identities, loads from every memory space, global atomics
@@ -56,10 +65,13 @@ VARYING_ATTRS = frozenset(
     name for name, u in SEED_UNIFORMITY.items()
     if u is Uniformity.VARYING and name in CTX_ATTRS and name != "mask")
 
-#: np constructors that build per-thread accumulator arrays
-ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
+#: IR seed tokens and ops whose statement binds a per-thread value
+_VARYING = VARYING_CALLS | VARYING_ATTRS | {"array"}
 
-#: fixpoint iteration cap for loop liveness/classification
+#: branch kinds that head a loop
+_LOOPS = ("loop", "while")
+
+#: fixpoint iteration cap for loop liveness
 _MAX_PASSES = 8
 
 
@@ -71,7 +83,7 @@ class RegisterEstimate:
     regs: int                       # peak simultaneously-live values
     peak_names: Tuple[str, ...]     # the values live at the peak
     classes: Dict[str, str] = field(default_factory=dict)
-    fallback: bool = False          # AST analysis failed; regs is the
+    fallback: bool = False          # source unreadable; regs is the
     #                                 kernel's declared count
 
     def to_dict(self) -> Dict[str, object]:
@@ -83,9 +95,11 @@ class RegisterEstimate:
         }
 
 
-def _const_eval(node: ast.AST, env: Dict[str, object]):
+def _const_eval(node: Optional[ast.AST], env: Dict[str, object]) -> object:
     """Evaluate a configuration expression against the closure env.
     Returns the value, or None when it involves runtime state."""
+    if not isinstance(node, ast.expr):
+        return None
     try:
         expr = ast.Expression(body=node)
         code = compile(ast.fix_missing_locations(expr), "<cfg>", "eval")
@@ -97,210 +111,139 @@ def _const_eval(node: ast.AST, env: Dict[str, object]):
         return None
 
 
-def _uses(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-
-
-def _target_names(target: ast.AST) -> Set[str]:
-    out: Set[str] = set()
-    for n in ast.walk(target):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-            out.add(n.id)
-    return out
-
-
-def _has_loop_tail(body: List[ast.stmt], env: Dict[str, object]) -> bool:
-    """Does this loop body (excluding nested loops, respecting
-    configuration-branch pruning) call ``ctx.loop_tail``?  That is the
-    DSL's marker for a loop that survives at the ISA level."""
-    for stmt in body:
-        if isinstance(stmt, (ast.For, ast.While)):
-            continue
-        if isinstance(stmt, ast.If):
-            value = _const_eval(stmt.test, env)
-            arms = [stmt.body, stmt.orelse] if value is None \
-                else [stmt.body if value else stmt.orelse]
-            if any(_has_loop_tail(arm, env) for arm in arms):
-                return True
-            continue
-        if isinstance(stmt, ast.With):
-            if _has_loop_tail(stmt.body, env):
-                return True
-            continue
-        for n in ast.walk(stmt):
-            if (isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "loop_tail"):
-                return True
-    return False
-
-
 class _Liveness:
-    """Backward liveness with data-flow value classification."""
+    """Backward liveness over the IR with flow-insensitive value classes."""
 
-    def __init__(self, fdef: ast.FunctionDef,
-                 env: Dict[str, object]) -> None:
-        self.fdef = fdef
+    def __init__(self, ir: KernelIR, env: Dict[str, object]) -> None:
+        self.ir = ir
         self.env = env
-        self.params = {a.arg for a in fdef.args.args}
         self.varying: Set[str] = set()
         self.shared: Set[str] = set()
         self.induction: Set[str] = set()     # materialized for targets
         self.peak = 0
         self.peak_names: Tuple[str, ...] = ()
 
-    # -- branch pruning --------------------------------------------------
-    def _arms(self, stmt: ast.If) -> List[List[ast.stmt]]:
-        value = _const_eval(stmt.test, self.env)
+    # -- the CFG in source nesting ----------------------------------------
+    def _end(self, idx: int, branch: Branch) -> Optional[int]:
+        """Where the arms of the fork at ``idx`` end: a loop body at its
+        header, a branch arm at the reconvergence point."""
+        return idx if branch.kind in _LOOPS else self.ir.reconvergence(idx)
+
+    def _region(self, start: int, stop: Optional[int]) -> Iterator[int]:
+        """The blocks from ``start`` to ``stop`` at one nesting level: a
+        loop continues at its exit, a branch after its arms.  A jump out
+        (``break``, ``return``) ends the region."""
+        idx: Optional[int] = start
+        while idx is not None and idx != stop \
+                and self.ir.dominates(start, idx):
+            yield idx
+            blk = self.ir.blocks[idx]
+            if blk.branch is None:
+                idx = blk.succs[0] if blk.succs else None
+            elif blk.branch.kind in _LOOPS:
+                idx = blk.succs[1]
+            else:
+                idx = self.ir.reconvergence(idx)
+
+    def _arms(self, idx: int) -> List[int]:
+        """The entries of the fork's kept arms: a loop's or a masked
+        region's body, an ``if``'s arms less one the closure rules out."""
+        blk = self.ir.blocks[idx]
+        if blk.branch is None or blk.branch.kind != "if":
+            return blk.succs[:1]
+        value = _const_eval(blk.branch.test, self.env)
         if value is None:
-            return [stmt.body, stmt.orelse]
-        return [stmt.body if value else stmt.orelse]
+            return blk.succs[:2]
+        return [blk.succs[0] if value else blk.succs[1]]
 
-    # -- classification (forward, to fixpoint) ---------------------------
-    def _expr_varying(self, node: ast.AST) -> bool:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Attribute) and n.attr in VARYING_ATTRS \
-                    and isinstance(n.value, ast.Name) \
-                    and n.value.id == "ctx":
-                return True
-            if isinstance(n, ast.Call) and isinstance(n.func,
-                                                      ast.Attribute):
-                if n.func.attr in VARYING_CALLS:
-                    return True
-                if n.func.attr in ARRAY_CTORS \
-                        and isinstance(n.func.value, ast.Name) \
-                        and n.func.value.id == "np":
-                    return True
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
-                    and n.id in self.varying:
-                return True
-        return False
+    def _blocks(self, start: int, stop: Optional[int], loop: Optional[int]
+                ) -> Iterator[Tuple[int, Optional[int]]]:
+        """The kept blocks in source order, each with the header of the
+        innermost loop around it."""
+        for idx in self._region(start, stop):
+            yield idx, loop
+            branch = self.ir.blocks[idx].branch
+            if branch is not None:
+                inner = idx if branch.kind in _LOOPS else loop
+                for arm in self._arms(idx):
+                    yield from self._blocks(arm, self._end(idx, branch),
+                                            inner)
 
-    def _classify_stmts(self, stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.Assign, ast.AugAssign,
-                                 ast.AnnAssign)):
-                value = getattr(stmt, "value", None)
-                if value is None:
-                    continue
-                targets = stmt.targets if isinstance(stmt, ast.Assign) \
-                    else [stmt.target]
-                names: Set[str] = set()
-                for t in targets:
-                    names |= _target_names(t)
-                is_alloc = (isinstance(value, ast.Call)
-                            and isinstance(value.func, ast.Attribute)
-                            and value.func.attr == "shared_alloc")
-                if is_alloc:
-                    self.shared |= names
-                elif self._expr_varying(value) \
-                        or (isinstance(stmt, ast.AugAssign)
-                            and names & self.varying):
-                    self.varying |= names - self.shared
-            elif isinstance(stmt, ast.If):
-                for arm in self._arms(stmt):
-                    self._classify_stmts(arm)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                if isinstance(stmt, ast.For):
-                    names = _target_names(stmt.target)
-                    if _has_loop_tail(stmt.body, self.env):
-                        self.induction |= names
-                    if self._expr_varying(stmt.iter):
-                        self.varying |= names
-                self._classify_stmts(stmt.body)
-                self._classify_stmts(stmt.orelse)
-            elif isinstance(stmt, ast.With):
-                self._classify_stmts(stmt.body)
-
+    # -- classification (flow-insensitive, to fixpoint) -------------------
     def classify(self) -> None:
-        for _ in range(_MAX_PASSES):
-            before = (len(self.varying), len(self.shared),
-                      len(self.induction))
-            self._classify_stmts(self.fdef.body)
-            if (len(self.varying), len(self.shared),
-                    len(self.induction)) == before:
-                break
+        blocks = list(self._blocks(self.ir.entry, self.ir.exit_index, None))
+        instrs = [i for idx, _ in blocks for i in self.ir.blocks[idx].instrs]
+        self.shared = {n for i in instrs if "shared_alloc" in i.ops
+                       for n in i.binds}
+        for idx, loop in blocks:        # loop_tail in a loop's own body
+            if loop is not None and any("loop_tail" in i.ops
+                                        for i in self.ir.blocks[idx].instrs):
+                self.induction.update(
+                    n for i in self.ir.blocks[loop].instrs for n in i.binds)
+        changed = True
+        while changed:
+            changed = False
+            for i in instrs:
+                new = set(i.binds) - self.shared - self.varying
+                if new and (_VARYING.intersection(i.seeds + i.ops)
+                            or self.varying.intersection(i.srcs)):
+                    self.varying |= new
+                    changed = True
 
     # -- liveness (backward, loops to fixpoint) --------------------------
-    def _counted(self, live: Set[str]) -> Set[str]:
-        return {n for n in live
-                if n in self.varying or n in self.induction}
-
     def _note(self, live: Set[str]) -> None:
-        counted = self._counted(live)
+        counted = {n for n in live
+                   if n in self.varying or n in self.induction}
         if len(counted) > self.peak:
             self.peak = len(counted)
             self.peak_names = tuple(sorted(counted))
 
-    def _stmts(self, stmts: List[ast.stmt],
-               live: Set[str]) -> Set[str]:
-        for stmt in reversed(stmts):
-            live = self._stmt(stmt, live)
+    def _live(self, start: int, stop: Optional[int],
+              live: Set[str]) -> Set[str]:
+        """Live-in of the region from ``start`` to ``stop``, given its
+        live-out."""
+        for idx in reversed(list(self._region(start, stop))):
+            blk = self.ir.blocks[idx]
+            branch = blk.branch
+            if branch is not None and branch.kind in _LOOPS:
+                live = self._loop(idx, branch, live)
+                self._note(live)
+                continue          # the header binds only the loop target
+            if branch is not None:
+                arms = self._arms(idx)
+                end = self._end(idx, branch)
+                live = set().union(*(self._live(arm, end, set(live))
+                                     for arm in arms))
+                if len(arms) > 1 or branch.kind == "masked":
+                    live |= set(branch.srcs)
+                self._note(live)
+            for instr in reversed(blk.instrs):
+                live = (live - set(instr.binds)) | set(instr.srcs)
+                self._note(live)
         return live
 
-    def _stmt(self, stmt: ast.stmt, live: Set[str]) -> Set[str]:
-        if isinstance(stmt, ast.Assign):
-            defs: Set[str] = set()
-            uses: Set[str] = _uses(stmt.value)
-            for t in stmt.targets:
-                if isinstance(t, (ast.Name, ast.Tuple, ast.List)):
-                    defs |= _target_names(t)
-                else:           # subscript/attribute store: pure use
-                    uses |= _uses(t)
-            live = (live - defs) | uses
-        elif isinstance(stmt, ast.AugAssign):
-            live = live | _uses(stmt.value) | _target_names(stmt.target) \
-                | _uses(stmt.target)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                live = (live - _target_names(stmt.target)) \
-                    | _uses(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            live = live | _uses(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                live = live | _uses(stmt.value)
-        elif isinstance(stmt, ast.If):
-            arms = self._arms(stmt)
-            merged: Set[str] = set()
-            for arm in arms:
-                merged |= self._stmts(arm, set(live))
-            live = merged
-            if len(arms) > 1:
-                live = live | _uses(stmt.test)
-        elif isinstance(stmt, (ast.For, ast.While)):
-            live = self._loop(stmt, live)
-        elif isinstance(stmt, ast.With):
-            cond_uses: Set[str] = set()
-            for item in stmt.items:
-                cond_uses |= _uses(item.context_expr)
-            live = self._stmts(stmt.body, live) | cond_uses
-        self._note(live)
-        return live
-
-    def _loop(self, stmt, live_after: Set[str]) -> Set[str]:
-        targets: Set[str] = _target_names(stmt.target) \
-            if isinstance(stmt, ast.For) else set()
-        head_uses = _uses(stmt.iter) if isinstance(stmt, ast.For) \
-            else _uses(stmt.test)
+    def _loop(self, idx: int, branch: Branch,
+              live_after: Set[str]) -> Set[str]:
+        blk = self.ir.blocks[idx]
+        targets = {n for i in blk.instrs for n in i.binds}
+        head = set(branch.srcs)
         # a materialized induction variable is live for the whole
         # iteration (it is incremented at the loop tail), so it joins
         # the body's live-out, not just the range of its last use
         carried = targets & self.induction
         cur = set(live_after)
         for _ in range(_MAX_PASSES):
-            body_in = self._stmts(stmt.body, cur | carried)
-            new = (body_in | live_after | head_uses) - targets
+            body_in = self._live(blk.succs[0], idx, cur | carried)
+            new = (body_in | live_after | head) - targets
             if new <= cur:
                 break
             cur |= new
-        return cur | head_uses
+        return cur | head
 
     # -- entry -----------------------------------------------------------
     def run(self) -> Tuple[int, Tuple[str, ...], Dict[str, str]]:
         self.classify()
-        self._stmts(self.fdef.body, set())
+        self._live(self.ir.entry, self.ir.exit_index, set())
         classes: Dict[str, str] = {}
         for name in sorted(self.varying):
             classes[name] = "varying"
@@ -321,8 +264,8 @@ def estimate_registers(kernel) -> RegisterEstimate:
     """Estimate registers/thread for a DSL kernel (see module docs).
 
     Falls back to the kernel's declared ``regs_per_thread`` when its
-    source is unavailable or uses constructs the AST pass cannot
-    follow — the estimate then carries ``fallback=True``.  Memoized by
+    source is unavailable (:data:`~repro.cuda.source.SOURCE_ERRORS`) —
+    the estimate then carries ``fallback=True``.  Memoized by
     content (:func:`repro.cuda.source.fingerprint`: source plus closure
     values), so the lint pass and the estimator walk a kernel once; a
     kernel without a fingerprint is walked on every call.
@@ -334,10 +277,10 @@ def estimate_registers(kernel) -> RegisterEstimate:
     if key is not None and key in _ESTIMATES:
         return _ESTIMATES[key]
     try:
-        analysis = _Liveness(kernel_source(kernel).fdef, closure_env(kernel))
+        analysis = _Liveness(lower_kernel(kernel), closure_env(kernel))
         regs, peak_names, classes = analysis.run()
         estimate = RegisterEstimate(name, regs, peak_names, classes)
-    except Exception:
+    except SOURCE_ERRORS:
         estimate = RegisterEstimate(name, declared, (), {}, fallback=True)
     if key is not None:
         if len(_ESTIMATES) >= _MAX_ESTIMATES:

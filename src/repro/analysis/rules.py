@@ -16,8 +16,9 @@ The rules mirror the paper's optimization checklist:
   (Section 3.2 / 4.1), cache lines on Fermi and later.
 * **R3 shared memory** — bank-conflict degree mod the device's bank
   count (Section 5.1)
-  and static bounds violations; constant reads with a varying index
-  (serialized broadcast).
+  and static bounds violations; accesses execution refuses for the
+  array's memory space (a store to a constant array); constant reads
+  with a varying index (serialized broadcast).
 * **R4 resources** — occupancy from register/shared pressure, cliff
   and low-occupancy advisories (Section 4.2).
 * **R5 batch safety** — constructs that break the grid compiler's
@@ -49,7 +50,7 @@ from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
 from .census import SampleBlock, census_from_blocks, sample_coords
 from .findings import AccessSummary, Finding, KernelReport, Severity
-from .interp import HazardEvent, MemEvent, SyncEvent, interpret
+from .interp import HazardEvent, MemEvent, SpaceEvent, SyncEvent, interpret
 from .liveness import estimate_registers
 from .symbolic import (
     classify_global,
@@ -109,10 +110,11 @@ RULES: Tuple[RuleInfo, ...] = (
     RuleInfo("R2", "coalescing", ("coalescing",), "info-medium",
              "global access shape per coalescing group vs the device "
              "rule (segments on CUDA 1.x, cache lines on Fermi+)"),
-    RuleInfo("R3", "shared memory", ("bank-conflict", "bounds"),
+    RuleInfo("R3", "shared memory", ("bank-conflict", "bounds", "space"),
              "info-high",
              "bank-conflict degree mod the bank count, static bounds "
-             "violations, serialized constant broadcasts"),
+             "violations, ops on the wrong memory space, serialized "
+             "constant broadcasts"),
     RuleInfo("R4", "resources", ("occupancy",), "info-high",
              "occupancy from register/shared pressure, cliffs and "
              "low-occupancy advisories"),
@@ -354,6 +356,11 @@ def rule_memory(events: List[object], nthreads: int, kernel: str,
         return cur
 
     for ev in events:
+        if isinstance(ev, SpaceEvent) \
+                and ("space", ev.array, ev.line) not in classified:
+            classified.add(("space", ev.array, ev.line))
+            findings.append(Finding("space", Severity.HIGH, kernel,
+                                    ev.detail, ev.line, array=ev.array))
         if not isinstance(ev, MemEvent):
             continue
         site = (ev.space, ev.array, ev.line)

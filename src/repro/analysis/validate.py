@@ -50,13 +50,18 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
+from ..cuda.launch import LaunchResult, launch as run_launch
+from ..cuda.memory import Device
 from ..obs import LaunchProfiler
 from ..sim.occupancy import occupancy_for_launch
 from ..sim.timing import KernelTimeEstimate, estimate_kernel_time
 from .estimate import PerfEstimate, estimate_target
 from .findings import KernelReport
 from .rules import analyze_target
+from .targets import LintArray, LintTarget
 
 #: matmul variants in the paper's optimization order
 MATMUL_LADDER = ("naive", "tiled", "tiled_unrolled", "prefetch")
@@ -189,7 +194,7 @@ def validation_checks(spec: DeviceSpec = DEFAULT_DEVICE) -> List[Check]:
 def _matmul_estimator_target(variant: str, tile: int = 16,
                              note: Optional[str] = None):
     from ..apps.matmul import build_kernel
-    from .targets import LintTarget, garr
+    from .targets import garr
     n = ESTIMATOR_N
     block = 16 if variant == "naive" else tile
     args = (garr("A", n * n), garr("B", n * n), garr("C", n * n), n)
@@ -400,15 +405,12 @@ DIVERGENCE_MIN_FRACTION = 0.01
 WARPSIM_ATOL = 0.05
 
 
-def _materialized_launch(target, spec: DeviceSpec):
-    """Execute a lint target with stream recording (seeded inputs) —
-    the same materialization :func:`repro.obs.timeline.timeline_for_target`
-    uses, but returning the raw :class:`LaunchResult` for warpsim."""
-    import numpy as np
-    from ..cuda.launch import launch as run_launch
-    from ..cuda.memory import Device
-    from .targets import LintArray
-
+def materialized_launch(target: LintTarget,
+                        spec: DeviceSpec) -> LaunchResult:
+    """Execute a lint target once, with stream recording: its
+    :class:`~repro.analysis.targets.LintArray` markers become seeded
+    random device arrays of their memory space (the launch warpsim and
+    :func:`repro.obs.timeline.timeline_for_target` read)."""
     dev = Device(spec)
     rng = np.random.default_rng(7)
     # integer arrays are almost always indirection indices (SpMV column
@@ -478,7 +480,7 @@ def divergence_checks(spec: DeviceSpec = DEFAULT_DEVICE,
 
             # layer 2: trace vs warpsim on the target's own geometry
             try:
-                result = _materialized_launch(target, spec)
+                result = materialized_launch(target, spec)
                 sim = simulate_launch(result, spec)
             except Exception as exc:
                 checks.append(Check(
@@ -543,8 +545,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "simulator's dynamic trace counters")
     parser.add_argument("--json", action="store_true",
                         help="emit checks as JSON")
-    parser.add_argument("--skip-estimator", action="store_true",
-                        help="only run the hazard-analyzer checks")
     parser.add_argument("--divergence", action="store_true",
                         help="also run the R8 divergence cross-"
                              "validation: static census fractions vs "
@@ -560,21 +560,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     checks = validation_checks()
     if args.divergence:
         checks.extend(divergence_checks())
-    if not args.skip_estimator:
-        pairs = estimator_pairs()
-        if args.write_golden:
-            ratios = estimator_ratios(pairs=pairs)
-            with open(args.write_golden, "w") as fh:
-                json.dump(ratios, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {len(ratios)} golden ratios to "
-                  f"{args.write_golden}")
-            return 0
-        checks.extend(estimator_checks(pairs=pairs))
-        if args.golden:
-            with open(args.golden) as fh:
-                golden = json.load(fh)
-            checks.extend(golden_checks(golden, pairs=pairs))
+    pairs = estimator_pairs()
+    if args.write_golden:
+        ratios = estimator_ratios(pairs=pairs)
+        with open(args.write_golden, "w") as fh:
+            json.dump(ratios, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(ratios)} golden ratios to {args.write_golden}")
+        return 0
+    checks.extend(estimator_checks(pairs=pairs))
+    if args.golden:
+        with open(args.golden) as fh:
+            golden = json.load(fh)
+        checks.extend(golden_checks(golden, pairs=pairs))
 
     if args.json:
         print(json.dumps([c.to_dict() for c in checks], indent=2))

@@ -89,38 +89,12 @@ def record_timeline(result, spec: Optional[DeviceSpec] = None) -> Timeline:
 
 
 def timeline_for_target(target, spec: DeviceSpec) -> Timeline:
-    """Record a timeline for an app's :class:`LintTarget` geometry.
-
-    The target's :class:`~repro.analysis.targets.LintArray` markers are
-    materialized as seeded random device arrays (matching space:
-    global / constant / texture) so the kernel can actually execute
-    with ``record_stream=True``.
-    """
-    import numpy as np
-    from ..analysis.targets import LintArray
-    from ..cuda.launch import launch
-    from ..cuda.memory import Device
-
-    dev = Device(spec)
-    rng = np.random.default_rng(7)
-
-    def materialize(arg):
-        if not isinstance(arg, LintArray):
-            return arg
-        n = arg.size if arg.size else 1024
-        if arg.is_integer:
-            host = rng.integers(0, max(2, n), size=n).astype(arg.dtype)
-        else:
-            host = rng.random(n).astype(arg.dtype)
-        place = {"global": dev.to_device, "const": dev.to_constant,
-                 "tex": dev.to_texture}[arg.space]
-        return place(host, arg.name)
-
-    args = tuple(materialize(a) for a in target.args)
-    result = launch(target.kernel, target.grid, target.block, args,
-                    device=dev, functional=False, trace_blocks=1,
-                    record_stream=True)
-    return record_timeline(result, spec)
+    """Record a timeline for an app's :class:`LintTarget` geometry, run
+    once on seeded inputs
+    (:func:`repro.analysis.validate.materialized_launch`)."""
+    # imported here: repro.analysis.validate imports repro.obs
+    from ..analysis.validate import materialized_launch
+    return record_timeline(materialized_launch(target, spec), spec)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,8 @@ from repro.analysis import (
 from repro.analysis.lint import lint_app, main as lint_main
 from repro.analysis.validate import main as validate_main, validation_checks
 from repro.apps.registry import app_names
-from repro.cuda import kernel
+from repro.arch import DEFAULT_DEVICE
+from repro.cuda import CudaModelError, Device, kernel, launch
 from repro.cuda.context import BlockContext, CTX_OPS
 from repro.opt.passes import descriptor_from_report
 
@@ -118,6 +119,16 @@ def reg_hog_kernel():
     return bad_regs
 
 
+def const_store_kernel():
+    """Stores into a constant array, which is read-only on the device."""
+
+    @kernel("bad_const_store", regs_per_thread=8)
+    def bad_const_store(ctx, x, c, n):
+        ctx.st_global(c, ctx.tid, ctx.ld_global(x, ctx.tid))
+
+    return bad_const_store
+
+
 def unbatchable_kernel():
     """Declared batchable but coerces a block coordinate to a scalar."""
 
@@ -170,6 +181,26 @@ class TestGoldenFindings:
         assert oob and oob[0].severity == Severity.HIGH
         assert oob[0].array == "x"
         assert "1024" in oob[0].message      # names the declared size
+
+    def test_store_to_a_constant_array_is_refused_as_in_execution(self):
+        kern = const_store_kernel()
+        target = LintTarget(kern, (1,), (64,),
+                            (garr("x", 64), carr("c", 64), 64))
+        report = analyze_target(target, app="test")
+        refused = [f for f in report.findings if f.rule == "space"]
+        assert [(f.severity, f.array) for f in refused] == [
+            (Severity.HIGH, "c")]
+        assert "analysis" not in _rules(report)     # not a stopped pass
+        # the refused store is not charged as a global access
+        assert [a.array for a in report.accesses] == ["x"]
+        assert set(target.censuses[DEFAULT_DEVICE].trace.per_array) \
+            == {"x"}
+        dev = Device()
+        args = (dev.to_device(np.zeros(64, np.float32), "x"),
+                dev.to_constant(np.zeros(64, np.float32), "c"), 64)
+        with pytest.raises(CudaModelError) as exc:
+            launch(kern, (1,), (64,), args, device=dev)
+        assert str(exc.value) == refused[0].message
 
     def test_stride_two_shared_read_is_bank_conflict(self):
         report = _report(bank_conflict_kernel())

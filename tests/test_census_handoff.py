@@ -155,7 +155,7 @@ def test_lint_then_estimate_walks_each_kernel_once(device, monkeypatch):
     run = liveness._Liveness.run
 
     def counted(self):
-        walks.append(self.fdef.name)
+        walks.append(self.ir.name)
         return run(self)
 
     monkeypatch.setattr(liveness._Liveness, "run", counted)

@@ -113,6 +113,17 @@ def varying_masked_sync(ctx, x, out, n):
     ctx.st_global(out, tid, ctx.ld_shared(buf, tid))
 
 
+@kernel("accumulated_masked_sync", regs_per_thread=4)
+def accumulated_masked_sync(ctx, x, out, n):
+    """Barrier under a mask read from a thread-varying array that ``+=``
+    filled: the augmented store updates ``flag`` — must stay refused."""
+    flag = np.zeros(ctx.nthreads, dtype=np.int64)
+    flag[:] += ctx.tid
+    with ctx.masked(flag < 16):
+        ctx.sync()
+    ctx.st_global(out, ctx.tid, ctx.ld_global(x, ctx.tid))
+
+
 def _target(kern, extra=0):
     return LintTarget(kern, (1,), (N,),
                       (garr("x", N), garr("out", N), extra))
@@ -367,10 +378,11 @@ def test_block_uniform_masked_sync_compiles_bit_identical():
 
 
 def test_varying_masked_sync_still_refused():
-    with pytest.raises(CompileError, match="divergent"):
-        compile_kernel(varying_masked_sync)
-    ok, reason = compile_status(varying_masked_sync)
-    assert not ok and "divergent" in reason
+    for kern in (varying_masked_sync, accumulated_masked_sync):
+        with pytest.raises(CompileError, match="divergent"):
+            compile_kernel(kern)
+        ok, reason = compile_status(kern)
+        assert not ok and "divergent" in reason, kern.name
 
 
 # ----------------------------------------------------------------------

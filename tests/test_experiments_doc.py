@@ -13,7 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 QUOTED = ("table_1", "section_4", "figure_4", "table_2", "table_3",
-          "figure_5", "cross_device")
+          "figure_5", "static_estimates", "cross_device")
 
 
 def _fenced_blocks(text):

@@ -120,11 +120,20 @@ def nested_load_index(ctx, idx, out):
     ctx.st_global(out, ctx.ld_global(idx, i), i)
 
 
+@kernel("accumulated_gather", regs_per_thread=4)
+def accumulated_gather(ctx, a, b, out):
+    idx = np.zeros(ctx.nthreads, dtype=np.int64)
+    idx[:] += ctx.ld_global(a, ctx.tid)
+    v = ctx.ld_global(b, idx)
+    ctx.st_global(out, ctx.tid, v)
+
+
 @pytest.mark.parametrize("kern, reason", [
     (loaded_count, "address_ops count n"),
     (raw_storage_index, "st_global index j"),
     (guarded_load, "conditional expression test flag"),
     (nested_load_index, "st_global index ld_global"),
+    (accumulated_gather, "ld_global index idx"),
 ])
 def test_proof_follows_data_into_every_charged_operand(kern, reason):
     assert replay_proof(kern).reason.startswith(reason)

@@ -196,11 +196,15 @@ def test_empty_timeline_renders():
 # ----------------------------------------------------------------------
 
 def test_timeline_for_matmul_target():
+    from repro.apps.fem import Fem
     from repro.apps.matmul import MatMul
-    target = next(t for t in MatMul(G80).lint_targets()
-                  if t.note == "tiled")
-    tl = timeline_for_target(target, G80)
-    assert tl.kernel == "mm_tiled_16x16"
-    assert tl.n_warps == tl.warps_per_block * tl.blocks_per_sm > 0
-    assert tl.cycles > 0
-    _schema_check(to_chrome_trace(tl))
+    targets = [next(t for t in MatMul(G80).lint_targets()
+                    if t.note == "tiled"),
+               # integer column indices must stay inside the vector
+               Fem(G80).lint_targets()[0]]
+    for target, name in zip(targets, ("mm_tiled_16x16", "fem_spmv")):
+        tl = timeline_for_target(target, G80)
+        assert tl.kernel == name
+        assert tl.n_warps == tl.warps_per_block * tl.blocks_per_sm > 0
+        assert tl.cycles > 0
+        _schema_check(to_chrome_trace(tl))
