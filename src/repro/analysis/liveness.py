@@ -145,7 +145,7 @@ class _Liveness:
             else:
                 idx = self.ir.reconvergence(idx)
 
-    def _arms(self, idx: int) -> List[int]:
+    def _entries(self, idx: int) -> List[int]:
         """The entries of the fork's kept arms: a loop's or a masked
         region's body, an ``if``'s arms less one the closure rules out."""
         blk = self.ir.blocks[idx]
@@ -165,7 +165,7 @@ class _Liveness:
             branch = self.ir.blocks[idx].branch
             if branch is not None:
                 inner = idx if branch.kind in _LOOPS else loop
-                for arm in self._arms(idx):
+                for arm in self._entries(idx):
                     yield from self._blocks(arm, self._end(idx, branch),
                                             inner)
 
@@ -210,7 +210,7 @@ class _Liveness:
                 self._note(live)
                 continue          # the header binds only the loop target
             if branch is not None:
-                arms = self._arms(idx)
+                arms = self._entries(idx)
                 end = self._end(idx, branch)
                 live = set().union(*(self._live(arm, end, set(live))
                                      for arm in arms))

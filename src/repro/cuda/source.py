@@ -4,10 +4,11 @@ Every static view of a kernel starts from the source read here: the
 abstract interpreter, the IR (which the uniformity dataflow, the
 replay proof and the liveness register estimate read), the lowering,
 and the program and artifact caches, as the paper's optimization
-verdicts start from one reading of a kernel's PTX.  The source is read once per code object, which every
-closure of a ``def`` shares.  What depends on the source alone (the IR,
-the uniformity verdicts) is memoized on that entry; what also depends
-on the closure (the lowered program) is keyed by :func:`fingerprint`.
+verdicts start from one reading of a kernel's PTX.  The source is read
+once per code object, which every closure of a ``def`` shares.  What
+depends on the source alone (the IR, the uniformity verdicts) is
+memoized on that entry; what also depends on the closure (the lowered
+program) is keyed by :func:`fingerprint`.
 Each consumer keeps its own failure mode for :data:`SOURCE_ERRORS`.
 """
 
