@@ -8,7 +8,6 @@ meaningful — the timing measures the cost of the reproduction
 pipeline, while the *content* of the tables is the scientific output.
 """
 
-import os
 import pathlib
 
 import pytest

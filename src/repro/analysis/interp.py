@@ -30,7 +30,6 @@ Approximations (all deliberate, documented in DESIGN.md):
 from __future__ import annotations
 
 import ast
-import contextlib
 import inspect
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -277,16 +276,11 @@ def _opaque_float(*args: Any) -> SymVal:
                          any(map(is_varying, args)))
 
 
-def _no_errstate(**_settings: str) -> contextlib.nullcontext:
-    return contextlib.nullcontext()
-
-
 #: the array namespace :class:`LintContext` gives the
 #: :class:`~repro.cuda.context.LaneOps` value ops: the NumPy calls
 #: :class:`SymVal` refuses (``__array_ufunc__ = None``).  The census
-#: computes no float, so each float function returns an opaque float
-#: and no floating-point error state needs setting.
-LINT_XP = SimpleNamespace(where=_select, errstate=_no_errstate,
+#: computes no float, so each float function returns an opaque float.
+LINT_XP = SimpleNamespace(where=_select,
                           **dict.fromkeys(("minimum", "maximum", "sin",
                                            "cos", "sqrt", "exp", "log"),
                                           _opaque_float))
@@ -379,14 +373,14 @@ class LintContext(BlockAccounting, LaneOps):
 
     def _pop_mask(self) -> None:
         self._mask_stack.pop()
-        self._level_counts.pop()
+        self._pop_level()
 
     def push_unknown_branch(self) -> None:
         """Divergence frame for a data-dependent Python ``if``: the
         parent's lanes, no longer exactly known."""
         parent, _exact, _div = self._mask_stack[-1]
         self._mask_stack.append((parent, False, True))
-        self._level_counts.append(self._level_counts[-1])
+        self._push_level(None)
 
     def pop_unknown_branch(self) -> None:
         self._pop_mask()
@@ -484,8 +478,8 @@ class LintContext(BlockAccounting, LaneOps):
         if space == "global":
             self._record_global(array, lanes * itemsize, mask, op)
         elif space == "shared":
-            self._record_bank_conflicts(lanes * word_scale + word_offset,
-                                        mask)
+            words = lanes * word_scale + word_offset
+            self._record_bank_conflicts(words, mask, words[mask])
         elif space == "const":
             self._record_broadcast(lanes, mask)
 

@@ -410,7 +410,10 @@ def materialized_launch(target: LintTarget,
     """Execute a lint target once, with stream recording: its
     :class:`~repro.analysis.targets.LintArray` markers become seeded
     random device arrays of their memory space (the launch warpsim and
-    :func:`repro.obs.timeline.timeline_for_target` read)."""
+    :func:`repro.obs.timeline.timeline_for_target` read).  A CSR row
+    pointer (an array named ``rowptr``) rises from 0 to the nonzero
+    count, the largest float array (the matrix values), in seeded
+    random steps, so rows differ in length as a mesh's do."""
     dev = Device(spec)
     rng = np.random.default_rng(7)
     # integer arrays are almost always indirection indices (SpMV column
@@ -425,7 +428,12 @@ def materialized_launch(target: LintTarget,
         if not isinstance(arg, LintArray):
             return arg
         n = arg.size if arg.size else 1024
-        if arg.is_integer:
+        if arg.name == "rowptr":
+            nnz = max(float_sizes)
+            host = np.sort(rng.integers(0, nnz + 1, size=n))
+            host[0], host[-1] = 0, nnz
+            host = host.astype(arg.dtype)
+        elif arg.is_integer:
             host = rng.integers(0, max(2, index_bound),
                                 size=n).astype(arg.dtype)
         else:

@@ -164,7 +164,19 @@ def mask_counts(mask: np.ndarray, base_lane_counts: np.ndarray,
     counts = warp_lane_counts(mask, warp_size)
     issuing = counts > 0
     partial = issuing & (counts < base_lane_counts)
-    return int(issuing.sum()), int(partial.sum()), int(counts.sum())
+    return (np.count_nonzero(issuing), np.count_nonzero(partial),
+            np.count_nonzero(mask))
+
+
+def one_word(hot: np.ndarray) -> Optional[int]:
+    """The one index that all of ``hot`` (the active lanes' indices)
+    hold, or None when they hold several or none.  The end lanes are
+    compared first, which settles most multi-word accesses without a
+    vector op."""
+    if hot.size and hot[0] == hot[-1] \
+            and not np.count_nonzero(hot != hot[0]):
+        return int(hot[0])
+    return None
 
 
 def divergent_warps(parent: np.ndarray, cond: np.ndarray,
@@ -180,13 +192,21 @@ class BlockAccounting:
     """Charges every ``ctx`` op of one thread block to a
     :class:`~repro.trace.trace.KernelTrace` (see module docstring).
 
-    Subclasses own the divergence mask and push each mask level's warp
-    counts with :meth:`_push_level`; every charge reads the innermost
-    level.  They also set the block coordinates ``bx``/``by`` and
-    ``block_linear`` the identity helpers read.  :meth:`_emit` and
-    :meth:`_branch` do nothing without a trace; the ``_record_*``
-    memory charges expect one, so a caller skips computing their lanes
-    when ``trace`` is None.
+    Subclasses own the divergence mask and enter and leave each mask
+    level with :meth:`_push_level` and :meth:`_pop_level`; every charge
+    reads the innermost level.  They also set the block coordinates
+    ``bx``/``by`` and ``block_linear`` the identity helpers read.
+    :meth:`_emit` and :meth:`_branch` do nothing without a trace; the
+    ``_record_*`` memory charges expect one, so a caller skips
+    computing their lanes when ``_trace`` is None.
+
+    :meth:`_emit` only tallies the instructions issued at the innermost
+    level, per class in first-issue order.  The tally is counted into
+    the trace with that level's warps and lanes when the level is left,
+    when another is entered, and whenever :attr:`trace` is read, so
+    every reader of :attr:`trace` sees exact counts.  Every count is an
+    integer, so counting a class's instructions at once adds what
+    counting them one by one adds.
     """
 
     def __init__(
@@ -215,7 +235,11 @@ class BlockAccounting:
         self.threads_per_block = T
         self.nwarps = -(-T // spec.warp_size)
 
-        self.trace = trace
+        self._trace = trace
+        #: instructions issued at the innermost mask level and not yet
+        #: counted into the trace: class -> count (None: untraced)
+        self._tally: Optional[Dict[InstrClass, int]] = \
+            None if trace is None else {}
         self.caches = caches or {}
         #: ordered instruction stream for the event-driven warp
         #: simulator (populated when the launch records streams)
@@ -229,6 +253,14 @@ class BlockAccounting:
         self._level_counts: List[Tuple[int, int, int]] = [
             mask_counts(base, self._base_lane_counts, spec.warp_size)]
         self._smem_words = 0
+        # an extra serialization pass costs one access group's share of
+        # the warp issue time: a shared-memory access group (a half-warp
+        # on 16-bank devices) or a constant broadcast's coalescing group
+        issue = spec.timing.issue_cycles_per_warp_inst
+        self._bank_pass_cycles = issue * (
+            spec.shared_access_group / spec.warp_size)
+        self._broadcast_pass_cycles = issue * (
+            spec.coalesce_group / spec.warp_size)
 
     # ------------------------------------------------------------------
     # Thread identity helpers
@@ -248,33 +280,61 @@ class BlockAccounting:
     def smem_bytes(self) -> int:
         return self._smem_words * 4
 
+    @property
+    def trace(self) -> Optional[KernelTrace]:
+        """The block's trace, with every instruction issued so far."""
+        self._flush()
+        return self._trace
+
     # ------------------------------------------------------------------
     # Issue accounting
     # ------------------------------------------------------------------
-    def _push_level(self, mask: np.ndarray) -> None:
+    def _push_level(self, mask: Optional[np.ndarray]) -> None:
         """Enter a mask level: count its warps once for every charge
-        made under it."""
-        self._level_counts.append(mask_counts(
-            mask, self._base_lane_counts, self.spec.warp_size))
+        made under it (``mask`` None: the innermost level's lanes again;
+        an untraced block charges nothing, so it counts nothing)."""
+        self._flush()
+        self._level_counts.append(
+            self._level_counts[-1] if mask is None or self._tally is None
+            else mask_counts(mask, self._base_lane_counts,
+                             self.spec.warp_size))
+
+    def _pop_level(self) -> None:
+        """Leave the innermost mask level."""
+        self._flush()
+        self._level_counts.pop()
+
+    def _flush(self) -> None:
+        """Count the tallied instructions into the trace with the
+        innermost level's warps and lanes."""
+        tally = self._tally
+        if not tally:
+            return
+        warps, partial, lanes = self._level_counts[-1]
+        if warps:
+            trace = self._trace
+            for cls, count in tally.items():
+                if partial:
+                    trace.record_divergent_issue(partial * count)
+                trace.record_instr(cls, warps * count, lanes * count)
+        tally.clear()
 
     def _emit(self, cls: InstrClass, count: int = 1,
               mem: Optional[Tuple[float, float]] = None,
               divergent_warps: int = 0) -> None:
-        if self.trace is None or count == 0:
+        tally = self._tally
+        if tally is None or not count:
             return
-        warps, partial, lanes = self._level_counts[-1]
-        if warps == 0:
-            return
-        if partial:
-            self.trace.record_divergent_issue(partial * count)
-        self.trace.record_instr(cls, warps * count, lanes * count)
+        tally[cls] = tally.get(cls, 0) + count
         if self.stream is not None:
-            from ..sim.warpsim import StreamEvent
-            txn_w, bytes_w = mem if mem else (0.0, 0.0)
-            self.stream.extend(
-                StreamEvent(cls, warps, txn_w, bytes_w,
-                            divergent_warps, partial)
-                for _ in range(count))
+            warps, partial, _lanes = self._level_counts[-1]
+            if warps:
+                from ..sim.warpsim import StreamEvent
+                txn_w, bytes_w = mem if mem else (0.0, 0.0)
+                self.stream.extend(
+                    StreamEvent(cls, warps, txn_w, bytes_w,
+                                divergent_warps, partial)
+                    for _ in range(count))
 
     def _branch(self, parent: np.ndarray,
                 cond: Optional[np.ndarray]) -> None:
@@ -284,12 +344,12 @@ class BlockAccounting:
         and branch instructions, issued under the parent mask before
         divergence takes effect."""
         divergent = 0
-        if self.trace is not None:
+        if self._trace is not None:
             warps = self._level_counts[-1][0]
             if warps:
                 divergent = warps if cond is None else divergent_warps(
                     parent, cond, self.spec.warp_size)
-                self.trace.record_branch(warps, divergent)
+                self._trace.record_branch(warps, divergent)
         self._emit(InstrClass.SETP)
         self._emit(InstrClass.BRANCH, divergent_warps=divergent)
 
@@ -312,18 +372,19 @@ class BlockAccounting:
     # ------------------------------------------------------------------
     # Memory charges
     # ------------------------------------------------------------------
-    def _record_bank_conflicts(self, words: np.ndarray,
-                               mask: np.ndarray) -> None:
+    def _record_bank_conflicts(self, words: np.ndarray, mask: np.ndarray,
+                               hot: np.ndarray) -> None:
         """Shared memory: serialization passes beyond one per access
-        group, from the shared-memory word each lane touches."""
+        group, from the shared-memory word each lane touches (``hot``
+        holds the active lanes' words, or their element indices).
+        Active lanes that all read one word are a broadcast, degree 1
+        in every group: no pass to charge, nothing to classify."""
+        if one_word(hot) is not None:
+            return
         accesses, degree = block_bank_conflicts(words, mask, self.spec)
-        # each extra serialization pass costs one access group's share
-        # of the warp issue time (a half-warp on 16-bank devices)
-        group_share = self.spec.shared_access_group / self.spec.warp_size
-        extra = (degree - accesses) * (
-            self.spec.timing.issue_cycles_per_warp_inst * group_share)
+        extra = (degree - accesses) * self._bank_pass_cycles
         if extra:
-            self.trace.record_shared_conflict(extra)
+            self._trace.record_shared_conflict(extra)
 
     def _record_broadcast(self, words: np.ndarray, mask: np.ndarray,
                           hot: Optional[np.ndarray] = None) -> None:
@@ -332,11 +393,8 @@ class BlockAccounting:
         ``words[mask]`` when the caller has gathered it)."""
         passes = constant_broadcast_passes(words, mask, self.spec, hot)
         if passes:
-            # each extra broadcast pass costs one coalescing group's
-            # share of the warp issue time
-            group_share = self.spec.coalesce_group / self.spec.warp_size
-            self.trace.record_shared_conflict(passes * (
-                self.spec.timing.issue_cycles_per_warp_inst * group_share))
+            self._trace.record_shared_conflict(
+                passes * self._broadcast_pass_cycles)
 
     def _record_global(self, arr, addresses: np.ndarray, mask: np.ndarray,
                        kind: str) -> Tuple[float, float]:
@@ -353,13 +411,13 @@ class BlockAccounting:
             # cost) is the classifier's verdict either way.
             out = hierarchy.access(addresses, mask, arr.itemsize)
             if hierarchy.l1 is not None:
-                self.trace.record_cache("l1", out.l1_hits, out.l1_misses)
+                self._trace.record_cache("l1", out.l1_hits, out.l1_misses)
             if hierarchy.l2 is not None:
-                self.trace.record_cache("l2", out.l2_hits, out.l2_misses)
+                self._trace.record_cache("l2", out.l2_hits, out.l2_misses)
             bus = out.dram_lines * hierarchy.line_bytes
-        self.trace.record_global_access(arr.name, wa, txn, bus, useful, coal,
-                                        kind=kind,
-                                        request_bus_bytes=request_bus)
+        self._trace.record_global_access(arr.name, wa, txn, bus, useful,
+                                         coal, kind=kind,
+                                         request_bus_bytes=request_bus)
         warps = max(self._level_counts[-1][0], 1)
         return (txn / warps, bus / warps)
 
@@ -367,7 +425,7 @@ class BlockAccounting:
         """A fully serialized global access: one minimum-size
         transaction per active lane (what atomics pay)."""
         n = int(mask.sum())
-        self.trace.record_global_access(
+        self._trace.record_global_access(
             arr.name,
             warp_accesses=-(-n // self.spec.coalesce_group),
             transactions=n,
@@ -394,9 +452,10 @@ class LaneOps:
     """
 
     #: the array namespace the value ops call for what operators do not
-    #: spell (``where``, ``minimum``/``maximum``, the SFU functions and
-    #: their ``errstate``); the census swaps in one over its abstract
-    #: values
+    #: spell (``where``, ``minimum``/``maximum`` and the SFU functions);
+    #: the census swaps in one over its abstract values.  The executors
+    #: run every kernel with NumPy's divide and invalid warnings off, so
+    #: an SFU op on 0 or a negative lane returns its inf or NaN quietly
     xp: Any = np
 
     def _emit(self, cls: InstrClass, count: int = 1,
@@ -542,8 +601,7 @@ class LaneOps:
     def _sfu(self, fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike
              ) -> np.ndarray:
         self._emit(InstrClass.SFU)
-        with self.xp.errstate(divide="ignore", invalid="ignore"):
-            return fn(self._bc(x, np.float32))
+        return fn(self._bc(x, np.float32))
 
     def sfu_sin(self, x: ArrayLike) -> np.ndarray:
         return self._sfu(self.xp.sin, x)
@@ -624,7 +682,9 @@ class BlockContext(BlockAccounting, LaneOps):
         kernel also executes the complementary :meth:`masked` region —
         exactly the SIMD divergence cost of Section 3.
         """
-        cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.nthreads,))
+        cond = np.asarray(cond, dtype=bool)
+        if cond.shape != (self.nthreads,):
+            cond = np.broadcast_to(cond, (self.nthreads,))
         parent = self._mask_stack[-1]
         self._branch(parent, cond)
         mask = parent & cond
@@ -634,7 +694,7 @@ class BlockContext(BlockAccounting, LaneOps):
             yield
         finally:
             self._mask_stack.pop()
-            self._level_counts.pop()
+            self._pop_level()
 
     # ------------------------------------------------------------------
     # Lane values: the operands of every LaneOps op
@@ -670,25 +730,35 @@ class BlockContext(BlockAccounting, LaneOps):
         # consumer treats the flat index as read-only
         return idx.astype(np.int64, copy=False)
 
+    def _record_shared(self, sh: SharedArray, idx: np.ndarray,
+                       mask: np.ndarray, hot: np.ndarray) -> None:
+        """Charge a shared access's bank conflicts (``hot`` is
+        ``idx[mask]``).  When an element is one word, the element
+        indices stand for the words: they differ by the array's word
+        offset, a uniform shift, which keeps every verdict."""
+        words = idx if sh.itemsize < 8 else sh.word_indices(idx)
+        self._record_bank_conflicts(words, mask, hot)
+
     def ld_shared(self, sh: SharedArray, index: ArrayLike) -> np.ndarray:
         idx = self._flat_index(index)
         mask = self.mask
+        whole = len(self._mask_stack) == 1     # every lane active
         self._emit(InstrClass.LD_SHARED)
-        if self.trace is not None:
-            self._record_bank_conflicts(sh.word_indices(idx), mask)
+        if self._trace is not None:
+            self._record_shared(sh, idx, mask, idx if whole else idx[mask])
         # raw ufuncs skip np.clip's dispatch (hot: one call per load)
-        safe = np.where(mask, np.minimum(np.maximum(idx, 0), sh.size - 1), 0)
-        return sh.data[safe]
+        safe = np.minimum(np.maximum(idx, 0), sh.size - 1)
+        return sh.data[safe if whole else np.where(mask, safe, 0)]
 
     def st_shared(self, sh: SharedArray, index: ArrayLike,
                   value: ArrayLike) -> None:
         idx = self._flat_index(index)
         mask = self.mask
-        self._emit(InstrClass.ST_SHARED)
-        if self.trace is not None:
-            self._record_bank_conflicts(sh.word_indices(idx), mask)
-        vals = self._bc(value, sh.data.dtype)
         hot = idx[mask]
+        self._emit(InstrClass.ST_SHARED)
+        if self._trace is not None:
+            self._record_shared(sh, idx, mask, hot)
+        vals = self._bc(value, sh.data.dtype)
         self._check_shared_store(sh, hot)
         sh.data[hot] = vals[mask]
 
@@ -701,7 +771,7 @@ class BlockContext(BlockAccounting, LaneOps):
         mask = self.mask
         arr.check_bounds(idx[mask])
         mem = None
-        if self.trace is not None:
+        if self._trace is not None:
             mem = self._record_global(arr, arr.addresses(idx), mask, "ld")
         self._emit(InstrClass.LD_GLOBAL, mem=mem)
         safe = np.where(mask, idx, 0)
@@ -715,7 +785,7 @@ class BlockContext(BlockAccounting, LaneOps):
         hot = idx[mask]
         arr.check_bounds(hot)
         mem = None
-        if self.trace is not None:
+        if self._trace is not None:
             mem = self._record_global(arr, arr.addresses(idx), mask, "st")
         self._emit(InstrClass.ST_GLOBAL, mem=mem)
         vals = self._bc(value, arr.data.dtype)
@@ -731,7 +801,7 @@ class BlockContext(BlockAccounting, LaneOps):
         hot = idx[mask]
         arr.check_bounds(hot)
         self._emit(InstrClass.ATOM_GLOBAL)
-        if self.trace is not None:
+        if self._trace is not None:
             self._record_serialized(arr, mask, "atom")
         vals = self._bc(value, arr.data.dtype)
         np.add.at(arr.data, hot, vals[mask])
@@ -743,26 +813,34 @@ class BlockContext(BlockAccounting, LaneOps):
                      space: str, cls: InstrClass) -> np.ndarray:
         idx = self._flat_index(index)
         mask = self.mask
+        whole = len(self._mask_stack) == 1     # every lane active
         # the active lanes, gathered once for the bounds check and every
-        # charge (at the base mask level, every lane); lanes that all
-        # read one word are cut to that one lane, which the check and
-        # the charges take without a vector op
-        hot = idx if len(self._mask_stack) == 1 else idx[mask]
-        if hot.size > 1 and (hot == hot[0]).all():
-            hot = hot[:1]
-        arr.check_bounds(hot)
+        # charge; when they all read one word, the check and the charges
+        # take that word as a plain integer
+        hot = idx if whole else idx[mask]
+        word = one_word(hot)
+        if word is None:
+            arr.check_bounds(hot)
+        else:
+            arr.check_range(word, word)
         self._emit(cls)
-        if self.trace is not None:
-            if space == "const":
+        if self._trace is not None:
+            # one word is a broadcast (no extra pass) of one line
+            if word is None and space == "const":
                 self._record_broadcast(idx, mask, hot)
             cache = self.caches.get(space)
             if cache is not None:
-                hits, misses = cache.access(arr.addresses(hot))
-                self.trace.record_cache(space, hits, misses)
+                line = cache.line_bytes
+                if word is None:
+                    hits, misses = cache.access(arr.addresses(hot))
+                else:
+                    hits = int(cache.probe_line(
+                        (arr.base_addr + word * arr.itemsize) // line))
+                    misses = 1 - hits
+                self._trace.record_cache(space, hits, misses)
                 if misses:
                     # each missed line is one 32 B fill from DRAM
-                    line = cache.line_bytes
-                    self.trace.record_global_access(
+                    self._trace.record_global_access(
                         arr.name,
                         warp_accesses=0,
                         transactions=misses,
@@ -771,8 +849,7 @@ class BlockContext(BlockAccounting, LaneOps):
                         coalesced_accesses=0,
                         kind="fill",
                     )
-        safe = np.where(mask, idx, 0)
-        return arr.data[safe]
+        return arr.data[idx if whole else np.where(mask, idx, 0)]
 
     def ld_const(self, arr: ConstantArray, index: ArrayLike) -> np.ndarray:
         self._check_space("ld_const", arr, "const")

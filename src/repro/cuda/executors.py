@@ -33,12 +33,22 @@ from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..obs.profiler import active_profiler
 from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..trace.collector import TraceCollector, TRACE, MEMO, PLAIN
 from .launch import LaunchResult
 from .memory import CudaModelError
+
+
+#: NumPy's floating-point error state for kernel code: a float op on 0
+#: or a negative lane (an SFU ``rsqrt``/``rcp``, a divide) returns its
+#: inf or NaN without a warning, as the device does.  Entered once per
+#: block or compiled-program call (a kept ``np.errstate`` cannot be
+#: entered twice).
+KERNEL_ERRSTATE = {"divide": "ignore", "invalid": "ignore"}
 
 
 class Executor(ABC):
@@ -142,16 +152,19 @@ class SequentialExecutor(Executor):
     def _run_block(self, plan, collector: TraceCollector, linear: int,
                    mode: str):
         """Run one block through a scalar context, traced when ``mode``
-        is ``TRACE``; returns the context."""
+        is ``TRACE``, under :data:`KERNEL_ERRSTATE`; returns the
+        context."""
         if mode == TRACE:
             trace, stream = collector.begin_block(linear)
             ctx = self._context(plan, linear, trace, stream,
                                 collector.caches)
-            plan.kernel.fn(ctx, *plan.args)
+            with np.errstate(**KERNEL_ERRSTATE):
+                plan.kernel.fn(ctx, *plan.args)
             collector.finish_block(linear, ctx)
         else:
             ctx = self._context(plan, linear, None, None, None)
-            plan.kernel.fn(ctx, *plan.args)
+            with np.errstate(**KERNEL_ERRSTATE):
+                plan.kernel.fn(ctx, *plan.args)
         return ctx
 
     def _context(self, plan, linear: int, trace, stream, caches):
@@ -265,7 +278,8 @@ class CompiledExecutor(Executor):
             while s < stop:
                 e = min(stop, s + chunk_blocks)
                 rt = GridRT(prelude, s, e, plan.spec, plan.kernel.name)
-                program.entry(rt, *plan.args)
+                with np.errstate(**KERNEL_ERRSTATE):
+                    program.entry(rt, *plan.args)
                 executed += e - s
                 s = e
             if stop > start and registry.enabled:

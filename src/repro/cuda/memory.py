@@ -92,12 +92,12 @@ class DeviceArray:
     def check_bounds(self, idx: np.ndarray) -> None:
         """Raise unless every flat index in ``idx`` — the active lanes'
         indices, already gathered — lies inside the array."""
-        if idx.size == 1:               # one lane: no reduction
-            lo = hi = idx.item()
-        elif idx.size:
-            lo, hi = idx.min(), idx.max()
-        else:
-            return
+        if idx.size:
+            self.check_range(idx.min(), idx.max())
+
+    def check_range(self, lo: int, hi: int) -> None:
+        """Raise unless the flat indices ``lo`` to ``hi`` lie inside the
+        array."""
         if lo < 0 or hi >= self.size:
             raise CudaModelError(
                 f"out-of-bounds access to {self.name!r}: "

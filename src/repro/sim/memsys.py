@@ -223,20 +223,22 @@ def coalesce_block_access(
     coalesced_accesses)`` summed over all groups that had at least one
     active thread.
 
-    Verdicts are memoized on the lane pattern shifted by a multiple of
-    :func:`coalesce_period` (see :func:`_lanes_key`), so a loop that
-    walks an array by whole segments or lines classifies once.
+    Verdicts are memoized on the lane pattern up to a shift by a
+    multiple of :func:`coalesce_period` (see :func:`_lanes_key`), so a
+    loop that walks an array by whole segments or lines classifies
+    once.
     """
-    if not active.any():
+    if not np.count_nonzero(active):
         return 0, 0, 0, 0, 0
-    lanes, mask = _lanes_key(addresses, active,
-                             coalesce_period(itemsize, spec))
+    n, first, steps, mask = _lanes_key(addresses, active,
+                                       coalesce_period(itemsize, spec))
     key = ("coalesce", spec.coalescing_rule, spec.coalesce_group, itemsize,
-           spec.min_transaction_bytes, spec.cache_line_bytes, lanes, mask)
+           spec.min_transaction_bytes, spec.cache_line_bytes, n, first,
+           steps, mask)
     verdict = _verdicts.get(key)
     if verdict is None:
         verdict = _coalesce_block_direct(addresses, active, itemsize, spec)
-        _remember(key, len(lanes) + len(mask), verdict)
+        _remember(key, len(steps) + len(mask), verdict)
     return verdict
 
 
@@ -306,19 +308,20 @@ def block_bank_conflicts(
     Returns ``(accesses, total_degree)``; ``total_degree - accesses``
     is the number of *extra* serialization passes caused by conflicts.
 
-    Verdicts are memoized on the word pattern shifted to start at 0:
+    Verdicts are memoized on the word pattern up to a uniform shift:
     any uniform shift only renames the banks, so every conflict
-    degree is unchanged.
+    degree is unchanged.  A caller may therefore pass element indices
+    for word indices when an element is one word.
     """
-    if not active.any():
+    if not np.count_nonzero(active):
         return 0, 0
-    words, mask = _lanes_key(word_indices, active, 1)
-    key = ("bank", spec.shared_access_group, spec.shared_mem_banks,
-           words, mask)
+    n, first, steps, mask = _lanes_key(word_indices, active, 1)
+    key = ("bank", spec.shared_access_group, spec.shared_mem_banks, n,
+           first, steps, mask)
     verdict = _verdicts.get(key)
     if verdict is None:
         verdict = _bank_conflicts_direct(word_indices, active, spec)
-        _remember(key, len(words) + len(mask), verdict)
+        _remember(key, len(steps) + len(mask), verdict)
     return verdict
 
 
@@ -327,8 +330,30 @@ def _bank_conflicts_direct(
     active: np.ndarray,
     spec: DeviceSpec,
 ) -> Tuple[int, int]:
-    """:func:`block_bank_conflicts` without the memo."""
-    degrees = bank_conflict_degrees(word_indices, active, spec).tolist()
+    """:func:`block_bank_conflicts` without the memo.
+
+    A conflict-free access is found without sorting: every active lane
+    writes its word into its group's slot for its bank, and when each
+    lane reads its own word back, no bank of any group serves two
+    distinct words, so every active group has degree 1.  Any other
+    access takes :func:`bank_conflict_degrees`.
+    """
+    words = np.asarray(word_indices, dtype=np.int64)
+    nbanks = spec.shared_mem_banks
+    group = spec.shared_access_group
+    n = words.shape[0]
+    slots = np.arange(n) // group * nbanks + words % nbanks
+    hot = words
+    partial = np.count_nonzero(active) < n
+    if partial:
+        slots, hot = slots[active], words[active]
+    table = np.empty(-(-n // group) * nbanks, dtype=np.int64)
+    table[slots] = hot
+    if not np.count_nonzero(table[slots] != hot):
+        groups = np.count_nonzero(np.bincount(slots // nbanks)) \
+            if partial else -(-n // group)
+        return groups, groups
+    degrees = bank_conflict_degrees(words, active, spec).tolist()
     return len(degrees) - degrees.count(0), sum(degrees)
 
 
@@ -350,12 +375,11 @@ def constant_broadcast_passes(
     5.2 "care must be taken").  Returns, summed over the groups with an
     active lane, the number of distinct words the active lanes read
     minus one.  ``hot`` is ``words[active]`` when the caller has
-    gathered it (a caller may cut lanes that all read one word to one
-    lane); active lanes that read one word return 0 at once.
+    gathered it; active lanes that read one word return 0 at once.
     """
     if hot is None:
         hot = words[active]
-    if hot.size <= 1 or (hot == hot[0]).all():
+    if not hot.size or not np.count_nonzero(hot != hot[0]):
         return 0
     rows = _sorted_rows(*group_rows(words, active, spec.coalesce_group))
     return int((rows[:, 1:] != rows[:, :-1]).sum())
@@ -367,7 +391,7 @@ def constant_broadcast_passes(
 
 #: Budget of the verdict memo in bytes: key payload plus
 #: ``_ENTRY_BYTES`` per entry.  An insert that would pass it clears the
-#: memo first.  The largest working set measured is 0.81 MB (348
+#: memo first.  The largest working set measured is 0.77 MB (345
 #: verdicts), held after the Section-4, Table-3 and Figure-5 paper
 #: runs; the budget is ten times that, so those runs never clear it.
 #: A memo filled to the budget measured 8.4 MB of resident memory.
@@ -380,22 +404,20 @@ _verdict_bytes = 0
 
 
 def _lanes_key(values: np.ndarray, active: np.ndarray,
-               period: int) -> Tuple[bytes, bytes]:
-    """Key bytes of a lane pattern: ``values`` shifted down by the
-    largest multiple of ``period`` not above their minimum over the
-    active lanes, inactive lanes zeroed (no verdict reads them), and
-    the activity mask (empty when every lane is active)."""
+               period: int) -> Tuple[int, int, bytes, bytes]:
+    """Key of a lane pattern with an active lane, equal for two
+    patterns exactly when one is the other shifted by a multiple of
+    ``period``: the lane count, the first active value modulo
+    ``period``, the steps between successive active values and the
+    activity mask (empty when every lane is active).  Inactive lanes
+    are left out: no verdict reads them."""
     values = np.asarray(values, dtype=np.int64)
-    if active.all():
-        low = int(values.min())
-        mask = b""
+    n = values.shape[0]
+    if np.count_nonzero(active) == n:
+        hot, mask = values, b""
     else:
-        low = int(values[active].min())
-        mask = np.packbits(active).tobytes()
-    base = low - low % period
-    if mask:
-        values = np.where(active, values, base)
-    return (values - base).tobytes(), mask
+        hot, mask = values[active], np.packbits(active).tobytes()
+    return n, int(hot[0]) % period, (hot[1:] - hot[:-1]).tobytes(), mask
 
 
 def _remember(key: tuple, nbytes: int, verdict: tuple) -> None:
@@ -437,7 +459,9 @@ class DirectMappedCache:
             raise ValueError("capacity must be a multiple of the line size")
         self.line_bytes = line_bytes
         self.num_lines = capacity_bytes // line_bytes
-        self.tags = np.full(self.num_lines, -1, dtype=np.int64)
+        #: the line each slot holds, -1 for an empty slot (a list: the
+        #: probes read and write one slot at a time)
+        self.tags = [-1] * self.num_lines
         #: label under which hit/miss counters are published
         self.space = space
         self.hits = 0
@@ -456,34 +480,40 @@ class DirectMappedCache:
         """
         if active is not None:
             addresses = addresses[active]
-        if addresses.size == 1:            # one lane: no vector op
-            lines = (addresses.item() // self.line_bytes,)
+        lines = addresses // self.line_bytes
+        if lines.size == 0:
+            return 0, 0
+        if not np.count_nonzero(lines != lines[0]):  # nothing to sort
+            lines = lines[:1]
         else:
-            lines = addresses // self.line_bytes
-            if lines.size == 0:
-                return 0, 0
-            if (lines == lines[0]).all():  # one line: nothing to sort
-                lines = lines[:1]
-            else:
-                lines = np.unique(lines)
-        hits, misses, _ = self.probe_lines(lines)
+            lines = np.unique(lines)
+        hits, misses, _ = self.probe_lines(lines.tolist())
         return hits, misses
 
-    def probe_lines(self, lines: np.ndarray
-                    ) -> Tuple[int, int, np.ndarray]:
-        """Probe a vector of distinct line indices; returns
+    def _probe(self, line: int) -> bool:
+        """Whether ``line`` is held; a miss fills its slot."""
+        slot = line % self.num_lines
+        if self.tags[slot] == line:
+            return True
+        self.tags[slot] = line
+        return False
+
+    def probe_line(self, line: int) -> bool:
+        """Probe one line index (a plain integer): True on a hit."""
+        hit = self._probe(line)
+        self._count(int(hit), int(not hit))
+        return hit
+
+    def probe_lines(self, lines) -> Tuple[int, int, np.ndarray]:
+        """Probe a sequence of distinct line indices; returns
         ``(hits, misses, missed_lines)`` so a backing level can be
         consulted for the misses only."""
-        hits = misses = 0
-        missed = []
-        for line in lines:
-            slot = int(line % self.num_lines)
-            if self.tags[slot] == line:
-                hits += 1
-            else:
-                self.tags[slot] = line
-                misses += 1
-                missed.append(line)
+        missed = [line for line in lines if not self._probe(line)]
+        hits = len(lines) - len(missed)
+        self._count(hits, len(missed))
+        return hits, len(missed), np.asarray(missed, dtype=np.int64)
+
+    def _count(self, hits: int, misses: int) -> None:
         self.hits += hits
         self.misses += misses
         registry = get_registry()
@@ -494,7 +524,6 @@ class DirectMappedCache:
             if misses:
                 registry.counter("memsys.cache_misses",
                                  space=self.space).inc(misses)
-        return hits, misses, np.asarray(missed, dtype=np.int64)
 
     @property
     def hit_rate(self) -> float:
@@ -502,7 +531,7 @@ class DirectMappedCache:
         return self.hits / total if total else 1.0
 
     def reset(self) -> None:
-        self.tags[:] = -1
+        self.tags = [-1] * self.num_lines
         self.hits = 0
         self.misses = 0
 

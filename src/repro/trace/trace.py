@@ -198,7 +198,9 @@ class KernelTrace:
             self.gst_useful_bytes += useful_bytes
         elif kind not in ("atom", "fill"):  # pragma: no cover - defensive
             raise ValueError(f"unknown global access kind {kind!r}")
-        stats = self.per_array.setdefault(array, ArrayAccessStats(array))
+        stats = self.per_array.get(array)
+        if stats is None:
+            stats = self.per_array[array] = ArrayAccessStats(array)
         stats.warp_accesses += warp_accesses
         stats.transactions += transactions
         stats.bus_bytes += bus_bytes

@@ -312,6 +312,19 @@ class TestValidation:
         out = capsys.readouterr().out
         assert "0 disagreement(s)" in out
 
+    def test_fem_materialized_launch_reads_a_valid_csr(self):
+        """The seeded fem launch reads a CSR matrix: row pointers rise
+        from 0 to the 4096 nonzeros over the 512 rows the target
+        declares, so no row length is negative."""
+        from repro.analysis.validate import materialized_launch
+        from repro.apps.registry import get_app
+        target, = get_app("fem").lint_targets()
+        result = materialized_launch(target, DEFAULT_DEVICE)
+        rowptr = result.device.arrays["rowptr"].data
+        assert rowptr.size == 513
+        assert rowptr[0] == 0 and rowptr[-1] == 4096
+        assert (np.diff(rowptr) >= 0).all()
+
 
 # ----------------------------------------------------------------------
 # CLI behaviour

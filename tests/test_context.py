@@ -5,13 +5,14 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import DEFAULT_DEVICE
 from repro.arch.device import geforce_8800_gtx, gtx_480
-from repro.cuda import CudaModelError, Device, Dim3
+from repro.cuda import CudaModelError, Device, Dim3, kernel, launch
 from repro.cuda.context import BlockContext
-from repro.sim.memsys import (DirectMappedCache, cold_caches,
-                              constant_broadcast_passes)
+from repro.sim.memsys import (DirectMappedCache, bank_conflict_degrees,
+                              cold_caches, constant_broadcast_passes)
 from repro.trace import InstrClass, KernelTrace
 
 
@@ -409,3 +410,190 @@ def test_cached_load_charge_equals_the_reference_composition(make_spec):
                         _cached_counters(ref), (kind, mask_name, space)
     assert errors and ctx.trace.const_misses and ctx.trace.const_hits
     assert ctx.trace.tex_misses and ctx.trace.shared_conflict_cycles
+
+
+# ----------------------------------------------------------------------
+# The one-word and shared fast paths against the charges they shortcut
+# ----------------------------------------------------------------------
+
+DEVICES = {"g80": geforce_8800_gtx, "gtx480": gtx_480}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_name=st.sampled_from(sorted(DEVICES)), data=st.data())
+def test_property_one_word_charge_equals_cache_access(spec_name, data):
+    """``ld_const``/``ld_tex`` reads whose active lanes all read one word
+    (the rest read anything), charged as one line probe, count the
+    hits, misses, fills and broadcast cycles, and leave the cache tags,
+    that the reference composition over ``DirectMappedCache.access``
+    gives on a second cold cache set."""
+    spec = DEVICES[spec_name]()
+    dev = Device(spec)
+    n = data.draw(st.integers(1, 80))
+    # two constant tables one cache apart, so their lines collide
+    span = spec.constant_cache_bytes_per_sm // 4
+    arrays = [dev.to_constant(np.zeros(span, np.float32), "k0"),
+              dev.to_constant(np.zeros(span, np.float32), "k1"),
+              dev.to_texture(np.zeros((64, 64), np.float32), "tx")]
+    caches = [cold_caches(spec) for _ in range(2)]
+    ctx = BlockContext(spec, Dim3(1), Dim3(n), (0, 0, 0),
+                       trace=KernelTrace(), caches=caches[0])
+    ref = KernelTrace()
+    lanes = np.arange(n)
+    for _ in range(data.draw(st.integers(1, 40))):
+        arr = arrays[data.draw(st.integers(0, len(arrays) - 1))]
+        word = data.draw(st.integers(0, arr.size - 1))
+        if data.draw(st.booleans()):          # the whole block
+            active = None
+            idx = np.full(n, word)
+        else:
+            active = np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            active[data.draw(st.integers(0, n - 1))] = True
+            idx = np.where(active, word, (lanes * 7 + word) % arr.size)
+        load = ctx.ld_const if arr.space == "const" else ctx.ld_tex
+        with (ctx.masked(active) if active is not None
+              else contextlib.nullcontext()):
+            load(arr, idx)
+            _cached_charge_reference(ref, spec, caches[1], arr, idx,
+                                     ctx.mask, arr.space)
+    assert _cached_counters(ctx.trace) == _cached_counters(ref)
+    for space in ("const", "tex"):
+        got, want = caches[0][space], caches[1][space]
+        assert list(got.tags) == list(want.tags)
+        assert (got.hits, got.misses) == (want.hits, want.misses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_name=st.sampled_from(sorted(DEVICES)), data=st.data())
+def test_property_shared_charge_equals_the_word_classifier(spec_name, data):
+    """Traced ``ld_shared``/``st_shared`` charge the conflict cycles the
+    per-group degrees of the arrays' word indices give: one-word
+    (broadcast) accesses, one-word elements keyed by element index and
+    two-word elements alike, under whole, masked and ragged blocks."""
+    spec = DEVICES[spec_name]()
+    n = data.draw(st.integers(1, 96))
+    ctx = BlockContext(spec, Dim3(1), Dim3(n), (0, 0, 0),
+                       trace=KernelTrace())
+    arrays = [ctx.shared_alloc(64, np.float32, "f"),
+              ctx.shared_alloc(40, np.float64, "d"),
+              ctx.shared_alloc(48, np.int32, "i")]
+    pass_cycles = spec.timing.issue_cycles_per_warp_inst * (
+        spec.shared_access_group / spec.warp_size)
+    lanes = np.arange(n)
+    want = 0.0
+    for _ in range(data.draw(st.integers(1, 20))):
+        sh = arrays[data.draw(st.integers(0, len(arrays) - 1))]
+        kind = data.draw(st.sampled_from(["one", "strided", "random"]))
+        base = data.draw(st.integers(0, sh.size - 1))
+        if kind == "one":
+            idx = np.full(n, base)
+        elif kind == "strided":
+            idx = (base + lanes * data.draw(st.sampled_from(
+                [1, 2, 3, 16, 17, 32]))) % sh.size
+        else:
+            idx = np.array(data.draw(st.lists(st.integers(
+                0, sh.size - 1), min_size=n, max_size=n)))
+        active = np.ones(n, bool) if data.draw(st.booleans()) else \
+            np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)), dtype=bool)
+        with (contextlib.nullcontext() if active.all()
+              else ctx.masked(active)):
+            if data.draw(st.booleans()):
+                ctx.ld_shared(sh, idx)
+            else:
+                ctx.st_shared(sh, idx, 1)
+        degrees = bank_conflict_degrees(sh.word_indices(idx), active, spec)
+        want += (int(degrees.sum()) - int((degrees > 0).sum())) \
+            * pass_cycles
+    assert ctx.trace.shared_conflict_cycles == want
+
+
+class _EagerContext(BlockContext):
+    """Counts every instruction into the trace as it issues: the
+    accounting before the per-level tally."""
+
+    def _emit(self, *args, **kwargs):
+        super()._emit(*args, **kwargs)
+        self._flush()
+
+
+def _instr_counters(trace):
+    """Every field of a trace, with the classes in first-issue order."""
+    return (list(trace.warp_insts.items()), list(trace.thread_insts.items()),
+            vars(trace))
+
+
+@pytest.mark.parametrize("record_stream", [False, True],
+                         ids=["no-stream", "stream"])
+def test_trace_read_after_each_op_equals_the_collected_trace(record_stream):
+    """A block's ``ctx.trace``, read right after each of its ops, equals
+    the trace of the same ops counted one instruction at a time, and
+    after the last op equals what the collector merges, whether or not
+    the block read it on the way; the recorded stream is the same
+    too."""
+    spec = geforce_8800_gtx()
+    n = 80                                  # a ragged last warp
+    reads: list = []
+
+    @kernel("trace_reads")
+    def probe(ctx, a, k):
+        def read():
+            if reads[-1] is not None:
+                reads[-1].append(_instr_counters(ctx.trace.scaled(1.0)))
+        x = ctx.ld_global(a, ctx.tid)
+        read()
+        y = ctx.fma(x, x, x)
+        read()
+        sh = ctx.shared_alloc(64, np.float32, "sh")
+        ctx.st_shared(sh, ctx.tid % 64, y)
+        read()
+        ctx.sync()
+        read()
+        with ctx.masked(ctx.tid < 40):
+            z = ctx.ld_shared(sh, (ctx.tid * 2) % 64)
+            read()
+            w = ctx.ld_const(k, ctx.tid * 0 + 3)
+            read()
+            with ctx.masked(ctx.tid % 3 == 0):
+                y = ctx.merge(ctx.fadd(z, w), y)
+                read()
+                ctx.loop_tail(2)
+            y = ctx.merge(ctx.sfu_rsqrt(y), y)
+            read()
+        with ctx.masked(ctx.tid >= n):      # no lane: nothing issues
+            ctx.fmul(y, y)
+        read()
+        ctx.address_ops(3)
+        ctx.st_global(a, ctx.tid, y)
+        read()
+
+    def arrays():
+        dev = Device(spec)
+        return dev, (dev.to_device(np.ones(n, np.float32), "a"),
+                     dev.to_constant(np.arange(8, dtype=np.float32), "k"))
+
+    def collected(read):
+        reads.append([] if read else None)
+        dev, args = arrays()
+        return launch(probe, (1,), (n,), args, device=dev,
+                      executor="sequential", trace_blocks=1,
+                      record_stream=record_stream)
+
+    unread, result = collected(False), collected(True)
+    reads.append([])
+    _dev, args = arrays()
+    eager = _EagerContext(spec, Dim3(1), Dim3(n), (0, 0, 0),
+                          trace=KernelTrace(), caches=cold_caches(spec),
+                          stream=[] if record_stream else None)
+    probe.fn(eager, *args)
+    _, tallied, counted = reads
+    assert len(tallied) == len(counted) == 10
+    for step, (got, want) in enumerate(zip(tallied, counted)):
+        assert got == want, step
+    final = eager.trace.scaled(1.0)
+    final.blocks_traced, final.threads_traced = 1, float(n)
+    for run in (unread, result):
+        assert _instr_counters(run.trace) == _instr_counters(final)
+        assert run.stream == eager.stream
+        assert (run.stream is None) == (not record_stream)

@@ -7,7 +7,6 @@ sizes small enough for the unit-test budget.
 
 import importlib.util
 import pathlib
-import sys
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 

@@ -320,10 +320,16 @@ def test_coalesce_period_per_rule():
 @settings(max_examples=150, deadline=None)
 @given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
 def test_property_bank_memo_equals_direct(spec_name, data):
+    """The memo and the direct verdict (its conflict-free shortcut and
+    its sort) equal the per-bank loop over each access group, for
+    scattered and strided lanes, whole-block one-word patterns and
+    masked and ragged groups on 16- and 32-bank devices."""
     spec = MEMO_SPECS[spec_name]
-    words, active = data.draw(lane_patterns(1))
+    words, active = data.draw(st.one_of(
+        lane_patterns(1), group_lanes(spec.shared_access_group)))
     _fresh_memo()
     direct = memsys._bank_conflicts_direct(words, active, spec)
+    assert direct == _bank_conflicts_reference(words, active, spec)
     assert block_bank_conflicts(words, active, spec) == direct
     assert block_bank_conflicts(words, active, spec) == direct
     # any uniform shift renames banks only: a hit with the same verdict
@@ -418,10 +424,16 @@ def group_lanes(draw, group):
 @settings(max_examples=200, deadline=None)
 @given(spec_name=st.sampled_from(sorted(MEMO_SPECS)), data=st.data())
 def test_property_broadcast_passes_equal_group_loop(spec_name, data):
+    """With or without the gathered active lanes, for whole-block
+    one-word, strided and scattered words under whole, masked and
+    ragged groups, on 16- and 32-bank devices."""
     spec = MEMO_SPECS[spec_name]
-    words, active = data.draw(group_lanes(spec.coalesce_group))
-    assert constant_broadcast_passes(words, active, spec) == \
-        _broadcast_passes_reference(words, active, spec)
+    words, active = data.draw(st.one_of(
+        group_lanes(spec.coalesce_group), lane_patterns(1)))
+    want = _broadcast_passes_reference(words, active, spec)
+    assert constant_broadcast_passes(words, active, spec) == want
+    assert constant_broadcast_passes(words, active, spec,
+                                     words[active]) == want
 
 
 @pytest.mark.parametrize("spec_name", sorted(MEMO_SPECS))
@@ -461,6 +473,14 @@ def _bank_conflict_degree_reference(word_indices, active, spec):
     for b in np.unique(banks):
         degree = max(degree, len(np.unique(words[banks == b])))
     return int(degree)
+
+
+def _bank_conflicts_reference(words, active, spec):
+    """``(accesses, total degree)`` of a block-wide access from the
+    per-bank loop over each access group."""
+    degrees = [_bank_conflict_degree_reference(w, a, spec)
+               for w, a in _groups(words, active, spec.shared_access_group)]
+    return sum(1 for d in degrees if d), sum(degrees)
 
 
 def _coalesce_strict_segment_reference(addresses, active, itemsize, spec):

@@ -16,12 +16,12 @@ import pytest
 
 from repro.arch.registry import device_by_name
 from repro.cuda import Device, kernel, launch
-from repro.obs import LaunchProfiler, SpanTracer
+from repro.obs import SpanTracer
 from repro.obs.timeline import (Timeline, format_timeline,
                                 occupancy_strip, record_timeline,
                                 stall_summary, timeline_for_target,
                                 to_chrome_trace, write_chrome_trace)
-from repro.sim.warpsim import WarpEvent, simulate_sm
+from repro.sim.warpsim import simulate_sm
 
 G80 = device_by_name("geforce_8800_gtx")
 
