@@ -736,7 +736,7 @@ class BlockContext(BlockAccounting, LaneOps):
         ``idx[mask]``).  When an element is one word, the element
         indices stand for the words: they differ by the array's word
         offset, a uniform shift, which keeps every verdict."""
-        words = idx if sh.itemsize < 8 else sh.word_indices(idx)
+        words = idx if sh.words_per_elem == 1 else sh.word_indices(idx)
         self._record_bank_conflicts(words, mask, hot)
 
     def ld_shared(self, sh: SharedArray, index: ArrayLike) -> np.ndarray:

@@ -164,10 +164,15 @@ class SharedArray:
     def size(self) -> int:
         return int(self.data.size)
 
+    @property
+    def words_per_elem(self) -> int:
+        """4-byte words per element (an element below 4 B takes one)."""
+        return max(1, self.itemsize // 4)
+
     def word_indices(self, flat_index: np.ndarray) -> np.ndarray:
         """Shared-memory word offsets for bank-conflict analysis."""
-        words_per_elem = max(1, self.itemsize // 4)
-        return self.word_offset + flat_index.astype(np.int64) * words_per_elem
+        return (self.word_offset
+                + flat_index.astype(np.int64) * self.words_per_elem)
 
 
 class Device:
