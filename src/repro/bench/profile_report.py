@@ -117,18 +117,6 @@ def format_divergence(records: Sequence[LaunchRecord]) -> str:
     return "\n".join(lines)
 
 
-def format_metrics(profiler: LaunchProfiler) -> str:
-    """Readable dump of the registry counters the run accumulated."""
-    lines = ["metrics:"]
-    for name, by_label in profiler.registry.to_dict().items():
-        for label, value in by_label.items():
-            if isinstance(value, dict):       # histogram summary
-                value = (f"count={value['count']} mean={value['mean']:.4g} "
-                         f"min={value['min']:.4g} max={value['max']:.4g}")
-            lines.append(f"  {name}{{{label}}} = {value}")
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Profiling drivers
 # ----------------------------------------------------------------------
@@ -251,8 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write the span trace as chrome://tracing JSON")
     parser.add_argument("--spans", action="store_true",
                         help="print the wall-clock span tree")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the accumulated registry metrics")
     parser.add_argument("--lint", action="store_true",
                         help="append the static analyzer's findings for "
                              "the app's kernels to the report")
@@ -363,7 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "scale": args.scale,
             "device": args.device,
             "records": records,
-            "metrics": profiler.registry.to_dict(),
         }
         if overhead is not None:
             payload["overhead"] = overhead
@@ -434,9 +419,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from ..obs.timeline import format_timeline
             print()
             print(format_timeline(timeline))
-        if args.metrics:
-            print()
-            print(format_metrics(profiler))
         if args.spans:
             print()
             print(profiler.tracer.format_tree())

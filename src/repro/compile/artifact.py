@@ -162,10 +162,9 @@ def _load_program(payload: dict) -> CompiledProgram:
 class ArtifactCache:
     """Directory of serialized :class:`CompiledProgram` artifacts.
 
-    ``stats`` counts hits/misses/writes/invalidations and unwritable
-    stores locally (always, so tests need no registry); the same events
-    feed the ambient metrics registry as ``artifact.*`` counters when it
-    is enabled.
+    ``stats`` counts the cache's events: ``cold_hits``, ``misses``,
+    ``writes``, ``invalidated``, ``corrupt``, ``unserializable`` and
+    ``unwritable``.
     """
 
     def __init__(self, root: str) -> None:
@@ -177,14 +176,6 @@ class ArtifactCache:
                  signature: Tuple = ()) -> str:
         return os.path.join(
             self.root, artifact_key(kernel, device_name, signature) + ".aot")
-
-    def _count(self, event: str, kernel_name: str) -> None:
-        self.stats[event] += 1
-        from ..obs.registry import get_registry
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(f"artifact.{event}",
-                             kernel=kernel_name).inc()
 
     # -- store ---------------------------------------------------------
     def store(self, kernel, program: CompiledProgram,
@@ -202,7 +193,7 @@ class ArtifactCache:
                 AttributeError):
             blob = None
         if blob is None:
-            self._count("unserializable", kernel.name)
+            self.stats["unserializable"] += 1
             return False
         path = self.path_for(kernel, device_name, signature)
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -213,9 +204,9 @@ class ArtifactCache:
             os.replace(tmp, path)
         except OSError:
             self._discard(tmp)
-            self._count("unwritable", kernel.name)
+            self.stats["unwritable"] += 1
             return False
-        self._count("writes", kernel.name)
+        self.stats["writes"] += 1
         return True
 
     # -- load ----------------------------------------------------------
@@ -228,26 +219,26 @@ class ArtifactCache:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError:
-            self._count("misses", kernel.name)
+            self.stats["misses"] += 1
             return None
         try:
             wrapper = pickle.loads(blob)
             stored = wrapper["fingerprint"]
         except Exception:
-            self._count("corrupt", kernel.name)
+            self.stats["corrupt"] += 1
             self._discard(path)
             return None
         if stored != fingerprint(kernel):
-            self._count("invalidated", kernel.name)
+            self.stats["invalidated"] += 1
             self._discard(path)
             return None
         try:
             program = _load_program(pickle.loads(wrapper["program"]))
         except Exception:
-            self._count("corrupt", kernel.name)
+            self.stats["corrupt"] += 1
             self._discard(path)
             return None
-        self._count("cold_hits", kernel.name)
+        self.stats["cold_hits"] += 1
         return program
 
     @staticmethod

@@ -54,7 +54,6 @@ import numpy as np
 
 from ..cuda.executors import CompiledExecutor
 from ..cuda.launch import LaunchResult
-from ..obs.registry import get_registry
 from .fuse import FusionPlan, fuse_schedule
 # re-exported: benchmarks/suite/layers.py patches the name here
 from .program import get_program  # noqa: F401
@@ -96,10 +95,10 @@ class ModuleSchedule:
 
 class CompiledModule:
     """Executable form of one :class:`ModuleSchedule` (see module
-    docstring).  ``stats`` is a local :class:`collections.Counter`
-    (``fuse_applied`` / ``trace_replays`` / ``fallback_launches`` /
-    ``host_steps`` / ``fused_launches``); the same events feed the
-    ambient metrics registry as ``module.*`` counters when enabled.
+    docstring).  ``stats`` is a :class:`collections.Counter` of the
+    module's events: ``fuse_applied`` (launch boundaries absorbed),
+    ``trace_replays``, ``fused_launches``, ``fallback_launches`` and
+    ``host_steps``.
     """
 
     def __init__(self, schedule: ModuleSchedule) -> None:
@@ -115,7 +114,6 @@ class CompiledModule:
     # ------------------------------------------------------------------
     def execute(self) -> List[LaunchResult]:
         """Run the whole schedule; returns one result per launch."""
-        registry = get_registry()
         results: List[LaunchResult] = []
         for i, step in enumerate(self.schedule.steps):
             if isinstance(step, HostStep):
@@ -127,15 +125,6 @@ class CompiledModule:
             else:
                 results.append(self._run_fallback(step))
         self.stats["fuse_applied"] = self.fusion.fuse_applied
-        if registry.enabled:
-            app = self.schedule.app
-            registry.counter("module.fuse_applied", app=app).inc(
-                self.fusion.fuse_applied)
-            for key in ("trace_replays", "fallback_launches",
-                        "fused_launches", "host_steps"):
-                if self.stats[key]:
-                    registry.counter(f"module.{key}", app=app).inc(
-                        self.stats[key])
         return results
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..cuda.launch import Kernel
 from ..cuda.source import fingerprint
-from ..obs.registry import get_registry
 from .lower import CompileError, LoweringSession
 from .runtime import NP_SHIM, GridPrelude, prelude_for
 
@@ -84,13 +83,6 @@ def get_program(kernel: Kernel,
             f"its effects")
     key = fingerprint(kernel)
     cached = _PROGRAMS.get(key) if key is not None else None
-    if isinstance(cached, CompileError):
-        # a previously-recorded refusal: the negative cache answered
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("compile.negative_cache_hits",
-                             kernel=kernel.name).inc()
-        raise cached
     if cached is None:
         from .artifact import active_artifact_cache
         disk = active_artifact_cache() if key is not None else None

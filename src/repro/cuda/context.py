@@ -702,7 +702,11 @@ class BlockContext(BlockAccounting, LaneOps):
     def _bc(self, v: ArrayLike, dtype=None) -> np.ndarray:
         a = np.asarray(v, dtype=dtype)
         if a.ndim == 0:
-            a = np.broadcast_to(a, (self.nthreads,))
+            # writable lanes are safe (no op writes or returns its
+            # operand) and cost a sixth of an np.broadcast_to call
+            lanes = np.empty(self.nthreads, a.dtype)
+            lanes.fill(a)
+            return lanes
         return a
 
     # ------------------------------------------------------------------

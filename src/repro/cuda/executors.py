@@ -36,7 +36,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..obs.profiler import active_profiler
-from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..trace.collector import TraceCollector, TRACE, MEMO, PLAIN
 from .launch import LaunchResult
@@ -55,10 +54,10 @@ class Executor(ABC):
     """Common interface: ``execute(plan) -> LaunchResult``.
 
     ``execute`` is also the pipeline's instrumentation point: it times
-    the execute/collect/finalize stages, publishes launch counters to
-    the ambient :class:`~repro.obs.registry.MetricsRegistry`, and hands
-    the finished result to the active
-    :class:`~repro.obs.profiler.LaunchProfiler` (if any).  With
+    the execute/collect/finalize stages onto the result's
+    ``stage_seconds`` and hands the finished result to the active
+    :class:`~repro.obs.profiler.LaunchProfiler` (if any), which keeps
+    it as a :class:`~repro.obs.profiler.LaunchRecord`.  With
     observability disabled this adds three ``perf_counter`` calls per
     *launch* — blocks pay nothing.
 
@@ -77,10 +76,8 @@ class Executor(ABC):
 
     def execute(self, plan) -> LaunchResult:
         profiler = active_profiler()
-        registry = get_registry()
-        collector = TraceCollector(
-            plan, timed=profiler is not None or registry.enabled,
-            traces=self.traces)
+        collector = TraceCollector(plan, timed=profiler is not None,
+                                   traces=self.traces)
         t0 = perf_counter()
         with span(f"executor.{self.name}", kernel=plan.kernel.name,
                   grid=plan.grid, block=plan.block) as node:
@@ -114,17 +111,6 @@ class Executor(ABC):
                 "finalize": t2 - t1,
             },
         )
-        if registry.enabled:
-            kern = plan.kernel.name
-            registry.counter("launch.count", kernel=kern,
-                             executor=self.name).inc()
-            registry.histogram("launch.seconds", kernel=kern,
-                               executor=self.name).observe(
-                                   plan.build_seconds + (t2 - t0))
-            for disposition, count in collector.dispositions.items():
-                if count:
-                    registry.counter("launch.blocks", kernel=kern,
-                                     disposition=disposition).inc(count)
         if profiler is not None:
             profiler.on_launch(result)
         return result
@@ -242,9 +228,11 @@ class CompiledExecutor(Executor):
     run through a scalar :class:`BlockContext` at their ordered
     position, so traces *and* outputs match sequential execution.
     Kernels the compiler refuses (or declared ``batchable=False``)
-    fall back to the sequential reference backend; each refusal bumps
-    the ``executor.compile_fallbacks`` counter with the
-    :class:`~repro.compile.CompileError` text as its ``reason`` label.
+    fall back to the sequential reference backend inside a
+    ``compile.fallback`` span whose ``reason`` attribute is the
+    :class:`~repro.compile.CompileError` text (recorded while a span
+    tracer is installed, like the ``"auto"`` policy's ``compile
+    refused: …``).
     Perf-only launches (``functional=False``) only run traced blocks,
     so they go straight to the sequential walk without compiling.
     """
@@ -258,15 +246,12 @@ class CompiledExecutor(Executor):
         reference = SequentialExecutor()
         if not plan.functional:
             return reference._run(plan, collector)
-        registry = get_registry()
         try:
             program = get_program(plan.kernel, plan_context(plan))
         except CompileError as exc:
-            if registry.enabled:
-                registry.counter("executor.compile_fallbacks",
-                                 kernel=plan.kernel.name,
-                                 reason=str(exc)).inc()
-            return reference._run(plan, collector)
+            with span("compile.fallback", kernel=plan.kernel.name,
+                      reason=str(exc)):
+                return reference._run(plan, collector)
 
         prelude = prelude_for(plan.grid, plan.block)
         chunk_blocks = max(1, MAX_LANES // plan.block.size)
@@ -282,10 +267,6 @@ class CompiledExecutor(Executor):
                     program.entry(rt, *plan.args)
                 executed += e - s
                 s = e
-            if stop > start and registry.enabled:
-                registry.histogram("executor.compiled_blocks",
-                                   kernel=plan.kernel.name).observe(
-                                       stop - start)
 
         # Only the traced sample needs per-block classification; every
         # other block is PLAIN by definition and runs inside a compiled

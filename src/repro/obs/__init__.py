@@ -1,16 +1,19 @@
-"""Observability: metrics, spans and the nvprof-style launch profiler.
+"""Observability: spans and the nvprof-style launch profiler.
 
 The paper explains every performance number by attributing it to
 counters — global loads per thread, FMA issue fraction, bank-conflict
 serialization, the Table 3 bottleneck verdict.  This package gives the
-reproduction's own pipeline the same treatment:
+reproduction's own pipeline the same treatment.  It keeps two stores:
 
-* :mod:`repro.obs.registry` — process-wide but injectable
-  :class:`MetricsRegistry` of labeled counters/gauges/histograms;
 * :mod:`repro.obs.spans` — nested wall-clock span tracing exporting
-  Chrome ``chrome://tracing`` JSON and a plain-text tree;
+  Chrome ``chrome://tracing`` JSON and a plain-text tree; policy
+  decisions (executor choice, trace replay, compile fallback) ride on
+  the spans as attributes with their reasons;
 * :mod:`repro.obs.profiler` — the :class:`LaunchProfiler`, capturing
-  one structured :class:`LaunchRecord` per kernel launch;
+  one structured :class:`LaunchRecord` per kernel launch.
+
+Three layers post-process them:
+
 * :mod:`repro.obs.derived` — nvprof/Nsight-style named derived metrics
   (``achieved_occupancy``, ``gld_efficiency``, ...) computed from the
   counters against the active device's peaks;
@@ -19,24 +22,18 @@ reproduction's own pipeline the same treatment:
 * :mod:`repro.obs.roofline` — per-launch roofline placement against
   the device's compute and bandwidth roofs.
 
-Everything is **off by default**: the ambient registry and tracer are
-disabled, and every instrumentation point in the pipeline reduces to a
-single attribute check until a :class:`LaunchProfiler` (or an explicit
-:func:`set_registry` / :func:`set_tracer`) turns them on.  The derived
-layers above never hook the hot path at all — they post-process
-records and replay recorded streams on demand.
+Every other pipeline count stays on the object that produced it: a
+launch result's trace and block dispositions, a module's or artifact
+cache's ``stats``.
+
+Everything is **off by default**: the ambient tracer is disabled, and
+every instrumentation point in the pipeline reduces to one tracer
+check until a :class:`LaunchProfiler` (or an explicit
+:func:`set_tracer`) turns it on.  The post-processing layers never
+hook the hot path at all — they read records and replay recorded
+streams on demand.
 """
 
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRIC,
-    get_registry,
-    set_registry,
-    use_registry,
-)
 from .spans import (
     Span,
     SpanTracer,
@@ -52,14 +49,6 @@ from .roofline import RooflinePoint, format_roofline, roofline_report
 from .timeline import Timeline, format_timeline, record_timeline
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRIC",
-    "get_registry",
-    "set_registry",
-    "use_registry",
     "Span",
     "SpanTracer",
     "get_tracer",

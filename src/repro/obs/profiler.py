@@ -25,11 +25,12 @@ Usage::
     prof.records[0].to_dict()        # structured record
     prof.tracer.write_chrome_trace("trace.json")
 
-Entering the profiler installs an *enabled* metrics registry and span
-tracer as the ambient ones, so pipeline counters (cache hits, executor
-block counts, bottleneck tallies) flow in for the duration.  With no
-profiler active the instrumentation points reduce to an attribute
-check — launches pay nothing.
+Entering the profiler installs an *enabled* span tracer as the ambient
+one, so the pipeline's spans and their decisions (executor choice,
+trace replay, compile fallback) land in one tree for the duration, and
+each launch's collector times its own bookkeeping.  With no profiler
+active the instrumentation points reduce to one tracer check —
+launches pay nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .registry import MetricsRegistry, set_registry
 from .spans import SpanTracer, set_tracer
 
 __all__ = ["LaunchProfiler", "LaunchRecord", "active_profiler"]
@@ -329,33 +329,28 @@ class LaunchProfiler:
 
     Parameters
     ----------
-    registry, tracer:
-        Pre-built sinks to install while active; fresh enabled ones are
-        created by default.
+    tracer:
+        Pre-built span tracer to install while active; a fresh enabled
+        one is created by default.
     estimate:
         Run the analytical timing model on each launch to attribute its
         bottleneck (disable for functional-only workloads).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[SpanTracer] = None,
+    def __init__(self, tracer: Optional[SpanTracer] = None,
                  estimate: bool = True) -> None:
-        self.registry = registry if registry is not None \
-            else MetricsRegistry(enabled=True)
         self.tracer = tracer if tracer is not None \
             else SpanTracer(enabled=True)
         self.estimate = estimate
         self.records: List[LaunchRecord] = []
 
     def __enter__(self) -> "LaunchProfiler":
-        self._prev_registry = set_registry(self.registry)
         self._prev_tracer = set_tracer(self.tracer)
         _PROFILERS.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         _PROFILERS.remove(self)
-        set_registry(self._prev_registry)
         set_tracer(self._prev_tracer)
 
     # ------------------------------------------------------------------

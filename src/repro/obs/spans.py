@@ -9,9 +9,11 @@ Completed traces export two ways:
 * :meth:`SpanTracer.format_tree` — a plain-text indentation tree with
   per-span wall time and the fraction of the parent it covers.
 
-Like the metrics registry, the ambient tracer starts disabled and the
-module-level :func:`span` helper costs one function call and an
-attribute check when tracing is off.
+The ambient tracer starts disabled, and the module-level :func:`span`
+helper costs one function call and an attribute check when tracing is
+off.  The tree is also where the pipeline records its decisions: a
+span's attributes name what was chosen and why (see
+:class:`~repro.cuda.executors.Executor`).
 """
 
 from __future__ import annotations

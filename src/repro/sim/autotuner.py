@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..apps.matmul import MatMul, MatmulConfig, TILE_SIZES
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..obs.registry import get_registry
 
 #: tile sizes beyond the paper's Figure 4 sweep that only later
 #: devices can schedule (a 24x24 or 32x32 block exceeds the G80's
@@ -138,12 +137,9 @@ class MatmulAutotuner:
 
     def exhaustive(self) -> TuneResult:
         """Evaluate the whole space and identify every local maximum
-        (evaluations are counted as ``autotuner.evaluated`` in the
-        ``obs`` metrics registry)."""
+        (``len(result.evaluations)`` is the number of configurations
+        evaluated)."""
         evals = {p: self.evaluate(p) for p in self.space()}
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("autotuner.evaluated").inc(len(evals))
         best = max(evals, key=evals.get)
         maxima = []
         for p, g in evals.items():

@@ -45,7 +45,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..arch.device import CACHED_LINE, DeviceSpec, DEFAULT_DEVICE
-from ..obs.registry import get_registry
 
 
 @dataclass(frozen=True)
@@ -453,8 +452,7 @@ class DirectMappedCache:
     """
 
     def __init__(self, capacity_bytes: int,
-                 line_bytes: int = READ_ONLY_LINE_BYTES,
-                 space: str = "cache") -> None:
+                 line_bytes: int = READ_ONLY_LINE_BYTES) -> None:
         if capacity_bytes % line_bytes:
             raise ValueError("capacity must be a multiple of the line size")
         self.line_bytes = line_bytes
@@ -462,8 +460,6 @@ class DirectMappedCache:
         #: the line each slot holds, -1 for an empty slot (a list: the
         #: probes read and write one slot at a time)
         self.tags = [-1] * self.num_lines
-        #: label under which hit/miss counters are published
-        self.space = space
         self.hits = 0
         self.misses = 0
 
@@ -501,7 +497,10 @@ class DirectMappedCache:
     def probe_line(self, line: int) -> bool:
         """Probe one line index (a plain integer): True on a hit."""
         hit = self._probe(line)
-        self._count(int(hit), int(not hit))
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
         return hit
 
     def probe_lines(self, lines) -> Tuple[int, int, np.ndarray]:
@@ -510,20 +509,9 @@ class DirectMappedCache:
         consulted for the misses only."""
         missed = [line for line in lines if not self._probe(line)]
         hits = len(lines) - len(missed)
-        self._count(hits, len(missed))
-        return hits, len(missed), np.asarray(missed, dtype=np.int64)
-
-    def _count(self, hits: int, misses: int) -> None:
         self.hits += hits
-        self.misses += misses
-        registry = get_registry()
-        if registry.enabled:
-            if hits:
-                registry.counter("memsys.cache_hits",
-                                 space=self.space).inc(hits)
-            if misses:
-                registry.counter("memsys.cache_misses",
-                                 space=self.space).inc(misses)
+        self.misses += len(missed)
+        return hits, len(missed), np.asarray(missed, dtype=np.int64)
 
     @property
     def hit_rate(self) -> float:
@@ -572,10 +560,10 @@ class CacheHierarchy:
         line = spec.cache_line_bytes
         self.line_bytes = line
         self.l1: Optional[DirectMappedCache] = (
-            DirectMappedCache(spec.l1_cache_bytes_per_sm, line, space="l1")
+            DirectMappedCache(spec.l1_cache_bytes_per_sm, line)
             if spec.l1_cache_bytes_per_sm else None)
         self.l2: Optional[DirectMappedCache] = (
-            DirectMappedCache(spec.l2_cache_bytes, line, space="l2")
+            DirectMappedCache(spec.l2_cache_bytes, line)
             if spec.l2_cache_bytes else None)
 
     def access(self, addresses: np.ndarray, active: np.ndarray,
@@ -611,10 +599,8 @@ def cold_caches(spec: DeviceSpec) -> Dict[str, object]:
     (Fermi and later).  Each execution of a launch builds its own, so
     re-executing a plan charges what its first execution charged."""
     caches: Dict[str, object] = {
-        "const": DirectMappedCache(spec.constant_cache_bytes_per_sm,
-                                   space="const"),
-        "tex": DirectMappedCache(spec.texture_cache_bytes_per_sm,
-                                 space="tex"),
+        "const": DirectMappedCache(spec.constant_cache_bytes_per_sm),
+        "tex": DirectMappedCache(spec.texture_cache_bytes_per_sm),
     }
     if spec.has_cached_global_loads:
         caches["global"] = CacheHierarchy(spec)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..arch.device import DeviceSpec, DEFAULT_DEVICE
-from ..obs.registry import get_registry
 from ..trace.trace import KernelTrace
 from .occupancy import Occupancy, compute_occupancy
 
@@ -185,12 +184,6 @@ def estimate_time(
     if bound in ("instruction issue", "memory latency") \
             and replay_seconds > 0.5 * issue_seconds:
         bound = "memory bandwidth"
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("timing.bound", bound=bound).inc()
-        registry.histogram("timing.model_seconds", bound=bound) \
-            .observe(seconds)
 
     return KernelTimeEstimate(
         seconds=seconds,

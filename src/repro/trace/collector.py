@@ -27,9 +27,9 @@ object.  A replay classifies the sampled blocks ``MEMO`` (they still
 execute, untraced, when the launch is functional) and returns a copy
 of the recorded trace, its ``per_array`` entries renamed to this
 launch's arrays by argument position.  A refused kernel re-traces;
-the reason is the outcome :attr:`TraceCollector.replay` reports and,
-with metrics on, a ``collector.replay_refusals`` count.  Launches that
-record an instruction stream or trace no blocks bypass the cache.
+the reason is the outcome :attr:`TraceCollector.replay` reports, which
+the executor puts on its span as the ``replay`` attribute.  Launches
+that record an instruction stream or trace no blocks bypass the cache.
 
 The collector is deliberately executor-agnostic: backends call
 :meth:`classify` / :meth:`begin_block` / :meth:`finish_block` and never
@@ -41,7 +41,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from ..obs.registry import get_registry
 from ..sim.memsys import cold_caches
 from .trace import KernelTrace
 
@@ -52,10 +51,10 @@ TRACE, MEMO, PLAIN = "trace", "memo", "plain"
 class TraceCollector:
     """Accumulates one launch's trace from per-block executions.
 
-    With ``timed=True`` (set by the executor when a profiler or
-    metrics registry is active) the collector accumulates the wall
-    time of its own bookkeeping in :attr:`collect_seconds`, giving the
-    pipeline's "collect" stage; untimed collectors pay nothing.
+    With ``timed=True`` (set by the executor when a profiler is
+    active) the collector accumulates the wall time of its own
+    bookkeeping in :attr:`collect_seconds`, giving the pipeline's
+    "collect" stage; untimed collectors pay nothing.
     """
 
     def __init__(self, plan, timed: bool = False,
@@ -72,7 +71,6 @@ class TraceCollector:
         #: wall seconds spent in collector bookkeeping (timed only)
         self.collect_seconds = 0.0
         self._timed = timed
-        self._registry = get_registry()
         #: the launch trace cache's outcome: ``"first trace"``,
         #: ``"replayed"`` or ``"refused: <why>"``; None without a cache
         self.replay: Optional[str] = None
@@ -105,10 +103,6 @@ class TraceCollector:
             self.replay = "replayed"
             return
         self.replay = f"refused: {proof.reason}"
-        if self._registry.enabled:
-            self._registry.counter(
-                "collector.replay_refusals", kernel=self.plan.kernel.name,
-                reason=proof.reason).inc()
 
     # ------------------------------------------------------------------
     # Per-block protocol (called by executors)
@@ -136,10 +130,6 @@ class TraceCollector:
             return PLAIN
         if self._hit is not None:
             self.memo_hits += 1
-            if self._registry.enabled:
-                self._registry.counter(
-                    "collector.memo_hits",
-                    kernel=self.plan.kernel.name).inc()
             return MEMO
         return TRACE
 

@@ -140,18 +140,34 @@ def test_fallback_increments_obs_counter():
         total = sum(x for x in (1.0, 2.0, 3.0))
         ctx.st_global(out, i, (i * 0.0 + total).astype(np.float32))
 
+    @kernel("double_probe", regs_per_thread=4)
+    def double_probe(ctx, out):
+        i = ctx.global_tid()
+        ctx.st_global(out, i, (i * 2).astype(np.float32))
+
     ok, reason = compile_status(genexp_probe)
     assert not ok and "generator" in reason
 
+    def fallbacks(prof):
+        """(launch span, fallback span attrs) of every refusal."""
+        return [(root.name, root.attrs["kernel"], child.attrs)
+                for root in prof.tracer.roots
+                for child in root.children
+                if child.name == "compile.fallback"]
+
     dev = Device()
     out = dev.alloc(8 * 32, np.float32, "out")
+    # one executor instance across launches, as app.executor is: the
+    # refusal belongs to the launch that was refused, not the instance
+    executor = CompiledExecutor()
     with LaunchProfiler(estimate=False) as prof:
         launch(genexp_probe, (8,), (32,), (out,), device=dev,
-               executor=CompiledExecutor())
-    counters = prof.registry.to_dict().get("executor.compile_fallbacks", {})
-    assert list(counters.values()) == [1], counters
-    (labels,) = counters
-    assert "kernel=genexp_probe" in labels and "generator" in labels
+               executor=executor)
+        launch(double_probe, (8,), (32,), (dev.alloc(8 * 32, np.float32),),
+               device=dev, executor=executor)
+    assert fallbacks(prof) == [("executor.compiled", "genexp_probe",
+                                {"kernel": "genexp_probe",
+                                 "reason": reason})]
     # and the fallback still computed the right bits
     dev2 = Device()
     out2 = dev2.alloc(8 * 32, np.float32, "out")
@@ -163,7 +179,9 @@ def test_fallback_increments_obs_counter():
     with LaunchProfiler(estimate=False) as prof:
         launch(genexp_probe, (8,), (32,), (out,), device=dev,
                functional=False, executor=CompiledExecutor())
-    assert "executor.compile_fallbacks" not in prof.registry.to_dict()
+    assert [root.name for root in prof.tracer.roots].count(
+        "executor.compiled") == 1
+    assert fallbacks(prof) == []
 
 
 # ----------------------------------------------------------------------

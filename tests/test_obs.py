@@ -1,30 +1,27 @@
-"""Observability layer: registry, spans, profiler, pipeline wiring.
+"""Observability layer: spans, profiler, pipeline wiring.
 
 Covers the contracts the instrumented pipeline relies on: span
-nesting and Chrome-trace export round-trips, labeled counter merge,
-profiler record correctness against the launch plan's own block
-accounting, and the zero-overhead-by-default guarantee that a
-disabled registry/profiler records nothing.
+nesting and Chrome-trace export round-trips, profiler record
+correctness against the launch plan's own block accounting, and the
+zero-overhead-by-default guarantee that a disabled tracer/profiler
+records nothing.
 """
 
 import json
 
 import numpy as np
-import pytest
 
 from repro.apps.fdtd import Fdtd
 from repro.apps.matmul import MatMul
+from repro.apps.saxpy import Saxpy
+from repro.bench import profile_report
 from repro.cuda import Device, kernel, launch
 from repro.obs import (
     LaunchProfiler,
-    MetricsRegistry,
-    NULL_METRIC,
     SpanTracer,
     active_profiler,
-    get_registry,
     get_tracer,
     span,
-    use_registry,
     use_tracer,
 )
 from repro.obs.profiler import STAGES
@@ -93,44 +90,6 @@ def test_ambient_span_helper_is_noop_when_disabled():
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-def test_counter_labels_and_merge():
-    reg = MetricsRegistry()
-    reg.counter("hits", space="const").inc(3)
-    reg.counter("hits", space="tex").inc()
-    reg.counter("hits", space="const").inc(2)   # same labels -> same metric
-    assert reg.value("hits", space="const") == 5
-    assert reg.value("hits", space="tex") == 1
-    assert reg.total("hits") == 6
-
-    reg.gauge("depth").set(7)
-    reg.histogram("lat").observe(0.5)
-    reg.histogram("lat").observe(1.5)
-    assert reg.value("depth") == 7
-    lat = reg.value("lat")
-    assert lat["count"] == 2 and lat["min"] == 0.5 and lat["max"] == 1.5
-    assert lat["mean"] == pytest.approx(1.0)
-
-
-def test_disabled_registry_hands_out_shared_null_metric():
-    reg = MetricsRegistry(enabled=False)
-    assert reg.counter("x") is NULL_METRIC
-    assert reg.histogram("y", k="v") is NULL_METRIC
-    reg.counter("x").inc(99)
-    assert len(reg) == 0
-    assert reg.to_dict() == {}
-
-
-def test_kind_conflict_raises():
-    reg = MetricsRegistry()
-    reg.counter("m")
-    with pytest.raises(TypeError, match="already registered as counter"):
-        reg.gauge("m")
-
-
-# ----------------------------------------------------------------------
 # Profiler records
 # ----------------------------------------------------------------------
 
@@ -166,7 +125,7 @@ def test_profiler_record_matches_launch_accounting():
 def test_profiler_surfaces_memo_hits():
     """Module trace replays are launch trace cache hits: each replayed
     launch's whole traced sample is a memo hit, visible in its profile
-    record, the collector counter and the compiled launch count."""
+    record and its launch result, and every launch is a compiled one."""
     with LaunchProfiler() as prof:
         run = Fdtd().run_module()
     replays = run.module.stats["trace_replays"]
@@ -176,13 +135,12 @@ def test_profiler_surfaces_memo_hits():
         assert rec.executor == "compiled"
         assert rec.memo_hits == rec.blocks_traced \
             == rec.dispositions["memo"]
-    assert prof.registry.total("collector.memo_hits") == \
-        sum(rec.blocks_traced for rec in replayed)
-    compiled = sum(prof.registry.value("launch.count", kernel=k,
-                                       executor="compiled")
-                   for k in {rec.kernel for rec in prof.records})
-    assert compiled == prof.registry.total("launch.count") \
-        == len(run.launches)
+    assert [launch.memo_hits for launch in run.launches] \
+        == [rec.memo_hits for rec in prof.records]
+    assert sum(launch.memo_hits for launch in run.launches) \
+        == sum(rec.blocks_traced for rec in replayed)
+    assert [rec.executor for rec in prof.records] \
+        == ["compiled"] * len(run.launches)
 
 
 def test_launch_result_summary_digest():
@@ -198,13 +156,12 @@ def test_launch_result_summary_digest():
 
 def test_disabled_profiler_is_noop():
     assert active_profiler() is None
-    assert not get_registry().enabled
+    assert not get_tracer().enabled
     dev = Device()
     out = dev.alloc(8 * 32, np.float32, "out")
     res = launch(obs_writer, (8,), (32,), (out, 8 * 32), device=dev,
                  functional=True, trace_blocks=2)
     # nothing recorded anywhere...
-    assert len(get_registry()) == 0
     assert get_tracer().roots == []
     # ...and the untimed collector reports a zero collect stage
     assert res.stage_seconds["collect"] == 0.0
@@ -214,15 +171,15 @@ def test_disabled_profiler_is_noop():
 
 
 def test_profiler_restores_ambient_state_and_nests():
-    before_reg, before_tracer = get_registry(), get_tracer()
+    before_tracer = get_tracer()
     with LaunchProfiler() as outer:
-        assert get_registry() is outer.registry
+        assert get_tracer() is outer.tracer
         with LaunchProfiler() as inner:
             assert active_profiler() is inner
-            assert get_registry() is inner.registry
+            assert get_tracer() is inner.tracer
         assert active_profiler() is outer
+        assert get_tracer() is outer.tracer
     assert active_profiler() is None
-    assert get_registry() is before_reg
     assert get_tracer() is before_tracer
 
 
@@ -237,27 +194,64 @@ def test_profiler_estimate_off_skips_model():
 
 
 # ----------------------------------------------------------------------
-# Registry-driven pipeline counters
+# Pipeline counters on the launch record
 # ----------------------------------------------------------------------
 
 def test_registry_collects_pipeline_counters():
-    reg = MetricsRegistry()
+    """Each launch's executor, block dispositions, stage times, cache
+    counters and timing verdict sit on its record."""
     app = MatMul()
-    with use_registry(reg):
+    with LaunchProfiler() as prof:
         run = app.run({"n": 64, "variant": "tiled", "tile": 16,
                        "trace_blocks": 2}, functional=False)
-        run.launches[0].estimate()
-    assert reg.total("launch.count") == 1
+    (rec,) = prof.records
+    assert rec.kernel == "mm_tiled_16x16"
+    assert rec.executor == "sequential"
     # perf-only run: only the traced sample is classified/executed
-    assert reg.total("launch.blocks") == 2
-    assert reg.value("launch.blocks", disposition="trace",
-                     kernel="mm_tiled_16x16") == 2
-    assert reg.value("launch.seconds",
-                     executor="sequential",
-                     kernel="mm_tiled_16x16")["count"] == 1
-    assert reg.total("timing.bound") == 1
-    # constant/texture caches were not touched by this kernel, but the
-    # bound tally names the launch's verdict
-    bound_labels = [dict(m.labels)["bound"] for m in reg
-                    if m.name == "timing.bound"]
-    assert len(bound_labels) == 1
+    assert rec.dispositions == {"trace": 2, "memo": 0, "plain": 0}
+    assert rec.wall_seconds > 0
+    # this kernel touches neither the constant nor the texture cache
+    assert [rec.cache[f"{space}_{event}"] for space in ("const", "tex")
+            for event in ("hits", "misses")] == [0, 0, 0, 0]
+    # the record names the launch's verdict, as the estimate does
+    est = run.launches[0].estimate()
+    assert (rec.bound, rec.model_seconds) == (est.bound, est.seconds)
+
+
+# ----------------------------------------------------------------------
+# The profile_report CLI
+# ----------------------------------------------------------------------
+
+def _saxpy_kernels():
+    """Kernel names of the launches profile_report's saxpy run makes."""
+    app = Saxpy()
+    run = app.run(app.default_workload("test"), functional=False)
+    return [launch.kernel.name for launch in run.launches]
+
+
+def test_profile_report_spans_name_each_launch_decision(capsys):
+    assert profile_report.main(["saxpy", "--spans"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("executor.")]
+    assert len(lines) == len(_saxpy_kernels()) == 3
+    replays = []
+    for line in lines:
+        attrs = line[line.index("[") + 1:line.rindex("]")]
+        assert "auto=non-functional launch" in attrs
+        replays.append(attrs[attrs.index("replay=") + len("replay="):])
+    assert replays == ["first trace", "replayed", "replayed"]
+
+
+def test_profile_report_json_holds_one_record_per_launch(capsys):
+    assert profile_report.main(["saxpy", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["app", "scale", "device", "records"]
+    assert (payload["app"], payload["scale"], payload["device"]) \
+        == ("saxpy", "test", "geforce_8800_gtx")
+    assert [rec["kernel"] for rec in payload["records"]] \
+        == _saxpy_kernels()
+
+
+def test_profile_report_unknown_device_exits_2(capsys):
+    assert profile_report.main(["saxpy", "--device", "no_such_gpu"]) == 2
+    assert "no_such_gpu" in capsys.readouterr().err
