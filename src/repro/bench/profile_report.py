@@ -87,10 +87,11 @@ def format_records(records: Sequence[LaunchRecord],
             details.append(f"  {rec.kernel}: txn/access per array: "
                            f"{per_array}")
         io = []
-        if rec.io.get("gld_bus_bytes", 0) > 0:
-            io.append(f"gld_efficiency={100 * rec.io['gld_useful_bytes'] / rec.io['gld_bus_bytes']:.1f}%")
-        if rec.io.get("gst_bus_bytes", 0) > 0:
-            io.append(f"gst_efficiency={100 * rec.io['gst_useful_bytes'] / rec.io['gst_bus_bytes']:.1f}%")
+        for op in ("gld", "gst"):
+            bus = rec.io.get(f"{op}_bus_bytes", 0)
+            if bus > 0:
+                useful = rec.io[f"{op}_useful_bytes"]
+                io.append(f"{op}_efficiency={100 * useful / bus:.1f}%")
         io += [f"{space}_hit_rate={rate:.1%}"
                for space, rate in rec.cache_hit_rates().items()]
         if io:
@@ -427,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"profiler overhead: {overhead['overhead_pct']:.2f}% "
                   f"(disabled {overhead['disabled_seconds']}s, profiled "
                   f"{overhead['profiled_seconds']}s, "
-                  f"best of {overhead['repeats']})")
+                  f"median of {overhead['repeats']})")
     if args.chrome_trace and not args.json:
         print(f"chrome trace written to {args.chrome_trace}")
     if args.timeline and not args.json:

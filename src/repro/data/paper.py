@@ -13,16 +13,17 @@ Tables 2/3 and the Figure 4 bar heights; see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 PROSE = "prose"
 RECONSTRUCTED = "reconstructed"
 BOUND = "bound"
 
 
-@dataclass(frozen=True)
-class PaperValue:
+# The records are NamedTuples, not frozen dataclasses: building a frozen
+# dataclass costs about 0.7 ms, paid by the first Table-3 run that
+# imports this module.
+class PaperValue(NamedTuple):
     value: float
     provenance: str = RECONSTRUCTED
 
@@ -73,8 +74,7 @@ FIGURE4_GFLOPS: Dict[str, PaperValue] = {
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     app: str
     source_lines: int
     kernel_lines: int
@@ -105,8 +105,7 @@ TABLE2: Dict[str, Table2Row] = {
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table3Row:
+class Table3Row(NamedTuple):
     app: str
     kernel_speedup: PaperValue
     app_speedup: PaperValue

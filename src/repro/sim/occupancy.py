@@ -35,7 +35,8 @@ class Occupancy:
     regs_per_thread: int
     smem_per_block: int
     blocks_per_sm: int
-    limiter: str                     # "registers" | "shared" | "threads" | "warps" | "blocks" | "launch"
+    #: "registers" | "shared" | "threads" | "warps" | "blocks" | "launch"
+    limiter: str
     spec: DeviceSpec = DEFAULT_DEVICE
 
     @property
