@@ -32,8 +32,8 @@ from __future__ import annotations
 import ast
 import inspect
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from types import MethodType, SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .symbolic import (
     BLOCK_COORD,
     NTHREADS,
     SymVal,
+    as_lanes,
     as_sym,
     is_varying,
     taints_of,
@@ -365,7 +366,7 @@ class LintContext(BlockAccounting, LaneOps):
             self._branch(parent, None if is_varying(sym) else parent)
             self.push_unknown_branch()
             return
-        lanes = np.broadcast_to(np.asarray(value, dtype=bool), parent.shape)
+        lanes = as_lanes(value, parent.shape, bool)
         self._branch(parent, lanes)
         m = parent & lanes
         self._mask_stack.append((m, exact, divergent or not bool(m.all())))
@@ -401,8 +402,7 @@ class LintContext(BlockAccounting, LaneOps):
         if value is None:
             return SymVal.opaque("bool", sym.taints, True)
         mask = self.mask
-        return bool(np.any(np.broadcast_to(
-            np.asarray(value, dtype=bool), mask.shape) & mask))
+        return bool(np.any(as_lanes(value, mask.shape, bool) & mask))
 
     def sync(self) -> None:
         """Record the barrier, divergent unless its mask is exactly
@@ -473,8 +473,7 @@ class LintContext(BlockAccounting, LaneOps):
             # a texture read charges only its issue; unknown shared or
             # constant words charge no conflict cycles
             return
-        lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                mask.shape)
+        lanes = as_lanes(value, mask.shape)
         if space == "global":
             self._record_global(array, lanes * itemsize, mask, op)
         elif space == "shared":
@@ -867,11 +866,6 @@ class KernelInterp:
             "True": True, "False": False, "None": None,
         }
 
-    def _intercept(self, value):
-        if value is np:
-            return self.shim
-        return value
-
     # -- function calls -------------------------------------------------
     def _call_interp(self, func: InterpFunc, args: Sequence[object],
                      kwargs: Dict[str, object]):
@@ -918,60 +912,70 @@ class KernelInterp:
     # -- statement execution --------------------------------------------
     def _exec_block(self, body: Sequence[ast.stmt], scope: Scope,
                     func: InterpFunc) -> None:
+        """Run each statement at its absolute line; one the interpreter
+        cannot model is skipped with a note."""
+        recorder = self.recorder
         for stmt in body:
-            self._exec_stmt(stmt, scope, func)
-
-    def _exec_stmt(self, stmt: ast.stmt, scope: Scope,
-                   func: InterpFunc) -> None:
-        self.recorder.current_line = stmt.lineno + func.line_offset
-        try:
-            self._exec_stmt_inner(stmt, scope, func)
-        except AnalysisLimit as exc:
-            self.recorder.note(f"skipped {type(stmt).__name__}: {exc}")
+            recorder.current_line = stmt.lineno + func.line_offset
+            try:
+                self._exec_stmt_inner(stmt, scope, func)
+            except AnalysisLimit as exc:
+                recorder.note(f"skipped {type(stmt).__name__}: {exc}")
 
     def _exec_stmt_inner(self, stmt: ast.stmt, scope: Scope,
                          func: InterpFunc) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self._eval(stmt.value, scope, func)
-            for tgt in stmt.targets:
-                self._assign(tgt, value, scope, func)
-        elif isinstance(stmt, ast.AugAssign):
-            current = self._eval_target_load(stmt.target, scope, func)
-            value = self._eval(stmt.value, scope, func)
-            result = self._binop(type(stmt.op), current, value)
-            self._assign(stmt.target, result, scope, func)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._assign(stmt.target,
-                             self._eval(stmt.value, scope, func),
-                             scope, func)
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value, scope, func)
-        elif isinstance(stmt, ast.If):
-            self._exec_if(stmt, scope, func)
-        elif isinstance(stmt, ast.For):
-            self._exec_for(stmt, scope, func)
-        elif isinstance(stmt, ast.While):
-            self._exec_while(stmt, scope, func)
-        elif isinstance(stmt, ast.With):
-            self._exec_with(stmt, scope, func)
-        elif isinstance(stmt, ast.FunctionDef):
-            scope.vars[stmt.name] = InterpFunc(
-                stmt, scope, func.globals, func.line_offset)
-        elif isinstance(stmt, ast.Return):
-            value = None if stmt.value is None \
-                else self._eval(stmt.value, scope, func)
-            raise _Return(value)
-        elif isinstance(stmt, ast.Break):
-            raise _Break()
-        elif isinstance(stmt, ast.Continue):
-            raise _Continue()
-        elif isinstance(stmt, (ast.Pass, ast.Import, ast.ImportFrom,
-                               ast.Global, ast.Nonlocal, ast.Assert)):
-            pass
-        else:
+        handler = self._STMTS.get(type(stmt))
+        if handler is None:
             raise AnalysisLimit(f"unsupported statement "
                                 f"{type(stmt).__name__}")
+        handler(self, stmt, scope, func)
+
+    def _exec_assign(self, stmt: ast.Assign, scope: Scope,
+                     func: InterpFunc) -> None:
+        value = self._eval(stmt.value, scope, func)
+        for tgt in stmt.targets:
+            self._assign(tgt, value, scope, func)
+
+    def _exec_augassign(self, stmt: ast.AugAssign, scope: Scope,
+                        func: InterpFunc) -> None:
+        current = self._eval(stmt.target, scope, func)
+        value = self._eval(stmt.value, scope, func)
+        result = self._binop(type(stmt.op), current, value)
+        self._assign(stmt.target, result, scope, func)
+
+    def _exec_annassign(self, stmt: ast.AnnAssign, scope: Scope,
+                        func: InterpFunc) -> None:
+        if stmt.value is not None:
+            self._assign(stmt.target, self._eval(stmt.value, scope, func),
+                         scope, func)
+
+    def _exec_expr(self, stmt: ast.Expr, scope: Scope,
+                   func: InterpFunc) -> None:
+        self._eval(stmt.value, scope, func)
+
+    def _exec_def(self, stmt: ast.FunctionDef, scope: Scope,
+                  func: InterpFunc) -> None:
+        scope.vars[stmt.name] = InterpFunc(
+            stmt, scope, func.globals, func.line_offset)
+
+    def _exec_return(self, stmt: ast.Return, scope: Scope,
+                     func: InterpFunc) -> None:
+        value = None if stmt.value is None \
+            else self._eval(stmt.value, scope, func)
+        raise _Return(value)
+
+    def _exec_break(self, stmt: ast.Break, scope: Scope,
+                    func: InterpFunc) -> None:
+        raise _Break()
+
+    def _exec_continue(self, stmt: ast.Continue, scope: Scope,
+                       func: InterpFunc) -> None:
+        raise _Continue()
+
+    def _exec_nothing(self, stmt: ast.stmt, scope: Scope,
+                      func: InterpFunc) -> None:
+        """``pass``, imports, ``global``/``nonlocal`` and ``assert``
+        model nothing."""
 
     def _exec_if(self, stmt: ast.If, scope: Scope,
                  func: InterpFunc) -> None:
@@ -1105,6 +1109,29 @@ class KernelInterp:
         finally:
             cm.__exit__(None, None, None)
 
+    #: statement node type -> handler, looked up on the exact type; a
+    #: statement of any other type is refused
+    _STMTS: Dict[type, Callable[..., None]] = {
+        ast.Assign: _exec_assign,
+        ast.AugAssign: _exec_augassign,
+        ast.AnnAssign: _exec_annassign,
+        ast.Expr: _exec_expr,
+        ast.If: _exec_if,
+        ast.For: _exec_for,
+        ast.While: _exec_while,
+        ast.With: _exec_with,
+        ast.FunctionDef: _exec_def,
+        ast.Return: _exec_return,
+        ast.Break: _exec_break,
+        ast.Continue: _exec_continue,
+        ast.Pass: _exec_nothing,
+        ast.Import: _exec_nothing,
+        ast.ImportFrom: _exec_nothing,
+        ast.Global: _exec_nothing,
+        ast.Nonlocal: _exec_nothing,
+        ast.Assert: _exec_nothing,
+    }
+
     # -- assignment -----------------------------------------------------
     def _assign(self, target: ast.expr, value, scope: Scope,
                 func: InterpFunc) -> None:
@@ -1134,75 +1161,71 @@ class KernelInterp:
             raise AnalysisLimit(
                 f"unsupported assignment target {type(target).__name__}")
 
-    def _eval_target_load(self, target: ast.expr, scope: Scope,
-                          func: InterpFunc):
-        return self._eval(target, scope, func)
-
     # -- expression evaluation ------------------------------------------
-    def _eval(self, node: ast.expr, scope: Scope, func: InterpFunc):
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return self._lookup(node.id, scope, func)
-        if isinstance(node, ast.Tuple):
-            return tuple(self._eval(e, scope, func) for e in node.elts)
-        if isinstance(node, ast.List):
-            return [self._eval(e, scope, func) for e in node.elts]
-        if isinstance(node, ast.Dict):
-            return {self._eval(k, scope, func): self._eval(v, scope, func)
-                    for k, v in zip(node.keys, node.values)}
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, scope, func)
-            right = self._eval(node.right, scope, func)
-            return self._binop(type(node.op), left, right)
-        if isinstance(node, ast.UnaryOp):
-            return self._unaryop(node, scope, func)
-        if isinstance(node, ast.BoolOp):
-            return self._boolop(node, scope, func)
-        if isinstance(node, ast.Compare):
-            return self._compare(node, scope, func)
-        if isinstance(node, ast.Call):
-            return self._call(node, scope, func)
-        if isinstance(node, ast.Attribute):
-            return self._attribute(node, scope, func)
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node, scope, func)
-        if isinstance(node, ast.IfExp):
-            test = self._eval(node.test, scope, func)
-            if isinstance(test, SymVal):
-                value = test.concrete_value()
-                if value is None or test.varying:
-                    return _select(test,
-                                   self._eval(node.body, scope, func),
-                                   self._eval(node.orelse, scope, func))
-                test = bool(np.asarray(value))
-            return self._eval(node.body if test else node.orelse,
-                              scope, func)
-        if isinstance(node, ast.Slice):
-            def opt(sub):
-                if sub is None:
-                    return None
-                value = self._eval(sub, scope, func)
-                return int(value) if isinstance(value, SymVal) else value
-            return slice(opt(node.lower), opt(node.upper), opt(node.step))
-        if isinstance(node, ast.ListComp):
-            return self._listcomp(node, scope, func)
-        if isinstance(node, ast.Index):   # pragma: no cover - py<3.9 AST
-            return self._eval(node.value, scope, func)
-        raise AnalysisLimit(f"unsupported expression "
-                            f"{type(node).__name__}")
+    def _eval(self, node: ast.expr, scope: Scope, func: InterpFunc) -> Any:
+        handler = self._EXPRS.get(type(node))
+        if handler is None:
+            raise AnalysisLimit(f"unsupported expression "
+                                f"{type(node).__name__}")
+        return handler(self, node, scope, func)
 
-    def _lookup(self, name: str, scope: Scope, func: InterpFunc):
+    def _constant(self, node: ast.Constant, scope: Scope,
+                  func: InterpFunc) -> Any:
+        return node.value
+
+    def _name(self, node: ast.Name, scope: Scope, func: InterpFunc) -> Any:
+        """A name, innermost scope first, then the kernel's globals and
+        the builtins; the ``np`` module reads as the shim."""
+        name = node.id
         frame: Optional[Scope] = scope
         while frame is not None:
             if name in frame.vars:
-                return self._intercept(frame.vars[name])
+                value = frame.vars[name]
+                return self.shim if value is np else value
             frame = frame.parent
         if name in func.globals:
-            return self._intercept(func.globals[name])
+            value = func.globals[name]
+            return self.shim if value is np else value
         if name in self._builtins:
             return self._builtins[name]
         raise AnalysisLimit(f"unknown name {name!r}")
+
+    def _tuple(self, node: ast.Tuple, scope: Scope,
+               func: InterpFunc) -> tuple:
+        return tuple(self._eval(e, scope, func) for e in node.elts)
+
+    def _list(self, node: ast.List, scope: Scope, func: InterpFunc) -> list:
+        return [self._eval(e, scope, func) for e in node.elts]
+
+    def _dict(self, node: ast.Dict, scope: Scope, func: InterpFunc) -> dict:
+        return {self._eval(k, scope, func): self._eval(v, scope, func)
+                for k, v in zip(node.keys, node.values)}
+
+    def _binop_expr(self, node: ast.BinOp, scope: Scope,
+                    func: InterpFunc) -> Any:
+        left = self._eval(node.left, scope, func)
+        right = self._eval(node.right, scope, func)
+        return self._binop(type(node.op), left, right)
+
+    def _ifexp(self, node: ast.IfExp, scope: Scope, func: InterpFunc) -> Any:
+        test = self._eval(node.test, scope, func)
+        if isinstance(test, SymVal):
+            value = test.concrete_value()
+            if value is None or test.varying:
+                return _select(test,
+                               self._eval(node.body, scope, func),
+                               self._eval(node.orelse, scope, func))
+            test = bool(np.asarray(value))
+        return self._eval(node.body if test else node.orelse, scope, func)
+
+    def _slice(self, node: ast.Slice, scope: Scope,
+               func: InterpFunc) -> slice:
+        def opt(sub: Optional[ast.expr]) -> Any:
+            if sub is None:
+                return None
+            value = self._eval(sub, scope, func)
+            return int(value) if isinstance(value, SymVal) else value
+        return slice(opt(node.lower), opt(node.upper), opt(node.step))
 
     _BINOPS = {
         ast.Add: lambda a, b: a + b,
@@ -1301,49 +1324,57 @@ class KernelInterp:
                 args.append(self._eval(a, scope, func))
         kwargs = {kw.arg: self._eval(kw.value, scope, func)
                   for kw in node.keywords if kw.arg is not None}
-        if isinstance(callee, InterpFunc):
-            return self._call_interp(callee, args, kwargs)
-        if callable(callee):
+        # a method of this interpreter's own ctx or shim is called as
+        # it is; anything else may be interpreted instead
+        if type(callee) is not MethodType or (
+                callee.__self__ is not self.ctx
+                and callee.__self__ is not self.shim):
+            if isinstance(callee, InterpFunc):
+                return self._call_interp(callee, args, kwargs)
+            if not callable(callee):
+                raise AnalysisLimit(f"call of non-callable "
+                                    f"{type(callee).__name__}")
             module = getattr(callee, "__module__", "") or ""
             if (module.startswith("repro.")
                     and not module.startswith("repro.analysis")
                     and inspect.isfunction(callee)):
                 return self._call_native_function(callee, args, kwargs)
-            try:
-                return callee(*args, **kwargs)
-            except AnalysisLimit:
-                raise
-            except (_Break, _Continue, _Return):
-                raise
-            except Exception as exc:
-                raise AnalysisLimit(
-                    f"call to {getattr(callee, '__name__', callee)!r} "
-                    f"failed: {exc}") from None
-        raise AnalysisLimit(f"call of non-callable "
-                            f"{type(callee).__name__}")
+        try:
+            return callee(*args, **kwargs)
+        except AnalysisLimit:
+            raise
+        except (_Break, _Continue, _Return):
+            raise
+        except Exception as exc:
+            raise AnalysisLimit(
+                f"call to {getattr(callee, '__name__', callee)!r} "
+                f"failed: {exc}") from None
 
     def _attribute(self, node: ast.Attribute, scope: Scope,
                    func: InterpFunc):
         obj = self._eval(node.value, scope, func)
         name = node.attr
-        if isinstance(obj, SymVal):
-            if name == "astype":
-                return obj.astype
-            raise AnalysisLimit(f"attribute {name!r} on a symbolic value")
-        if isinstance(obj, LintArray):
-            if name in ("name", "space", "size", "itemsize", "dtype"):
-                value = getattr(obj, name)
-                if name == "size" and value is None:
-                    raise AnalysisLimit(
-                        f"size of {obj.name!r} not declared in the lint "
-                        f"target")
-                return value
-            raise AnalysisLimit(f"attribute {name!r} on array marker")
+        if obj is not self.ctx:
+            if isinstance(obj, SymVal):
+                if name == "astype":
+                    return obj.astype
+                raise AnalysisLimit(
+                    f"attribute {name!r} on a symbolic value")
+            if isinstance(obj, LintArray):
+                if name in ("name", "space", "size", "itemsize", "dtype"):
+                    value = getattr(obj, name)
+                    if name == "size" and value is None:
+                        raise AnalysisLimit(
+                            f"size of {obj.name!r} not declared in the "
+                            f"lint target")
+                    return value
+                raise AnalysisLimit(f"attribute {name!r} on array marker")
         try:
-            return self._intercept(getattr(obj, name))
+            value = getattr(obj, name)
         except AttributeError:
             raise AnalysisLimit(
                 f"no attribute {name!r} on {type(obj).__name__}") from None
+        return self.shim if value is np else value
 
     def _subscript(self, node: ast.Subscript, scope: Scope,
                    func: InterpFunc):
@@ -1385,6 +1416,26 @@ class KernelInterp:
             if keep:
                 out.append(self._eval(node.elt, scope, func))
         return out
+
+    #: expression node type -> handler, looked up on the exact type; an
+    #: expression of any other type is refused
+    _EXPRS: Dict[type, Callable[..., Any]] = {
+        ast.Constant: _constant,
+        ast.Name: _name,
+        ast.Tuple: _tuple,
+        ast.List: _list,
+        ast.Dict: _dict,
+        ast.BinOp: _binop_expr,
+        ast.UnaryOp: _unaryop,
+        ast.BoolOp: _boolop,
+        ast.Compare: _compare,
+        ast.Call: _call,
+        ast.Attribute: _attribute,
+        ast.Subscript: _subscript,
+        ast.IfExp: _ifexp,
+        ast.Slice: _slice,
+        ast.ListComp: _listcomp,
+    }
 
 
 class _Missing:

@@ -53,6 +53,7 @@ from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SpaceEvent, SyncEvent, interpret
 from .liveness import estimate_registers
 from .symbolic import (
+    as_lanes,
     classify_global,
     classify_shared,
     cross_lane_disjoint,
@@ -159,7 +160,7 @@ def _concrete_cells(ev: MemEvent, nthreads: int) -> Optional[np.ndarray]:
     value = as_sym(ev.index).concrete_value()
     if value is None:
         return None
-    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64), (nthreads,))
+    lanes = as_lanes(value, (nthreads,))
     mask = np.asarray(ev.mask, dtype=bool) if ev.mask is not None \
         else np.ones(nthreads, dtype=bool)
     if mask.shape[0] != lanes.shape[0]:
@@ -174,7 +175,7 @@ def _intra_write_conflict(ev: MemEvent, nthreads: int) -> bool:
     value = as_sym(ev.index).concrete_value()
     if value is None or not ev.mask_exact:
         return False
-    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64), (nthreads,))
+    lanes = as_lanes(value, (nthreads,))
     mask = np.asarray(ev.mask, dtype=bool) if ev.mask is not None \
         else np.ones(nthreads, dtype=bool)
     if mask.shape[0] != lanes.shape[0]:
@@ -446,8 +447,7 @@ def _bounds_check(ev: MemEvent, nthreads: int, kernel: str,
     value = sym.concrete_value()
     if value is None:
         return []
-    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                            (nthreads,))
+    lanes = as_lanes(value, (nthreads,))
     active = np.asarray(ev.mask, dtype=bool) if ev.mask is not None \
         else np.ones(nthreads, dtype=bool)
     if not active.any():

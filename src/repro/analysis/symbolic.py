@@ -317,6 +317,15 @@ def as_sym(value: SymLike) -> SymVal:
     return SymVal.concrete(value, kind)
 
 
+def as_lanes(value: SymLike, shape: Tuple[int, ...],
+             dtype: type = np.int64) -> np.ndarray:
+    """``value`` as a ``dtype`` array of the lane ``shape``: an operand
+    that already has the shape is returned as it is (never written to),
+    anything else is broadcast to it."""
+    arr = np.asarray(value, dtype=dtype)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
 def taints_of(value: SymLike) -> FrozenSet[str]:
     return value.taints if isinstance(value, SymVal) else frozenset()
 
@@ -336,6 +345,17 @@ def _result_kind(op: str, a: SymVal, b: SymVal) -> str:
     return "int"
 
 
+#: the NumPy function of each arithmetic, bitwise and comparison op
+_ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+          "floordiv": np.floor_divide, "mod": np.mod,
+          "truediv": np.true_divide}
+_BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or,
+            "xor": np.bitwise_xor, "lshift": np.left_shift,
+            "rshift": np.right_shift, "pow": np.power}
+_COMPARISONS = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
+                "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
+
+
 def _binop(op: str, left: SymLike, right: SymLike) -> SymVal:
     a, b = as_sym(left), as_sym(right)
     taints = a.taints | b.taints
@@ -350,9 +370,7 @@ def _binop(op: str, left: SymLike, right: SymLike) -> SymVal:
     av, bv = a.concrete_value(), b.concrete_value()
     if av is not None and bv is not None:
         try:
-            func = {"add": np.add, "sub": np.subtract,
-                    "mul": np.multiply, "floordiv": np.floor_divide,
-                    "mod": np.mod, "truediv": np.true_divide}[op]
+            func = _ARITH[op]
             with np.errstate(all="ignore"):
                 return SymVal(func(np.asarray(av), np.asarray(bv)),
                               None, kind, taints, varying)
@@ -422,9 +440,7 @@ def _bitop(op: str, left: SymLike, right: SymLike) -> SymVal:
     kind = "bool" if (a.kind == "bool" and b.kind == "bool"
                       and op in ("and", "or", "xor")) else "int"
     if av is not None and bv is not None:
-        func = {"and": np.bitwise_and, "or": np.bitwise_or,
-                "xor": np.bitwise_xor, "lshift": np.left_shift,
-                "rshift": np.right_shift, "pow": np.power}[op]
+        func = _BITWISE[op]
         try:
             return SymVal(func(np.asarray(av), np.asarray(bv)), None,
                           kind, taints, varying)
@@ -438,10 +454,7 @@ def _compare(op: str, left: SymLike, right: SymLike) -> SymVal:
     taints = a.taints | b.taints
     av, bv = a.concrete_value(), b.concrete_value()
     if av is not None and bv is not None:
-        func = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
-                "ge": np.greater_equal, "eq": np.equal,
-                "ne": np.not_equal}[op]
-        result = func(np.asarray(av), np.asarray(bv))
+        result = _COMPARISONS[op](np.asarray(av), np.asarray(bv))
         return SymVal(result, None, "bool", taints,
                       bool(result.ndim and result.size > 1
                            and result.any() != result.all()))
@@ -467,7 +480,7 @@ def classify_global(index: SymLike, mask: Optional[np.ndarray],
     value = sym.concrete_value()
     if value is None:
         return "data-dependent", None
-    lanes = np.broadcast_to(np.asarray(value, dtype=np.int64), (nthreads,))
+    lanes = as_lanes(value, (nthreads,))
     active = np.ones(nthreads, dtype=bool) if mask is None \
         else np.asarray(mask, dtype=bool)
     _, _, _, _, coalesced = coalesce_groups(lanes * itemsize, active,
@@ -520,8 +533,7 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     value = sym.concrete_value()
 
     if value is not None:
-        words = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                (nthreads,)) * word_scale + word_offset
+        words = as_lanes(value, (nthreads,)) * word_scale + word_offset
         degree = max(int(bank_conflict_degrees(words, active, spec).max()), 1)
         return ("conflict-free" if degree <= 1
                 else f"{degree}-way"), degree
@@ -530,8 +542,7 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     # (scaled to words) is a multiple of the bank count
     if any((coeff * word_scale) % nbanks for coeff in sym.terms.values()):
         return "data-dependent", None
-    residues = (np.broadcast_to(np.asarray(sym.lanes, dtype=np.int64),
-                                (nthreads,)) * word_scale
+    residues = (as_lanes(sym.lanes, (nthreads,)) * word_scale
                 + word_offset) % nbanks
     rows, on = group_rows(residues, active, spec.shared_access_group)
     # inactive lanes take distinct out-of-range banks; two active lanes
@@ -567,9 +578,8 @@ def cross_lane_disjoint(store: SymLike, store_mask: Optional[np.ndarray],
 
     sv, lv = st.concrete_value(), ld.concrete_value()
     if sv is not None and lv is not None:
-        s = np.broadcast_to(np.asarray(sv, dtype=np.int64), (nthreads,))
-        load_lanes = np.broadcast_to(np.asarray(lv, dtype=np.int64),
-                                     (nthreads,))
+        s = as_lanes(sv, (nthreads,))
+        load_lanes = as_lanes(lv, (nthreads,))
         eq = load_lanes[:, None] == s[None, :]
         eq &= lm[:, None] & sm[None, :]
         np.fill_diagonal(eq, False)
@@ -584,10 +594,8 @@ def cross_lane_disjoint(store: SymLike, store_mask: Optional[np.ndarray],
         g = math.gcd(g, abs(c))
     if g <= 1:
         return False
-    s_res = np.broadcast_to(np.asarray(st.lanes, dtype=np.int64),
-                            (nthreads,)) % g
-    l_res = np.broadcast_to(np.asarray(ld.lanes, dtype=np.int64),
-                            (nthreads,)) % g
+    s_res = as_lanes(st.lanes, (nthreads,)) % g
+    l_res = as_lanes(ld.lanes, (nthreads,)) % g
     eq = l_res[:, None] == s_res[None, :]
     eq &= lm[:, None] & sm[None, :]
     np.fill_diagonal(eq, False)

@@ -25,24 +25,42 @@ solver iteration (time-sliced global synchronization).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..cuda import Device, kernel
 from ..sim.cpumodel import CpuCostParams
 from .base import Application, AppRun
 
 
+class CsrMatrix(NamedTuple):
+    """A CSR matrix: row ``i`` holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with their values
+    in ``data``."""
+
+    indptr: np.ndarray      # int32, one entry per row plus one
+    indices: np.ndarray     # int32
+    data: np.ndarray        # float32
+    shape: Tuple[int, int]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector, accumulated in float64."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+
 def build_mesh_matrix(mesh_n: int, seed: int = 5
-                      ) -> Tuple[sp.csr_matrix, np.ndarray]:
+                      ) -> Tuple[CsrMatrix, np.ndarray]:
     """Stiffness-like CSR matrix of a shuffled triangulated grid.
 
     A structured ``mesh_n x mesh_n`` grid is triangulated (right
     diagonals), the element graph's Laplacian is formed, and node ids
     are randomly permuted to reproduce the irregular numbering of real
-    unstructured meshes.
+    unstructured meshes (``mesh_n >= 2``).  Every row stores its
+    diagonal, the row's float32 sum of edge weights in column order,
+    and its edges' negated weights.
     """
     n = mesh_n * mesh_n
     idx = np.arange(n).reshape(mesh_n, mesh_n)
@@ -58,16 +76,33 @@ def build_mesh_matrix(mesh_n: int, seed: int = 5
     rows, cols = perm[rows], perm[cols]
 
     w = rng.uniform(0.5, 2.0, rows.size).astype(np.float32)
-    a = sp.coo_matrix((np.concatenate([w, w]),
-                       (np.concatenate([rows, cols]),
-                        np.concatenate([cols, rows]))), shape=(n, n)).tocsr()
-    a.sum_duplicates()
+    # every stored entry (both directions of each edge, then each
+    # diagonal) as one integer of row, column and entry number bits:
+    # sorting them orders the entries by row, then column
+    m = 2 * rows.size
+    col_bits = (n - 1).bit_length()
+    entry_bits = (m + n - 1).bit_length()
+    if 2 * col_bits + entry_bits > 63:
+        raise ValueError(f"mesh_n {mesh_n} is too large to sort")
+    ids = np.arange(n)
+    key = np.concatenate([rows, cols, ids]) << col_bits
+    key |= np.concatenate([cols, rows, ids])
+    key <<= entry_bits
+    key |= np.arange(m + n)
+    key.sort()
+    entry = key & ((1 << entry_bits) - 1)
+    indices = ((key >> entry_bits) & ((1 << col_bits) - 1)).astype(np.int32)
+    off = entry < m
+    weight = np.concatenate([w, w])[entry[off]]
+    counts = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts + 1, out=indptr[1:])
+    data = np.empty(m + n, dtype=np.float32)
+    data[off] = -weight
     # Laplacian: diagonal = row sums (makes the operator well-scaled)
-    diag = np.asarray(a.sum(axis=1)).ravel()
-    lap = sp.diags(diag.astype(np.float32)) - a
-    lap = lap.tocsr().astype(np.float32)
+    data[~off] = np.add.reduceat(weight, indptr[:-1] - ids)
     x0 = rng.standard_normal(n).astype(np.float32)
-    return lap, x0
+    return CsrMatrix(indptr, indices, data, (n, n)), x0
 
 
 def spmv_kernel():
@@ -147,9 +182,9 @@ class Fem(Application):
         a, x0 = build_mesh_matrix(mesh_n)
         n = a.shape[0]
 
-        d_rowptr = dev.to_device(a.indptr.astype(np.int32), "rowptr")
-        d_colidx = dev.to_device(a.indices.astype(np.int32), "colidx")
-        d_values = dev.to_device(a.data.astype(np.float32), "values")
+        d_rowptr = dev.to_device(a.indptr, "rowptr")
+        d_colidx = dev.to_device(a.indices, "colidx")
+        d_values = dev.to_device(a.data, "values")
         d_x = dev.to_device(x0, "x")
         d_y = dev.alloc(n, np.float32, "y")
         kern = spmv_kernel()

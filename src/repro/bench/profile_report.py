@@ -166,17 +166,18 @@ def profile_app(name: str, scale: str = "test", executor=None,
 # Overhead gate
 # ----------------------------------------------------------------------
 
-def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
+def measure_overhead(n: int = 256, repeats: int = 11) -> Dict[str, float]:
     """Profiler overhead on a functional matmul sweep.
 
-    Runs ``repeats`` (at least 5) *interleaved* disabled/profiled
-    pairs and compares medians.  Interleaving matters: timing all the
-    disabled runs first and all the profiled runs second lets
-    allocator and cache warm-up drift between the two groups, which
-    used to report a *negative* overhead.  The reported percentage is
-    clamped at zero — the profiler cannot speed a launch up, so any
-    negative difference is measurement noise by construction (the raw
-    signed value is kept in ``overhead_pct_raw``).
+    Runs ``repeats`` (at least 11) *interleaved* disabled/profiled
+    pairs and takes the median of the per-pair ratios.  Each ratio
+    compares two launches made back to back, so a drift of the
+    machine's speed between pairs cancels (the medians of five pairs,
+    compared with each other, read up to 32 % on a shared 2-core
+    machine).  The reported percentage is clamped at zero — the
+    profiler cannot speed a launch up, so any negative difference is
+    measurement noise by construction (the raw signed value is kept in
+    ``overhead_pct_raw``).
     """
     import statistics
 
@@ -184,7 +185,7 @@ def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
     from ..apps.matmul import MatMul, build_kernel
     from ..cuda import CompiledExecutor, Device, launch
 
-    repeats = max(5, repeats)
+    repeats = max(11, repeats)
     tile = 16
     kern = build_kernel("tiled_unrolled", tile)
     a, b = MatMul._inputs(n)
@@ -207,15 +208,14 @@ def measure_overhead(n: int = 256, repeats: int = 5) -> Dict[str, float]:
         disabled_times.append(one_launch())
         with LaunchProfiler():
             enabled_times.append(one_launch())
-    disabled = statistics.median(disabled_times)
-    enabled = statistics.median(enabled_times)
-    raw_pct = 100.0 * (enabled - disabled) / disabled \
-        if disabled > 0 else 0.0
+    raw_pct = 100.0 * statistics.median(
+        enabled / disabled - 1.0
+        for disabled, enabled in zip(disabled_times, enabled_times))
     return {
         "workload": f"matmul {n}^3 functional, tiled_unrolled, compiled",
         "repeats": repeats,
-        "disabled_seconds": round(disabled, 4),
-        "profiled_seconds": round(enabled, 4),
+        "disabled_seconds": round(statistics.median(disabled_times), 4),
+        "profiled_seconds": round(statistics.median(enabled_times), 4),
         "overhead_pct": round(max(0.0, raw_pct), 2),
         "overhead_pct_raw": round(raw_pct, 2),
     }
@@ -428,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"profiler overhead: {overhead['overhead_pct']:.2f}% "
                   f"(disabled {overhead['disabled_seconds']}s, profiled "
                   f"{overhead['profiled_seconds']}s, "
-                  f"median of {overhead['repeats']})")
+                  f"median of {overhead['repeats']} pairs)")
     if args.chrome_trace and not args.json:
         print(f"chrome trace written to {args.chrome_trace}")
     if args.timeline and not args.json:

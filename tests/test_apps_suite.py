@@ -1,10 +1,16 @@
 """Functional and characteristic tests for the 12-application suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, get_app, iter_apps, suite_names
 from repro.cuda import Device
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestRegistry:
@@ -171,14 +177,58 @@ class TestLbm:
             lbm_step_kernel("zigzag")
 
 
+def _scipy_mesh_matrix(mesh_n, seed=5):
+    """fem's mesh matrix as SciPy assembles it (same draws, same order):
+    the reference for :func:`repro.apps.fem.build_mesh_matrix`."""
+    sp = pytest.importorskip("scipy.sparse")
+    n = mesh_n * mesh_n
+    idx = np.arange(n).reshape(mesh_n, mesh_n)
+    rows = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel(),
+                           idx[:-1, :-1].ravel()])
+    cols = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel(),
+                           idx[1:, 1:].ravel()])
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    rows, cols = perm[rows], perm[cols]
+    w = rng.uniform(0.5, 2.0, rows.size).astype(np.float32)
+    a = sp.coo_matrix((np.concatenate([w, w]),
+                       (np.concatenate([rows, cols]),
+                        np.concatenate([cols, rows]))), shape=(n, n)).tocsr()
+    a.sum_duplicates()
+    diag = np.asarray(a.sum(axis=1)).ravel()
+    lap = (sp.diags(diag.astype(np.float32)) - a).tocsr().astype(np.float32)
+    return lap, rng.standard_normal(n).astype(np.float32)
+
+
 class TestFem:
     def test_mesh_matrix_structure(self):
         from repro.apps.fem import build_mesh_matrix
         a, x0 = build_mesh_matrix(8)
         assert a.shape == (64, 64)
+        diagonal = a.indices == np.repeat(np.arange(64), np.diff(a.indptr))
         # Laplacian rows sum to ~0 and diagonal is positive
-        assert np.abs(np.asarray(a.sum(axis=1))).max() < 1e-3
-        assert (a.diagonal() > 0).all()
+        assert np.abs(a @ np.ones(64, np.float32)).max() < 1e-3
+        assert diagonal.sum() == 64 and (a.data[diagonal] > 0).all()
+
+    @pytest.mark.parametrize("mesh_n", [8, 64])
+    def test_mesh_matrix_equals_scipy_assembly(self, mesh_n):
+        from repro.apps.fem import build_mesh_matrix
+        ref, ref_x0 = _scipy_mesh_matrix(mesh_n)
+        a, x0 = build_mesh_matrix(mesh_n)
+        assert a.shape == ref.shape
+        for got, want in ((a.indptr, ref.indptr), (a.indices, ref.indices),
+                          (a.data, ref.data), (x0, ref_x0)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_registry_import_leaves_scipy_out(self):
+        """SciPy is a test dependency only: importing every app does not
+        import it."""
+        code = ("import sys, repro.apps.registry; "
+                "sys.exit('scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
     def test_gathers_do_not_coalesce(self):
         app = get_app("fem")

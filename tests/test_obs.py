@@ -250,3 +250,21 @@ def test_profile_report_json_holds_one_record_per_launch(capsys):
 def test_profile_report_unknown_device_exits_2(capsys):
     assert profile_report.main(["saxpy", "--device", "no_such_gpu"]) == 2
     assert "no_such_gpu" in capsys.readouterr().err
+
+
+def test_overhead_gate_catches_a_real_overhead(monkeypatch):
+    """A profiled launch slowed by a fifth of a launch reads over the
+    CI gate's 5 %, although the estimate is a median of pair ratios."""
+    import time
+
+    launch_s = profile_report.measure_overhead(n=64)["disabled_seconds"]
+    on_launch = LaunchProfiler.on_launch
+
+    def slowed(self, result):
+        time.sleep(launch_s / 5)
+        return on_launch(self, result)
+
+    monkeypatch.setattr(LaunchProfiler, "on_launch", slowed)
+    overhead = profile_report.measure_overhead(n=64)
+    assert overhead["repeats"] == 11
+    assert overhead["overhead_pct"] > 5.0

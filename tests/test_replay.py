@@ -257,9 +257,9 @@ def _fem_launch(dev):
     """fem's SpMV arguments on ``dev`` and one plan over them (each
     execution reads its own cold caches)."""
     a, x0 = build_mesh_matrix(8)
-    args = (dev.to_device(a.indptr.astype(np.int32), "rowptr"),
-            dev.to_device(a.indices.astype(np.int32), "colidx"),
-            dev.to_device(a.data.astype(np.float32), "values"),
+    args = (dev.to_device(a.indptr, "rowptr"),
+            dev.to_device(a.indices, "colidx"),
+            dev.to_device(a.data, "values"),
             dev.to_device(x0, "x"), dev.alloc(a.shape[0], np.float32, "y"),
             a.shape[0])
     return args, LaunchPlan.build(spmv_kernel(), (1,), (64,), args,
