@@ -16,8 +16,9 @@ Entry points:
 * :func:`advise_target` — rank optimization passes by predicted payoff.
 * ``python -m repro.analysis.lint`` — lint registered applications
   (``--estimate`` / ``--advise`` add the performance model).
-* ``python -m repro.analysis.validate`` — cross-validate static
-  verdicts against dynamic trace counters and the timing simulator.
+* ``python -m repro.analysis.validate`` — the one cross-validation
+  driver: static verdicts against dynamic trace counters, warpsim, the
+  sanitizers (:mod:`repro.san`) and the timing simulator.
 """
 
 import importlib

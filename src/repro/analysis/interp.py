@@ -791,7 +791,11 @@ class KernelInterp:
             return self.recorder
         args = (self.ctx,) + tuple(self.target.args)
         try:
-            self._call_interp(func, args, {})
+            # one error state per sample block, as the executors enter
+            # KERNEL_ERRSTATE per block: concrete lane arithmetic may
+            # divide by zero or overflow as the kernel's would
+            with np.errstate(all="ignore"):
+                self._call_interp(func, args, {})
         except AnalysisLimit as exc:
             self.recorder.note(f"analysis stopped: {exc}")
         return self.recorder
@@ -1061,13 +1065,14 @@ class KernelInterp:
     def _exec_while(self, stmt: ast.While, scope: Scope,
                     func: InterpFunc) -> None:
         count = 0
+        broke = False
         while True:
             test = self._eval(stmt.test, scope, func)
             if isinstance(test, SymVal):
                 value = test.concrete_value()
                 if value is None or test.varying:
-                    self._exec_unknown_while(stmt, scope, func)
-                    return
+                    broke = self._exec_unknown_while(stmt, scope, func)
+                    break
                 test = bool(np.asarray(value))
             if not test:
                 break
@@ -1079,20 +1084,28 @@ class KernelInterp:
             try:
                 self._exec_block(stmt.body, scope, func)
             except _Break:
+                broke = True
                 break
             except _Continue:
                 continue
+        if not broke and stmt.orelse:
+            self._exec_block(stmt.orelse, scope, func)
 
     def _exec_unknown_while(self, stmt: ast.While, scope: Scope,
-                            func: InterpFunc) -> None:
+                            func: InterpFunc) -> bool:
+        """Analyze a data-dependent loop's first iterations; True when
+        the body left it through ``break``."""
         self.recorder.note(
             f"data-dependent while loop: analyzed "
             f"{UNKNOWN_WHILE_ITERS} iterations")
         for _ in range(UNKNOWN_WHILE_ITERS):
             try:
                 self._exec_block(stmt.body, scope, func)
-            except (_Break, _Continue):
+            except _Break:
+                return True
+            except _Continue:
                 break
+        return False
 
     def _exec_with(self, stmt: ast.With, scope: Scope,
                    func: InterpFunc) -> None:
@@ -1255,20 +1268,26 @@ class KernelInterp:
 
     def _unaryop(self, node: ast.UnaryOp, scope: Scope, func: InterpFunc):
         value = self._eval(node.operand, scope, func)
-        if isinstance(node.op, ast.USub):
-            return -value
-        if isinstance(node.op, ast.UAdd):
-            return +value
-        if isinstance(node.op, ast.Invert):
-            return ~value
-        if isinstance(node.op, ast.Not):
-            if isinstance(value, SymVal):
-                cv = value.concrete_value()
-                if cv is None:
-                    return SymVal.opaque("bool", value.taints, value.varying)
-                return SymVal(np.logical_not(cv), None, "bool",
-                              value.taints, value.varying)
-            return not value
+        try:
+            if isinstance(node.op, ast.USub):
+                return -value
+            if isinstance(node.op, ast.UAdd):
+                return +value
+            if isinstance(node.op, ast.Invert):
+                return ~value
+            if isinstance(node.op, ast.Not):
+                if isinstance(value, SymVal):
+                    cv = value.concrete_value()
+                    if cv is None:
+                        return SymVal.opaque("bool", value.taints,
+                                             value.varying)
+                    return SymVal(np.logical_not(cv), None, "bool",
+                                  value.taints, value.varying)
+                return not value
+        except AnalysisLimit:
+            raise
+        except Exception as exc:
+            raise AnalysisLimit(f"operator failed: {exc}") from None
         raise AnalysisLimit("unsupported unary operator")
 
     def _boolop(self, node: ast.BoolOp, scope: Scope, func: InterpFunc):

@@ -371,9 +371,8 @@ def _binop(op: str, left: SymLike, right: SymLike) -> SymVal:
     if av is not None and bv is not None:
         try:
             func = _ARITH[op]
-            with np.errstate(all="ignore"):
-                return SymVal(func(np.asarray(av), np.asarray(bv)),
-                              None, kind, taints, varying)
+            return SymVal(func(np.asarray(av), np.asarray(bv)),
+                          None, kind, taints, varying)
         except Exception:
             return SymVal.opaque(kind, taints, varying)
 

@@ -1,4 +1,4 @@
-"""Cross-validate static analyzer verdicts against dynamic traces.
+"""Cross-validate static analyzer verdicts against dynamic execution.
 
 The analyzer's value rests on its verdicts *agreeing with the
 simulator*: a statically "coalesced" array must show 1.0 transactions
@@ -7,39 +7,45 @@ per coalescing-group access when the kernel actually runs, a
 shared buffer must produce zero bank-conflict serialization cycles,
 and the occupancy the analyzer predicts from declared resources must
 match what :func:`repro.sim.occupancy.occupancy_for_launch` computes
-for the executed launch.
+for the executed launch.  Its hazard verdicts must agree with the
+sanitizers (:mod:`repro.san`) on the same kernels.
 
-This harness runs the Section 4 matmul ladder (naive → tiled →
-tiled_unrolled → prefetch) plus saxpy **twice** — once statically
-through :func:`repro.analysis.rules.analyze_target` and once
-dynamically under a :class:`repro.obs.LaunchProfiler` — and checks the
-verdicts pairwise::
+This is the one cross-validation driver::
 
     python -m repro.analysis.validate            # human-readable
-    python -m repro.analysis.validate --json     # machine-readable
+    python -m repro.analysis.validate --json     # the checks as JSON
 
-It also validates the *static performance estimator*
-(:mod:`repro.analysis.estimate`) against the timing simulator at
-n=256, asserting that
+Each sweep computes every expensive result once, for all the checks
+that read it:
 
-* each kernel's statically predicted GFLOPS matches the simulated
-  launch within tolerance, with matching bottleneck attribution;
-* the ladder ordering reproduces the paper's Section 4 story
-  (naive < tiled < tiled+unrolled, prefetch slightly *slower* than
-  unrolled, 4x4 tiles *worse* than untiled — Figure 4);
-* the closed-form anchors land where the paper computed them: naive
-  is bandwidth-bound with a ~43.2 GFLOPS compute potential, the
-  unrolled kernel compute-bound near 93.72 GFLOPS potential;
-* liveness register estimates reproduce the 10/9/11 regs/thread
-  anecdotes and the resulting blocks/SM.
+* :func:`validation_checks` — the Section 4 matmul ladder (naive →
+  tiled → tiled_unrolled → prefetch) plus saxpy, linted and profiled;
+* :func:`app_checks` — every application, linted once, sanitized once
+  and profiled once: R8, trace vs warpsim, the clean check, R7's
+  launch dataflow and sanitized bit-identity;
+* :func:`broken_checks` — :data:`repro.san.broken.BROKEN`, each
+  kernel analyzed once and run once under the sanitizers;
+* :func:`estimator_checks` — the static performance estimator
+  (:mod:`repro.analysis.estimate`) against the timing simulator at
+  n=256:
+
+  * each kernel's statically predicted GFLOPS matches the simulated
+    launch within tolerance, with matching bottleneck attribution;
+  * the ladder ordering reproduces the paper's Section 4 story
+    (naive < tiled < tiled+unrolled, prefetch slightly *slower* than
+    unrolled, 4x4 tiles *worse* than untiled — Figure 4);
+  * the closed-form anchors land where the paper computed them: naive
+    is bandwidth-bound with a ~43.2 GFLOPS compute potential, the
+    unrolled kernel compute-bound near 93.72 GFLOPS potential;
+  * liveness register estimates reproduce the 10/9/11 regs/thread
+    anecdotes and the resulting blocks/SM.
 
 ``--golden PATH`` additionally gates each kernel's
-predicted/simulated ratio against a checked-in golden file
-(``--write-golden`` refreshes it), failing on >10% drift.
+predicted/simulated ratio against a checked-in golden file, failing
+on >10% drift; ``--write-golden PATH`` computes only the estimator
+pairs, writes their ratios to PATH and exits.
 
-Exit status is non-zero if any check disagrees; the test suite runs
-the same checks via :func:`validation_checks` and
-:func:`estimator_checks`.
+Exit status is non-zero if any check disagrees.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from ..obs import LaunchProfiler
 from ..sim.occupancy import occupancy_for_launch
 from ..sim.timing import KernelTimeEstimate, estimate_kernel_time
 from .estimate import PerfEstimate, estimate_target
-from .findings import KernelReport
+from .findings import KernelReport, Severity
 from .rules import analyze_target
 from .targets import LintArray, LintTarget
 
@@ -77,12 +83,17 @@ ESTIMATOR_RTOL = 0.10
 GOLDEN_RTOL = 0.10
 
 
+def _python_scalar(value: object) -> object:
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass
 class Check:
     """One static-vs-dynamic agreement check.
 
     ``subject`` names what was checked: a kernel, ``app/kernel``, a
-    broken-catalogue entry or an application.
+    broken-catalogue entry or an application.  NumPy scalars are stored
+    as the Python scalars they print as, so :meth:`to_dict` is JSON.
     """
 
     subject: str
@@ -90,6 +101,11 @@ class Check:
     static: object            # the analyzer's verdict
     dynamic: object           # the simulator's measurement
     ok: bool
+
+    def __post_init__(self) -> None:
+        self.static = _python_scalar(self.static)
+        self.dynamic = _python_scalar(self.dynamic)
+        self.ok = bool(self.ok)
 
     def format(self) -> str:
         mark = "ok  " if self.ok else "FAIL"
@@ -380,7 +396,8 @@ def golden_checks(golden: Dict[str, Dict[str, float]],
 
 
 # ----------------------------------------------------------------------
-# R8 divergence: static census vs dynamic trace vs warpsim
+# Apps and the broken catalogue: the analyzer vs trace, warpsim and the
+# sanitizers
 # ----------------------------------------------------------------------
 
 #: absolute tolerance for static-vs-dynamic divergent-branch-fraction
@@ -403,6 +420,20 @@ DIVERGENCE_MIN_FRACTION = 0.01
 #: agreement — the two denominators differ (warp instructions vs issue
 #: cycles), so SFU-heavy kernels can diverge by a few percent
 WARPSIM_ATOL = 0.05
+
+#: static-analyzer rules that mirror a sanitizer tool (the lint suite
+#: also emits performance rules — coalescing, occupancy — that have no
+#: dynamic counterpart and stay out of the clean verdict)
+STATIC_SAN_RULES = frozenset(
+    {"shared-race", "divergent-sync", "bounds", "shared-uninit",
+     "divergence"})
+
+#: multi-launch applications whose R7 classification is cross-checked
+DATAFLOW_APPS = ("lbm", "fdtd", "mri-fhd")
+
+#: applications for the bit-identity check (one global-only, one
+#: shared-tiled, one multi-launch)
+IDENTITY_APPS = ("saxpy", "matmul", "lbm")
 
 
 def materialized_launch(target: LintTarget,
@@ -448,101 +479,164 @@ def materialized_launch(target: LintTarget,
                       record_stream=True)
 
 
-def divergence_checks(spec: DeviceSpec = DEFAULT_DEVICE,
-                      apps: Optional[Sequence[str]] = None
-                      ) -> List[Check]:
-    """R8 cross-validation, three layers:
+def _r8_highs(report: KernelReport) -> int:
+    """The report's R8 divergent-sync HIGH findings, counted."""
+    return sum(1 for f in report.findings
+               if f.rule == "divergence" and f.severity is Severity.HIGH)
 
-    1. **clean apps** — every suite application must carry no R8 HIGH
-       statically, and each kernel's static census divergent-branch
-       fraction must match the profiled dynamic fraction within
-       :data:`DIVERGENCE_ATOL` (absolute);
-    2. **trace vs warpsim** — for every lint target, the dynamic
-       trace's divergence-serialized issue share must agree with the
-       warpsim replay of the same recorded block stream within
-       :data:`WARPSIM_ATOL`;
-    3. **broken catalogue** — static R8 HIGH ⇔ the sanitizer's dynamic
-       ``divergent-sync`` HIGH, kernel by kernel over
-       :data:`repro.san.broken.BROKEN`.
-    """
-    from ..apps.registry import app_names, get_app
-    from ..san.broken import BROKEN
+
+def _warpsim_check(subject: str, target: LintTarget,
+                   spec: DeviceSpec) -> Check:
+    """The seeded launch's divergence-serialized issue share under the
+    trace vs under warpsim's replay of the same recorded block stream,
+    within :data:`WARPSIM_ATOL`."""
     from ..sim.warpsim import simulate_launch
-    from .findings import Severity
+    check = "trace vs warpsim serialized fraction"
+    try:
+        result = materialized_launch(target, spec)
+        sim = simulate_launch(result, spec)
+    except Exception as exc:
+        return Check(subject, check, "error",
+                     f"{type(exc).__name__}: {exc}", False)
+    t_frac = result.trace.divergence_serialized_fraction
+    w_frac = sim.divergence_serialized_fraction
+    return Check(subject, check, round(t_frac, 4), round(w_frac, 4),
+                 abs(t_frac - w_frac) <= WARPSIM_ATOL)
 
-    names = list(apps) if apps is not None else app_names()
+
+def _branch_fraction_checks(name: str, reports: Dict[str, KernelReport],
+                            spec: DeviceSpec) -> List[Check]:
+    """Each kernel's static census divergent-branch fraction vs the
+    trace-only profiled run of the test workload (see
+    :data:`DIVERGENCE_ATOL`)."""
+    from ..apps.registry import get_app
+    app = get_app(name, spec)
+    with LaunchProfiler(estimate=False) as prof:
+        app.run(app.default_workload("test"), functional=False)
+    agg: Dict[str, List[float]] = {}
+    for rec in prof.records:
+        tot = agg.setdefault(rec.kernel, [0.0, 0.0])
+        tot[0] += rec.branch_warps
+        tot[1] += rec.divergent_branch_warps
     checks: List[Check] = []
+    for kernel, (branches, divergent) in sorted(agg.items()):
+        rep = reports.get(kernel)
+        if rep is None or not rep.divergence:
+            continue
+        static_frac = float(rep.divergence.get(
+            "static_divergent_branch_fraction", 0.0))
+        dyn_frac = divergent / branches if branches else 0.0
+        # one-sided: static is a pessimistic upper bound for
+        # data-dependent branches; both sides must still agree on
+        # whether the kernel diverges at all
+        bounded = dyn_frac <= static_frac + DIVERGENCE_ATOL
+        same_character = ((static_frac >= DIVERGENCE_MIN_FRACTION)
+                          == (dyn_frac >= DIVERGENCE_MIN_FRACTION))
+        checks.append(Check(
+            f"{name}/{kernel}", "divergent-branch fraction",
+            round(static_frac, 4), round(dyn_frac, 4),
+            bounded and same_character))
+    return checks
 
-    for name in names:
-        app = get_app(name, spec)
+
+def _sanitized_checks(name: str, static_flagged: bool,
+                      spec: DeviceSpec) -> List[Check]:
+    """One sanitized functional run of the test workload: the clean
+    check's dynamic side, R7's observed launch log and the outputs the
+    bit-identity check compares with a plain run's."""
+    from ..apps.registry import get_app
+    from ..cuda.executors import SanitizedExecutor
+    from ..cuda.plan import observe_plans
+    from .rules import analyze_launch_sequence, classify_dataflow
+    app = get_app(name, spec)
+    workload = app.default_workload("test")
+    executor = SanitizedExecutor()
+    app.executor = executor
+    plans: List[object] = []
+    with observe_plans(plans.append):
+        run = app.run(workload, functional=True)
+    state = executor.state
+    dynamic_flagged = bool(state.high_findings())
+    checks = [Check(name, "clean app unflagged by both sides",
+                    static_flagged, dynamic_flagged,
+                    not static_flagged and not dynamic_flagged)]
+
+    if name in DATAFLOW_APPS:
+        flow = analyze_launch_sequence(plans, app=name, spec=spec)
+        observed = classify_dataflow(state.launch_accesses())
+        for array in sorted(set(flow.arrays) | set(observed)):
+            s = flow.arrays.get(array)
+            d = observed.get(array)
+            s_cls = s.classification if s else "absent"
+            d_cls = d.classification if d else "absent"
+            checks.append(Check(
+                f"{name}/{array}", "launch-dataflow class agrees",
+                s_cls, d_cls, s_cls == d_cls))
+
+    if name in IDENTITY_APPS:
+        plain = get_app(name, spec).run(workload, functional=True)
+        identical = set(plain.outputs) == set(run.outputs) and all(
+            np.array_equal(plain.outputs[k], run.outputs[k])
+            for k in plain.outputs)
+        checks.append(Check(name, "sanitized outputs bit-identical",
+                            "reference",
+                            "identical" if identical else "DIVERGED",
+                            identical))
+    return checks
+
+
+def app_checks(spec: DeviceSpec = DEFAULT_DEVICE,
+               apps: Optional[Sequence[str]] = None) -> List[Check]:
+    """The app sweep over ``apps`` (default: every registered
+    application); see the module docstring."""
+    from ..apps.registry import app_names, get_app
+    checks: List[Check] = []
+    for name in (apps if apps is not None else app_names()):
         reports: Dict[str, KernelReport] = {}
-        for target in app.lint_targets():
+        static_flagged = False
+        for target in get_app(name, spec).lint_targets():
             rep = analyze_target(target, app=name, spec=spec)
             reports[rep.kernel] = rep
-            highs = [f for f in rep.findings
-                     if f.rule == "divergence"
-                     and f.severity is Severity.HIGH]
-            checks.append(Check(
-                f"{name}/{rep.kernel}", "no R8 divergent-sync HIGH",
-                len(highs), 0, not highs))
+            static_flagged = static_flagged or any(
+                f.severity >= Severity.HIGH and f.rule in STATIC_SAN_RULES
+                for f in rep.findings)
+            subject = f"{name}/{rep.kernel}"
+            highs = _r8_highs(rep)
+            checks.append(Check(subject, "no R8 divergent-sync HIGH",
+                                highs, 0, not highs))
+            checks.append(_warpsim_check(subject, target, spec))
+        checks.extend(_branch_fraction_checks(name, reports, spec))
+        checks.extend(_sanitized_checks(name, static_flagged, spec))
+    return checks
 
-            # layer 2: trace vs warpsim on the target's own geometry
-            try:
-                result = materialized_launch(target, spec)
-                sim = simulate_launch(result, spec)
-            except Exception as exc:
-                checks.append(Check(
-                    f"{name}/{rep.kernel}",
-                    "trace vs warpsim serialized fraction",
-                    "error", f"{type(exc).__name__}: {exc}", False))
-                continue
-            t_frac = result.trace.divergence_serialized_fraction
-            w_frac = sim.divergence_serialized_fraction
-            checks.append(Check(
-                f"{name}/{rep.kernel}",
-                "trace vs warpsim serialized fraction",
-                round(t_frac, 4), round(w_frac, 4),
-                abs(t_frac - w_frac) <= WARPSIM_ATOL))
 
-        # layer 1b: static census fraction vs the profiled workload
-        with LaunchProfiler(estimate=False) as prof:
-            app.run(app.default_workload("test"), functional=False)
-        agg: Dict[str, List[float]] = {}
-        for rec in prof.records:
-            tot = agg.setdefault(rec.kernel, [0.0, 0.0])
-            tot[0] += rec.branch_warps
-            tot[1] += rec.divergent_branch_warps
-        for kernel, (branches, divergent) in sorted(agg.items()):
-            rep = reports.get(kernel)
-            if rep is None or not rep.divergence:
-                continue
-            static_frac = float(rep.divergence.get(
-                "static_divergent_branch_fraction", 0.0))
-            dyn_frac = divergent / branches if branches else 0.0
-            # one-sided: static is a pessimistic upper bound for
-            # data-dependent branches; both sides must still agree on
-            # whether the kernel diverges at all (see DIVERGENCE_ATOL)
-            bounded = dyn_frac <= static_frac + DIVERGENCE_ATOL
-            same_character = ((static_frac >= DIVERGENCE_MIN_FRACTION)
-                              == (dyn_frac >= DIVERGENCE_MIN_FRACTION))
-            checks.append(Check(
-                f"{name}/{kernel}", "divergent-branch fraction",
-                round(static_frac, 4), round(dyn_frac, 4),
-                bounded and same_character))
-
-    # layer 3: the broken catalogue, R8 vs synccheck
+def broken_checks(spec: DeviceSpec = DEFAULT_DEVICE) -> List[Check]:
+    """The broken sweep: each kernel of :data:`repro.san.broken.BROKEN`
+    analyzed once and run once under the sanitizers."""
+    from ..san.broken import BROKEN
+    from ..san.state import SanState
+    checks: List[Check] = []
     for bk in BROKEN:
-        rep = analyze_target(bk.target())
-        static_hit = any(f.rule == "divergence"
-                         and f.severity is Severity.HIGH
-                         for f in rep.findings)
-        res = bk.run()
-        dynamic_hit = any(f.rule == "divergent-sync"
-                          and f.severity is Severity.HIGH
-                          for f in res.san.all_findings())
+        report = analyze_target(bk.target(), app="broken", spec=spec)
+        state = SanState()
+        bk.run(state)
+        static_hit = {f.rule for f in report.findings
+                      if f.severity >= Severity.HIGH
+                      and f.rule in STATIC_SAN_RULES}
+        dynamic_hit = {f.rule for f in state.all_findings()
+                       if f.severity >= Severity.HIGH}
+        static = bool(static_hit & bk.static_rules)
+        dynamic = bool(dynamic_hit & bk.dynamic_rules)
+        checks.append(Check(
+            bk.name, f"caught by both sides ({bk.bug}; tool={bk.tool})",
+            sorted(static_hit) if static else "MISSED",
+            sorted(dynamic_hit) if dynamic else "MISSED",
+            static and dynamic))
+        r8 = _r8_highs(report) > 0
+        synccheck = "divergent-sync" in dynamic_hit
         checks.append(Check(
             f"broken/{bk.name}", "R8 HIGH == synccheck divergent-sync",
-            static_hit, dynamic_hit, static_hit == dynamic_hit))
+            r8, synccheck, r8 == synccheck))
     return checks
 
 
@@ -550,33 +644,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.validate",
         description="cross-validate static verdicts against the "
-                    "simulator's dynamic trace counters")
+                    "simulator's trace counters, the timing model and "
+                    "the sanitizers")
     parser.add_argument("--json", action="store_true",
-                        help="emit checks as JSON")
-    parser.add_argument("--divergence", action="store_true",
-                        help="also run the R8 divergence cross-"
-                             "validation: static census fractions vs "
-                             "profiled counters vs warpsim over every "
-                             "suite app and the broken catalogue")
+                        help="emit the checks as a JSON list")
     parser.add_argument("--golden", metavar="PATH", default=None,
                         help="gate predicted/simulated ratios against "
                              "this golden JSON file")
     parser.add_argument("--write-golden", metavar="PATH", default=None,
-                        help="write the current ratios to PATH and exit")
+                        help="write the estimator's current ratios to "
+                             "PATH and exit")
     args = parser.parse_args(argv)
 
-    checks = validation_checks()
-    if args.divergence:
-        checks.extend(divergence_checks())
-    pairs = estimator_pairs()
     if args.write_golden:
-        ratios = estimator_ratios(pairs=pairs)
+        ratios = estimator_ratios()
         with open(args.write_golden, "w") as fh:
             json.dump(ratios, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {len(ratios)} golden ratios to {args.write_golden}")
         return 0
-    checks.extend(estimator_checks(pairs=pairs))
+    pairs = estimator_pairs()
+    checks = (validation_checks() + app_checks() + broken_checks()
+              + estimator_checks(pairs=pairs))
     if args.golden:
         with open(args.golden) as fh:
             golden = json.load(fh)

@@ -18,9 +18,9 @@ Entry points: ``launch(..., sanitize=True)``, the
 application's ``executor`` to sanitize whole app runs), and the CLI
 ``python -m repro.san.check``.  Findings reuse
 :class:`repro.analysis.findings.Finding`, so static-analyzer reports
-and sanitizer reports render and serialize identically —
-:mod:`repro.san.validate` exploits that to cross-validate the two
-sides against each other.
+and sanitizer reports render and serialize identically — the app and
+broken sweeps of ``python -m repro.analysis.validate`` exploit that to
+cross-validate the two sides against each other.
 """
 
 from .state import SanState, SAN_RULES

@@ -3,10 +3,11 @@
 Each :class:`BrokenKernel` carries one classic CUDA bug in a minimal
 kernel, plus everything both detection sides need: a
 :class:`~repro.analysis.targets.LintTarget` for the static analyzer
-and a runnable sanitized launch for the dynamic tools.  The
-cross-validation harness (:mod:`repro.san.validate`) requires every
-entry to be caught at HIGH severity by **both** sides, and the CI
-``san`` job sweeps them via ``python -m repro.san.check --broken``.
+and a runnable sanitized launch for the dynamic tools.  The broken
+sweep of the cross-validation driver
+(:func:`repro.analysis.validate.broken_checks`) requires every entry
+to be caught at HIGH severity by **both** sides, and
+``tests/test_san.py`` pins each entry's dynamic catch.
 
 The bug catalogue mirrors what ``cuda-memcheck`` ships tools for:
 missing barriers in a tree reduction, a barrier inside a divergent

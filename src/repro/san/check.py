@@ -6,21 +6,20 @@ Usage::
     python -m repro.san.check matmul lbm           # selected apps
     python -m repro.san.check --tool racecheck     # one tool (repeatable)
     python -m repro.san.check --json               # machine-readable
-    python -m repro.san.check --fail-on high       # CI gate
+    python -m repro.san.check --fail-on high       # exit 1 on a HIGH
     python -m repro.san.check --device gtx_480     # another device profile
-    python -m repro.san.check --broken             # negative sweep
 
 Each selected application's test workload runs to completion under a
 :class:`~repro.cuda.executors.SanitizedExecutor`; like the real tool,
 one run reports *every* violation (out-of-bounds accesses are clamped
 and execution continues).  With ``--fail-on SEVERITY`` the process
 exits non-zero when any finding at or above that severity is emitted —
-CI gates the application suite on ``high``.
+the suite's test workloads run clean at ``high``.
 
-``--broken`` sweeps the deliberately broken kernels of
-:mod:`repro.san.broken` instead and *inverts* the gate: the exit code
-is non-zero unless every kernel is caught at HIGH severity through its
-expected rule — the sanitizer's own regression test.
+The deliberately broken kernels of :mod:`repro.san.broken` are the
+sanitizers' negative tests: the broken sweep of
+``python -m repro.analysis.validate`` requires each to be caught at
+HIGH by both the sanitizers and the static analyzer.
 
 JSON output is an object ``{"schema_version": 1, "device": NAME,
 "tools": [...], "reports": [...]}`` with per-app findings and the
@@ -32,11 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.findings import Severity
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from .broken import BROKEN
 from .state import SAN_RULES, SanState, TOOLS
 
 #: version of the ``--json`` envelope; bump on shape changes
@@ -94,41 +92,6 @@ def _run_apps(args, spec: DeviceSpec) -> int:
     return 0
 
 
-def _run_broken(args, spec: DeviceSpec) -> int:
-    tools = args.tool if args.tool else None
-    reports = []
-    missed: List[str] = []
-    for bk in BROKEN:
-        state = SanState(tools)
-        bk.run(state)
-        hit = {f.rule for f in state.all_findings()
-               if f.severity >= Severity.HIGH}
-        caught = bool(hit & bk.dynamic_rules)
-        if not caught:
-            missed.append(bk.name)
-        reports.append((bk, state, caught))
-    if args.json:
-        json.dump({
-            "schema_version": JSON_SCHEMA_VERSION,
-            "device": spec.name,
-            "mode": "broken",
-            "reports": [{
-                "kernel": bk.name, "bug": bk.bug, "tool": bk.tool,
-                "caught": caught, **state.to_dict(),
-            } for bk, state, caught in reports],
-            "missed": missed,
-        }, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        for bk, state, caught in reports:
-            mark = "caught" if caught else "MISSED"
-            print(f"{bk.name}: {mark} ({bk.bug}; tool={bk.tool})")
-            for f in state.all_findings():
-                print(f"    {SAN_RULES.get(f.rule, '?')}: {f.format()}")
-        print(f"\n{len(reports)} broken kernels, {len(missed)} missed")
-    return 1 if missed else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.san.check",
@@ -147,16 +110,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "severity (info|medium|high)")
     parser.add_argument("--device", metavar="NAME", default=None,
                         help="device profile to sanitize on")
-    parser.add_argument("--broken", action="store_true",
-                        help="sweep the deliberately broken kernels; "
-                             "exit 1 unless every one is caught")
     args = parser.parse_args(argv)
     spec = DEFAULT_DEVICE
     if args.device:
         from ..arch.registry import device_by_name
         spec = device_by_name(args.device)
-    if args.broken:
-        return _run_broken(args, spec)
     return _run_apps(args, spec)
 
 

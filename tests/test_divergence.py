@@ -420,8 +420,8 @@ def test_lint_json_envelope_carries_rules(capsys):
 # ----------------------------------------------------------------------
 
 def test_divergence_checks_agree_on_clean_app_and_broken():
-    from repro.analysis.validate import divergence_checks
-    checks = divergence_checks(apps=("tpacf",))
+    from repro.analysis.validate import app_checks, broken_checks
+    checks = app_checks(apps=("tpacf",)) + broken_checks()
     assert checks
     bad = [c.format() for c in checks if not c.ok]
     assert not bad, "\n".join(bad)

@@ -586,10 +586,37 @@ class TestAutotunerPruning:
 
 class TestValidateCli:
     def test_golden_flag_passes(self, capsys):
-        assert validate_main(["--golden", str(GOLDEN_PATH)]) == 0
-        assert "0 disagreement(s)" in capsys.readouterr().out
+        """The one full run of the validation driver: every sweep's
+        checks, as JSON, all agreeing."""
+        from repro.apps.registry import app_names
+        assert validate_main(["--golden", str(GOLDEN_PATH), "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)
+        assert all(c["ok"] is True for c in checks), \
+            [c for c in checks if c["ok"] is not True]
+        kinds = {c["check"].split(" (")[0] for c in checks}
+        assert kinds >= {
+            "occupancy", "bank conflicts", "no R8 divergent-sync HIGH",
+            "trace vs warpsim serialized fraction",
+            "divergent-branch fraction", "launch-dataflow class agrees",
+            "sanitized outputs bit-identical", "caught by both sides",
+            "R8 HIGH == synccheck divergent-sync",
+            "predicted/simulated GFLOPS",
+            "predicted/simulated ratio drift vs golden"}
+        clean = {c["subject"] for c in checks
+                 if c["check"] == "clean app unflagged by both sides"}
+        assert clean == set(app_names())
 
-    def test_write_golden_round_trips(self, tmp_path, capsys):
+    def test_write_golden_round_trips(self, tmp_path, capsys,
+                                      monkeypatch):
+        """``--write-golden`` computes the estimator pairs and nothing
+        else."""
+        from repro.analysis import validate
+
+        def not_run(*args, **kwargs):
+            raise AssertionError("--write-golden ran a sweep")
+
+        for sweep in ("validation_checks", "app_checks", "broken_checks"):
+            monkeypatch.setattr(validate, sweep, not_run)
         path = tmp_path / "golden.json"
         assert validate_main(["--write-golden", str(path)]) == 0
         capsys.readouterr()

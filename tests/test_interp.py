@@ -8,11 +8,14 @@ on a lane value, a chained comparison, a starred call, ``while`` with
 refuses (``try``, ``lambda``, a set display).  The recorder's event
 counts by kind, its memory events, notes and hazards are pinned for two
 sample blocks, so a change to the interpreter's dispatch leaves them as
-they are.  Lines are relative to the kernel's ``co_firstlineno``.
+they are.  Smaller kernels pin ``not`` on an identity lane vector (the
+statement is skipped with a note), ``while … else`` and a division by
+zero.  Lines are relative to the kernel's ``co_firstlineno``.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -20,7 +23,7 @@ import pytest
 
 from repro.analysis import LintTarget, garr
 from repro.analysis.interp import HazardEvent, MemEvent, interpret
-from repro.cuda import kernel
+from repro.cuda import Device, kernel, launch
 
 
 @kernel("interp_constructs", regs_per_thread=8)
@@ -124,3 +127,80 @@ def test_no_operand_is_broadcast_to_its_own_shape(monkeypatch):
     monkeypatch.setattr(np, "broadcast_to", counting)
     analyze_target(target, app="matmul")
     assert calls["same"] == 0, calls
+
+
+@kernel("not_identity_lanes", regs_per_thread=4)
+def not_identity_lanes(ctx, x, y, n):
+    i = ctx.global_tid()
+    with ctx.masked(not (ctx.tx < 16)):
+        ctx.st_global(y, i, ctx.ld_global(x, i))
+    ctx.st_global(y, i, ctx.ld_global(x, i))
+
+
+def _lint_block(kern, n=64):
+    target = LintTarget(kern, (1,), (32,), (garr("x", 64), garr("y", 64), n))
+    recorder, _ctx = interpret(target, (0, 0, 0))
+    first = kern.fn.__code__.co_firstlineno
+    mem = [(ev.op, ev.line - first) for ev in recorder.events
+           if isinstance(ev, MemEvent)]
+    notes = [(line - first, message) for line, message in recorder.notes]
+    return mem, notes
+
+
+def test_not_on_an_identity_lane_vector_is_skipped_with_a_note():
+    """``ctx.tx`` is a plain lane vector, so ``not`` on a comparison of
+    it raises NumPy's ValueError when the kernel runs; lint skips the
+    statement with a note and goes on."""
+    dev = Device()
+    x = dev.to_device(np.zeros(64, np.float32), "x")
+    y = dev.alloc(64, np.float32, "y")
+    with pytest.raises(ValueError, match="truth value"):
+        launch(not_identity_lanes, (1,), (32,), (x, y, 64), device=dev)
+    mem, notes = _lint_block(not_identity_lanes)
+    assert mem == [("ld", 5), ("st", 5)]
+    (line, message), = notes
+    assert line == 3
+    assert message.startswith("skipped With: operator failed: The truth "
+                              "value of an array")
+
+
+@kernel("while_else_store", regs_per_thread=4)
+def while_else_store(ctx, x, y, n):
+    i = ctx.global_tid()
+    k = 0
+    while k < n:
+        k += 1
+        if k == 3:
+            break
+    else:
+        ctx.st_global(y, i, ctx.ld_global(x, i))
+
+
+@pytest.mark.parametrize("n, mem", [(2, [("ld", 9), ("st", 9)]),
+                                    (4, [])],
+                         ids=["ends", "breaks"])
+def test_while_else_runs_unless_the_loop_breaks(n, mem):
+    """As in Python: the ``else`` of a ``while`` runs after the loop
+    ends on its condition, and not after a ``break``."""
+    assert _lint_block(while_else_store, n) == (mem, [])
+
+
+@kernel("zero_divisor", regs_per_thread=4)
+def zero_divisor(ctx, x, y, n):
+    i = ctx.global_tid()
+    lane = ctx.iadd(ctx.tx, 0)
+    ctx.st_global(y, i, ctx.ld_global(x, lane // (n - n) + ctx.tx // (n - n)))
+
+
+def test_division_by_zero_lints_without_a_warning():
+    """A sample block runs under one NumPy error state, as an executed
+    block does, so dividing a lane value (``SymVal``) or an identity
+    lane vector (ndarray) by zero warns in neither."""
+    target = LintTarget(zero_divisor, (1,), (32,),
+                        (garr("x", 64), garr("y", 64), 64))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recorder, _ctx = interpret(target, (0, 0, 0))
+    assert [str(w.message) for w in caught] == []
+    assert [ev.op for ev in recorder.events
+            if isinstance(ev, MemEvent)] == ["ld", "st"]

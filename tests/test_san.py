@@ -16,8 +16,8 @@ from repro.arch.device import DEFAULT_DEVICE
 from repro.cuda import Device, LaunchPlan, kernel, launch
 from repro.cuda.executors import SanitizedExecutor
 from repro.san import SAN_RULES, SanState
+from repro.analysis.validate import app_checks, broken_checks
 from repro.san import check as san_check
-from repro.san import validate as san_validate
 from repro.san.broken import BLOCK, BROKEN, GRID, N, broken_by_name
 from repro.trace.instr import InstrClass
 
@@ -243,14 +243,6 @@ class TestWarpsimSynccheck:
 
 
 class TestCheckCLI:
-    def test_broken_sweep_all_caught(self, capsys):
-        assert san_check.main(["--broken"]) == 0
-        assert "10 broken kernels, 0 missed" in capsys.readouterr().out
-
-    def test_gated_broken_sweep_fails(self, capsys):
-        assert san_check.main(["--broken", "--tool", "memcheck"]) == 1
-        assert "MISSED" in capsys.readouterr().out
-
     def test_clean_app_passes_high_gate(self, capsys):
         assert san_check.main(["saxpy", "--fail-on", "high"]) == 0
         assert "saxpy: clean" in capsys.readouterr().out
@@ -265,24 +257,20 @@ class TestCheckCLI:
         assert report["app"] == "saxpy"
         assert report["launches"]  # the dynamic R7 log rides along
 
-    def test_broken_json_lists_missed(self, capsys):
-        assert san_check.main(
-            ["--broken", "--tool", "synccheck", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"] == "broken"
-        assert "racy_reduction" in payload["missed"]
-        assert "divergent_sync" not in payload["missed"]
-
 
 class TestCrossValidation:
-    """Light smoke over repro.san.validate (CI runs the full harness)."""
+    """The sanitizer side of repro.analysis.validate's sweeps (CI runs
+    the full driver)."""
 
     def test_broken_checks_agree(self):
-        checks = san_validate.broken_checks(DEFAULT_DEVICE)
-        assert len(checks) == len(BROKEN)
+        checks = broken_checks(DEFAULT_DEVICE)
+        assert len(checks) == 2 * len(BROKEN)
         bad = [c.format() for c in checks if not c.ok]
         assert not bad, bad
 
     def test_clean_check_saxpy(self):
-        checks = san_validate.clean_checks(DEFAULT_DEVICE, apps=["saxpy"])
+        checks = app_checks(DEFAULT_DEVICE, apps=["saxpy"])
+        clean = [c for c in checks
+                 if c.check == "clean app unflagged by both sides"]
+        assert len(clean) == 1
         assert all(c.ok for c in checks)
