@@ -35,7 +35,9 @@ from repro.analysis import (
     garr,
 )
 from repro.analysis.lint import lint_app, main as lint_main
-from repro.analysis.validate import Check, validation_checks
+from repro.analysis.validate import (
+    Check, main as validate_main, validation_checks,
+)
 from repro.apps.registry import app_names
 from repro.arch import DEFAULT_DEVICE
 from repro.cuda import CudaModelError, Device, kernel, launch
@@ -300,6 +302,11 @@ class TestValidation:
         assert any("coalesced" in c.check for c in checks)
         assert any(c.check == "bank conflicts" for c in checks)
         assert any(c.check == "occupancy" for c in checks)
+
+    def test_validate_cli_exits_clean(self, capsys):
+        assert validate_main([]) == 0
+        out = capsys.readouterr().out
+        assert "0 disagreement(s)" in out
 
     def test_check_with_numpy_scalars_is_json(self):
         """NumPy scalars are stored as the Python scalars they print
