@@ -1104,7 +1104,7 @@ class KernelInterp:
             except _Break:
                 return True
             except _Continue:
-                break
+                continue
         return False
 
     def _exec_with(self, stmt: ast.With, scope: Scope,

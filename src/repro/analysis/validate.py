@@ -19,9 +19,10 @@ Each sweep computes every expensive result once, for all the checks
 that read it:
 
 * :func:`validation_checks` — the Section 4 matmul ladder (naive →
-  tiled → tiled_unrolled → prefetch) plus saxpy, linted and profiled;
+  tiled → tiled_unrolled → prefetch) plus saxpy, each verdict against
+  the trace of one trace-only run, with the app sweep's lint reports;
 * :func:`app_checks` — every application, linted once, sanitized once
-  and profiled once: R8, trace vs warpsim, the clean check, R7's
+  and run trace-only once: R8, trace vs warpsim, the clean check, R7's
   launch dataflow and sanitized bit-identity;
 * :func:`broken_checks` — :data:`repro.san.broken.BROKEN`, each
   kernel analyzed once and run once under the sanitizers;
@@ -61,9 +62,9 @@ import numpy as np
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.launch import LaunchResult, launch as run_launch
 from ..cuda.memory import Device
-from ..obs import LaunchProfiler
 from ..sim.occupancy import occupancy_for_launch
 from ..sim.timing import KernelTimeEstimate, estimate_kernel_time
+from ..trace.trace import KernelTrace
 from .estimate import PerfEstimate, estimate_target
 from .findings import KernelReport, Severity
 from .rules import analyze_target
@@ -118,15 +119,17 @@ class Check:
                 "ok": self.ok}
 
 
-def _coalescing_checks(report: KernelReport, record,
+def _coalescing_checks(report: KernelReport, trace: KernelTrace,
                        tol: float = 1e-9) -> List[Check]:
     """Per-array: static coalesced ⇔ dynamic transactions/access == 1."""
     checks: List[Check] = []
     for acc in report.accesses:
         if acc.space != "global":
             continue
-        tpa = record.transactions_per_access.get(acc.array)
-        if tpa is None or tpa == 0.0:   # array untouched in the trace
+        stats = trace.per_array.get(acc.array)
+        tpa = (round(stats.transactions_per_access, 4)
+               if stats is not None else 0.0)
+        if tpa == 0.0:                  # array untouched in the trace
             continue
         if acc.coalesced is True:
             ok = abs(tpa - 1.0) <= 1e-3
@@ -142,14 +145,15 @@ def _coalescing_checks(report: KernelReport, record,
     return checks
 
 
-def _conflict_check(report: KernelReport, record) -> List[Check]:
+def _conflict_check(report: KernelReport, trace: KernelTrace
+                    ) -> List[Check]:
     """Static max bank-conflict degree ⇔ dynamic serialization cycles."""
     degrees = [acc.conflict_degree or 1 for acc in report.accesses
                if acc.space == "shared"]
     if not degrees:
         return []
     worst = max(degrees)
-    cycles = record.bank_conflict_cycles
+    cycles = trace.shared_conflict_cycles
     ok = (cycles == 0.0) if worst <= 1 else (cycles > 0.0)
     return [Check(report.kernel, "bank conflicts",
                   f"degree={worst}", f"cycles={cycles}", ok)]
@@ -166,40 +170,50 @@ def _occupancy_check(report: KernelReport, result) -> List[Check]:
                   {k: dyn.get(k) for k in keys}, ok)]
 
 
+#: lint reports by application and lint-target note
+Reports = Dict[str, Dict[str, KernelReport]]
+
+
 def _validate_app(name: str, workloads: Sequence[Dict[str, object]],
-                  spec: DeviceSpec) -> List[Check]:
+                  spec: DeviceSpec, reports: Dict[str, KernelReport]
+                  ) -> List[Check]:
+    """Each workload's launch against the lint report of the target
+    noted with its variant, taken from ``reports`` when it is there."""
     from ..apps.registry import get_app
     app = get_app(name, spec)
     targets = {t.note: t for t in app.lint_targets()}
     checks: List[Check] = []
     for workload in workloads:
         note = str(workload.get("variant", ""))
-        target = targets.get(note)
-        if target is None:
-            raise KeyError(f"{name} has no lint target noted {note!r}")
-        report = analyze_target(target, app=name, spec=spec)
-        with LaunchProfiler(estimate=False) as prof:
-            run = app.run(dict(workload), functional=False)
-        result = run.launches[0]
-        record = prof.records[0]
-        assert record.kernel == report.kernel, \
-            f"profiler saw {record.kernel}, analyzer saw {report.kernel}"
-        checks.extend(_coalescing_checks(report, record))
-        checks.extend(_conflict_check(report, record))
+        report = reports.get(note)
+        if report is None:
+            if note not in targets:
+                raise KeyError(f"{name} has no lint target noted {note!r}")
+            report = analyze_target(targets[note], app=name, spec=spec)
+        result = app.run(dict(workload), functional=False).launches[0]
+        assert result.kernel.name == report.kernel, \
+            f"launch ran {result.kernel.name}, analyzer saw {report.kernel}"
+        checks.extend(_coalescing_checks(report, result.trace))
+        checks.extend(_conflict_check(report, result.trace))
         checks.extend(_occupancy_check(report, result))
     return checks
 
 
-def validation_checks(spec: DeviceSpec = DEFAULT_DEVICE) -> List[Check]:
-    """All static-vs-dynamic checks for the matmul ladder and saxpy."""
+def validation_checks(spec: DeviceSpec = DEFAULT_DEVICE,
+                      reports: Optional[Reports] = None) -> List[Check]:
+    """All static-vs-dynamic checks for the matmul ladder and saxpy.
+
+    ``reports`` holds lint reports already made (the app sweep's, see
+    :func:`app_checks`); the ladder lints only the targets it lacks."""
+    reports = reports if reports is not None else {}
     checks = _validate_app(
         "matmul",
         [{"n": 64, "variant": v, "tile": 16, "trace_blocks": 16}
-         for v in MATMUL_LADDER], spec)
+         for v in MATMUL_LADDER], spec, reports.get("matmul", {}))
     checks.extend(_validate_app(
         "saxpy",
         [{"n": 4096, "a": 2.5, "iterations": 1, "trace_blocks": 16}],
-        spec))
+        spec, reports.get("saxpy", {})))
     return checks
 
 
@@ -504,23 +518,23 @@ def _warpsim_check(subject: str, target: LintTarget,
                  abs(t_frac - w_frac) <= WARPSIM_ATOL)
 
 
-def _branch_fraction_checks(name: str, reports: Dict[str, KernelReport],
+def _branch_fraction_checks(name: str, reports: Sequence[KernelReport],
                             spec: DeviceSpec) -> List[Check]:
     """Each kernel's static census divergent-branch fraction vs the
-    trace-only profiled run of the test workload (see
+    trace-only run of the test workload (see
     :data:`DIVERGENCE_ATOL`)."""
     from ..apps.registry import get_app
     app = get_app(name, spec)
-    with LaunchProfiler(estimate=False) as prof:
-        app.run(app.default_workload("test"), functional=False)
+    run = app.run(app.default_workload("test"), functional=False)
     agg: Dict[str, List[float]] = {}
-    for rec in prof.records:
-        tot = agg.setdefault(rec.kernel, [0.0, 0.0])
-        tot[0] += rec.branch_warps
-        tot[1] += rec.divergent_branch_warps
+    for result in run.launches:
+        tot = agg.setdefault(result.kernel.name, [0.0, 0.0])
+        tot[0] += result.trace.branch_warps
+        tot[1] += result.trace.divergent_branch_warps
+    by_kernel = {rep.kernel: rep for rep in reports}
     checks: List[Check] = []
     for kernel, (branches, divergent) in sorted(agg.items()):
-        rep = reports.get(kernel)
+        rep = by_kernel.get(kernel)
         if rep is None or not rep.divergence:
             continue
         static_frac = float(rep.divergence.get(
@@ -586,17 +600,20 @@ def _sanitized_checks(name: str, static_flagged: bool,
 
 
 def app_checks(spec: DeviceSpec = DEFAULT_DEVICE,
-               apps: Optional[Sequence[str]] = None) -> List[Check]:
+               apps: Optional[Sequence[str]] = None,
+               reports: Optional[Reports] = None) -> List[Check]:
     """The app sweep over ``apps`` (default: every registered
-    application); see the module docstring."""
+    application); see the module docstring.  Each lint report is left
+    in ``reports[app][target note]``, for :func:`validation_checks`."""
     from ..apps.registry import app_names, get_app
+    reports = reports if reports is not None else {}
     checks: List[Check] = []
     for name in (apps if apps is not None else app_names()):
-        reports: Dict[str, KernelReport] = {}
+        app_reports = reports.setdefault(name, {})
         static_flagged = False
         for target in get_app(name, spec).lint_targets():
             rep = analyze_target(target, app=name, spec=spec)
-            reports[rep.kernel] = rep
+            app_reports[target.note] = rep
             static_flagged = static_flagged or any(
                 f.severity >= Severity.HIGH and f.rule in STATIC_SAN_RULES
                 for f in rep.findings)
@@ -605,7 +622,8 @@ def app_checks(spec: DeviceSpec = DEFAULT_DEVICE,
             checks.append(Check(subject, "no R8 divergent-sync HIGH",
                                 highs, 0, not highs))
             checks.append(_warpsim_check(subject, target, spec))
-        checks.extend(_branch_fraction_checks(name, reports, spec))
+        checks.extend(_branch_fraction_checks(
+            name, list(app_reports.values()), spec))
         checks.extend(_sanitized_checks(name, static_flagged, spec))
     return checks
 
@@ -664,7 +682,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {len(ratios)} golden ratios to {args.write_golden}")
         return 0
     pairs = estimator_pairs()
-    checks = (validation_checks() + app_checks() + broken_checks()
+    reports: Reports = {}
+    apps = app_checks(reports=reports)
+    checks = (validation_checks(reports=reports) + apps + broken_checks()
               + estimator_checks(pairs=pairs))
     if args.golden:
         with open(args.golden) as fh:

@@ -73,7 +73,7 @@ def format_records(records: Sequence[LaunchRecord],
             f"{stages_ms[1]:.2f}",
             f"{stages_ms[2]:.2f}",
             f"{stages_ms[3]:.2f}",
-            _fmt_count(rec.warp_insts),
+            _fmt_count(rec.trace.total_warp_insts),
             f"{rec.overall_transactions_per_access:.2f}",
             f"{rec.gflops:.2f}",
             rec.bound,
@@ -86,36 +86,29 @@ def format_records(records: Sequence[LaunchRecord],
         if per_array:
             details.append(f"  {rec.kernel}: txn/access per array: "
                            f"{per_array}")
+        trace = rec.trace
         io = []
         for op in ("gld", "gst"):
-            bus = rec.io.get(f"{op}_bus_bytes", 0)
+            bus = getattr(trace, f"{op}_bus_bytes")
             if bus > 0:
-                useful = rec.io[f"{op}_useful_bytes"]
+                useful = getattr(trace, f"{op}_useful_bytes")
                 io.append(f"{op}_efficiency={100 * useful / bus:.1f}%")
         io += [f"{space}_hit_rate={rate:.1%}"
                for space, rate in rec.cache_hit_rates().items()]
         if io:
             details.append(f"  {rec.kernel}: " + "  ".join(io))
+        if trace.branch_warps > 0:
+            # R8's dynamic counters
+            details.append(
+                f"  {rec.kernel}: {_fmt_count(trace.branch_warps)} branch "
+                f"warps, {_fmt_count(trace.divergent_branch_warps)} "
+                f"divergent ({trace.divergent_branch_fraction:.1%}); "
+                f"{_fmt_count(trace.divergence_serialized_warp_insts)} "
+                f"partial-mask warp insts "
+                f"({trace.divergence_serialized_fraction:.1%} of issue)")
     if details:
         out += "\n" + "\n".join(details)
     return out
-
-
-def format_divergence(records: Sequence[LaunchRecord]) -> str:
-    """Per-launch branch-divergence details (R8's dynamic counters)."""
-    lines = ["branch divergence:"]
-    for rec in records:
-        if rec.branch_warps == 0:
-            lines.append(f"  {rec.kernel}: no branches recorded")
-            continue
-        lines.append(
-            f"  {rec.kernel}: {_fmt_count(rec.branch_warps)} branch "
-            f"warps, {_fmt_count(rec.divergent_branch_warps)} divergent "
-            f"({rec.divergent_branch_fraction:.1%}); "
-            f"{_fmt_count(rec.divergence_serialized_warp_insts)} "
-            f"partial-mask warp insts "
-            f"({rec.divergence_serialized_fraction:.1%} of issue)")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +250,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(arithmetic intensity vs device peaks); "
                              "with --estimate the static points join "
                              "the chart")
-    parser.add_argument("--divergence", action="store_true",
-                        help="append per-launch branch-divergence "
-                             "details (branch warps, divergent "
-                             "fraction, serialized issue share — the "
-                             "R8 dynamic counters)")
     parser.add_argument("--timeline", metavar="PATH", default=None,
                         help="record a per-SM warp timeline of the app's "
                              "representative kernel (event-recording "
@@ -304,20 +292,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lint_reports = lint_app(args.app, spec)
 
     estimates = None
+    static_records: List[LaunchRecord] = []
     if args.estimate:
         from ..analysis.estimate import estimate_app
         estimates = estimate_app(args.app, spec)
+        static_records = [LaunchRecord.from_estimate(e) for e in estimates]
 
     derived = None
     deviations = None
     if args.metrics_derived:
-        from ..obs.derived import (derive_from_estimate, derive_metrics,
-                                   metric_deviation)
+        from ..obs.derived import derive_metrics, metric_deviation
         derived = [(rec, derive_metrics(rec, spec))
                    for rec in profiler.records]
         if estimates is not None:
-            static = {e.kernel: derive_from_estimate(e, spec)
-                      for e in estimates}
+            static = {r.kernel: derive_metrics(r, spec)
+                      for r in static_records}
             deviations = [(rec.kernel,
                            metric_deviation(vals, static[rec.kernel]))
                           for rec, vals in derived
@@ -325,12 +314,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     roofline = None
     if args.roofline:
-        from ..obs.roofline import (point_from_estimate, point_from_record,
-                                    roofline_report)
-        points = [point_from_record(rec) for rec in profiler.records]
-        if estimates is not None:
-            points += [point_from_estimate(e) for e in estimates]
-        roofline = roofline_report(points, spec)
+        from ..obs.roofline import point_from_record, roofline_report
+        roofline = roofline_report(
+            [point_from_record(rec)
+             for rec in profiler.records + static_records], spec)
 
     timeline = None
     if args.timeline:
@@ -357,18 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload["lint"] = [r.to_dict() for r in lint_reports]
         if estimates is not None:
             payload["estimates"] = [e.to_dict() for e in estimates]
-        if args.divergence:
-            payload["divergence"] = [
-                {"kernel": rec.kernel,
-                 "branch_warps": rec.branch_warps,
-                 "divergent_branch_warps": rec.divergent_branch_warps,
-                 "divergent_branch_fraction": round(
-                     rec.divergent_branch_fraction, 6),
-                 "divergence_serialized_warp_insts": (
-                     rec.divergence_serialized_warp_insts),
-                 "divergence_serialized_fraction": round(
-                     rec.divergence_serialized_fraction, 6)}
-                for rec in profiler.records]
         if derived is not None:
             payload["derived_metrics"] = [
                 {"kernel": rec.kernel, "metrics": vals}
@@ -398,9 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("static performance estimates:")
             for est in estimates:
                 print("  " + format_estimate(est).replace("\n", "\n  "))
-        if args.divergence:
-            print()
-            print(format_divergence(profiler.records))
         if derived is not None:
             from ..obs.derived import format_derived
             for rec, vals in derived:

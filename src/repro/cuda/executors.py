@@ -171,8 +171,8 @@ class SanitizedExecutor(SequentialExecutor):
     :class:`~repro.san.state.SanState` persists across launches, so
     definedness shadow bits and the per-launch dataflow log span a
     whole application run — assign an instance to ``app.executor`` to
-    sanitize every launch the app makes, or use
-    ``launch(..., sanitize=True)`` for a single launch.
+    sanitize every launch the app makes, or pass
+    ``launch(..., executor="sanitized")`` for a single launch.
 
     Clean kernels take exactly the base context's data path, so
     sanitized results are bit-identical to the sequential backend's.

@@ -89,7 +89,8 @@ class LaunchResult:
     #: wall time per pipeline stage (plan / execute / collect / finalize)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: the :class:`~repro.san.state.SanState` of a sanitized launch
-    #: (``sanitize=True`` / ``SanitizedExecutor``), else ``None``
+    #: (``executor="sanitized"`` or a ``SanitizedExecutor``), else
+    #: ``None``
     san: Optional[object] = None
 
     @property
@@ -153,7 +154,6 @@ def launch(
     trace: bool = True,
     record_stream: bool = False,
     executor=None,
-    sanitize: bool = False,
 ) -> LaunchResult:
     """Execute ``kern`` over ``grid`` x ``block`` threads.
 
@@ -181,19 +181,14 @@ def launch(
         (``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
         ``"auto"``),
         an :class:`~repro.cuda.executors.Executor` class or instance.
-    sanitize:
-        Run under the :class:`~repro.cuda.executors.SanitizedExecutor`
+        ``"sanitized"`` runs the
+        :class:`~repro.cuda.executors.SanitizedExecutor`
         (memcheck/racecheck/synccheck/initcheck); the result's ``san``
-        attribute carries the findings.  Pass a ``SanitizedExecutor``
-        instance as ``executor`` instead to share sanitizer state
-        across several launches.
+        attribute carries the findings.  A ``SanitizedExecutor``
+        instance shares its sanitizer state across several launches.
     """
     from .plan import LaunchPlan
     plan = LaunchPlan.build(
         kern, grid, block, args=args, device=device, functional=functional,
         trace_blocks=trace_blocks, trace=trace, record_stream=record_stream)
-    if sanitize:
-        from .executors import SanitizedExecutor
-        if not isinstance(executor, SanitizedExecutor):
-            executor = SanitizedExecutor()
     return plan.execute(executor)

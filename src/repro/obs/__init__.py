@@ -10,21 +10,25 @@ reproduction's own pipeline the same treatment.  It keeps two stores:
   decisions (executor choice, trace replay, compile fallback) ride on
   the spans as attributes with their reasons;
 * :mod:`repro.obs.profiler` — the :class:`LaunchProfiler`, capturing
-  one structured :class:`LaunchRecord` per kernel launch.
+  one :class:`LaunchRecord` per kernel launch: the launch's identity
+  and block accounting over its own trace and timing estimate.
 
 Three layers post-process them:
 
 * :mod:`repro.obs.derived` — nvprof/Nsight-style named derived metrics
-  (``achieved_occupancy``, ``gld_efficiency``, ...) computed from the
-  counters against the active device's peaks;
+  (``achieved_occupancy``, ``gld_efficiency``, ...) computed from a
+  record's trace and estimate against the active device's peaks, for
+  an executed launch or a static estimate alike;
 * :mod:`repro.obs.timeline` — per-SM warp scheduling timelines from
   the event-driven simulator (chrome://tracing JSON + ASCII strips);
 * :mod:`repro.obs.roofline` — per-launch roofline placement against
   the device's compute and bandwidth roofs.
 
-Every other pipeline count stays on the object that produced it: a
-launch result's trace and block dispositions, a module's or artifact
-cache's ``stats``.
+Every count stays on the object that produced it: a launch's trace
+counters on its :class:`~repro.trace.trace.KernelTrace`, its model
+numbers on its timing estimate, its block dispositions on the launch
+result, a module's or artifact cache's ``stats``.  A record holds the
+trace and the estimate; it copies neither.
 
 Everything is **off by default**: the ambient tracer is disabled, and
 every instrumentation point in the pipeline reduces to one tracer
@@ -43,8 +47,8 @@ from .spans import (
     use_tracer,
 )
 from .profiler import LaunchProfiler, LaunchRecord, active_profiler
-from .derived import (METRICS, MetricDef, derive_from_estimate,
-                      derive_metrics, format_derived, metric_deviation)
+from .derived import (METRICS, MetricDef, derive_metrics, format_derived,
+                      metric_deviation)
 from .roofline import RooflinePoint, format_roofline, roofline_report
 from .timeline import Timeline, format_timeline, record_timeline
 
@@ -61,7 +65,6 @@ __all__ = [
     "METRICS",
     "MetricDef",
     "derive_metrics",
-    "derive_from_estimate",
     "metric_deviation",
     "format_derived",
     "RooflinePoint",

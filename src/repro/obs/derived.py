@@ -11,6 +11,9 @@ plus the active :class:`~repro.arch.device.DeviceSpec` (so peaks are
 device-aware — the same record evaluated against a G80 and a GTX 480
 yields different efficiency percentages).
 
+Every metric reads the record's :class:`~repro.trace.trace.KernelTrace`
+(``rec.trace``) and timing estimate (``rec.estimate``).
+
 Usage::
 
     from repro.obs.derived import derive_metrics, format_derived
@@ -24,9 +27,11 @@ A metric that does not apply to a launch (L1 hit rate on a device
 without a global cache hierarchy, model-based metrics when the timing
 estimate was disabled) evaluates to ``None`` and renders as ``n/a``.
 
-The same names are computable *statically* from a
-:class:`~repro.analysis.estimate.PerfEstimate` via
-:func:`derive_from_estimate`, which is what lets the
+The same names are computable *statically*: the record
+:meth:`LaunchRecord.from_estimate
+<repro.obs.profiler.LaunchRecord.from_estimate>` builds over a
+:class:`~repro.analysis.estimate.PerfEstimate` goes through
+:func:`derive_metrics` like a measured one, which is what lets the
 estimator-vs-measured deviation report (:func:`metric_deviation`)
 speak one vocabulary for both sides.
 """
@@ -36,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Union
 
-from ..arch.device import DEFAULT_DEVICE, DeviceSpec
+from ..arch.device import DeviceSpec
 
 __all__ = [
     "MetricDef", "METRICS", "register_metric", "metric",
-    "derive_metrics", "derive_from_estimate", "metric_deviation",
+    "derive_metrics", "metric_deviation",
     "format_derived", "format_deviation",
 ]
 
@@ -84,17 +89,17 @@ def metric(name: str, unit: str, formula: str):
 # Shared helpers
 # ----------------------------------------------------------------------
 
-def _active_warps_per_sm(rec) -> Optional[float]:
-    """Resident warps per SM from the record's occupancy block."""
-    warps = rec.occupancy.get("warps/SM") if rec.occupancy else None
-    return float(warps) if warps is not None else None
+def _model_seconds(rec) -> float:
+    """Modeled kernel seconds, 0.0 without a timing estimate."""
+    return rec.estimate.seconds if rec.estimate is not None else 0.0
 
 
 def _model_cycles_per_sm(rec, spec: DeviceSpec) -> Optional[float]:
     """Modeled kernel cycles on one SM (wall time x clock)."""
-    if rec.model_seconds <= 0:
+    seconds = _model_seconds(rec)
+    if seconds <= 0:
         return None
-    return rec.model_seconds * spec.sp_clock_ghz * 1e9
+    return seconds * spec.sp_clock_ghz * 1e9
 
 
 def _sms_used(rec, spec: DeviceSpec) -> int:
@@ -102,8 +107,8 @@ def _sms_used(rec, spec: DeviceSpec) -> int:
 
 
 def _hit_rate_pct(rec, space: str) -> Optional[float]:
-    hits = rec.cache.get(f"{space}_hits", 0.0)
-    misses = rec.cache.get(f"{space}_misses", 0.0)
+    hits = getattr(rec.trace, f"{space}_hits")
+    misses = getattr(rec.trace, f"{space}_misses")
     total = hits + misses
     return 100.0 * hits / total if total > 0 else None
 
@@ -115,10 +120,9 @@ def _hit_rate_pct(rec, space: str) -> Optional[float]:
 @metric("achieved_occupancy", "ratio",
         "active warps per SM / device max resident warps per SM")
 def _achieved_occupancy(rec, spec: DeviceSpec) -> Optional[float]:
-    warps = _active_warps_per_sm(rec)
-    if warps is None:
+    if rec.estimate is None:
         return None
-    return warps / spec.max_warps_per_sm
+    return rec.estimate.occupancy.active_warps_per_sm / spec.max_warps_per_sm
 
 
 @metric("ipc", "warp-inst/cycle",
@@ -126,16 +130,17 @@ def _achieved_occupancy(rec, spec: DeviceSpec) -> Optional[float]:
         "(peak = 1 / issue_cycles_per_warp_inst)")
 def _ipc(rec, spec: DeviceSpec) -> Optional[float]:
     cycles = _model_cycles_per_sm(rec, spec)
-    if cycles is None or rec.warp_insts <= 0:
+    warp_insts = rec.trace.total_warp_insts
+    if cycles is None or warp_insts <= 0:
         return None
-    return rec.warp_insts / _sms_used(rec, spec) / cycles
+    return warp_insts / _sms_used(rec, spec) / cycles
 
 
 def _efficiency_raw(rec, kind: str) -> Optional[float]:
-    bus = rec.io.get(f"{kind}_bus_bytes", 0.0)
+    bus = getattr(rec.trace, f"{kind}_bus_bytes")
     if bus <= 0:
         return None
-    return 100.0 * rec.io.get(f"{kind}_useful_bytes", 0.0) / bus
+    return 100.0 * getattr(rec.trace, f"{kind}_useful_bytes") / bus
 
 
 @metric("gld_efficiency", "%",
@@ -184,28 +189,29 @@ def _gst_efficiency_raw(rec, spec: DeviceSpec) -> Optional[float]:
         "global-load transactions / coalescing-group load requests "
         "(1.0 = perfectly coalesced word accesses)")
 def _gld_tpr(rec, spec: DeviceSpec) -> Optional[float]:
-    req = rec.io.get("gld_accesses", 0.0)
+    req = rec.trace.gld_accesses
     if req <= 0:
         return None
-    return rec.io.get("gld_transactions", 0.0) / req
+    return rec.trace.gld_transactions / req
 
 
 @metric("gst_transactions_per_request", "ratio",
         "global-store transactions / coalescing-group store requests")
 def _gst_tpr(rec, spec: DeviceSpec) -> Optional[float]:
-    req = rec.io.get("gst_accesses", 0.0)
+    req = rec.trace.gst_accesses
     if req <= 0:
         return None
-    return rec.io.get("gst_transactions", 0.0) / req
+    return rec.trace.gst_transactions / req
 
 
 @metric("shared_bank_conflict_rate", "cycles/access",
         "extra serialization cycles / shared-memory warp instructions "
         "(0 = conflict-free)")
 def _shared_conflict_rate(rec, spec: DeviceSpec) -> Optional[float]:
-    if rec.shared_insts <= 0:
+    shared_insts = rec.trace.shared_memory_warp_insts
+    if shared_insts <= 0:
         return None
-    return rec.bank_conflict_cycles / rec.shared_insts
+    return rec.trace.shared_conflict_cycles / shared_insts
 
 
 @metric("l1_hit_rate", "%", "100 x L1 hits / L1 accesses "
@@ -232,16 +238,17 @@ def _tex_hit_rate(rec, spec: DeviceSpec) -> Optional[float]:
 @metric("dram_throughput_pct", "%",
         "100 x (DRAM bus bytes / modeled seconds) / pin bandwidth")
 def _dram_throughput(rec, spec: DeviceSpec) -> Optional[float]:
-    if rec.model_seconds <= 0:
+    seconds = _model_seconds(rec)
+    if seconds <= 0:
         return None
-    achieved = rec.global_bus_bytes / rec.model_seconds
+    achieved = rec.trace.global_bus_bytes / seconds
     return 100.0 * achieved / (spec.dram_bandwidth_gbs * 1e9)
 
 
 @metric("flop_sp_efficiency", "%",
         "100 x achieved GFLOPS / device peak multiply-add GFLOPS")
 def _flop_sp_efficiency(rec, spec: DeviceSpec) -> Optional[float]:
-    if rec.model_seconds <= 0:
+    if _model_seconds(rec) <= 0:
         return None
     return 100.0 * rec.gflops / spec.peak_mad_gflops
 
@@ -250,9 +257,9 @@ def _flop_sp_efficiency(rec, spec: DeviceSpec) -> Optional[float]:
         "per-bottleneck share of the timing model's cycle estimates "
         "(instruction issue / SFU / bandwidth / latency), normalized")
 def _stall_breakdown(rec, spec: DeviceSpec) -> Optional[Dict[str, float]]:
-    cycles = rec.bottleneck_cycles
-    if not cycles:
+    if rec.estimate is None:
         return None
+    cycles = rec.estimate.cycles_components()
     total = sum(cycles.values())
     if total <= 0:
         return None
@@ -263,50 +270,19 @@ def _stall_breakdown(rec, spec: DeviceSpec) -> Optional[Dict[str, float]]:
 # Engines
 # ----------------------------------------------------------------------
 
-def _resolve_spec(rec, spec: Optional[DeviceSpec]) -> DeviceSpec:
-    if spec is not None:
-        return spec
-    attached = getattr(rec, "spec", None)
-    return attached if attached is not None else DEFAULT_DEVICE
-
-
 def derive_metrics(record, spec: Optional[DeviceSpec] = None,
                    names: Optional[Sequence[str]] = None,
                    ) -> Dict[str, MetricValue]:
     """Evaluate registered metrics for one launch record.
 
-    ``spec`` defaults to the device the record was captured on (records
-    built by :meth:`LaunchRecord.from_result` carry their spec), then
-    to the package default.  ``names`` restricts the evaluation;
-    unknown names raise ``KeyError``.
+    ``spec`` defaults to the device the record was captured on.
+    ``names`` restricts the evaluation; unknown names raise
+    ``KeyError``.
     """
-    spec = _resolve_spec(record, spec)
+    spec = spec if spec is not None else record.spec
     selected = (METRICS.values() if names is None
                 else [METRICS[n] for n in names])
     return {m.name: m.compute(record, spec) for m in selected}
-
-
-def derive_from_estimate(est, spec: Optional[DeviceSpec] = None,
-                         ) -> Dict[str, MetricValue]:
-    """The same named metrics computed from a *static*
-    :class:`~repro.analysis.estimate.PerfEstimate` — no execution.
-
-    The estimate's census trace fills the counter-side inputs and its
-    timing prediction the model-side ones, so every metric name means
-    the same thing measured and predicted (cache hit rates stay ``n/a``:
-    the static census does not simulate cache residency).
-    """
-    from .profiler import LaunchRecord
-    spec = spec or est.occupancy.spec
-    rec = LaunchRecord.from_census(est.census)
-    rec.occupancy = est.occupancy.describe()
-    if est.time is not None:
-        rec.model_seconds = est.time.seconds
-        rec.gflops = est.time.gflops
-        rec.bound = est.time.bound
-        rec.bottleneck_seconds = est.time.components()
-        rec.bottleneck_cycles = est.time.cycles_components()
-    return derive_metrics(rec, spec)
 
 
 def metric_deviation(measured: Dict[str, MetricValue],

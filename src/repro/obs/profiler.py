@@ -10,10 +10,11 @@ timing model) and captures one :class:`LaunchRecord` per launch:
 * identity: kernel name, grid/block geometry, chosen executor backend;
 * block accounting: executed / traced / memo-hit / plain dispositions;
 * per-stage wall time (plan / execute / collect / finalize);
-* trace-derived counters: warp instructions, flops, per-array
-  transactions-per-access, bank-conflict cycles, cache hits;
-* the timing model's per-bottleneck estimates with the binding
-  bottleneck named (the paper's Table 3 verdict, per launch).
+* the launch's own scaled trace, which holds every counter (warp
+  instructions, flops, per-array transactions, bank-conflict cycles,
+  cache hits);
+* the launch's timing estimate, which names the binding bottleneck
+  (the paper's Table 3 verdict, per launch).
 
 Usage::
 
@@ -38,12 +39,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..arch.device import DeviceSpec
+from ..sim.timing import KernelTimeEstimate
+from ..trace.trace import KernelTrace
 from .spans import SpanTracer, set_tracer
 
 __all__ = ["LaunchProfiler", "LaunchRecord", "active_profiler"]
 
 #: pipeline stages a launch record times, in order
 STAGES = ("plan", "execute", "collect", "finalize")
+
+#: the trace's nvprof-style load/store split, as a record prints it
+_IO_COUNTERS = tuple(f"{op}_{part}" for op in ("gld", "gst")
+                     for part in ("accesses", "transactions", "bus_bytes",
+                                  "useful_bytes"))
+
+#: every cached path's hit and miss counters, L1/L2 included
+_CACHE_COUNTERS = tuple(f"{space}_{event}"
+                        for space in ("const", "tex", "l1", "l2")
+                        for event in ("hits", "misses"))
 
 
 def _dim_str(dim) -> str:
@@ -54,58 +68,15 @@ def _dim_str(dim) -> str:
     return "x".join(str(p) for p in parts)
 
 
-def _trace_fields(trace) -> Dict[str, object]:
-    """A record's trace-derived counters, the same for an executed
-    launch and a static census."""
-    from ..trace.instr import InstrClass
-    return dict(
-        warp_insts=trace.total_warp_insts,
-        flops=trace.flops,
-        global_transactions=trace.global_transactions,
-        global_warp_accesses=sum(s.warp_accesses
-                                 for s in trace.per_array.values()),
-        global_bus_bytes=trace.global_bus_bytes,
-        transactions_per_access={
-            name: round(stats.transactions_per_access, 4)
-            for name, stats in sorted(trace.per_array.items())},
-        # nvprof-style load/store traffic split
-        io={"gld_accesses": trace.gld_accesses,
-            "gld_transactions": trace.gld_transactions,
-            "gld_bus_bytes": trace.gld_bus_bytes,
-            "gld_useful_bytes": trace.gld_useful_bytes,
-            "gst_accesses": trace.gst_accesses,
-            "gst_transactions": trace.gst_transactions,
-            "gst_bus_bytes": trace.gst_bus_bytes,
-            "gst_useful_bytes": trace.gst_useful_bytes},
-        shared_insts=float(trace.warp_insts[InstrClass.LD_SHARED]
-                           + trace.warp_insts[InstrClass.ST_SHARED]),
-        bank_conflict_cycles=trace.shared_conflict_cycles,
-        # every cached path's hit/miss counters, L1/L2 included
-        cache={"const_hits": trace.const_hits,
-               "const_misses": trace.const_misses,
-               "tex_hits": trace.tex_hits,
-               "tex_misses": trace.tex_misses,
-               "l1_hits": trace.l1_hits,
-               "l1_misses": trace.l1_misses,
-               "l2_hits": trace.l2_hits,
-               "l2_misses": trace.l2_misses},
-        syncs=trace.syncs,
-        branch_warps=trace.branch_warps,
-        divergent_branch_warps=trace.divergent_branch_warps,
-        divergence_serialized_warp_insts=(
-            trace.divergence_serialized_warp_insts),
-    )
-
-
-def _hit_rate(hits: float, misses: float) -> Optional[float]:
-    """Hit fraction, or None when the path saw no accesses."""
-    total = hits + misses
-    return hits / total if total > 0 else None
-
-
 @dataclass
 class LaunchRecord:
-    """Everything the profiler knows about one kernel launch."""
+    """Everything the profiler knows about one kernel launch.
+
+    A view: it names the launch and its block accounting, and holds the
+    launch's own scaled :class:`~repro.trace.trace.KernelTrace` and its
+    :class:`~repro.sim.timing.KernelTimeEstimate`.  Every counter is
+    read from the trace and every model number from the estimate.
+    """
 
     kernel: str
     grid: str
@@ -115,37 +86,17 @@ class LaunchRecord:
     blocks_executed: int
     blocks_traced: int
     memo_hits: int
-    #: device profile the launch ran on (``DeviceSpec.name``)
-    device: str = ""
+    #: device profile the launch ran on
+    spec: DeviceSpec
+    #: the launch's trace, scaled to the full grid
+    trace: KernelTrace
+    #: the timing model's estimate; None when estimation was off or the
+    #: launch cannot be scheduled
+    estimate: Optional[KernelTimeEstimate] = None
+    #: the exception the timing model raised on an unschedulable launch
+    unschedulable: str = ""
     dispositions: Dict[str, int] = field(default_factory=dict)
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    # trace-derived counters (scaled to the full grid)
-    warp_insts: float = 0.0
-    flops: float = 0.0
-    global_transactions: float = 0.0
-    global_warp_accesses: float = 0.0
-    global_bus_bytes: float = 0.0
-    transactions_per_access: Dict[str, float] = field(default_factory=dict)
-    #: nvprof-style load/store split (gld_/gst_ accesses, transactions,
-    #: request-level bus bytes, useful bytes)
-    io: Dict[str, float] = field(default_factory=dict)
-    shared_insts: float = 0.0
-    bank_conflict_cycles: float = 0.0
-    cache: Dict[str, float] = field(default_factory=dict)
-    syncs: float = 0.0
-    #: branch / divergence counters (R8's dynamic side)
-    branch_warps: float = 0.0
-    divergent_branch_warps: float = 0.0
-    divergence_serialized_warp_insts: float = 0.0
-
-    # timing-model attribution
-    model_seconds: float = 0.0
-    gflops: float = 0.0
-    bound: str = "n/a"
-    bottleneck_seconds: Dict[str, float] = field(default_factory=dict)
-    bottleneck_cycles: Dict[str, float] = field(default_factory=dict)
-    occupancy: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Construction
@@ -154,7 +105,6 @@ class LaunchRecord:
     def from_result(cls, result, estimate: bool = True) -> "LaunchRecord":
         """Build a record from an executed
         :class:`~repro.cuda.launch.LaunchResult`."""
-        trace = result.trace
         rec = cls(
             kernel=result.kernel.name,
             grid=_dim_str(result.grid),
@@ -164,39 +114,27 @@ class LaunchRecord:
             blocks_executed=result.blocks_executed,
             blocks_traced=result.blocks_traced,
             memo_hits=result.memo_hits,
-            device=result.spec.name,
+            spec=result.spec,
+            trace=result.trace,
             dispositions=dict(result.block_dispositions),
             stage_seconds=dict(result.stage_seconds),
-            **_trace_fields(trace),
         )
-        rec.spec = result.spec
-        if estimate and trace.total_warp_insts > 0:
+        if estimate and result.trace.total_warp_insts > 0:
             try:
-                est = result.estimate()
+                rec.estimate = result.estimate()
             except Exception as exc:        # unschedulable configs etc.
-                rec.bound = f"unschedulable ({type(exc).__name__})"
-            else:
-                rec.model_seconds = est.seconds
-                rec.gflops = est.gflops
-                rec.bound = est.bound
-                rec.bottleneck_seconds = est.components()
-                rec.bottleneck_cycles = est.cycles_components()
-                rec.occupancy = est.occupancy.describe()
+                rec.unschedulable = type(exc).__name__
         return rec
 
     @classmethod
-    def from_census(cls, census) -> "LaunchRecord":
-        """Synthesize a record from a static
-        :class:`~repro.analysis.census.KernelCensus` — no execution.
-
-        This is how launches that never ran still surface nvprof-style
-        counters:
-        the census's grid-extrapolated trace fills the same fields a
-        dynamic trace would, with the executor marked ``"census"`` and
-        all stage timings zero.
-        """
+    def from_estimate(cls, est) -> "LaunchRecord":
+        """A record of a launch that never ran: a static
+        :class:`~repro.analysis.estimate.PerfEstimate`'s grid-extrapolated
+        census trace and timing, with the executor marked ``"census"``
+        and no stage timings."""
+        census = est.census
         return cls(
-            kernel=census.label,
+            kernel=est.kernel,
             grid="x".join(str(d) for d in census.grid),
             block="x".join(str(d) for d in census.block),
             executor="census",
@@ -204,7 +142,9 @@ class LaunchRecord:
             blocks_executed=0,
             blocks_traced=census.blocks_sampled,
             memo_hits=0,
-            **_trace_fields(census.trace),
+            spec=est.occupancy.spec,
+            trace=census.trace,
+            estimate=est.time,
         )
 
     # ------------------------------------------------------------------
@@ -214,50 +154,57 @@ class LaunchRecord:
     def wall_seconds(self) -> float:
         return sum(self.stage_seconds.values())
 
+    @property
+    def gflops(self) -> float:
+        """Modelled GFLOPS, 0.0 without an estimate."""
+        return self.estimate.gflops if self.estimate is not None else 0.0
+
+    @property
+    def bound(self) -> str:
+        """The timing model's binding bottleneck."""
+        if self.estimate is not None:
+            return self.estimate.bound
+        if self.unschedulable:
+            return f"unschedulable ({self.unschedulable})"
+        return "n/a"
+
     def cache_hit_rates(self) -> Dict[str, float]:
         """Hit fraction per cached path that actually saw traffic
-        (const / tex / l1 / l2) — the PR-6 hierarchy counters, surfaced
-        per launch."""
+        (const / tex / l1 / l2)."""
         out: Dict[str, float] = {}
         for space in ("const", "tex", "l1", "l2"):
-            rate = _hit_rate(self.cache.get(f"{space}_hits", 0.0),
-                             self.cache.get(f"{space}_misses", 0.0))
-            if rate is not None:
-                out[space] = rate
+            hits = getattr(self.trace, f"{space}_hits")
+            total = hits + getattr(self.trace, f"{space}_misses")
+            if total > 0:
+                out[space] = hits / total
         return out
 
     @property
-    def divergent_branch_fraction(self) -> float:
-        """Fraction of branch executions whose warp lanes disagreed."""
-        if self.branch_warps == 0:
-            return 0.0
-        return self.divergent_branch_warps / self.branch_warps
-
-    @property
-    def divergence_serialized_fraction(self) -> float:
-        """Fraction of issued warp instructions executed under a
-        partial mask — issue slots consumed while lanes idle."""
-        if self.warp_insts == 0:
-            return 0.0
-        return self.divergence_serialized_warp_insts / self.warp_insts
+    def transactions_per_access(self) -> Dict[str, float]:
+        """Transactions per coalescing-group access of each array, by
+        name, rounded to 4 decimals (1.0 = coalesced)."""
+        return {name: round(stats.transactions_per_access, 4)
+                for name, stats in sorted(self.trace.per_array.items())}
 
     @property
     def overall_transactions_per_access(self) -> float:
         """Launch-wide transactions per coalescing-group access
         (1.0 = every group — a half-warp on CUDA 1.x devices, a full
         warp on cached ones — coalesced perfectly)."""
-        if self.global_warp_accesses == 0:
+        accesses = sum(s.warp_accesses for s in self.trace.per_array.values())
+        if accesses == 0:
             return 0.0
-        return self.global_transactions / self.global_warp_accesses
+        return self.trace.global_transactions / accesses
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready structured record."""
+        t, est = self.trace, self.estimate
         return {
             "kernel": self.kernel,
             "grid": self.grid,
             "block": self.block,
             "executor": self.executor,
-            "device": self.device,
+            "device": self.spec.name,
             "blocks": {
                 "total": self.blocks_total,
                 "executed": self.blocks_executed,
@@ -269,34 +216,39 @@ class LaunchRecord:
                               for s in STAGES},
             "wall_seconds": self.wall_seconds,
             "counters": {
-                "warp_insts": self.warp_insts,
-                "flops": self.flops,
-                "global_transactions": self.global_transactions,
-                "global_warp_accesses": self.global_warp_accesses,
-                "global_bus_bytes": self.global_bus_bytes,
-                "shared_insts": self.shared_insts,
-                "bank_conflict_cycles": self.bank_conflict_cycles,
-                "syncs": self.syncs,
-                "branch_warps": self.branch_warps,
-                "divergent_branch_warps": self.divergent_branch_warps,
+                "warp_insts": t.total_warp_insts,
+                "flops": t.flops,
+                "global_transactions": t.global_transactions,
+                "global_warp_accesses": sum(
+                    s.warp_accesses for s in t.per_array.values()),
+                "global_bus_bytes": t.global_bus_bytes,
+                "shared_insts": t.shared_memory_warp_insts,
+                "bank_conflict_cycles": t.shared_conflict_cycles,
+                "syncs": t.syncs,
+                "branch_warps": t.branch_warps,
+                "divergent_branch_warps": t.divergent_branch_warps,
                 "divergence_serialized_warp_insts": (
-                    self.divergence_serialized_warp_insts),
+                    t.divergence_serialized_warp_insts),
                 "divergent_branch_fraction": round(
-                    self.divergent_branch_fraction, 6),
+                    t.divergent_branch_fraction, 6),
                 "divergence_serialized_fraction": round(
-                    self.divergence_serialized_fraction, 6),
-                **self.io,
-                **self.cache,
+                    t.divergence_serialized_fraction, 6),
+                **{name: getattr(t, name) for name in _IO_COUNTERS},
+                **{name: getattr(t, name) for name in _CACHE_COUNTERS},
             },
-            "transactions_per_access": dict(self.transactions_per_access),
+            "transactions_per_access": self.transactions_per_access,
             "model": {
-                "seconds": self.model_seconds,
+                "seconds": est.seconds if est is not None else 0.0,
                 "gflops": round(self.gflops, 3),
                 "bound": self.bound,
-                "bottleneck_seconds": dict(self.bottleneck_seconds),
-                "bottleneck_cycles": dict(self.bottleneck_cycles),
+                "bottleneck_seconds":
+                    est.components() if est is not None else {},
+                "bottleneck_cycles":
+                    est.cycles_components() if est is not None else {},
             },
-            "occupancy": {str(k): v for k, v in self.occupancy.items()},
+            "occupancy": ({str(k): v for k, v
+                           in est.occupancy.describe().items()}
+                          if est is not None else {}),
         }
 
     def digest(self) -> str:
@@ -305,9 +257,10 @@ class LaunchRecord:
         caches = "".join(f"  {space}_hit={rate:.0%}"
                          for space, rate in hits.items())
         div = ""
-        if self.divergent_branch_warps > 0:
-            div = (f"  div_branch={self.divergent_branch_fraction:.0%}"
-                   f"  div_serial={self.divergence_serialized_fraction:.0%}")
+        if self.trace.divergent_branch_warps > 0:
+            div = (f"  div_branch={self.trace.divergent_branch_fraction:.0%}"
+                   f"  div_serial="
+                   f"{self.trace.divergence_serialized_fraction:.0%}")
         return (f"{self.kernel}  grid {self.grid}  block {self.block}  "
                 f"exec={self.executor}  blocks {self.blocks_executed}"
                 f"/{self.blocks_total} (traced {self.blocks_traced}, "
@@ -381,10 +334,7 @@ class LaunchProfiler:
         if roofline and self.records:
             from .roofline import (format_roofline, point_from_record,
                                    roofline_report)
-            spec = getattr(self.records[0], "spec", None)
-            if spec is None:
-                from ..arch.device import DEFAULT_DEVICE
-                spec = DEFAULT_DEVICE
             points = [point_from_record(r) for r in self.records]
-            out += "\n\n" + format_roofline(roofline_report(points, spec))
+            out += "\n\n" + format_roofline(
+                roofline_report(points, self.records[0].spec))
         return out

@@ -10,11 +10,13 @@ placed under the active device's two roofs,
   derated by the timing model's achievable-efficiency factor), and
 * the **compute roof** ``peak multiply-add GFLOPS``,
 
-meeting at the ridge point ``peak / bandwidth`` (flop/byte).  Points
-come in two kinds: ``measured`` (counter replay + timing model, via
-:class:`~repro.obs.profiler.LaunchRecord`) and ``static`` (the
-abstract-interpreter census, via
-:class:`~repro.analysis.estimate.PerfEstimate`), so the estimator's
+meeting at the ridge point ``peak / bandwidth`` (flop/byte).  Every
+point comes from a :class:`~repro.obs.profiler.LaunchRecord`, in one
+of two kinds: ``measured`` (an executed launch's trace + timing model)
+and ``static`` (the abstract-interpreter census of a
+:class:`~repro.analysis.estimate.PerfEstimate`, via
+:meth:`LaunchRecord.from_estimate
+<repro.obs.profiler.LaunchRecord.from_estimate>`), so the estimator's
 placement can be checked against the measured one on the same chart.
 
 Output is a JSON-able dict (:func:`roofline_report`) and a terminal
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..arch.device import DeviceSpec
 
 __all__ = [
-    "RooflinePoint", "point_from_record", "point_from_estimate",
-    "roofline_report", "format_roofline",
+    "RooflinePoint", "point_from_record", "roofline_report",
+    "format_roofline",
 ]
 
 
@@ -52,28 +54,15 @@ class RooflinePoint:
             else float("inf")
 
 
-def point_from_record(rec, label: Optional[str] = None) -> RooflinePoint:
-    """Roofline point for a profiled launch record."""
+def point_from_record(rec) -> RooflinePoint:
+    """Roofline point for a launch record: ``static`` for a census
+    record, ``measured`` for an executed launch."""
     return RooflinePoint(
-        label=label or rec.kernel,
-        flops=rec.flops,
-        bus_bytes=rec.global_bus_bytes,
+        label=rec.kernel,
+        flops=rec.trace.flops,
+        bus_bytes=rec.trace.global_bus_bytes,
         gflops=rec.gflops,
-        kind="measured",
-    )
-
-
-def point_from_estimate(est, label: Optional[str] = None) -> RooflinePoint:
-    """Roofline point from a static :class:`PerfEstimate` (no run)."""
-    trace = est.census.trace
-    gflops = est.time.gflops if est.time is not None else 0.0
-    flops = est.time.flops if est.time is not None else trace.flops
-    return RooflinePoint(
-        label=label or est.kernel,
-        flops=flops,
-        bus_bytes=trace.global_bus_bytes,
-        gflops=gflops,
-        kind="static",
+        kind="static" if rec.executor == "census" else "measured",
     )
 
 

@@ -13,9 +13,10 @@ findings with exact thread/block/array provenance:
 * **initcheck** — reads of global or shared cells no thread ever
   wrote (the model zero-fills; real hardware hands back garbage).
 
-Entry points: ``launch(..., sanitize=True)``, the
-:class:`~repro.cuda.executors.SanitizedExecutor` backend (set it as an
-application's ``executor`` to sanitize whole app runs), and the CLI
+Entry points: the :class:`~repro.cuda.executors.SanitizedExecutor`
+backend (``launch(..., executor="sanitized")`` for one launch; set an
+instance as an application's ``executor`` to sanitize whole app runs),
+and the CLI
 ``python -m repro.san.check``.  Findings reuse
 :class:`repro.analysis.findings.Finding`, so static-analyzer reports
 and sanitizer reports render and serialize identically — the app and

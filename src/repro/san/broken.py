@@ -175,7 +175,7 @@ class BrokenKernel:
         x = dev.to_device(np.arange(N, dtype=np.float32), "x")
         out = dev.alloc(N, np.float32, "out")
         return launch(self.kern, GRID, BLOCK, (x, out, N), device=dev,
-                      executor=SanitizedExecutor(state), sanitize=True)
+                      executor=SanitizedExecutor(state))
 
 
 def _bk(kern: Kernel, bug: str, tool: str, static_rules, dynamic_rules

@@ -86,18 +86,6 @@ class KernelTimeEstimate:
         return {name: seconds * clock
                 for name, seconds in self.components().items()}
 
-    def attribution(self) -> Dict[str, object]:
-        """Structured bottleneck-attribution record for the profiler:
-        the binding bottleneck plus every component in seconds and
-        cycles."""
-        return {
-            "bound": self.bound,
-            "seconds": self.components(),
-            "cycles": self.cycles_components(),
-            "launch_overhead_seconds": self.launch_overhead_seconds,
-            "gflops": self.gflops,
-        }
-
 
 def estimate_time(
     trace: KernelTrace,

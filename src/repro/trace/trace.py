@@ -26,7 +26,7 @@ from per-block PTX in the paper.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from .instr import (
@@ -246,74 +246,28 @@ class KernelTrace:
         """Accumulate another trace (e.g. from another traced block)."""
         self.warp_insts.update(other.warp_insts)
         self.thread_insts.update(other.thread_insts)
-        self.flops += other.flops
-        self.global_transactions += other.global_transactions
-        self.global_bus_bytes += other.global_bus_bytes
-        self.global_useful_bytes += other.global_useful_bytes
-        self.uncoalesced_transactions += other.uncoalesced_transactions
-        self.gld_accesses += other.gld_accesses
-        self.gld_transactions += other.gld_transactions
-        self.gld_bus_bytes += other.gld_bus_bytes
-        self.gld_useful_bytes += other.gld_useful_bytes
-        self.gst_accesses += other.gst_accesses
-        self.gst_transactions += other.gst_transactions
-        self.gst_bus_bytes += other.gst_bus_bytes
-        self.gst_useful_bytes += other.gst_useful_bytes
+        # through the instance dicts: half the cost of getattr/setattr,
+        # and merge runs once per traced block
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _COUNTERS:
+            mine[name] += theirs[name]
         for name, stats in other.per_array.items():
             self.per_array.setdefault(name, ArrayAccessStats(name)).merge(stats)
-        self.shared_conflict_cycles += other.shared_conflict_cycles
-        self.const_hits += other.const_hits
-        self.const_misses += other.const_misses
-        self.tex_hits += other.tex_hits
-        self.tex_misses += other.tex_misses
-        self.l1_hits += other.l1_hits
-        self.l1_misses += other.l1_misses
-        self.l2_hits += other.l2_hits
-        self.l2_misses += other.l2_misses
-        self.branch_warps += other.branch_warps
-        self.divergent_branch_warps += other.divergent_branch_warps
-        self.divergence_serialized_warp_insts += \
-            other.divergence_serialized_warp_insts
-        self.syncs += other.syncs
         self.blocks_traced += other.blocks_traced
-        self.threads_traced += other.threads_traced
 
     def scaled(self, factor: float) -> "KernelTrace":
         """Return this trace scaled by ``factor`` (sampled blocks ->
         full grid extrapolation)."""
-        out = KernelTrace()
-        out.warp_insts = Counter({k: v * factor for k, v in self.warp_insts.items()})
-        out.thread_insts = Counter({k: v * factor for k, v in self.thread_insts.items()})
-        out.flops = self.flops * factor
-        out.global_transactions = self.global_transactions * factor
-        out.global_bus_bytes = self.global_bus_bytes * factor
-        out.global_useful_bytes = self.global_useful_bytes * factor
-        out.uncoalesced_transactions = self.uncoalesced_transactions * factor
-        out.gld_accesses = self.gld_accesses * factor
-        out.gld_transactions = self.gld_transactions * factor
-        out.gld_bus_bytes = self.gld_bus_bytes * factor
-        out.gld_useful_bytes = self.gld_useful_bytes * factor
-        out.gst_accesses = self.gst_accesses * factor
-        out.gst_transactions = self.gst_transactions * factor
-        out.gst_bus_bytes = self.gst_bus_bytes * factor
-        out.gst_useful_bytes = self.gst_useful_bytes * factor
-        out.per_array = {k: v.scaled(factor) for k, v in self.per_array.items()}
-        out.shared_conflict_cycles = self.shared_conflict_cycles * factor
-        out.const_hits = self.const_hits * factor
-        out.const_misses = self.const_misses * factor
-        out.tex_hits = self.tex_hits * factor
-        out.tex_misses = self.tex_misses * factor
-        out.l1_hits = self.l1_hits * factor
-        out.l1_misses = self.l1_misses * factor
-        out.l2_hits = self.l2_hits * factor
-        out.l2_misses = self.l2_misses * factor
-        out.branch_warps = self.branch_warps * factor
-        out.divergent_branch_warps = self.divergent_branch_warps * factor
-        out.divergence_serialized_warp_insts = \
-            self.divergence_serialized_warp_insts * factor
-        out.syncs = self.syncs * factor
-        out.blocks_traced = self.blocks_traced  # identity of the sample
-        out.threads_traced = self.threads_traced * factor
+        out = KernelTrace(
+            warp_insts=Counter({k: v * factor
+                                for k, v in self.warp_insts.items()}),
+            thread_insts=Counter({k: v * factor
+                                  for k, v in self.thread_insts.items()}),
+            per_array={k: v.scaled(factor)
+                       for k, v in self.per_array.items()},
+            blocks_traced=self.blocks_traced)   # identity of the sample
+        mine = self.__dict__
+        out.__dict__.update({name: mine[name] * factor for name in _COUNTERS})
         return out
 
     # ------------------------------------------------------------------
@@ -349,6 +303,11 @@ class KernelTrace:
     @property
     def sfu_warp_insts(self) -> float:
         return float(sum(self.warp_insts[c] for c in _SFU_ORDER))
+
+    @property
+    def shared_memory_warp_insts(self) -> float:
+        return float(self.warp_insts[InstrClass.LD_SHARED]
+                     + self.warp_insts[InstrClass.ST_SHARED])
 
     @property
     def memory_to_compute_ratio(self) -> float:
@@ -432,3 +391,9 @@ class KernelTrace:
                 self.divergence_serialized_warp_insts,
             "syncs": self.syncs,
         }
+
+
+#: the float counters, in declaration order: ``merge`` adds each one
+#: and ``scaled`` multiplies each one by the sample-to-grid factor
+_COUNTERS = tuple(f.name for f in fields(KernelTrace)
+                  if isinstance(f.default, float))

@@ -322,8 +322,10 @@ class TestValidation:
     def test_each_sweep_result_is_computed_once(self, monkeypatch):
         """The app sweep lints each target once and runs each app's
         test workload once sanitized (plus one plain run for the
-        bit-identity check and one trace-only profiled run); the broken
-        sweep analyzes and runs each kernel once."""
+        bit-identity check and one trace-only run); the ladder sweep
+        takes the app sweep's matmul and saxpy reports and makes one
+        trace-only run per workload; the broken sweep analyzes and runs
+        each kernel once."""
         from repro.analysis import validate
         from repro.apps import registry
         from repro.cuda.executors import SanitizedExecutor
@@ -359,8 +361,11 @@ class TestValidation:
         monkeypatch.setattr(validate, "analyze_target", analyze)
         monkeypatch.setattr(registry, "get_app", get_app)
         monkeypatch.setattr(BrokenKernel, "run", broken_run)
-        apps = ("saxpy", "lbm")
-        checks = validate.app_checks(apps=apps) + validate.broken_checks()
+        apps = ("saxpy", "matmul", "lbm")
+        reports: dict = {}
+        checks = (validate.app_checks(apps=apps, reports=reports)
+                  + validate.validation_checks(reports=reports)
+                  + validate.broken_checks())
         assert all(c.ok for c in checks), \
             [c.format() for c in checks if not c.ok]
 
@@ -370,10 +375,14 @@ class TestValidation:
                         for t in real_get_app(name).lint_targets()}
         assert set(analyzed) == targets
         assert set(analyzed.values()) == {1}
+        ladder = len(validate.MATMUL_LADDER)
         assert runs == Counter(
             {("saxpy", True, True): 1, ("saxpy", False, True): 1,
-             ("saxpy", False, False): 1, ("lbm", True, True): 1,
-             ("lbm", False, True): 1, ("lbm", False, False): 1,
+             ("saxpy", False, False): 1 + 1,
+             ("matmul", True, True): 1, ("matmul", False, True): 1,
+             ("matmul", False, False): 1 + ladder,
+             ("lbm", True, True): 1, ("lbm", False, True): 1,
+             ("lbm", False, False): 1,
              **{("broken", bk.name): 1 for bk in BROKEN}})
 
     def test_fem_materialized_launch_reads_a_valid_csr(self):

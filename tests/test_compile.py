@@ -250,8 +250,8 @@ def test_arg_signature_is_hashable_and_stable():
 # Census-synthesized profiler records
 # ----------------------------------------------------------------------
 
-def test_launch_record_from_census():
-    from repro.analysis.census import census_target
+def test_launch_record_from_estimate():
+    from repro.analysis.estimate import estimate_target
     from repro.analysis.targets import LintArray, LintTarget
 
     kern = build_kernel("tiled", 8)
@@ -259,18 +259,15 @@ def test_launch_record_from_census():
             LintArray("B", "global", 32 * 32, "float32"),
             LintArray("C", "global", 32 * 32, "float32"), 32)
     target = LintTarget(kernel=kern, grid=(4, 4), block=(8, 8), args=args)
-    dev = Device()
-    plan = LaunchPlan.build(kern, (4, 4), (8, 8),
-                            (dev.alloc((32, 32), np.float32, "A"),
-                             dev.alloc((32, 32), np.float32, "B"),
-                             dev.alloc((32, 32), np.float32, "C"), 32),
-                            device=dev)
-    census = census_target(target, plan.spec)
-    rec = LaunchRecord.from_census(census)
+    est = estimate_target(target)
+    rec = LaunchRecord.from_estimate(est)
     assert rec.executor == "census"
     assert rec.blocks_executed == 0
-    assert rec.blocks_traced == census.blocks_sampled
-    assert rec.warp_insts > 0
+    assert rec.blocks_traced == est.census.blocks_sampled
+    # a view over the estimate's census trace and timing: nothing copied
+    assert rec.trace is est.census.trace and rec.estimate is est.time
+    assert rec.trace.total_warp_insts > 0
+    assert rec.bound == est.bound
 
 
 # ----------------------------------------------------------------------

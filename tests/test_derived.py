@@ -16,11 +16,10 @@ import pytest
 from repro.arch.registry import device_by_name
 from repro.apps.matmul import MatMul
 from repro.cuda import kernel, launch
-from repro.obs import LaunchProfiler
-from repro.obs.derived import (METRICS, MetricDef, derive_from_estimate,
-                               derive_metrics, format_derived,
-                               format_deviation, metric_deviation,
-                               register_metric)
+from repro.obs import LaunchProfiler, LaunchRecord
+from repro.obs.derived import (METRICS, MetricDef, derive_metrics,
+                               format_derived, format_deviation,
+                               metric_deviation, register_metric)
 
 G80 = device_by_name("geforce_8800_gtx")
 GTX480 = device_by_name("gtx_480")
@@ -84,14 +83,15 @@ def test_names_subset_selection(g80_tiled):
 
 def test_achieved_occupancy_matches_occupancy_model(g80_tiled):
     from repro.sim.occupancy import compute_occupancy
+    launched = g80_tiled.estimate.occupancy
     occ = compute_occupancy(threads_per_block=256, regs_per_thread=10,
-                            smem_per_block=g80_tiled.occupancy
-                            .get("shared/block (B)", 0), spec=G80)
+                            smem_per_block=launched.smem_per_block,
+                            spec=G80)
     vals = derive_metrics(g80_tiled, G80)
     assert vals["achieved_occupancy"] == pytest.approx(occ.occupancy)
-    # and the record's own occupancy block agrees
+    # and the launch estimate's own occupancy agrees
     assert vals["achieved_occupancy"] == pytest.approx(
-        g80_tiled.occupancy["warps/SM"] / G80.max_warps_per_sm)
+        launched.active_warps_per_sm / G80.max_warps_per_sm)
 
 
 def test_tiled_matmul_gld_efficiency_g80_vs_fermi(g80_tiled, fermi_tiled):
@@ -107,12 +107,12 @@ def test_tiled_matmul_gld_efficiency_g80_vs_fermi(g80_tiled, fermi_tiled):
 
 def test_gld_efficiency_matches_trace_split(g80_tiled):
     vals = derive_metrics(g80_tiled, G80)
-    io = g80_tiled.io
-    raw = 100.0 * io["gld_useful_bytes"] / io["gld_bus_bytes"]
+    trace = g80_tiled.trace
+    raw = 100.0 * trace.gld_useful_bytes / trace.gld_bus_bytes
     assert vals["gld_efficiency_raw"] == pytest.approx(raw)
     assert vals["gld_efficiency"] == pytest.approx(min(100.0, raw))
     assert vals["gld_transactions_per_request"] == pytest.approx(
-        io["gld_transactions"] / io["gld_accesses"])
+        trace.gld_transactions / trace.gld_accesses)
     # a fully coalesced kernel is not flagged as broadcast
     assert vals["gld_broadcast"] == 0.0
 
@@ -186,11 +186,11 @@ def test_stall_breakdown_normalized(g80_tiled):
 
 
 def test_stall_breakdown_matches_timing_model(g80_tiled):
-    total = sum(g80_tiled.bottleneck_cycles.values())
+    cycles = g80_tiled.estimate.cycles_components()
+    total = sum(cycles.values())
     vals = derive_metrics(g80_tiled, G80)
     for name, frac in vals["warp_issue_stall_breakdown"].items():
-        assert frac == pytest.approx(
-            g80_tiled.bottleneck_cycles[name] / total)
+        assert frac == pytest.approx(cycles[name] / total)
 
 
 def test_rate_metrics_positive_and_bounded(fermi_tiled):
@@ -215,7 +215,7 @@ def test_static_counters_agree_with_measured(spec):
     est = next(e for e in estimate_app("matmul", spec=spec)
                if e.kernel == rec.kernel)
     measured = derive_metrics(rec, spec)
-    static = derive_from_estimate(est, spec)
+    static = derive_metrics(LaunchRecord.from_estimate(est), spec)
     for name in ("gld_efficiency", "gst_efficiency",
                  "gld_transactions_per_request",
                  "gst_transactions_per_request", "achieved_occupancy"):

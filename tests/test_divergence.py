@@ -349,11 +349,11 @@ def test_profiler_record_carries_divergence_counters():
     with LaunchProfiler(estimate=False) as prof:
         launch(div_half_warp, (2,), (N,), (x, out, N), device=dev)
     rec = prof.records[0]
-    assert rec.divergent_branch_fraction == pytest.approx(1.0)
-    assert rec.divergence_serialized_fraction > 0
+    assert rec.trace.divergent_branch_fraction == pytest.approx(1.0)
+    assert rec.trace.divergence_serialized_fraction > 0
     counters = rec.to_dict()["counters"]
     assert counters["divergent_branch_warps"] == \
-        rec.divergent_branch_warps
+        rec.trace.divergent_branch_warps
     assert "div_branch=" in rec.digest()
 
 

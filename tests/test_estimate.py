@@ -298,16 +298,16 @@ class TestCensusAgreement:
         assert record.kernel == census.kernel
 
         assert census.trace.total_warp_insts == \
-            pytest.approx(record.warp_insts, rel=1e-9)
-        assert census.trace.flops == pytest.approx(record.flops,
+            pytest.approx(record.trace.total_warp_insts, rel=1e-9)
+        assert census.trace.flops == pytest.approx(record.trace.flops,
                                                    rel=1e-9)
-        assert census.trace.syncs == pytest.approx(record.syncs,
+        assert census.trace.syncs == pytest.approx(record.trace.syncs,
                                                    rel=1e-9)
         assert census.trace.shared_conflict_cycles == \
-            pytest.approx(record.bank_conflict_cycles, rel=1e-9)
+            pytest.approx(record.trace.shared_conflict_cycles, rel=1e-9)
         if exact_memory:
             assert census.trace.global_transactions == \
-                pytest.approx(record.global_transactions, rel=1e-9)
+                pytest.approx(record.trace.global_transactions, rel=1e-9)
 
     def test_census_per_class_counts_match_trace(self):
         # full per-class comparison on the whole matmul ladder

@@ -9,8 +9,9 @@ refuses (``try``, ``lambda``, a set display).  The recorder's event
 counts by kind, its memory events, notes and hazards are pinned for two
 sample blocks, so a change to the interpreter's dispatch leaves them as
 they are.  Smaller kernels pin ``not`` on an identity lane vector (the
-statement is skipped with a note), ``while … else`` and a division by
-zero.  Lines are relative to the kernel's ``co_firstlineno``.
+statement is skipped with a note), ``while … else``, ``continue`` in a
+data-dependent ``while`` and a division by zero.  Lines are relative to
+the kernel's ``co_firstlineno``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,29 @@ def test_while_else_runs_unless_the_loop_breaks(n, mem):
     """As in Python: the ``else`` of a ``while`` runs after the loop
     ends on its condition, and not after a ``break``."""
     assert _lint_block(while_else_store, n) == (mem, [])
+
+
+@kernel("unknown_while_continue", regs_per_thread=4)
+def unknown_while_continue(ctx, x, y, n):
+    i = ctx.global_tid()
+    v = ctx.ld_global(x, i)
+    k = 0
+    while ctx.any_active(v > k):
+        ctx.st_global(y, i, v)
+        k += 1
+        if n > 0:
+            continue
+        k += 1
+
+
+@pytest.mark.parametrize("n", [1, 0], ids=["continues", "falls-through"])
+def test_continue_moves_a_data_dependent_while_on(n):
+    """A ``continue`` ends one analyzed iteration of a data-dependent
+    ``while``, not the loop: both iterations store, as they do when
+    the body falls through to its end."""
+    assert _lint_block(unknown_while_continue, n) == (
+        [("ld", 3), ("st", 6), ("st", 6)],
+        [(5, "data-dependent while loop: analyzed 2 iterations")])
 
 
 @kernel("zero_divisor", regs_per_thread=4)

@@ -114,7 +114,7 @@ def test_profiler_record_matches_launch_accounting():
     assert rec.wall_seconds > 0
     assert set(rec.transactions_per_access) == {"A", "B", "C"}
     assert rec.bound != "n/a"       # the timing model named a bottleneck
-    assert rec.bottleneck_seconds and rec.gflops > 0
+    assert rec.estimate.components() and rec.gflops > 0
     # the structured record is JSON-clean as-is
     doc = json.loads(json.dumps(rec.to_dict()))
     assert doc["blocks"]["executed"] == rec.blocks_executed
@@ -188,8 +188,9 @@ def test_profiler_estimate_off_skips_model():
         app.run({"n": 32, "variant": "naive", "tile": 16,
                  "trace_blocks": 1}, functional=False)
     rec = prof.records[0]
+    assert rec.estimate is None
     assert rec.bound == "n/a" and rec.gflops == 0.0
-    assert rec.warp_insts > 0       # trace counters still captured
+    assert rec.trace.total_warp_insts > 0   # trace counters still captured
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +211,14 @@ def test_registry_collects_pipeline_counters():
     assert rec.dispositions == {"trace": 2, "memo": 0, "plain": 0}
     assert rec.wall_seconds > 0
     # this kernel touches neither the constant nor the texture cache
-    assert [rec.cache[f"{space}_{event}"] for space in ("const", "tex")
+    assert [getattr(rec.trace, f"{space}_{event}")
+            for space in ("const", "tex")
             for event in ("hits", "misses")] == [0, 0, 0, 0]
-    # the record names the launch's verdict, as the estimate does
+    # the record holds the launch's own trace, and names its verdict as
+    # the estimate does
+    assert rec.trace is run.launches[0].trace
     est = run.launches[0].estimate()
-    assert (rec.bound, rec.model_seconds) == (est.bound, est.seconds)
+    assert (rec.bound, rec.estimate.seconds) == (est.bound, est.seconds)
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +249,17 @@ def test_profile_report_json_holds_one_record_per_launch(capsys):
     assert (payload["app"], payload["scale"], payload["device"]) \
         == ("saxpy", "test", "geforce_8800_gtx")
     assert [rec["kernel"] for rec in payload["records"]] == SAXPY_KERNELS
+
+
+def test_profile_report_text_shows_the_divergence_of_each_branching_launch(
+        capsys):
+    """fem's two launches branch: each prints R8's dynamic counters
+    among its per-kernel detail lines."""
+    assert profile_report.main(["fem"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "branch warps" in line]
+    assert lines == ["  fem_spmv: 64 branch warps, 20 divergent (31.2%); "
+                     "140 partial-mask warp insts (24.6% of issue)"] * 2
 
 
 def test_profile_report_unknown_device_exits_2(capsys):

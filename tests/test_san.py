@@ -109,7 +109,7 @@ class TestSanitizedLaunch:
         x = dev.to_device(np.arange(N, dtype=np.float32), "x")
         out = dev.alloc(N, np.float32, "out")
         result = launch(bk.kern, GRID, BLOCK, (x, out, N),
-                        device=dev, sanitize=True)
+                        device=dev, executor="sanitized")
         assert result.san is not None
         assert "oob-global" in _high_rules(result.san)
 
@@ -119,7 +119,7 @@ class TestSanitizedLaunch:
         x = dev.to_device(np.arange(N, dtype=np.float32), "x")
         out = dev.alloc(N, np.float32, "out")
         result = launch(bk.kern, (4,), (N // 4,), (x, out, N),
-                        device=dev, sanitize=True)
+                        device=dev, executor="sanitized")
         oob = [f for f in result.san.all_findings()
                if f.rule == "oob-global" and f.severity >= Severity.HIGH]
         assert len(oob) == 1

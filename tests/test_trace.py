@@ -1,5 +1,6 @@
 """Tests for KernelTrace aggregation, scaling and derived metrics."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -164,6 +165,23 @@ class TestMergeAndScale:
             t.memory_to_compute_ratio)
         assert s.per_array["x"].bus_efficiency == pytest.approx(
             t.per_array["x"].bus_efficiency)
+
+    def test_every_counter_is_merged_and_scaled(self):
+        """``merge`` adds every numeric field; ``scaled`` multiplies
+        every one but ``blocks_traced``, the sample's identity."""
+        numeric = [f for f in dataclasses.fields(KernelTrace)
+                   if isinstance(f.default, (int, float))]
+        assert "blocks_traced" in {f.name for f in numeric}
+        a, b = KernelTrace(), KernelTrace()
+        for i, f in enumerate(numeric, start=1):
+            setattr(a, f.name, type(f.default)(i))
+            setattr(b, f.name, type(f.default)(1000 * i))
+        scaled = a.scaled(3.0)
+        a.merge(b)
+        for i, f in enumerate(numeric, start=1):
+            assert getattr(a, f.name) == 1001 * i, f.name
+            factor = 1 if f.name == "blocks_traced" else 3
+            assert getattr(scaled, f.name) == factor * i, f.name
 
     def test_scale_then_merge_equals_merge_then_scale(self):
         a1, a2 = sample_trace(), sample_trace()
