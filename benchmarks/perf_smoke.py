@@ -54,12 +54,13 @@ COLD_START_FLOOR = 5.0             # lowering / warm-artifact-load
 
 
 def run_provenance():
-    """Provenance stamp for the bench envelopes: git sha + UTC
-    timestamp."""
+    """Provenance stamp for the bench envelopes: the git sha of this
+    script's checkout (wherever it is run from) + UTC timestamp."""
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10, check=True).stdout.strip()
+            timeout=10, check=True,
+            cwd=Path(__file__).resolve().parent).stdout.strip()
     except Exception:
         sha = "unknown"
     return {

@@ -1,34 +1,39 @@
 """Kernel IR: a CFG lowering of DSL kernels with dominance and loops.
 
-Rules R1–R7 work straight off the Python AST (re-executed by the
-abstract interpreter), which is enough to *observe* hazards on sample
-blocks but cannot *prove* control-flow properties — a branch's
-uniformity, a barrier's reachability under divergence — before a
-kernel runs.  This module supplies the missing substrate: it lowers a
-kernel function into a small typed control-flow graph whose
-instructions are classified through the same :data:`repro.cuda.context.CTX_OPS`
-table the grid compiler dispatches over, then
-computes the classic structures a divergence analysis needs —
-dominator and post-dominator trees, natural loops, and the
-*reconvergence point* of every branch (its immediate post-dominator,
-where a diverged warp's lanes rejoin).
+The lint rules observe hazards on the sample blocks the abstract
+interpreter re-executes, which cannot *prove* control-flow properties
+— a branch's uniformity, a barrier's reachability under divergence —
+before a kernel runs, nor see what the other blocks do.  This module
+supplies the missing substrate: it lowers a kernel function into a
+small typed control-flow graph whose instructions are classified
+through the same :data:`repro.cuda.context.CTX_OPS` table the grid
+compiler dispatches over, then computes the classic structures a
+divergence analysis needs — dominator and post-dominator trees,
+natural loops, and the *reconvergence point* of every branch (its
+immediate post-dominator, where a diverged warp's lanes rejoin).
 
 The IR is deliberately SSA-lite: statements keep their source names
 (``dests``/``srcs``/``binds``) rather than versioned values, because
 its consumers need name-level joins only: the uniformity lattice and
 the data taint of :mod:`repro.analysis.divergence` (forward, to
-fixpoint) and the register estimate's backward liveness
-(:mod:`repro.analysis.liveness`).  ``ctx`` attribute reads, query
+fixpoint), the register estimate's backward liveness
+(:mod:`repro.analysis.liveness`) and R7's per-launch global footprint
+(:mod:`repro.analysis.rules`).  The last two walk the CFG in source
+nesting with the closure's configuration ``if``s pruned
+(:meth:`KernelIR.source_order`).  ``ctx`` attribute reads, query
 calls and loads are surfaced as *seed tokens* (``"tid"``, ``"bx"``,
 ``"global_tid"``, ``"ld_global"``, ...; a raw ``arr.data`` read is
 ``"data"``, an ``np.zeros``-style constructor ``"array"``) so the
 lattice seeding stays out of this module, and an ``if`` keeps its
-test for liveness's configuration pruning.  Every ``ctx`` call whose
-trace charge reads an operand
-(a memory op's index, ``shared_alloc``'s shape, a bookkeeping count,
-a mask condition) records the names that operand reads, and the
-constructs that hide statements from the CFG (a nested ``def`` or
-``lambda``, a call that receives ``ctx``) are listed as ``opaque``.
+test for the configuration pruning.  A statement's ``ctx`` ops and its
+global loads, stores, atomics and helper calls (:class:`Access`) are
+listed in evaluation order.  Every ``ctx`` call whose trace charge
+reads an operand (a memory op's index, ``shared_alloc``'s shape, a
+bookkeeping count, a mask condition) records the names that operand
+reads, and the constructs that hide statements from the CFG (a nested
+``def`` or ``lambda``, a call that receives ``ctx``) are listed as
+``opaque``; a nested ``def`` is lowered on demand
+(:meth:`KernelIR.helper`).
 
 The source comes from the kernel front end (:mod:`repro.cuda.source`),
 and line numbers are absolute file lines from its one line offset, the
@@ -42,18 +47,36 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
 from ..cuda.source import KernelSource, kernel_source
 
-__all__ = ["IRInstr", "Branch", "BasicBlock", "Loop", "KernelIR",
-           "lower_kernel"]
+__all__ = ["Access", "IRInstr", "Branch", "BasicBlock", "Loop",
+           "KernelIR", "lower_kernel"]
 
 
 # ----------------------------------------------------------------------
 # IR node types
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Access:
+    """A global load, store or atomic, or a call that may make some.
+
+    For a memory op, ``op`` is the ``ctx`` method and ``name`` its
+    array argument.  For a call (``op == "call"``) of a plain name or
+    one that receives ``ctx``, ``name`` is the callee and ``args`` pairs
+    each argument's position, keyword, or ``"*"``/``"**"`` unpacking
+    with the argument.  A name is ``None`` where the expression is not
+    a plain name.
+    """
+
+    op: str
+    name: Optional[str]
+    args: Tuple[Tuple[object, Optional[str]], ...] = ()
+
 
 @dataclass(frozen=True)
 class IRInstr:
@@ -70,6 +93,9 @@ class IRInstr:
     expression or comprehension that guards a ``ctx`` call is one too.
     ``binds`` lists the names the statement rebinds (plain-name
     targets); ``dests`` adds the names of a subscripted store.
+    ``accesses`` lists its global loads, stores and atomics and the
+    calls that may make some.  ``ops`` and ``accesses`` are in
+    evaluation order (a call after its arguments).
     """
 
     line: int
@@ -80,6 +106,7 @@ class IRInstr:
     categories: Tuple[str, ...]
     operands: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     binds: Tuple[str, ...] = ()
+    accesses: Tuple[Access, ...] = ()
 
     @property
     def is_sync(self) -> bool:
@@ -92,7 +119,8 @@ class Branch:
 
     ``kind`` is ``"masked"`` (a ``with ctx.masked(...)`` region),
     ``"if"``, ``"loop"`` (``for``) or ``"while"``; ``test`` is the
-    condition of an ``if`` or masked region.
+    condition of an ``if`` or masked region.  ``accesses`` are those of
+    the condition (a loop's iterable), which runs before the arms.
     """
 
     kind: str
@@ -100,6 +128,11 @@ class Branch:
     srcs: Tuple[str, ...]
     seeds: Tuple[str, ...]
     test: Optional[ast.AST] = field(default=None, compare=False)
+    accesses: Tuple[Access, ...] = ()
+
+    @property
+    def is_loop(self) -> bool:
+        return self.kind in ("loop", "while")
 
 
 @dataclass
@@ -158,13 +191,77 @@ CHARGED_OPERAND: Dict[str, Tuple[int, str]] = {
 ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
 
 
+#: the ``ctx`` methods that move global memory
+GLOBAL_MEMORY_OPS = frozenset(
+    op for op, cat in CTX_OPS.items() if cat.startswith("global_"))
+
+#: a node's operands in evaluation order, by node type, where that is
+#: not its fields' order or a field is not an operand (a load or store
+#: context, an operator): a call's arguments before the call (whose
+#: ``ctx`` op its callee names), a comprehension's iteration before its
+#: element
+_OPERANDS: Dict[type, Callable[..., Tuple[ast.AST, ...]]] = {
+    ast.Name: lambda n: (),
+    ast.Constant: lambda n: (),
+    ast.Attribute: lambda n: (n.value,),
+    ast.Subscript: lambda n: (n.value, n.slice),
+    ast.BinOp: lambda n: (n.left, n.right),
+    ast.UnaryOp: lambda n: (n.operand,),
+    ast.BoolOp: lambda n: tuple(n.values),
+    ast.Compare: lambda n: (n.left, *n.comparators),
+    ast.Call: lambda n: (*n.args, *n.keywords, n.func),
+    ast.ListComp: lambda n: (*n.generators, n.elt),
+    ast.SetComp: lambda n: (*n.generators, n.elt),
+    ast.GeneratorExp: lambda n: (*n.generators, n.elt),
+    ast.DictComp: lambda n: (*n.generators, n.key, n.value),
+    ast.comprehension: lambda n: (n.iter, n.target, *n.ifs),
+}
+
+
+def _in_order(node: ast.AST, out: List[ast.AST]) -> List[ast.AST]:
+    """Append ``node`` and its operands to ``out`` in the order they
+    run: each operand (recursively) before the node (see
+    :data:`_OPERANDS`)."""
+    operands = _OPERANDS.get(type(node))
+    for child in (operands(node) if operands is not None
+                  else ast.iter_child_nodes(node)):
+        _in_order(child, out)
+    out.append(node)
+    return out
+
+
+def _name(node: Optional[ast.AST]) -> Optional[str]:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _access(call: ast.Call, ctx_name: str) -> Optional[Access]:
+    """The :class:`Access` ``call`` makes, if any."""
+    meth = _is_ctx_call(call, ctx_name)
+    if meth is not None:
+        if meth not in GLOBAL_MEMORY_OPS:
+            return None
+        arr = call.args[0] if call.args else next(
+            (kw.value for kw in call.keywords if kw.arg == "arr"), None)
+        return Access(meth, _name(arr))
+    args: List[Tuple[object, Optional[str]]] = [
+        ("*" if isinstance(arg, ast.Starred) else pos, _name(arg))
+        for pos, arg in enumerate(call.args)]
+    args += [(kw.arg or "**", _name(kw.value)) for kw in call.keywords]
+    callee = _name(call.func)
+    if callee is None and all(name != ctx_name for _, name in args):
+        return None
+    return Access("call", callee or ast.unparse(call.func), tuple(args))
+
+
 def _scan_expr(node: ast.AST, ctx_name: str,
                srcs: Set[str], seeds: Set[str],
                ops: List[str], cats: List[str],
-               operands: Optional[List] = None) -> None:
-    """Collect names, ctx seed tokens and ctx ops from an expression
-    (and, when ``operands`` is given, the charged operands)."""
-    for sub in ast.walk(node):
+               operands: Optional[List] = None,
+               accesses: Optional[List[Access]] = None) -> None:
+    """Collect names, ctx seed tokens and ctx ops from an expression in
+    evaluation order (and, when given, the charged operands and the
+    :class:`Access` list)."""
+    for sub in _in_order(node, []):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) \
                 and sub.id != ctx_name:
             srcs.add(sub.id)
@@ -182,11 +279,16 @@ def _scan_expr(node: ast.AST, ctx_name: str,
                 seeds.add(meth)
         elif isinstance(sub, ast.Attribute) and sub.attr == "data":
             seeds.add("data")         # a raw read of array storage
-        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
-                and sub.func.attr in ARRAY_CTORS \
-                and isinstance(sub.func.value, ast.Name) \
-                and sub.func.value.id == "np":
-            seeds.add("array")        # a new per-thread array
+        elif isinstance(sub, ast.Call):
+            func = sub.func
+            if isinstance(func, ast.Attribute) and func.attr in ARRAY_CTORS \
+                    and isinstance(func.value, ast.Name) \
+                    and func.value.id == "np":
+                seeds.add("array")    # a new per-thread array
+            if accesses is not None:
+                access = _access(sub, ctx_name)
+                if access is not None:
+                    accesses.append(access)
         if operands is not None:
             _charged(sub, ctx_name, operands)
 
@@ -248,16 +350,20 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     ops: List[str] = []
     cats: List[str] = []
     operands: List[Tuple[str, Tuple[str, ...]]] = []
-    value: Optional[ast.AST] = None
+    accesses: List[Access] = []
+    values: List[ast.AST] = []
     targets: List[ast.expr] = []
     if isinstance(stmt, ast.Assign):
-        value, targets = stmt.value, stmt.targets
+        values, targets = [stmt.value], stmt.targets
     elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        value, targets = stmt.value, [stmt.target]
-    elif isinstance(stmt, (ast.Expr, ast.Return)):
-        value = stmt.value
-    if value is not None:
-        _scan_expr(value, ctx_name, srcs, seeds, ops, cats, operands)
+        values = [stmt.value] if stmt.value is not None else []
+        targets = [stmt.target]
+    else:                             # every expression of the statement
+        values = [sub for sub in ast.iter_child_nodes(stmt)
+                  if isinstance(sub, ast.expr)]
+    for value in values:
+        _scan_expr(value, ctx_name, srcs, seeds, ops, cats, operands,
+                   accesses)
     for tgt in targets:
         if isinstance(tgt, ast.Name):
             dests.add(tgt.id)
@@ -268,21 +374,22 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
             # unpacking target updates its names and reads the index
             dests.update(sub.id for sub in ast.walk(tgt)
                          if isinstance(sub, ast.Name))
-            _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats, operands)
+            _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats, operands,
+                       accesses)
     return IRInstr(offset + stmt.lineno, tuple(sorted(dests)),
                    tuple(sorted(srcs)), tuple(sorted(seeds)),
                    tuple(ops), tuple(cats), tuple(operands),
-                   _bound(targets) if value is not None else ())
+                   _bound(targets) if values else (), tuple(accesses))
 
 
 def _cond_info(node: ast.AST, ctx_name: str
-               ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+               ) -> Tuple[Tuple[str, ...], Tuple[str, ...],
+                          Tuple[Access, ...]]:
     srcs: Set[str] = set()
     seeds: Set[str] = set()
-    ops: List[str] = []
-    cats: List[str] = []
-    _scan_expr(node, ctx_name, srcs, seeds, ops, cats)
-    return tuple(sorted(srcs)), tuple(sorted(seeds))
+    accesses: List[Access] = []
+    _scan_expr(node, ctx_name, srcs, seeds, [], [], accesses=accesses)
+    return tuple(sorted(srcs)), tuple(sorted(seeds)), tuple(accesses)
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +405,8 @@ class _CFGBuilder:
         #: (header_index, exit_index) per enclosing loop
         self.loop_stack: List[Tuple[int, int]] = []
         self.exit_index: Optional[int] = None
+        #: the nested ``def`` statements of this function's own body
+        self.defs: Dict[str, ast.FunctionDef] = {}
 
     # -- plumbing -------------------------------------------------------
     def new_block(self) -> int:
@@ -343,9 +452,11 @@ class _CFGBuilder:
             if self.loop_stack:
                 self.edge(self.cur, self.loop_stack[-1][0])
             self.cur = None
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef, ast.Import, ast.ImportFrom,
-                               ast.Pass, ast.Global, ast.Nonlocal)):
+        elif isinstance(stmt, ast.FunctionDef):
+            self.defs[stmt.name] = stmt   # lowered where it is called
+        elif isinstance(stmt, (ast.AsyncFunctionDef, ast.ClassDef,
+                               ast.Import, ast.ImportFrom, ast.Pass,
+                               ast.Global, ast.Nonlocal)):
             pass                          # no dataflow contribution
         elif isinstance(stmt, ast.With):  # non-masked context manager
             for item in stmt.items:       # its ctx calls still charge
@@ -357,6 +468,7 @@ class _CFGBuilder:
             self.build(stmt.body)
         elif isinstance(stmt, (ast.Try,)):
             self.build(stmt.body)         # conservative: straight-line
+            self.build(stmt.orelse)
             for h in stmt.handlers:
                 self.build(h.body)
             self.build(stmt.finalbody)
@@ -375,10 +487,10 @@ class _CFGBuilder:
     def _branch_join(self, kind: str, cond: ast.AST, lineno: int,
                      body: Sequence[ast.stmt],
                      orelse: Sequence[ast.stmt]) -> None:
-        srcs, seeds = _cond_info(cond, self.ctx_name)
+        srcs, seeds, accesses = _cond_info(cond, self.ctx_name)
         branch_blk = self.cur
         self.blocks[branch_blk].branch = Branch(
-            kind, self.offset + lineno, srcs, seeds, cond)
+            kind, self.offset + lineno, srcs, seeds, cond, accesses)
         join = self.new_block()
 
         then_entry = self.new_block()
@@ -405,7 +517,7 @@ class _CFGBuilder:
         self.edge(self.cur, header)
         if isinstance(stmt, ast.For):
             kind = "loop"
-            srcs, seeds = _cond_info(stmt.iter, self.ctx_name)
+            srcs, seeds, accesses = _cond_info(stmt.iter, self.ctx_name)
             dests = tuple(sorted(
                 sub.id for sub in ast.walk(stmt.target)
                 if isinstance(sub, ast.Name)))
@@ -414,9 +526,10 @@ class _CFGBuilder:
                 binds=_bound([stmt.target])))
         else:
             kind = "while"
-            srcs, seeds = _cond_info(stmt.test, self.ctx_name)
+            srcs, seeds, accesses = _cond_info(stmt.test, self.ctx_name)
         self.blocks[header].branch = Branch(
-            kind, self.offset + stmt.lineno, srcs, seeds)
+            kind, self.offset + stmt.lineno, srcs, seeds,
+            accesses=accesses)
 
         exit_blk = self.new_block()
         body_entry = self.new_block()
@@ -499,7 +612,9 @@ class KernelIR:
     def __init__(self, name: str, blocks: List[BasicBlock],
                  entry: int, exit_index: int, line_offset: int,
                  params: Tuple[str, ...], ctx_name: str,
-                 opaque: Tuple[Tuple[int, str], ...] = ()) -> None:
+                 opaque: Tuple[Tuple[int, str], ...] = (),
+                 unread: Tuple[Tuple[int, str], ...] = (),
+                 defs: Optional[Dict[str, ast.FunctionDef]] = None) -> None:
         self.name = name
         self.blocks = blocks
         self.entry = entry
@@ -511,6 +626,12 @@ class KernelIR:
         #: does not see: a nested ``def``/``class``/``lambda``, a call
         #: that receives ``ctx``, any other escape of ``ctx``, a ``try``
         self.opaque = opaque
+        #: the constructs a source-order walk cannot read either (see
+        #: :func:`_opaque`)
+        self.unread = unread
+        #: the nested ``def`` statements of the body, by name
+        self.defs = defs or {}
+        self._helpers: Dict[str, KernelIR] = {}
 
         self.reachable = self._reachable_from(entry, lambda b: b.succs)
         nodes = sorted(self.reachable)
@@ -637,6 +758,68 @@ class KernelIR:
     def in_loop(self, block: int) -> bool:
         return any(block in lp.body for lp in self.loops)
 
+    def helper(self, name: str) -> "KernelIR":
+        """The IR of the nested ``def name``, lowered on first use; its
+        ``ctx`` is this function's."""
+        if name not in self._helpers:
+            self._helpers[name] = _lower(self.defs[name], self.ctx_name,
+                                         self.line_offset)
+        return self._helpers[name]
+
+    # -- the CFG in source nesting -----------------------------------------
+    def arm_end(self, idx: int) -> Optional[int]:
+        """Where the arms of the fork at ``idx`` end: a loop body at its
+        header, a branch arm at the reconvergence point."""
+        branch = self.blocks[idx].branch
+        return idx if branch is not None and branch.is_loop \
+            else self.reconvergence(idx)
+
+    def region(self, start: int, stop: Optional[int]) -> Iterator[int]:
+        """The blocks from ``start`` to ``stop`` at one nesting level: a
+        loop continues at its exit, a branch after its arms.  A jump out
+        (``break``, ``return``) ends the region."""
+        idx: Optional[int] = start
+        while idx is not None and idx != stop and self.dominates(start, idx):
+            yield idx
+            blk = self.blocks[idx]
+            if blk.branch is None:
+                idx = blk.succs[0] if blk.succs else None
+            elif blk.branch.is_loop:
+                idx = blk.succs[1]
+            else:
+                idx = self.reconvergence(idx)
+
+    def kept_arms(self, idx: int, env: Dict[str, object]) -> List[int]:
+        """The entries of the fork's kept arms: a loop's or a masked
+        region's body, an ``if``'s arms less one the closure ``env``
+        rules out."""
+        blk = self.blocks[idx]
+        if blk.branch is None or blk.branch.kind != "if":
+            return blk.succs[:1]
+        value = _const_eval(blk.branch.test, env)
+        if value is None:
+            return blk.succs[:2]
+        return [blk.succs[0] if value else blk.succs[1]]
+
+    def source_order(self, env: Dict[str, object],
+                     start: Optional[int] = None,
+                     stop: Optional[int] = None,
+                     loop: Optional[int] = None,
+                     ) -> Iterator[Tuple[int, Optional[int]]]:
+        """The blocks the closure ``env`` keeps, in source order (a
+        fork's block before its arms), each with the header of the
+        innermost loop around it; the whole body by default."""
+        if start is None:
+            start, stop = self.entry, self.exit_index
+        for idx in self.region(start, stop):
+            yield idx, loop
+            branch = self.blocks[idx].branch
+            if branch is not None:
+                inner = idx if branch.is_loop else loop
+                for arm in self.kept_arms(idx, env):
+                    yield from self.source_order(env, arm, self.arm_end(idx),
+                                                 inner)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KernelIR({self.name!r}, {len(self.blocks)} blocks, "
                 f"{len(self.loops)} loops)")
@@ -655,44 +838,95 @@ def lower_kernel(fn: Callable) -> KernelIR:
 
 
 def _build_ir(src: KernelSource) -> KernelIR:
-    fdef, offset = src.fdef, src.offset
-    params = tuple(a.arg for a in fdef.args.args)
-    ctx_name = params[0] if params else "ctx"
+    params = tuple(a.arg for a in src.fdef.args.args)
+    return _lower(src.fdef, params[0] if params else "ctx", src.offset)
+
+
+def _lower(fdef: ast.FunctionDef, ctx_name: str, offset: int) -> KernelIR:
+    """The IR of one function whose ``ctx`` is named ``ctx_name``."""
     builder = _CFGBuilder(ctx_name, offset)
     builder.build(fdef.body)
     exit_index = builder._exit()
     if builder.cur is not None:
         builder.edge(builder.cur, exit_index)
+    opaque, unread = _opaque(fdef.body, ctx_name, offset)
     return KernelIR(fdef.name, builder.blocks, 0, exit_index, offset,
-                    params, ctx_name, _opaque(fdef.body, ctx_name, offset))
+                    tuple(a.arg for a in fdef.args.args), ctx_name,
+                    opaque, unread, builder.defs)
 
 
-def _opaque(body: Sequence[ast.stmt], ctx_name: str,
-            offset: int) -> Tuple[Tuple[int, str], ...]:
-    """The constructs of ``body`` that hide statements from the CFG."""
+#: compound statements the CFG builder does not lower
+_UNLOWERED = tuple(getattr(ast, name) for name in
+                   ("AsyncFor", "AsyncWith", "Match", "TryStar")
+                   if hasattr(ast, name))
+
+
+def _opaque(body: Sequence[ast.stmt], ctx_name: str, offset: int
+            ) -> Tuple[Tuple[Tuple[int, str], ...], Tuple[Tuple[int, str], ...]]:
+    """The constructs of ``body`` that hide statements from the CFG, and
+    those a source-order walk cannot read either.  The walk reads a
+    nested ``def`` where it is called, a call that receives ``ctx``
+    through its callee and a ``try`` straight through; it cannot read a
+    class, a ``lambda``, a decorated ``def``, a compound statement the
+    builder does not lower (``match``, ``async for``/``with``), or an
+    escape of ``ctx`` or of a nested ``def``'s name."""
     found: List[Tuple[int, str]] = []
+    unread: List[Tuple[int, str]] = []
     bases: Set[int] = set()        # ctx names read as ``ctx.<attr>``
     passed: Set[int] = set()       # ctx names passed to a call
+    callees: Set[int] = set()      # names called as ``name(...)``
+    defs: Set[str] = set()
     nodes = [sub for stmt in body for sub in ast.walk(stmt)]
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             found.append((node.lineno, f"nested def {node.name}"))
+            defs.add(node.name)
+            if not isinstance(node, ast.FunctionDef) or node.decorator_list:
+                unread.append(found[-1])
         elif isinstance(node, ast.Lambda):
             found.append((node.lineno, "lambda"))
+            unread.append(found[-1])
         elif isinstance(node, ast.Try):
             found.append((node.lineno, "try statement"))
+        elif isinstance(node, _UNLOWERED):
+            found.append((node.lineno, f"{type(node).__name__} statement"))
+            unread.append(found[-1])
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.value, ast.Name):
             bases.add(id(node.value))
         elif isinstance(node, ast.Call):
+            callees.add(id(node.func))
             for arg in (*node.args, *(kw.value for kw in node.keywords)):
                 if isinstance(arg, ast.Name) and arg.id == ctx_name:
                     passed.add(id(arg))
                     found.append((node.lineno, f"{ast.unparse(node.func)} "
                                                f"receives {ctx_name}"))
     for node in nodes:
-        if isinstance(node, ast.Name) and node.id == ctx_name \
-                and id(node) not in bases and id(node) not in passed:
+        if not isinstance(node, ast.Name):
+            continue
+        if node.id == ctx_name and id(node) not in bases \
+                and id(node) not in passed:
             found.append((node.lineno, f"{ctx_name} escapes"))
-    return tuple(sorted((offset + line, what) for line, what in found))
+            unread.append(found[-1])
+        elif node.id in defs and isinstance(node.ctx, ast.Load) \
+                and id(node) not in callees:
+            unread.append((node.lineno, f"nested def {node.id} escapes"))
+    return (tuple(sorted((offset + line, what) for line, what in found)),
+            tuple(sorted((offset + line, what) for line, what in unread)))
+
+
+def _const_eval(node: Optional[ast.AST], env: Dict[str, object]) -> object:
+    """Evaluate a configuration expression against the closure env.
+    Returns the value, or None when it involves runtime state."""
+    if not isinstance(node, ast.expr):
+        return None
+    try:
+        expr = ast.Expression(body=node)
+        code = compile(ast.fix_missing_locations(expr), "<cfg>", "eval")
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if not names <= set(env):
+            return None
+        return eval(code, {"__builtins__": {}}, dict(env))  # noqa: S307
+    except Exception:
+        return None

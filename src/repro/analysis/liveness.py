@@ -43,9 +43,8 @@ them.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
 from ..cuda.source import SOURCE_ERRORS, closure_env, fingerprint
@@ -67,9 +66,6 @@ VARYING_ATTRS = frozenset(
 
 #: IR seed tokens and ops whose statement binds a per-thread value
 _VARYING = VARYING_CALLS | VARYING_ATTRS | {"array"}
-
-#: branch kinds that head a loop
-_LOOPS = ("loop", "while")
 
 #: fixpoint iteration cap for loop liveness
 _MAX_PASSES = 8
@@ -95,22 +91,6 @@ class RegisterEstimate:
         }
 
 
-def _const_eval(node: Optional[ast.AST], env: Dict[str, object]) -> object:
-    """Evaluate a configuration expression against the closure env.
-    Returns the value, or None when it involves runtime state."""
-    if not isinstance(node, ast.expr):
-        return None
-    try:
-        expr = ast.Expression(body=node)
-        code = compile(ast.fix_missing_locations(expr), "<cfg>", "eval")
-        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        if not names <= set(env):
-            return None
-        return eval(code, {"__builtins__": {}}, dict(env))  # noqa: S307
-    except Exception:
-        return None
-
-
 class _Liveness:
     """Backward liveness over the IR with flow-insensitive value classes."""
 
@@ -123,55 +103,9 @@ class _Liveness:
         self.peak = 0
         self.peak_names: Tuple[str, ...] = ()
 
-    # -- the CFG in source nesting ----------------------------------------
-    def _end(self, idx: int, branch: Branch) -> Optional[int]:
-        """Where the arms of the fork at ``idx`` end: a loop body at its
-        header, a branch arm at the reconvergence point."""
-        return idx if branch.kind in _LOOPS else self.ir.reconvergence(idx)
-
-    def _region(self, start: int, stop: Optional[int]) -> Iterator[int]:
-        """The blocks from ``start`` to ``stop`` at one nesting level: a
-        loop continues at its exit, a branch after its arms.  A jump out
-        (``break``, ``return``) ends the region."""
-        idx: Optional[int] = start
-        while idx is not None and idx != stop \
-                and self.ir.dominates(start, idx):
-            yield idx
-            blk = self.ir.blocks[idx]
-            if blk.branch is None:
-                idx = blk.succs[0] if blk.succs else None
-            elif blk.branch.kind in _LOOPS:
-                idx = blk.succs[1]
-            else:
-                idx = self.ir.reconvergence(idx)
-
-    def _entries(self, idx: int) -> List[int]:
-        """The entries of the fork's kept arms: a loop's or a masked
-        region's body, an ``if``'s arms less one the closure rules out."""
-        blk = self.ir.blocks[idx]
-        if blk.branch is None or blk.branch.kind != "if":
-            return blk.succs[:1]
-        value = _const_eval(blk.branch.test, self.env)
-        if value is None:
-            return blk.succs[:2]
-        return [blk.succs[0] if value else blk.succs[1]]
-
-    def _blocks(self, start: int, stop: Optional[int], loop: Optional[int]
-                ) -> Iterator[Tuple[int, Optional[int]]]:
-        """The kept blocks in source order, each with the header of the
-        innermost loop around it."""
-        for idx in self._region(start, stop):
-            yield idx, loop
-            branch = self.ir.blocks[idx].branch
-            if branch is not None:
-                inner = idx if branch.kind in _LOOPS else loop
-                for arm in self._entries(idx):
-                    yield from self._blocks(arm, self._end(idx, branch),
-                                            inner)
-
     # -- classification (flow-insensitive, to fixpoint) -------------------
     def classify(self) -> None:
-        blocks = list(self._blocks(self.ir.entry, self.ir.exit_index, None))
+        blocks = list(self.ir.source_order(self.env))
         instrs = [i for idx, _ in blocks for i in self.ir.blocks[idx].instrs]
         self.shared = {n for i in instrs if "shared_alloc" in i.ops
                        for n in i.binds}
@@ -202,16 +136,16 @@ class _Liveness:
               live: Set[str]) -> Set[str]:
         """Live-in of the region from ``start`` to ``stop``, given its
         live-out."""
-        for idx in reversed(list(self._region(start, stop))):
+        for idx in reversed(list(self.ir.region(start, stop))):
             blk = self.ir.blocks[idx]
             branch = blk.branch
-            if branch is not None and branch.kind in _LOOPS:
+            if branch is not None and branch.is_loop:
                 live = self._loop(idx, branch, live)
                 self._note(live)
                 continue          # the header binds only the loop target
             if branch is not None:
-                arms = self._entries(idx)
-                end = self._end(idx, branch)
+                arms = self.ir.kept_arms(idx, self.env)
+                end = self.ir.arm_end(idx)
                 live = set().union(*(self._live(arm, end, set(live))
                                      for arm in arms))
                 if len(arms) > 1 or branch.kind == "masked":

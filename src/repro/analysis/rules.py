@@ -30,7 +30,9 @@ The rules mirror the paper's optimization checklist:
   ``compiled`` executor's fallback to the sequential reference
   backend is visible in reports.
 * **R7 launch dataflow** — cross-launch def-use chains over the
-  application's recorded launch sequence (fusion legality).
+  application's recorded launch sequence (fusion legality), each
+  launch's global footprint read off its kernel's IR, not
+  interpreted.
 * **R8 divergence** — the uniformity/divergence dataflow over the
   kernel IR (:mod:`repro.analysis.divergence`): barriers under
   thread-varying control flow (the static twin of synccheck), hot
@@ -39,18 +41,20 @@ The rules mirror the paper's optimization checklist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.dim3 import as_dim3
+from ..cuda.source import SOURCE_ERRORS, closure_env
 from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
 from .census import SampleBlock, census_from_blocks, sample_coords
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SpaceEvent, SyncEvent, interpret
+from .ir import Access, KernelIR, lower_kernel
 from .liveness import estimate_registers
 from .symbolic import (
     as_lanes,
@@ -566,16 +570,23 @@ def rule_compilability(status: Tuple[bool, str],
 # R7: inter-launch dataflow — the fusion-legality oracle
 # ----------------------------------------------------------------------
 #
-# Runs the abstract interpreter over an application's *whole launch
-# sequence* (captured via :func:`repro.cuda.plan.observe_plans`),
-# derives per-launch global read/write sets, and chains them into
-# per-array def-use across launches.  An intermediate written by one
-# launch and consumed by a later one with a single producing segment
-# is **fusable-private** (safe to keep in registers/shared inside a
-# fused producer→consumer module); an array whose value flows around a
-# launch loop — re-defined and re-consumed, or accumulated
-# read-modify-write — is **loop-carried** and any fusion must preserve
-# the carried dependence.
+# Reads each launch's global footprint off its kernel's IR
+# (:mod:`repro.analysis.ir`) before anything runs, as the paper sizes a
+# kernel from its PTX: the global loads, stores and atomics of every
+# statement the closure keeps, in source order (a call after its
+# arguments, a branch or loop test before its arms), each helper read
+# where it is called.  Every block's path counts, so a store only some
+# blocks make is seen.  The footprints of an application's launch
+# sequence (captured via :func:`repro.cuda.plan.observe_plans`) are then
+# chained into per-array def-use across launches.  An intermediate
+# written by one launch and consumed by a later one with a single
+# producing segment is **fusable-private** (safe to keep in
+# registers/shared inside a fused producer→consumer module); an array
+# whose value flows around a launch loop — re-defined and re-consumed,
+# or accumulated read-modify-write — is **loop-carried** and any fusion
+# must preserve the carried dependence.  Code the front end cannot read
+# makes a footprint conservative: every global argument counts as read
+# first and written, with an INFO finding naming the construct.
 
 from dataclasses import dataclass as _dataclass, field as _field
 
@@ -589,7 +600,7 @@ class LaunchAccess:
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
     #: arrays whose *incoming* value the launch observes (first access
-    #: in event order is a load — includes read-modify-write
+    #: in source order is a load — includes read-modify-write
     #: accumulators)
     reads_incoming: Tuple[str, ...] = ()
 
@@ -633,36 +644,143 @@ class LaunchDataflow:
                 "findings": [f.to_dict() for f in self.findings]}
 
 
-def _plan_access(plan, spec: DeviceSpec) -> LaunchAccess:
-    """Abstractly interpret one recorded plan: global read/write sets."""
+#: the access kind of each ``ctx`` global memory op
+_GLOBAL_KIND = {"ld_global": "ld", "st_global": "st",
+                "atom_global_add": "atom"}
+
+#: the scope value of ``ctx`` (an argument's is its position)
+_CTX = -1
+
+
+class _Unread(Exception):
+    """A construct the footprint walk cannot read."""
+
+
+class _Frame(NamedTuple):
+    """One function on the footprint walk's call stack."""
+
+    ir: KernelIR
+    fn: Callable                # source, closure and globals of ``ir``
+    scope: Dict[str, int]       # names holding an argument (or ``ctx``)
+    outer: Optional["_Frame"]   # where a nested ``def`` was defined
+    caller: Optional["_Frame"]  # the frame that called this one
+
+
+def _footprint(kernel) -> List[Tuple[str, int]]:
+    """``kernel``'s global accesses as ``(kind, argument position)`` in
+    source order; raises :class:`_Unread`."""
+    try:
+        ir = lower_kernel(kernel)
+    except SOURCE_ERRORS as exc:
+        raise _Unread(f"source unavailable ({exc})") from None
+    scope = {name: pos for pos, name in enumerate(ir.params[1:])}
+    scope[ir.ctx_name] = _CTX
+    out: List[Tuple[str, int]] = []
+    _walk(_Frame(ir, getattr(kernel, "fn", kernel), scope, None, None),
+          out)
+    return out
+
+
+def _walk(frame: _Frame, out: List[Tuple[str, int]]) -> None:
+    """Append the accesses of ``frame``'s function to ``out``."""
+    ir = frame.ir
+    if ir.unread:
+        line, what = ir.unread[0]
+        raise _Unread(f"{what} (line {line})")
+    bound = {n for blk in ir.blocks for i in blk.instrs for n in i.binds}
+    frame = frame._replace(scope={n: v for n, v in frame.scope.items()
+                                  if n not in bound})
+    env = {n: v for n, v in closure_env(frame.fn).items()
+           if n not in bound and n not in ir.params}
+    for idx, _ in ir.source_order(env):
+        blk = ir.blocks[idx]
+        sites = [(i.line, a) for i in blk.instrs for a in i.accesses]
+        if blk.branch is not None:
+            sites += [(blk.branch.line, a) for a in blk.branch.accesses]
+        for line, access in sites:
+            if access.op == "call":
+                _call(frame, access, line, out)
+                continue
+            pos = frame.scope.get(access.name or "", _CTX)
+            if pos == _CTX:
+                raise _Unread(f"{access.op} on {access.name or 'an expression'}"
+                              f", not an argument (line {line})")
+            out.append((_GLOBAL_KIND[access.op], pos))
+
+
+def _call(frame: _Frame, access: Access, line: int,
+          out: List[Tuple[str, int]]) -> None:
+    """Walk the function ``access`` calls if it may reach ``ctx``: a
+    nested ``def`` (in the scope that defines it) or a function that
+    receives ``ctx``."""
+    callee = access.name
+    home: Optional[_Frame] = frame
+    while home is not None and callee not in home.ir.defs:
+        home = home.outer
+    if home is not None:
+        ir, fn, scope = home.ir.helper(callee), home.fn, home.scope
+    elif any(frame.scope.get(name or "") == _CTX for _, name in access.args):
+        fn = closure_env(frame.fn).get(
+            callee, getattr(frame.fn, "__globals__", {}).get(callee))
+        try:
+            ir = lower_kernel(fn)
+        except SOURCE_ERRORS:
+            raise _Unread(f"{callee} receives ctx (line {line})") from None
+        scope = {}
+    else:
+        return                      # cannot reach ctx
+    scope = {n: v for n, v in scope.items() if n not in ir.params}
+    for key, name in access.args:
+        param = ir.params[key] if isinstance(key, int) \
+            and key < len(ir.params) else key
+        if param not in ir.params:
+            raise _Unread(f"argument {key} of {callee} (line {line})")
+        if name in frame.scope:
+            scope[param] = frame.scope[name]
+        if scope.get(param) == _CTX and param != ir.ctx_name:
+            raise _Unread(f"{callee} receives ctx as {param}, not as "
+                          f"{ir.ctx_name} (line {line})")
+    up: Optional[_Frame] = frame
+    while up is not None:
+        if up.ir is ir:
+            raise _Unread(f"recursive call of {callee} (line {line})")
+        up = up.caller
+    _walk(_Frame(ir, fn, scope, home, frame), out)
+
+
+def _plan_access(plan) -> Tuple[LaunchAccess, Optional[Finding]]:
+    """One launch's global footprint: its kernel's accesses on the
+    arrays the plan binds.  Only global arrays count, as execution
+    refuses a global op on any other space.  Unreadable code makes every
+    global argument read first and written, with an INFO finding."""
     from ..cuda.memory import DeviceArray
-    from .targets import LintArray
-    args = []
-    for a in plan.args:
-        if isinstance(a, DeviceArray):
-            args.append(LintArray(a.name, getattr(a, "space", "global"),
-                                  a.size, str(a.data.dtype)))
-        else:
-            args.append(a)
-    grid = (plan.grid.x, plan.grid.y, plan.grid.z)
-    block = (plan.block.x, plan.block.y, plan.block.z)
-    target = LintTarget(plan.kernel, grid, block, tuple(args))
-    recorder, _ctx = interpret(target, sample_coords(plan.grid)[0], spec)
+    arrays = [a.name if isinstance(a, DeviceArray)
+              and getattr(a, "space", "global") == "global" else None
+              for a in plan.args]
+    finding = None
+    try:
+        events = [(kind, arrays[pos]) for kind, pos in _footprint(plan.kernel)
+                  if pos < len(arrays) and arrays[pos] is not None]
+    except _Unread as exc:
+        names = [a for a in arrays if a is not None]
+        events = [("ld", a) for a in names] + [("st", a) for a in names]
+        finding = Finding(
+            "launch-dataflow", Severity.INFO, plan.kernel.name,
+            f"global footprint not read from the source: {exc}; every "
+            f"global argument counts as read first and written")
     reads: List[str] = []
     writes: List[str] = []
     first_op: Dict[str, str] = {}
-    for ev in recorder.events:
-        if not isinstance(ev, MemEvent) or ev.space != "global":
-            continue
-        if ev.op in ("ld", "atom") and ev.array not in reads:
-            reads.append(ev.array)
-        if ev.op in ("st", "atom") and ev.array not in writes:
-            writes.append(ev.array)
-        first_op.setdefault(ev.array, "ld" if ev.op != "st" else "st")
+    for op, array in events:
+        if op in ("ld", "atom") and array not in reads:
+            reads.append(array)
+        if op in ("st", "atom") and array not in writes:
+            writes.append(array)
+        first_op.setdefault(array, "ld" if op != "st" else "st")
     incoming = tuple(a for a in reads if first_op.get(a) == "ld")
     return LaunchAccess(index=0, kernel=plan.kernel.name,
                         reads=tuple(reads), writes=tuple(writes),
-                        reads_incoming=incoming)
+                        reads_incoming=incoming), finding
 
 
 def classify_dataflow(launches: List[LaunchAccess],
@@ -718,22 +836,19 @@ def classify_dataflow(launches: List[LaunchAccess],
 
 
 def analyze_launch_sequence(plans: List[object], app: str = "",
-                            spec: DeviceSpec = DEFAULT_DEVICE,
                             ) -> LaunchDataflow:
     """R7 over an already-recorded launch sequence."""
     flow = LaunchDataflow(app=app)
-    cache: Dict[Tuple, LaunchAccess] = {}
+    cache: Dict[Tuple, Tuple[LaunchAccess, Optional[Finding]]] = {}
     for i, plan in enumerate(plans):
-        names = tuple(getattr(a, "name", None) for a in plan.args)
         # the kernel object, not just its name: two kernels may share one
-        key = (plan.kernel, plan.arg_signature(), plan.grid, names)
-        access = cache.get(key)
-        if access is None:
-            access = cache[key] = _plan_access(plan, spec)
-        access = LaunchAccess(index=i, kernel=access.kernel,
-                              reads=access.reads, writes=access.writes,
-                              reads_incoming=access.reads_incoming)
-        flow.launches.append(access)
+        key = (plan.kernel, tuple(getattr(a, "name", None)
+                                  for a in plan.args))
+        if key not in cache:
+            cache[key] = _plan_access(plan)
+            if cache[key][1] is not None:
+                flow.findings.append(cache[key][1])
+        flow.launches.append(replace(cache[key][0], index=i))
     flow.arrays = classify_dataflow(flow.launches)
     for df in flow.arrays.values():
         if df.classification in ("fusable-private", "loop-carried"):
@@ -755,7 +870,7 @@ def launch_dataflow(app_name: str, spec: DeviceSpec = DEFAULT_DEVICE,
     plans: List[object] = []
     with observe_plans(plans.append):
         app.run(app.default_workload(scale), functional=True)
-    return analyze_launch_sequence(plans, app=app_name, spec=spec)
+    return analyze_launch_sequence(plans, app=app_name)
 
 
 # ----------------------------------------------------------------------

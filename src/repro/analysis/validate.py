@@ -442,9 +442,6 @@ STATIC_SAN_RULES = frozenset(
     {"shared-race", "divergent-sync", "bounds", "shared-uninit",
      "divergence"})
 
-#: multi-launch applications whose R7 classification is cross-checked
-DATAFLOW_APPS = ("lbm", "fdtd", "mri-fhd")
-
 #: applications for the bit-identity check (one global-only, one
 #: shared-tiled, one multi-launch)
 IDENTITY_APPS = ("saxpy", "matmul", "lbm")
@@ -575,17 +572,16 @@ def _sanitized_checks(name: str, static_flagged: bool,
                     static_flagged, dynamic_flagged,
                     not static_flagged and not dynamic_flagged)]
 
-    if name in DATAFLOW_APPS:
-        flow = analyze_launch_sequence(plans, app=name, spec=spec)
-        observed = classify_dataflow(state.launch_accesses())
-        for array in sorted(set(flow.arrays) | set(observed)):
-            s = flow.arrays.get(array)
-            d = observed.get(array)
-            s_cls = s.classification if s else "absent"
-            d_cls = d.classification if d else "absent"
-            checks.append(Check(
-                f"{name}/{array}", "launch-dataflow class agrees",
-                s_cls, d_cls, s_cls == d_cls))
+    flow = analyze_launch_sequence(plans, app=name)
+    observed = classify_dataflow(state.launch_accesses())
+    for array in sorted(set(flow.arrays) | set(observed)):
+        s = flow.arrays.get(array)
+        d = observed.get(array)
+        s_cls = s.classification if s else "absent"
+        d_cls = d.classification if d else "absent"
+        checks.append(Check(
+            f"{name}/{array}", "launch-dataflow class agrees",
+            s_cls, d_cls, s_cls == d_cls))
 
     if name in IDENTITY_APPS:
         plain = get_app(name, spec).run(workload, functional=True)

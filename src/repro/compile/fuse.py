@@ -111,7 +111,7 @@ def _refusal(plan) -> str:
     return ""
 
 
-def fuse_schedule(schedule, spec=None) -> FusionPlan:
+def fuse_schedule(schedule) -> FusionPlan:
     """Plan the fused execution of one :class:`ModuleSchedule`.
 
     Walks the schedule in order, growing a group while launches stay
@@ -123,15 +123,13 @@ def fuse_schedule(schedule, spec=None) -> FusionPlan:
     from ..analysis.rules import analyze_launch_sequence
     from .module import HostStep
 
-    spec = spec or schedule.device.spec
-
     plans = []
     launch_index: Dict[int, int] = {}
     for i, step in enumerate(schedule.steps):
         if not isinstance(step, HostStep):
             launch_index[i] = len(plans)
             plans.append(step)
-    dataflow = analyze_launch_sequence(plans, app=schedule.app, spec=spec)
+    dataflow = analyze_launch_sequence(plans, app=schedule.app)
 
     plan_out = FusionPlan(dataflow=dataflow, launch_index=launch_index)
     run: List[int] = []

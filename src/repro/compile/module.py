@@ -103,8 +103,7 @@ class CompiledModule:
 
     def __init__(self, schedule: ModuleSchedule) -> None:
         self.schedule = schedule
-        self.fusion: FusionPlan = fuse_schedule(
-            schedule, spec=schedule.device.spec)
+        self.fusion: FusionPlan = fuse_schedule(schedule)
         self.stats: Counter = Counter()
         self._executor = CompiledExecutor()
         self._executor.traces = schedule.device.traces

@@ -187,8 +187,8 @@ class LaunchPlan:
         dtype and element count for device arrays, type and value for
         scalars.  Combined with the kernel name and block shape this
         keys anything cached per launch *configuration* — the artifact
-        cache's program context and R7's per-launch footprints —
-        without holding references to the arrays themselves."""
+        cache's program context — without holding references to the
+        arrays themselves."""
         from .memory import DeviceArray
         parts = []
         for a in self.args:

@@ -15,8 +15,9 @@ def _load_smoke():
     return module
 
 
-def test_provenance_stamp_shape():
+def test_provenance_stamp_shape(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)                # the sha is the script's
     prov = _load_smoke().run_provenance()
     assert set(prov) == {"git_sha", "timestamp"}
-    assert len(prov["git_sha"]) == 40          # runs inside the repo
+    assert len(prov["git_sha"]) == 40
     assert "T" in prov["timestamp"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.findings import Severity
+from repro.analysis.ir import lower_kernel
 from repro.analysis.rules import (
     analyze_launch_sequence,
     classify_dataflow,
@@ -15,6 +16,7 @@ from repro.apps.registry import get_app
 from repro.arch.device import DEFAULT_DEVICE
 from repro.cuda import Device, LaunchPlan, kernel, launch
 from repro.cuda.executors import SanitizedExecutor
+from repro.cuda.plan import observe_plans
 from repro.san import SAN_RULES, SanState
 from repro.analysis.validate import app_checks, broken_checks
 from repro.san import check as san_check
@@ -175,6 +177,93 @@ class TestLaunchDataflow:
         assert flow.arrays["A"].classification == "fusable-private"
         assert flow.arrays["B"].classification == "live-out"
 
+    def test_a_store_only_the_last_block_makes_is_seen(self):
+        """``flag`` is written by ``mark_last``'s last block alone, then
+        read: both R7 and the sanitizer's launch log call it
+        fusable-private (block (0,0,0) never stores it)."""
+        dev = Device()
+        flag = dev.alloc(32, np.float32, "flag")
+        out = dev.alloc(4 * 32, np.float32, "out")
+        executor = SanitizedExecutor()
+        plans = []
+        with observe_plans(plans.append):
+            launch(mark_last, (4,), (32,), (flag,), device=dev,
+                   executor=executor)
+            launch(read_flag, (4,), (32,), (flag, out), device=dev,
+                   executor=executor)
+        assert out.to_host().min() == 1.0
+        static = analyze_launch_sequence(plans).arrays
+        dynamic = classify_dataflow(executor.state.launch_accesses())
+        for flow in (static, dynamic):
+            assert flow["flag"].classification == "fusable-private"
+            assert flow["out"].classification == "live-out"
+
+    def test_one_statement_read_modify_write_reads_incoming(self):
+        """Arguments run before their call: ``y`` is loaded before the
+        store that encloses the load."""
+        dev = Device()
+        x = dev.alloc(64, np.float32, "x")
+        y = dev.alloc(64, np.float32, "y")
+        plan = LaunchPlan.build(axpy_in_place, (2,), (32,), (x, y, 2.0),
+                                device=dev)
+        (access,) = analyze_launch_sequence([plan]).launches
+        assert access.reads == ("x", "y")
+        assert access.writes == ("y",)
+        assert access.reads_incoming == ("x", "y")
+
+    def test_ir_lists_calls_in_the_order_they_run(self):
+        ir = lower_kernel(get_app("saxpy").lint_targets()[0].kernel)
+        (store,) = [i for blk in ir.blocks for i in blk.instrs
+                    if "st_global" in i.ops]
+        assert store.ops == ("fma", "st_global")
+        (rmw,) = [i for blk in lower_kernel(axpy_in_place).blocks
+                  for i in blk.instrs if "st_global" in i.ops]
+        assert rmw.ops == ("global_tid", "global_tid", "ld_global",
+                           "global_tid", "ld_global", "fma", "st_global")
+        assert [(a.op, a.name) for a in rmw.accesses] == [
+            ("ld_global", "x"), ("ld_global", "y"), ("st_global", "y")]
+
+    def test_helpers_are_read_where_they_are_called(self):
+        """A nested ``def`` reads the kernel's arrays through its
+        closure; a helper that receives ``ctx`` reads the array it is
+        passed; a ``try``'s ``else`` arm is read too."""
+        dev = Device()
+        src = dev.alloc(64, np.float32, "src")
+        dst = dev.alloc(64, np.float32, "dst")
+        kernels = (copy_via_nested_def, copy_via_helper, copy_in_try_else)
+        plans = [LaunchPlan.build(k, (2,), (32,), (src, dst), device=dev)
+                 for k in kernels]
+        flow = analyze_launch_sequence(plans)
+        assert [(la.reads, la.writes, la.reads_incoming)
+                for la in flow.launches] == [
+            (("src",), ("dst",), ("src",))] * len(kernels)
+        assert not [f for f in flow.findings if "not read" in f.message]
+
+    def test_unread_code_makes_the_footprint_conservative(self):
+        dev = Device()
+        src = dev.alloc(64, np.float32, "src")
+        dst = dev.alloc(64, np.float32, "dst")
+        plan = LaunchPlan.build(copy_via_lambda, (2,), (32,), (src, dst),
+                                device=dev)
+        flow = analyze_launch_sequence([plan, plan])
+        for la in flow.launches:
+            assert la.reads == la.writes == la.reads_incoming == (
+                "src", "dst")
+        (note,) = [f for f in flow.findings if "not read" in f.message]
+        assert note.severity is Severity.INFO
+        assert note.kernel == "copy_via_lambda"
+        assert "lambda" in note.message
+
+    def test_r7_interprets_no_block(self, monkeypatch):
+        from repro.analysis.interp import KernelInterp
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("R7 interpreted a block")
+
+        monkeypatch.setattr(KernelInterp, "run", refuse)
+        flow = launch_dataflow("fdtd", DEFAULT_DEVICE)
+        assert flow.arrays["Ez"].classification == "loop-carried"
+
 
 @kernel("step", regs_per_thread=4)
 def step_produce(ctx, a, b):
@@ -186,6 +275,60 @@ def step_produce(ctx, a, b):
 def step_consume(ctx, a, b):
     i = ctx.global_tid()
     ctx.st_global(b, i, ctx.ld_global(a, i))
+
+
+@kernel("mark_last", regs_per_thread=4, batchable=False)
+def mark_last(ctx, flag):
+    if ctx.bx == ctx.gridDim.x - 1:
+        ctx.st_global(flag, ctx.tx, np.ones(ctx.nthreads, np.float32))
+
+
+@kernel("read_flag", regs_per_thread=4)
+def read_flag(ctx, flag, out):
+    ctx.st_global(out, ctx.global_tid(), ctx.ld_global(flag, ctx.tx))
+
+
+@kernel("axpy_in_place", regs_per_thread=4)
+def axpy_in_place(ctx, x, y, a):
+    ctx.st_global(y, ctx.global_tid(), ctx.fma(
+        a, ctx.ld_global(x, ctx.global_tid()),
+        ctx.ld_global(y, ctx.global_tid())))
+
+
+def _load(ctx, arr, i):
+    return ctx.ld_global(arr, i)
+
+
+@kernel("copy_via_helper", regs_per_thread=4)
+def copy_via_helper(ctx, src, dst):
+    i = ctx.global_tid()
+    ctx.st_global(dst, i, _load(ctx, src, i))
+
+
+@kernel("copy_via_nested_def", regs_per_thread=4)
+def copy_via_nested_def(ctx, src, dst):
+    def load(i):
+        return ctx.ld_global(src, i)
+
+    i = ctx.global_tid()
+    ctx.st_global(dst, i, load(i))
+
+
+@kernel("copy_in_try_else", regs_per_thread=4)
+def copy_in_try_else(ctx, src, dst):
+    try:
+        v = ctx.ld_global(src, ctx.global_tid())
+    except IndexError:
+        v = None
+    else:
+        ctx.st_global(dst, ctx.global_tid(), v)
+
+
+@kernel("copy_via_lambda", regs_per_thread=4)
+def copy_via_lambda(ctx, src, dst):
+    load = lambda i: ctx.ld_global(src, i)  # noqa: E731
+    i = ctx.global_tid()
+    ctx.st_global(dst, i, load(i))
 
 
 class TestWarpsimSynccheck:
