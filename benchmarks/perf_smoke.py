@@ -5,8 +5,11 @@ Times the full functional sweep (1024 blocks of 256 threads) of the
 and the AOT ``CompiledExecutor`` using the observability layer's span
 tracer (no hand-rolled ``perf_counter`` pairs), checks both device
 results are bit-identical, and writes ``BENCH_pipeline.json`` at the
-repo root with the per-stage pipeline breakdown (plan/execute/collect/
-finalize) of each backend plus the profiler-overhead measurement.
+repo root with the per-stage pipeline breakdown of each backend, read
+off the children of its ``launch.*`` span (``plan`` is its
+``plan.build`` child; ``execute`` and ``finalize`` are the launch
+record's split of its ``executor.<name>`` child), plus the
+profiler-overhead measurement.
 CI gates on the compiled backend clearing >= 20x over sequential; the
 <5% profiler-overhead gate runs in the dedicated ``obs-profile`` CI
 job (``profile_report --overhead-gate``).
@@ -79,7 +82,9 @@ def _one(tracer, executor, label, a, b):
     with tracer.span(label) as node:
         result = launch(kern, (N // TILE, N // TILE), (TILE, TILE),
                         (d_a, d_b, d_c, N), device=dev, executor=executor)
-    return node.seconds, result.stage_seconds, d_c.to_host().copy()
+    (plan,) = [child for child in node.children if child.name == "plan.build"]
+    stages = {"plan": plan.seconds, **result.profile().stage_seconds}
+    return node.seconds, stages, d_c.to_host().copy()
 
 
 def main() -> int:

@@ -54,7 +54,7 @@ from ..cuda.context import CTX_ATTRS, CTX_OPS
 from ..cuda.source import KernelSource, kernel_source
 
 __all__ = ["Access", "IRInstr", "Branch", "BasicBlock", "Loop",
-           "KernelIR", "lower_kernel"]
+           "KernelIR", "lower_kernel", "lower_helper"]
 
 
 # ----------------------------------------------------------------------
@@ -840,6 +840,15 @@ def lower_kernel(fn: Callable) -> KernelIR:
 def _build_ir(src: KernelSource) -> KernelIR:
     params = tuple(a.arg for a in src.fdef.args.args)
     return _lower(src.fdef, params[0] if params else "ctx", src.offset)
+
+
+def lower_helper(fn: Callable, ctx_name: str) -> KernelIR:
+    """The IR of a module-level helper that receives ``ctx`` as its
+    parameter ``ctx_name``, which need not be its first; memoized per
+    code object and name."""
+    src = kernel_source(fn)
+    return src.derive(("ir", ctx_name),
+                      lambda: _lower(src.fdef, ctx_name, src.offset))
 
 
 def _lower(fdef: ast.FunctionDef, ctx_name: str, offset: int) -> KernelIR:

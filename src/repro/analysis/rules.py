@@ -54,7 +54,7 @@ from ..trace.trace import KernelTrace
 from .census import SampleBlock, census_from_blocks, sample_coords
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SpaceEvent, SyncEvent, interpret
-from .ir import Access, KernelIR, lower_kernel
+from .ir import Access, KernelIR, lower_helper, lower_kernel
 from .liveness import estimate_registers
 from .symbolic import (
     as_lanes,
@@ -724,28 +724,44 @@ def _call(frame: _Frame, access: Access, line: int,
             callee, getattr(frame.fn, "__globals__", {}).get(callee))
         try:
             ir = lower_kernel(fn)
+            # the helper's ctx is the parameter that receives it
+            ctx = next((param for param, value
+                        in _bind(ir, access, frame, line).items()
+                        if value == _CTX), ir.ctx_name)
+            if ctx != ir.ctx_name:
+                ir = lower_helper(fn, ctx)
         except SOURCE_ERRORS:
             raise _Unread(f"{callee} receives ctx (line {line})") from None
         scope = {}
     else:
         return                      # cannot reach ctx
     scope = {n: v for n, v in scope.items() if n not in ir.params}
-    for key, name in access.args:
-        param = ir.params[key] if isinstance(key, int) \
-            and key < len(ir.params) else key
-        if param not in ir.params:
-            raise _Unread(f"argument {key} of {callee} (line {line})")
-        if name in frame.scope:
-            scope[param] = frame.scope[name]
-        if scope.get(param) == _CTX and param != ir.ctx_name:
+    for param, value in _bind(ir, access, frame, line).items():
+        if value == _CTX and param != ir.ctx_name:
             raise _Unread(f"{callee} receives ctx as {param}, not as "
                           f"{ir.ctx_name} (line {line})")
+        scope[param] = value
     up: Optional[_Frame] = frame
     while up is not None:
         if up.ir is ir:
             raise _Unread(f"recursive call of {callee} (line {line})")
         up = up.caller
     _walk(_Frame(ir, fn, scope, home, frame), out)
+
+
+def _bind(ir: KernelIR, access: Access, frame: _Frame,
+          line: int) -> Dict[str, int]:
+    """The scope values the call ``access`` in ``frame`` passes to the
+    parameters of the function ``ir``."""
+    bound: Dict[str, int] = {}
+    for key, name in access.args:
+        param = ir.params[key] if isinstance(key, int) \
+            and key < len(ir.params) else str(key)
+        if param not in ir.params:
+            raise _Unread(f"argument {key} of {access.name} (line {line})")
+        if name in frame.scope:
+            bound[param] = frame.scope[name]
+    return bound
 
 
 def _plan_access(plan) -> Tuple[LaunchAccess, Optional[Finding]]:

@@ -19,28 +19,19 @@ from ..apps.matmul import MatMul
 from ..apps.lbm import Lbm
 from ..apps.registry import get_app, suite_names
 from ..data import paper
-from ..obs.profiler import LaunchProfiler
 from ..sim.bounds import analyze_bounds
 from .tables import format_table
 
 
 @dataclass
 class ExperimentResult:
-    """Rows of one regenerated table/figure plus free-form notes.
-
-    ``records`` carries the structured per-config launch profiles
-    (:meth:`~repro.obs.profiler.LaunchRecord.to_dict` dicts tagged with
-    the configuration that produced them) for experiments that run
-    under a :class:`~repro.obs.profiler.LaunchProfiler` — evidence to
-    attach to any performance claim derived from the table.
-    """
+    """Rows of one regenerated table/figure plus free-form notes."""
 
     exp_id: str
     title: str
     headers: Sequence[str]
     rows: List[Sequence[object]]
     notes: List[str] = field(default_factory=list)
-    records: List[Dict[str, object]] = field(default_factory=list)
 
     def render(self) -> str:
         out = format_table(self.headers, self.rows,
@@ -109,12 +100,8 @@ def run_figure4(n: int = 4096, trace_blocks: int = 2,
     if executor is not None:
         app.executor = executor
     rows = []
-    records = []
     for config in app.figure4_configs():
-        with LaunchProfiler() as prof:
-            run = app.run_config(config, n=n, trace_blocks=trace_blocks)
-        records.extend({**rec.to_dict(), "config": config.label}
-                       for rec in prof.records)
+        run = app.run_config(config, n=n, trace_blocks=trace_blocks)
         est = run.launches[0].estimate()
         occ = est.occupancy
         ref = paper.FIGURE4_GFLOPS.get(config.label)
@@ -130,7 +117,7 @@ def run_figure4(n: int = 4096, trace_blocks: int = 2,
         "Figure 4", f"matmul GFLOPS vs tile size ({n}x{n})",
         ["configuration", "GFLOPS (model)", "GFLOPS (paper)",
          "blocks/SM", "threads/SM", "bound"],
-        rows, records=records)
+        rows)
     res.notes.append("(r) = reconstructed bar height; only the 16x16 "
                      "bars survive in the OCR'd prose")
     return res
@@ -175,17 +162,12 @@ def run_table3(scale: str = "full",
                names: Optional[Sequence[str]] = None,
                executor=None) -> ExperimentResult:
     rows = []
-    records = []
     measured: Dict[str, Dict[str, float]] = {}
     for name in (names or suite_names()):
         app = get_app(name)
         if executor is not None:
             app.executor = executor
-        with LaunchProfiler() as prof:
-            run = app.run(app.default_workload(scale), functional=False)
-        records.extend({**rec.to_dict(), "config": {"app": name,
-                                                    "scale": scale}}
-                       for rec in prof.records)
+        run = app.run(app.default_workload(scale), functional=False)
         t3 = paper.TABLE3[name]
         trace = run.merged_trace
         rows.append([
@@ -209,7 +191,7 @@ def run_table3(scale: str = "full",
         ["app", "max threads", "regs", "smem/blk", "mem/comp",
          "GPU%", "xfer%", "bottleneck",
          "kernel X", "paper", "app X", "paper"],
-        rows, records=records)
+        rows)
     ks = [m["kernel"] for m in measured.values()]
     as_ = [m["app"] for m in measured.values()]
     res.notes.append(

@@ -2,9 +2,11 @@
 
 Runs an application of the suite under a
 :class:`~repro.obs.profiler.LaunchProfiler` and prints one row per
-kernel launch — kernel, geometry, executor, block accounting,
-per-stage wall time, trace counters and the timing model's binding
-bottleneck — the way ``nvprof`` summarized launches on real hardware.
+kernel launch — kernel, geometry, executor, block accounting, the
+execute and finalize wall time read off the launch's span, trace
+counters and the timing model's binding bottleneck — the way
+``nvprof`` summarized launches on real hardware.  Plan building is
+its own ``plan.build`` span (``--spans``, ``--chrome-trace``).
 
 Command line::
 
@@ -34,7 +36,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..obs.profiler import LaunchProfiler, LaunchRecord, STAGES
+from ..obs.profiler import LaunchProfiler, LaunchRecord
 from .tables import format_table
 
 #: matmul variants the profile ladder walks, in paper order
@@ -58,21 +60,19 @@ def format_records(records: Sequence[LaunchRecord],
                    title: str = "launch profile") -> str:
     """The nvprof-like table over a set of launch records."""
     headers = ["kernel", "grid", "block", "exec",
-               "blocks(X/T/M)", "plan ms", "exec ms", "coll ms", "fin ms",
+               "blocks(X/T/M)", "exec ms", "fin ms",
                "warp insts", "txn/acc", "GFLOPS", "bound"]
     rows = []
     for rec in records:
-        stages_ms = [rec.stage_seconds.get(s, 0.0) * 1e3 for s in STAGES]
+        stages = rec.stage_seconds
         rows.append([
             rec.kernel,
             rec.grid,
             rec.block,
             rec.executor,
             f"{rec.blocks_executed}/{rec.blocks_traced}/{rec.memo_hits}",
-            f"{stages_ms[0]:.2f}",
-            f"{stages_ms[1]:.2f}",
-            f"{stages_ms[2]:.2f}",
-            f"{stages_ms[3]:.2f}",
+            f"{stages['execute'] * 1e3:.2f}",
+            f"{stages['finalize'] * 1e3:.2f}",
             _fmt_count(rec.trace.total_warp_insts),
             f"{rec.overall_transactions_per_access:.2f}",
             f"{rec.gflops:.2f}",

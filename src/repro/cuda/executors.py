@@ -30,7 +30,6 @@ from ``None`` / ``"sequential"`` / ``"compiled"`` / ``"sanitized"`` /
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from time import perf_counter
 from typing import Dict, Optional
 
 import numpy as np
@@ -53,13 +52,15 @@ KERNEL_ERRSTATE = {"divide": "ignore", "invalid": "ignore"}
 class Executor(ABC):
     """Common interface: ``execute(plan) -> LaunchResult``.
 
-    ``execute`` is also the pipeline's instrumentation point: it times
-    the execute/collect/finalize stages onto the result's
-    ``stage_seconds`` and hands the finished result to the active
-    :class:`~repro.obs.profiler.LaunchProfiler` (if any), which keeps
-    it as a :class:`~repro.obs.profiler.LaunchRecord`.  With
-    observability disabled this adds three ``perf_counter`` calls per
-    *launch* — blocks pay nothing.
+    ``execute`` is also the pipeline's instrumentation point.  It runs
+    the launch and finalizes its trace inside one ``executor.<name>``
+    span, ``collector.finalize`` being that span's child, keeps the
+    span on the result (``LaunchResult.span``) and hands the finished
+    result to the active :class:`~repro.obs.profiler.LaunchProfiler`
+    (if any), which keeps it as a
+    :class:`~repro.obs.profiler.LaunchRecord`.  The span is the
+    launch's only clock; with no tracer installed it is ``None`` and
+    the launch pays two tracer checks — blocks pay nothing.
 
     ``traces`` is the launch trace cache handed to every collector
     (see :mod:`repro.trace.collector`); ``None``, the default of every
@@ -75,10 +76,7 @@ class Executor(ABC):
     decision: Optional[str] = None
 
     def execute(self, plan) -> LaunchResult:
-        profiler = active_profiler()
-        collector = TraceCollector(plan, timed=profiler is not None,
-                                   traces=self.traces)
-        t0 = perf_counter()
+        collector = TraceCollector(plan, traces=self.traces)
         with span(f"executor.{self.name}", kernel=plan.kernel.name,
                   grid=plan.grid, block=plan.block) as node:
             if node is not None:
@@ -87,10 +85,8 @@ class Executor(ABC):
                 if collector.replay is not None:
                     node.attrs["replay"] = collector.replay
             executed = self._run(plan, collector)
-        t1 = perf_counter()
-        with span("collector.finalize", kernel=plan.kernel.name):
-            trace = collector.finalize()
-        t2 = perf_counter()
+            with span("collector.finalize", kernel=plan.kernel.name):
+                trace = collector.finalize()
         result = LaunchResult(
             kernel=plan.kernel,
             grid=plan.grid,
@@ -102,15 +98,10 @@ class Executor(ABC):
             blocks_traced=len(plan.traced),
             stream=collector.stream,
             executor=self.name,
-            memo_hits=collector.memo_hits,
             block_dispositions=dict(collector.dispositions),
-            stage_seconds={
-                "plan": plan.build_seconds,
-                "execute": max(0.0, (t1 - t0) - collector.collect_seconds),
-                "collect": collector.collect_seconds,
-                "finalize": t2 - t1,
-            },
+            span=node,
         )
+        profiler = active_profiler()
         if profiler is not None:
             profiler.on_launch(result)
         return result

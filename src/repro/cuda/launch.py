@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..arch.device import DeviceSpec
+from ..obs.spans import Span
 from ..trace.trace import KernelTrace
 from .dim3 import Dim3, DimLike
 from .memory import Device
@@ -82,16 +83,20 @@ class LaunchResult:
     stream: Optional[list] = None
     #: name of the executor backend that ran the launch
     executor: str = ""
-    #: traced-sample blocks satisfied from the launch trace cache
-    memo_hits: int = 0
     #: block counts by disposition ("trace" / "memo" / "plain")
     block_dispositions: Dict[str, int] = field(default_factory=dict)
-    #: wall time per pipeline stage (plan / execute / collect / finalize)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: the launch's ``executor.<name>`` span (its ``collector.finalize``
+    #: child included); ``None`` when no span tracer was installed
+    span: Optional[Span] = None
     #: the :class:`~repro.san.state.SanState` of a sanitized launch
     #: (``executor="sanitized"`` or a ``SanitizedExecutor``), else
     #: ``None``
     san: Optional[object] = None
+
+    @property
+    def memo_hits(self) -> int:
+        """Traced-sample blocks satisfied from the launch trace cache."""
+        return self.block_dispositions.get("memo", 0)
 
     @property
     def num_blocks(self) -> int:

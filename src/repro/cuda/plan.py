@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,8 +117,6 @@ class LaunchPlan:
     trace_blocks: int = 4
     record_stream: bool = False
     traced: Tuple[int, ...] = ()
-    #: wall time spent in :meth:`build` (the pipeline's "plan" stage)
-    build_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         self._traced_set = frozenset(self.traced)
@@ -140,7 +137,6 @@ class LaunchPlan:
         trace: bool = True,
         record_stream: bool = False,
     ) -> "LaunchPlan":
-        t0 = perf_counter()
         with span("plan.build", kernel=kern.name):
             device = device if device is not None else Device()
             grid = as_dim3(grid)
@@ -156,7 +152,6 @@ class LaunchPlan:
                        device=device, functional=functional,
                        trace_enabled=trace, trace_blocks=trace_blocks,
                        record_stream=record_stream, traced=traced)
-        plan.build_seconds = perf_counter() - t0
         for sink in list(_PLAN_OBSERVERS):
             sink(plan)
         return plan

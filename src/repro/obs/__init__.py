@@ -28,7 +28,9 @@ Every count stays on the object that produced it: a launch's trace
 counters on its :class:`~repro.trace.trace.KernelTrace`, its model
 numbers on its timing estimate, its block dispositions on the launch
 result, a module's or artifact cache's ``stats``.  A record holds the
-trace and the estimate; it copies neither.
+trace, the estimate and the launch's ``executor.<name>`` span; it
+copies none of them, and its stage times are read off the span, the
+pipeline's only clock.
 
 Everything is **off by default**: the ambient tracer is disabled, and
 every instrumentation point in the pipeline reduces to one tracer

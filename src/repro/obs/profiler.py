@@ -9,7 +9,8 @@ timing model) and captures one :class:`LaunchRecord` per launch:
 
 * identity: kernel name, grid/block geometry, chosen executor backend;
 * block accounting: executed / traced / memo-hit / plain dispositions;
-* per-stage wall time (plan / execute / collect / finalize);
+* the launch's ``executor.<name>`` span, whose wall time (and that of
+  its ``collector.finalize`` child) the record's stage times read;
 * the launch's own scaled trace, which holds every counter (warp
   instructions, flops, per-array transactions, bank-conflict cycles,
   cache hits);
@@ -26,12 +27,14 @@ Usage::
     prof.records[0].to_dict()        # structured record
     prof.tracer.write_chrome_trace("trace.json")
 
-Entering the profiler installs an *enabled* span tracer as the ambient
-one, so the pipeline's spans and their decisions (executor choice,
-trace replay, compile fallback) land in one tree for the duration, and
-each launch's collector times its own bookkeeping.  With no profiler
-active the instrumentation points reduce to one tracer check —
-launches pay nothing.
+Entering the profiler installs a fresh *enabled* span tracer as the
+ambient one, so the pipeline's spans and their decisions (executor
+choice, trace replay, compile fallback) land in one tree for the
+duration.  That tree is the pipeline's only clock: a record's
+``stage_seconds`` and ``wall_seconds`` are views over its launch's
+span.  Every record is estimated by the timing model.  With no
+profiler active the instrumentation points reduce to one tracer check
+— launches pay nothing.
 """
 
 from __future__ import annotations
@@ -42,12 +45,9 @@ from typing import Dict, List, Optional
 from ..arch.device import DeviceSpec
 from ..sim.timing import KernelTimeEstimate
 from ..trace.trace import KernelTrace
-from .spans import SpanTracer, set_tracer
+from .spans import Span, SpanTracer, set_tracer
 
 __all__ = ["LaunchProfiler", "LaunchRecord", "active_profiler"]
-
-#: pipeline stages a launch record times, in order
-STAGES = ("plan", "execute", "collect", "finalize")
 
 #: the trace's nvprof-style load/store split, as a record prints it
 _IO_COUNTERS = tuple(f"{op}_{part}" for op in ("gld", "gst")
@@ -73,9 +73,11 @@ class LaunchRecord:
     """Everything the profiler knows about one kernel launch.
 
     A view: it names the launch and its block accounting, and holds the
-    launch's own scaled :class:`~repro.trace.trace.KernelTrace` and its
-    :class:`~repro.sim.timing.KernelTimeEstimate`.  Every counter is
-    read from the trace and every model number from the estimate.
+    launch's own scaled :class:`~repro.trace.trace.KernelTrace`, its
+    :class:`~repro.sim.timing.KernelTimeEstimate` and its
+    ``executor.<name>`` :class:`~repro.obs.spans.Span`.  Every counter
+    is read from the trace, every model number from the estimate and
+    every wall time from the span.
     """
 
     kernel: str
@@ -85,24 +87,24 @@ class LaunchRecord:
     blocks_total: int
     blocks_executed: int
     blocks_traced: int
-    memo_hits: int
     #: device profile the launch ran on
     spec: DeviceSpec
     #: the launch's trace, scaled to the full grid
     trace: KernelTrace
-    #: the timing model's estimate; None when estimation was off or the
-    #: launch cannot be scheduled
+    #: the timing model's estimate; None when the launch traced no
+    #: instruction or cannot be scheduled
     estimate: Optional[KernelTimeEstimate] = None
     #: the exception the timing model raised on an unschedulable launch
     unschedulable: str = ""
     dispositions: Dict[str, int] = field(default_factory=dict)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: the launch's ``executor.<name>`` span; None without a tracer
+    span: Optional[Span] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_result(cls, result, estimate: bool = True) -> "LaunchRecord":
+    def from_result(cls, result) -> "LaunchRecord":
         """Build a record from an executed
         :class:`~repro.cuda.launch.LaunchResult`."""
         rec = cls(
@@ -113,13 +115,12 @@ class LaunchRecord:
             blocks_total=result.num_blocks,
             blocks_executed=result.blocks_executed,
             blocks_traced=result.blocks_traced,
-            memo_hits=result.memo_hits,
             spec=result.spec,
             trace=result.trace,
             dispositions=dict(result.block_dispositions),
-            stage_seconds=dict(result.stage_seconds),
+            span=result.span,
         )
-        if estimate and result.trace.total_warp_insts > 0:
+        if result.trace.total_warp_insts > 0:
             try:
                 rec.estimate = result.estimate()
             except Exception as exc:        # unschedulable configs etc.
@@ -141,7 +142,6 @@ class LaunchRecord:
             blocks_total=census.num_blocks,
             blocks_executed=0,
             blocks_traced=census.blocks_sampled,
-            memo_hits=0,
             spec=est.occupancy.spec,
             trace=census.trace,
             estimate=est.time,
@@ -151,8 +151,25 @@ class LaunchRecord:
     # Views
     # ------------------------------------------------------------------
     @property
+    def memo_hits(self) -> int:
+        """Traced-sample blocks satisfied from the launch trace cache."""
+        return self.dispositions.get("memo", 0)
+
+    @property
     def wall_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
+        """The launch span's wall seconds, 0.0 without a span."""
+        return self.span.seconds if self.span is not None else 0.0
+
+    @property
+    def stage_seconds(self) -> Dict[str, float]:
+        """Wall seconds of ``execute`` (the span less its
+        ``collector.finalize`` child) and ``finalize``, read off the
+        span; they sum to :attr:`wall_seconds` (zeros without a span)."""
+        children = self.span.children if self.span is not None else ()
+        finalize = sum((child.seconds for child in children
+                        if child.name == "collector.finalize"), 0.0)
+        return {"execute": self.wall_seconds - finalize,
+                "finalize": finalize}
 
     @property
     def gflops(self) -> float:
@@ -212,8 +229,7 @@ class LaunchRecord:
                 "memo_hits": self.memo_hits,
                 "dispositions": dict(self.dispositions),
             },
-            "stage_seconds": {s: self.stage_seconds.get(s, 0.0)
-                              for s in STAGES},
+            "stage_seconds": self.stage_seconds,
             "wall_seconds": self.wall_seconds,
             "counters": {
                 "warp_insts": t.total_warp_insts,
@@ -278,23 +294,11 @@ def active_profiler() -> Optional["LaunchProfiler"]:
 
 
 class LaunchProfiler:
-    """Context manager capturing a :class:`LaunchRecord` per launch.
+    """Context manager capturing a :class:`LaunchRecord` per launch,
+    under its own enabled span :attr:`tracer`."""
 
-    Parameters
-    ----------
-    tracer:
-        Pre-built span tracer to install while active; a fresh enabled
-        one is created by default.
-    estimate:
-        Run the analytical timing model on each launch to attribute its
-        bottleneck (disable for functional-only workloads).
-    """
-
-    def __init__(self, tracer: Optional[SpanTracer] = None,
-                 estimate: bool = True) -> None:
-        self.tracer = tracer if tracer is not None \
-            else SpanTracer(enabled=True)
-        self.estimate = estimate
+    def __init__(self) -> None:
+        self.tracer = SpanTracer(enabled=True)
         self.records: List[LaunchRecord] = []
 
     def __enter__(self) -> "LaunchProfiler":
@@ -310,7 +314,7 @@ class LaunchProfiler:
     # Pipeline hook (called by Executor.execute)
     # ------------------------------------------------------------------
     def on_launch(self, result) -> LaunchRecord:
-        record = LaunchRecord.from_result(result, estimate=self.estimate)
+        record = LaunchRecord.from_result(result)
         self.records.append(record)
         return record
 

@@ -33,12 +33,14 @@ that record an instruction stream or trace no blocks bypass the cache.
 
 The collector is deliberately executor-agnostic: backends call
 :meth:`classify` / :meth:`begin_block` / :meth:`finish_block` and never
-touch the merge/scale/cache machinery directly.
+touch the merge/scale/cache machinery directly.  It keeps no clock: its
+bookkeeping is timed as part of the launch's ``executor.<name>`` span,
+and :meth:`finalize` runs inside that span as its
+``collector.finalize`` child.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from ..sim.memsys import cold_caches
@@ -49,15 +51,9 @@ TRACE, MEMO, PLAIN = "trace", "memo", "plain"
 
 
 class TraceCollector:
-    """Accumulates one launch's trace from per-block executions.
+    """Accumulates one launch's trace from per-block executions."""
 
-    With ``timed=True`` (set by the executor when a profiler is
-    active) the collector accumulates the wall time of its own
-    bookkeeping in :attr:`collect_seconds`, giving the pipeline's
-    "collect" stage; untimed collectors pay nothing.
-    """
-
-    def __init__(self, plan, timed: bool = False,
+    def __init__(self, plan,
                  traces: Optional[Dict[Tuple, Tuple]] = None) -> None:
         self.plan = plan
         self.merged = KernelTrace()
@@ -65,12 +61,8 @@ class TraceCollector:
         self.stream: Optional[list] = None
         self.first_traced: Optional[int] = min(plan.traced) if plan.traced \
             else None
-        self.memo_hits = 0
         #: classify() outcomes per disposition
         self.dispositions: Dict[str, int] = {TRACE: 0, MEMO: 0, PLAIN: 0}
-        #: wall seconds spent in collector bookkeeping (timed only)
-        self.collect_seconds = 0.0
-        self._timed = timed
         #: the launch trace cache's outcome: ``"first trace"``,
         #: ``"replayed"`` or ``"refused: <why>"``; None without a cache
         self.replay: Optional[str] = None
@@ -116,22 +108,14 @@ class TraceCollector:
         ``MEMO`` (trace satisfied from the launch trace cache; execute
         untraced iff the launch is functional) or ``PLAIN`` (untraced
         functional block)."""
-        if self._timed:
-            t0 = perf_counter()
-            mode = self._classify(linear)
-            self.collect_seconds += perf_counter() - t0
+        if linear not in self.plan.traced_set:
+            mode = PLAIN
+        elif self._hit is not None:
+            mode = MEMO
         else:
-            mode = self._classify(linear)
+            mode = TRACE
         self.dispositions[mode] += 1
         return mode
-
-    def _classify(self, linear: int) -> str:
-        if linear not in self.plan.traced_set:
-            return PLAIN
-        if self._hit is not None:
-            self.memo_hits += 1
-            return MEMO
-        return TRACE
 
     def begin_block(self, linear: int) -> Tuple[KernelTrace, Optional[list]]:
         """Fresh trace (and stream sink, when recording) for one traced
@@ -140,14 +124,6 @@ class TraceCollector:
 
     def finish_block(self, linear: int, ctx) -> None:
         """Fold one traced block's context back into the launch trace."""
-        if self._timed:
-            t0 = perf_counter()
-            self._finish_block(ctx)
-            self.collect_seconds += perf_counter() - t0
-        else:
-            self._finish_block(ctx)
-
-    def _finish_block(self, ctx) -> None:
         ctx.trace.blocks_traced = 1
         ctx.trace.threads_traced = self.plan.block.size
         block_smem = ctx.smem_bytes + self.plan.kernel.static_smem_bytes

@@ -160,7 +160,7 @@ def test_fallback_increments_obs_counter():
     # one executor instance across launches, as app.executor is: the
     # refusal belongs to the launch that was refused, not the instance
     executor = CompiledExecutor()
-    with LaunchProfiler(estimate=False) as prof:
+    with LaunchProfiler() as prof:
         launch(genexp_probe, (8,), (32,), (out,), device=dev,
                executor=executor)
         launch(double_probe, (8,), (32,), (dev.alloc(8 * 32, np.float32),),
@@ -176,7 +176,7 @@ def test_fallback_increments_obs_counter():
     np.testing.assert_array_equal(out.to_host(), out2.to_host())
 
     # a perf-only launch compiles nothing, so nothing fell back
-    with LaunchProfiler(estimate=False) as prof:
+    with LaunchProfiler() as prof:
         launch(genexp_probe, (8,), (32,), (out,), device=dev,
                functional=False, executor=CompiledExecutor())
     assert [root.name for root in prof.tracer.roots].count(

@@ -346,7 +346,7 @@ def test_profiler_record_carries_divergence_counters():
     dev = Device()
     x = dev.to_device(np.arange(N, dtype=np.float32), "x")
     out = dev.alloc(N, np.float32, "out")
-    with LaunchProfiler(estimate=False) as prof:
+    with LaunchProfiler() as prof:
         launch(div_half_warp, (2,), (N,), (x, out, N), device=dev)
     rec = prof.records[0]
     assert rec.trace.divergent_branch_fraction == pytest.approx(1.0)

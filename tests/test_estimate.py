@@ -292,7 +292,7 @@ class TestCensusAgreement:
             next(t for t in targets if t.note == note)
         census = census_target(target)
 
-        with LaunchProfiler(estimate=False) as prof:
+        with LaunchProfiler() as prof:
             app.run(dict(workload), functional=False)
         record = prof.records[0]
         assert record.kernel == census.kernel

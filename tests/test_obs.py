@@ -10,6 +10,7 @@ records nothing.
 import json
 
 import numpy as np
+import pytest
 
 from repro.apps.fdtd import Fdtd
 from repro.apps.matmul import MatMul
@@ -23,7 +24,6 @@ from repro.obs import (
     span,
     use_tracer,
 )
-from repro.obs.profiler import STAGES
 
 
 @kernel("obs_writer", regs_per_thread=6)
@@ -109,7 +109,7 @@ def test_profiler_record_matches_launch_accounting():
     # perf-only launches execute just the traced sample, so the
     # dispositions cover the sample rather than the whole grid
     assert sum(rec.dispositions.values()) == rec.blocks_executed == 2
-    assert set(rec.stage_seconds) == set(STAGES)
+    assert set(rec.stage_seconds) == {"execute", "finalize"}
     assert all(v >= 0 for v in rec.stage_seconds.values())
     assert rec.wall_seconds > 0
     assert set(rec.transactions_per_access) == {"A", "B", "C"}
@@ -162,9 +162,8 @@ def test_disabled_profiler_is_noop():
                  functional=True, trace_blocks=2)
     # nothing recorded anywhere...
     assert get_tracer().roots == []
-    # ...and the untimed collector reports a zero collect stage
-    assert res.stage_seconds["collect"] == 0.0
-    assert res.stage_seconds["execute"] > 0
+    # ...and the launch kept no clock of its own
+    assert res.span is None
     # block accounting still flows through the result
     assert res.executor and sum(res.block_dispositions.values()) == 8
 
@@ -182,15 +181,35 @@ def test_profiler_restores_ambient_state_and_nests():
     assert get_tracer() is before_tracer
 
 
-def test_profiler_estimate_off_skips_model():
-    app = MatMul()
-    with LaunchProfiler(estimate=False) as prof:
-        app.run({"n": 32, "variant": "naive", "tile": 16,
-                 "trace_blocks": 1}, functional=False)
-    rec = prof.records[0]
-    assert rec.estimate is None
-    assert rec.bound == "n/a" and rec.gflops == 0.0
-    assert rec.trace.total_warp_insts > 0   # trace counters still captured
+def test_launch_stages_are_read_off_its_span():
+    """The span tree is the launch's only clock.  Under a tracer,
+    ``collector.finalize`` is a child of the launch's
+    ``executor.<name>`` span, which the result and its record hold: the
+    record's wall time is the span's and its stages sum to it.  With
+    no tracer installed the result holds no span."""
+    dev = Device()
+    out = dev.alloc(8 * 32, np.float32, "out")
+    args = (out, 8 * 32)
+    with LaunchProfiler() as prof:
+        res = launch(obs_writer, (8,), (32,), args, device=dev,
+                     trace_blocks=2)
+    assert [root.name for root in prof.tracer.roots] \
+        == ["plan.build", "executor.sequential"]
+    node = prof.tracer.roots[1]
+    (finalize,) = node.children
+    assert finalize.name == "collector.finalize"
+    (rec,) = prof.records
+    assert res.span is node and rec.span is node
+    assert rec.wall_seconds == node.seconds > 0
+    assert rec.stage_seconds["finalize"] == finalize.seconds
+    assert sum(rec.stage_seconds.values()) \
+        == pytest.approx(rec.wall_seconds)
+
+    res = launch(obs_writer, (8,), (32,), args, device=dev,
+                 trace_blocks=2)
+    assert res.span is None
+    assert active_profiler() is None and get_tracer().roots == []
+    assert res.profile().wall_seconds == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -239,6 +239,27 @@ class TestLaunchDataflow:
             (("src",), ("dst",), ("src",))] * len(kernels)
         assert not [f for f in flow.findings if "not read" in f.message]
 
+    def test_a_helper_may_receive_ctx_after_its_first_parameter(self):
+        """``_store_after(i, ctx, y, v)`` is lowered with its ``ctx``
+        named ``ctx``, not ``i``: R7 reads the footprint the sanitizer's
+        launch log records, with no note that it could not."""
+        dev = Device()
+        x = dev.to_device(np.zeros(64, np.float32), "x")
+        y = dev.to_device(np.zeros(64, np.float32), "y")
+        executor = SanitizedExecutor()
+        plans = []
+        with observe_plans(plans.append):
+            launch(copy_via_late_ctx, (2,), (32,), (x, y), device=dev,
+                   executor=executor)
+        flow = analyze_launch_sequence(plans)
+        assert [la.to_dict() for la in flow.launches] == [
+            la.to_dict() for la in executor.state.launch_accesses()]
+        assert (flow.launches[0].reads, flow.launches[0].writes) \
+            == (("x",), ("y",))
+        assert not [f for f in flow.findings
+                    if f.rule == "launch-dataflow"
+                    and f.severity is Severity.INFO]
+
     def test_unread_code_makes_the_footprint_conservative(self):
         dev = Device()
         src = dev.alloc(64, np.float32, "src")
@@ -305,6 +326,17 @@ def copy_via_helper(ctx, src, dst):
     ctx.st_global(dst, i, _load(ctx, src, i))
 
 
+def _store_after(i, ctx, arr, v):
+    ctx.st_global(arr, i, v)
+
+
+@kernel("copy_via_late_ctx", regs_per_thread=4)
+def copy_via_late_ctx(ctx, src, dst):
+    i = ctx.global_tid()
+    v = ctx.ld_global(src, i)
+    _store_after(i, ctx, dst, v)
+
+
 @kernel("copy_via_nested_def", regs_per_thread=4)
 def copy_via_nested_def(ctx, src, dst):
     def load(i):
@@ -329,6 +361,57 @@ def copy_via_lambda(ctx, src, dst):
     load = lambda i: ctx.ld_global(src, i)  # noqa: E731
     i = ctx.global_tid()
     ctx.st_global(dst, i, load(i))
+
+
+@kernel("load_store", regs_per_thread=4)
+def load_store(ctx, x):
+    i = ctx.global_tid()
+    ctx.st_global(x, i, ctx.ld_global(x, i))
+
+
+@kernel("store_first_in_block_0", regs_per_thread=4, batchable=False)
+def store_first_in_block_0(ctx, x, out):
+    i = ctx.global_tid()
+    if ctx.bx == 0:
+        ctx.st_global(x, i, np.zeros(ctx.nthreads, np.float32))
+    else:
+        ctx.st_global(out, i, ctx.ld_global(x, i))
+
+
+class TestFirstAccessBlindSpot:
+    """Both R7 oracles decide ``reads_incoming`` by the first access in
+    one global order: the static side in source order, the sanitizer's
+    launch log in block order.  ``store_first_in_block_0``'s block 0
+    stores ``x`` while every other block loads ``x`` first, so the
+    edge from ``load_store``'s write of ``x`` is lost on both sides
+    (``x`` classifies ``live-out``).  A path-aware first-access rule
+    turns these strict xfails into passes."""
+
+    def _launches(self):
+        dev = Device()
+        x = dev.to_device(np.zeros(4 * 32, np.float32), "x")
+        out = dev.to_device(np.zeros(4 * 32, np.float32), "out")
+        executor = SanitizedExecutor()
+        plans = []
+        with observe_plans(plans.append):
+            launch(load_store, (4,), (32,), (x,), device=dev,
+                   executor=executor)
+            launch(store_first_in_block_0, (4,), (32,), (x, out),
+                   device=dev, executor=executor)
+        return analyze_launch_sequence(plans).launches, \
+            executor.state.launch_accesses()
+
+    @pytest.mark.xfail(strict=True, reason="R7 orders a launch's accesses "
+                       "in source order, not per block")
+    def test_static_footprint_sees_the_other_blocks_load_first(self):
+        static, _dynamic = self._launches()
+        assert "x" in static[1].reads_incoming
+
+    @pytest.mark.xfail(strict=True, reason="the launch log orders a "
+                       "launch's accesses in block order, not per block")
+    def test_launch_log_sees_the_other_blocks_load_first(self):
+        _static, dynamic = self._launches()
+        assert "x" in dynamic[1].reads_incoming
 
 
 class TestWarpsimSynccheck:
